@@ -26,9 +26,10 @@ class AnimationClip:
     """Dense keyframed bone poses on one timeline.
 
     All channels share the key time vector. `tails` is the realized
-    position of each bone's tracked point per key; `targets`, `residuals`
-    and `iterations` are solver metadata present on freshly baked clips but
-    not carried through the exported model.
+    position of each bone's tracked point per key; `targets`, `residuals`,
+    `iterations` and `stop_reasons` (codes into ik_solver.STOP_REASONS) are
+    solver metadata present on freshly baked clips but not carried through
+    the exported model.
     """
 
     rate_hz: float
@@ -43,6 +44,7 @@ class AnimationClip:
     duration: float
     residuals: np.ndarray | None = None
     iterations: np.ndarray | None = None
+    stop_reasons: np.ndarray | None = None
     targets: np.ndarray | None = None
 
     def __post_init__(self):
@@ -99,7 +101,9 @@ class AnimationClip:
         )
 
     def without_metadata(self) -> "AnimationClip":
-        return replace(self, residuals=None, iterations=None, targets=None)
+        return replace(
+            self, residuals=None, iterations=None, stop_reasons=None, targets=None
+        )
 
 
 def bake(
@@ -175,6 +179,7 @@ def bake(
         duration=offset,
         residuals=track.max_residual(),
         iterations=track.iterations,
+        stop_reasons=track.stop_reasons,
         targets=targets,
     )
 

@@ -10,6 +10,7 @@ corruption is detectable. Trajectory dumps re-encode pipeline signals as
 from __future__ import annotations
 
 import hashlib
+import io
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,6 +48,23 @@ class Bundle:
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def write_new_file(path: str | Path, data: bytes) -> None:
+    """Write `data` to `path` as a newly created file.
+
+    An existing file is unlinked first, not truncated and rewritten: a
+    reader that has the old file open keeps reading its complete old
+    bytes, and the write does not wait for the old file's writeback
+    (ext4's replace-on-truncate heuristic, ``auto_da_alloc``, makes each
+    truncation of a rewritten file wait for it). The one behaviour change
+    from an in-place write: a symlink at `path` is replaced by a regular
+    file, not written through.
+    """
+    path = Path(path)
+    path.unlink(missing_ok=True)
+    with open(path, "xb") as f:
+        f.write(data)
 
 
 def _format_manifest(
@@ -102,7 +120,8 @@ def write_bundle(
 
     Layout is fixed: model.dae, optional segmentation.txt / layout.cfg,
     audio copied byte-for-byte under audio/, and manifest.txt with content
-    hashes. Writing is deterministic for identical inputs.
+    hashes. Writing is deterministic for identical inputs. Each file (or
+    the archive) is written as a new file, see write_new_file.
     """
     path = Path(path)
     files: dict[str, bytes] = {MODEL_NAME: model_text.encode("utf-8")}
@@ -118,17 +137,19 @@ def write_bundle(
 
     if path.suffix == ".zip":
         path.parent.mkdir(parents=True, exist_ok=True)
-        with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as zf:
+        archive = io.BytesIO()
+        with zipfile.ZipFile(archive, "w", zipfile.ZIP_DEFLATED) as zf:
             for name in sorted(files) + [MANIFEST_NAME]:
                 data = manifest.encode("utf-8") if name == MANIFEST_NAME else files[name]
                 zf.writestr(zipfile.ZipInfo(name, date_time=_ZIP_EPOCH), data)
+        write_new_file(path, archive.getvalue())
     else:
         path.mkdir(parents=True, exist_ok=True)
         for name, data in files.items():
             target = path / name
             target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_bytes(data)
-        (path / MANIFEST_NAME).write_text(manifest, encoding="utf-8")
+            write_new_file(target, data)
+        write_new_file(path / MANIFEST_NAME, manifest.encode("utf-8"))
 
     return Bundle(
         path=path,

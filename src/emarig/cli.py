@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .anim_db import build_unit_db
-from .bundle import DUMP_KINDS, dump_trajectories, read_bundle
+from .bundle import DUMP_KINDS, dump_trajectories, read_bundle, write_new_file
 from .collada_io import write_collada
 from .errors import EmarigError, NoCandidate
 from .fixture import FixtureSpec, write_fixture
@@ -114,7 +114,7 @@ def _cmd_compile(args) -> int:
         rows = "".join(
             f"{i}\t{r!r}\n" for i, r in enumerate(result.report.residuals)
         )
-        Path(args.report).write_text("frame\tmax_residual_cm\n" + rows, encoding="utf-8")
+        write_new_file(args.report, ("frame\tmax_residual_cm\n" + rows).encode("utf-8"))
     return 0
 
 
@@ -193,8 +193,8 @@ def _cmd_synth(args) -> int:
             )
 
     rendered = render_plan(plan, loaded.clip)
-    Path(args.out).write_text(
-        write_collada(loaded.mesh, loaded.armature, rendered), encoding="utf-8"
+    write_new_file(
+        args.out, write_collada(loaded.mesh, loaded.armature, rendered).encode("utf-8")
     )
     print(f"rendered clip of {rendered.duration:g} s -> {args.out}")
     return 0
@@ -224,7 +224,7 @@ def _cmd_dump(args) -> int:
         data = dump_trajectories("ik_targets", clip=result.clip)
     else:
         data = dump_trajectories("seed_vertices", rig=result.rig, clip=result.clip)
-    Path(args.out).write_bytes(data)
+    write_new_file(args.out, data)
     print(f"wrote {len(data)} bytes -> {args.out}")
     return 0
 

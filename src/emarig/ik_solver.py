@@ -27,7 +27,6 @@ class IkParams:
     max_iterations: int = 50
     s_min: float = 0.5               # stretch ratio bounds
     s_max: float = 2.0
-    target_weights: dict[str, float] | None = None
 
     def __post_init__(self):
         if not (self.tolerance > 0):
@@ -36,10 +35,19 @@ class IkParams:
             raise ValueError("max_iterations must be >= 1")
         if not (0 < self.s_min <= 1.0 <= self.s_max):
             raise ValueError("stretch bounds must satisfy 0 < s_min <= 1 <= s_max")
-        if self.target_weights is not None and any(
-            w < 0 for w in self.target_weights.values()
-        ):
-            raise ValueError("target weights must be non-negative")
+
+
+# Why a frame left the solve, indexed by the codes in PoseTrack.stop_reasons:
+# its residual is within tolerance, an iterate made it worse and was rolled
+# back, or the iteration budget ran out.
+STOP_REASONS = ("converged", "stalled", "budget")
+STOP_CONVERGED, STOP_STALLED, STOP_BUDGET = range(len(STOP_REASONS))
+
+
+def stop_counts(stop_reasons: np.ndarray) -> dict[str, int]:
+    """Number of frames per stop reason, keyed by the names in STOP_REASONS."""
+    counts = np.bincount(stop_reasons, minlength=len(STOP_REASONS))
+    return dict(zip(STOP_REASONS, (int(c) for c in counts)))
 
 
 @dataclass(frozen=True)
@@ -54,6 +62,7 @@ class PoseTrack:
     cross_scales: np.ndarray  # (F, K) = 1/sqrt(stretch)
     residuals: np.ndarray     # (F, K) per-target distance, NaN where untargeted
     iterations: np.ndarray    # (F,)
+    stop_reasons: np.ndarray  # (F,) int8 index into STOP_REASONS
 
     @property
     def n_frames(self) -> int:
@@ -106,14 +115,6 @@ class PoseFrame:
         return float(finite.max()) if len(finite) else 0.0
 
 
-def _target_weight_vector(armature: Armature, params: IkParams) -> np.ndarray:
-    w = np.ones(armature.n_bones)
-    if params.target_weights:
-        for name, val in params.target_weights.items():
-            w[armature.bone_index(name)] = val
-    return w
-
-
 def solve_track(
     armature: Armature,
     targets: np.ndarray,
@@ -122,10 +123,17 @@ def solve_track(
 ) -> PoseTrack:
     """Solve every frame of a (frames, bones, 3) target array.
 
-    Iterates backward/forward passes until the worst per-target residual
-    drops to the tolerance, progress stalls, or the iteration budget runs
-    out; a frame is never left in a worse state than a previous iterate, so
-    the reported residual is non-increasing in the iteration count.
+    Each iteration runs one backward/forward pass over the active frames
+    only: their targets and joints are gathered into a compact batch, and
+    the iterate is accepted where it does not raise the worst per-target
+    residual. A frame leaves the batch when that residual drops to the
+    tolerance (converged), when an iterate would raise it (stalled: the
+    iterate is rolled back), or when the iteration budget runs out, and
+    its reason is recorded in `stop_reasons`. Frames are independent and
+    the per-frame arithmetic does not depend on which other frames share
+    the batch, so the result is the same as iterating the whole batch. A
+    frame is never left in a worse state than a previous iterate, so the
+    reported residual is non-increasing in the iteration count.
     Untargeted bones (target_mask False) follow their parents.
     """
     targets = np.asarray(targets, dtype=np.float64)
@@ -138,11 +146,12 @@ def solve_track(
         else np.asarray(target_mask, dtype=bool)
     )
 
-    w_t = _target_weight_vector(armature, params)
+    # Branch proposals are averaged, weighted by the number of targeted
+    # bones in each child's subtree.
     children = [armature.children_of(k) for k in range(K)]
     subtree_w = np.zeros(K)
     for k in reversed(range(K)):
-        subtree_w[k] = w_t[k] * has[k] + sum(subtree_w[c] for c in children[k])
+        subtree_w[k] = float(has[k]) + sum(subtree_w[c] for c in children[k])
 
     lo = params.s_min * armature.rest_lengths
     hi = params.s_max * armature.rest_lengths
@@ -153,14 +162,10 @@ def solve_track(
     joints[:, 0] = armature.root_point
     joints[:, 1:] = armature.tails
 
-    def residual_of(j):
-        d = norm(j[:, 1:] - targets)
+    def residual_of(j, t):
+        d = norm(j[:, 1:] - t)
         d[:, ~has] = 0.0
-        return d.max(axis=1) if K else np.zeros(F)
-
-    best_res = residual_of(joints)
-    iterations = np.zeros(F, dtype=np.int64)
-    active = np.ones(F, dtype=bool)
+        return d.max(axis=1) if K else np.zeros(len(t))
 
     def pull(anchor, toward, lo_k, hi_k, fallback_dir):
         """Point at clamped distance from `anchor` in the direction of `toward`.
@@ -178,28 +183,26 @@ def solve_track(
         )
         return np.where((clamped == dist)[..., None], toward, scaled)
 
-    for it in range(1, params.max_iterations + 1):
-        if not active.any():
-            break
-
+    def iterate(t, j):
+        """One backward/forward pass over a batch of frames."""
         # Backward pass: each bone proposes a tail position for itself; a
         # targeted bone wants its own target, projected into the reach
-        # annulus of every child's proposal. Branch proposals are averaged,
-        # weighted by their subtrees' target weight.
-        prop = np.empty((F, K, 3))
+        # annulus of every child's proposal.
+        n = len(t)
+        prop = np.empty((n, K, 3))
         for k in reversed(range(K)):
-            desired = targets[:, k] if has[k] else joints[:, k + 1]
+            desired = t[:, k] if has[k] else j[:, k + 1]
             contribs = []
             weights = []
             if has[k]:
-                contribs.append(targets[:, k])
-                weights.append(w_t[k])
+                contribs.append(t[:, k])
+                weights.append(1.0)
             for c in children[k]:
                 p = pull(prop[:, c], desired, lo[c], hi[c], -armature.rest_dirs[c])
                 contribs.append(p)
                 weights.append(subtree_w[c])
             if not contribs:
-                prop[:, k] = joints[:, k + 1]
+                prop[:, k] = j[:, k + 1]
             elif len(contribs) == 1:
                 prop[:, k] = contribs[0]
             else:
@@ -213,20 +216,40 @@ def solve_track(
 
         # Forward pass: re-anchor at the root and restore bone lengths
         # (within the stretch bounds) down the tree.
-        new_joints = np.empty_like(joints)
-        new_joints[:, 0] = armature.root_point
+        new_j = np.empty_like(j)
+        new_j[:, 0] = armature.root_point
         for k in range(K):
-            head = new_joints[:, parent_joint[k]]
-            new_joints[:, k + 1] = pull(head, prop[:, k], lo[k], hi[k], armature.rest_dirs[k])
+            head = new_j[:, parent_joint[k]]
+            new_j[:, k + 1] = pull(head, prop[:, k], lo[k], hi[k], armature.rest_dirs[k])
+        return new_j
 
-        res = residual_of(new_joints)
-        accept = active & (res <= best_res)
-        reject = active & ~accept
-        joints[accept] = new_joints[accept]
-        best_res[accept] = res[accept]
-        iterations[active] = it
-        active &= ~reject
-        active &= best_res > params.tolerance
+    iterations = np.zeros(F, dtype=np.int64)
+    stop_reasons = np.full(F, STOP_BUDGET, dtype=np.int8)
+
+    # The active batch: frame indices with their gathered targets, joints
+    # and best residuals. Leaving frames are scattered back into `joints`.
+    rows = np.arange(F)
+    t, j = targets, joints.copy()
+    best = residual_of(j, t)
+    for it in range(1, params.max_iterations + 1):
+        if not len(rows):
+            break
+        new_j = iterate(t, j)
+        res = residual_of(new_j, t)
+        accept = res <= best
+        j[accept] = new_j[accept]
+        best[accept] = res[accept]
+        iterations[rows] = it
+
+        converged = best <= params.tolerance
+        leave = converged | ~accept
+        if leave.any():
+            out = rows[leave]
+            joints[out] = j[leave]
+            stop_reasons[out] = np.where(converged[leave], STOP_CONVERGED, STOP_STALLED)
+            keep = ~leave
+            rows, t, j, best = rows[keep], t[keep], j[keep], best[keep]
+    joints[rows] = j
 
     heads = joints[:, parent_joint]
     tails = joints[:, 1:]
@@ -250,6 +273,7 @@ def solve_track(
         cross_scales=cross_scales,
         residuals=residuals,
         iterations=iterations,
+        stop_reasons=stop_reasons,
     )
 
 

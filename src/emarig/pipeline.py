@@ -18,7 +18,7 @@ from .bundle import Bundle, LoadedBundle, write_bundle
 from .collada_io import write_collada
 from .ema_io import CoilRoles, EmaSweep, PosLayout, parse_layout, read_pos
 from .errors import ConfigError, IncompatibleBundle
-from .ik_solver import IkParams, skin_trajectories
+from .ik_solver import IkParams, skin_trajectories, stop_counts
 from .motion_prep import SmoothingSpec, fill_dropouts, normalize_head, smooth, similarity_align
 from .rig import (
     CompiledRig,
@@ -222,13 +222,16 @@ class CompileReport:
     nonconvergent_frames: int
     registration_rms: float
     residuals: np.ndarray
+    stop_counts: dict[str, int]  # frames per ik_solver.STOP_REASONS name
 
     def lines(self) -> list[str]:
+        stops = "  ".join(f"{name} {n}" for name, n in self.stop_counts.items())
         return [
             f"frames            {self.n_frames}",
             f"max residual      {self.max_residual:.6g} cm",
             f"mean residual     {self.mean_residual:.6g} cm",
             f"non-convergent    {self.nonconvergent_frames}",
+            f"ik stop           {stops}",
             f"registration rms  {self.registration_rms:.6g} cm",
         ]
 
@@ -345,6 +348,7 @@ def compile_model(
         nonconvergent_frames=int((residuals > config.ik.tolerance).sum()),
         registration_rms=rig.registration_rms,
         residuals=residuals,
+        stop_counts=stop_counts(clip.stop_reasons),
     )
 
     return PipelineResult(

@@ -1,3 +1,4 @@
+import os
 import zipfile
 
 import numpy as np
@@ -95,6 +96,42 @@ class TestWriteBundle:
         for p in (a, b):
             write_bundle(p, model_text, channels=("A",), rate_hz=200.0)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("name", ["b", "b.zip"])
+    def test_rewrite_replaces_files(self, tmp_path, model_text, name):
+        path = tmp_path / name
+        model = path / "model.dae" if path.suffix != ".zip" else path
+        write = lambda text: write_bundle(
+            path, text, channels=("A",), rate_hz=200.0, segmentation_text="0.0 0.5 a\n"
+        )
+
+        def snapshot():
+            if path.suffix == ".zip":
+                return path.read_bytes()
+            return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+        write(model_text)
+        first = snapshot()
+        with open(model, "rb") as old:
+            write(model_text + "<!-- v2 -->\n")
+            assert os.fstat(old.fileno()).st_ino != model.stat().st_ino
+            old_bytes = old.read()
+        assert old_bytes == (first if path.suffix == ".zip" else first["model.dae"])
+        assert snapshot() != first
+        assert verify_bundle(path) == []
+
+        write(model_text)
+        assert snapshot() == first
+
+    def test_symlinked_output_replaced_not_followed(self, tmp_path, model_text):
+        elsewhere = tmp_path / "elsewhere.dae"
+        elsewhere.write_bytes(b"not a bundle file\n")
+        (tmp_path / "b").mkdir()
+        (tmp_path / "b" / "model.dae").symlink_to(elsewhere)
+        write_bundle(tmp_path / "b", model_text, channels=("A",), rate_hz=200.0)
+        assert not (tmp_path / "b" / "model.dae").is_symlink()
+        assert elsewhere.read_bytes() == b"not a bundle file\n"
+        assert verify_bundle(tmp_path / "b") == []
 
     def test_manifest_metadata(self, tmp_path, model_text):
         write_bundle(

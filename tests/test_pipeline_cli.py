@@ -1,8 +1,13 @@
+import os
+import shutil
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from emarig.bundle import read_bundle
 from emarig.cli import main
+from emarig.ema_io import parse_layout, read_pos, write_pos
 from emarig.fixture import FixtureSpec, write_fixture
 from emarig.pipeline import compile_model, load_config
 
@@ -20,6 +25,20 @@ def bundle_dir(fixture_dir, tmp_path_factory):
     rc = main(["compile", "--config", str(fixture_dir / "config.cfg"), "--out", str(out)])
     assert rc == 0
     return out
+
+
+def check_output_replaced(path, run):
+    """`run` writes `path` as a new file: a handle on the old file keeps its
+    bytes and inode, and running again gives the same bytes."""
+    path.write_bytes(b"stale output\n")
+    with open(path, "rb") as stale:
+        assert run() == 0
+        assert os.fstat(stale.fileno()).st_ino != path.stat().st_ino
+        assert stale.read() == b"stale output\n"
+    first = path.read_bytes()
+    assert first != b"stale output\n"
+    assert run() == 0
+    assert path.read_bytes() == first
 
 
 class TestConfig:
@@ -93,6 +112,43 @@ class TestCompile:
         assert lines[0] == "frame\tmax_residual_cm"
         assert len(lines) == 601
 
+    def test_report_file_replaced(self, fixture_dir, tmp_path):
+        report = tmp_path / "resid.txt"
+        check_output_replaced(report, lambda: main([
+            "compile", "--config", str(fixture_dir / "config.cfg"),
+            "--out", str(tmp_path / "b"), "--report", str(report),
+        ]))
+
+    def test_ik_stop_counts(self, fixture_dir, tmp_path, capsys):
+        corpus = tmp_path / "noisy"
+        shutil.copytree(fixture_dir, corpus)
+        config = load_config(corpus / "config.cfg")
+        layout = parse_layout(config.layout_path.read_text(encoding="utf-8"))
+        tip = layout.channels.index("TTipC")
+        rng = np.random.default_rng(5)
+        for path in config.ema_paths:
+            # Jitter everywhere, and the tongue tip pulled out of reach for
+            # a block of frames.
+            sweep = read_pos(path.read_bytes(), layout)
+            positions = sweep.positions + rng.normal(0, 0.02, sweep.positions.shape)
+            positions[100:160, tip, 0] += 6.0
+            path.write_bytes(write_pos(replace(sweep, positions=positions), layout))
+
+        report = compile_model(config).report
+        counts = report.stop_counts
+        assert list(counts) == ["converged", "stalled", "budget"]
+        assert sum(counts.values()) == report.n_frames
+        assert counts["stalled"] + counts["budget"] == report.nonconvergent_frames
+        assert report.nonconvergent_frames > 0
+
+        assert main(["compile", "--config", str(corpus / "config.cfg"),
+                     "--out", str(tmp_path / "b")]) == 0
+        out = capsys.readouterr().out
+        assert (
+            f"ik stop           converged {counts['converged']}  "
+            f"stalled {counts['stalled']}  budget {counts['budget']}\n"
+        ) in out
+
 
 class TestSynth:
     def test_corpus_reconstruction_zero_cost(self, fixture_dir, bundle_dir, tmp_path, capsys):
@@ -146,6 +202,13 @@ class TestSynth:
             "--out", str(tmp_path / "clip.dae"),
         ])
         assert rc == 0
+
+    def test_out_file_replaced(self, bundle_dir, tmp_path):
+        out = tmp_path / "clip.dae"
+        check_output_replaced(out, lambda: main([
+            "synth", "--bundle", str(bundle_dir), "--request", "a 0.2; a 0.2",
+            "--out", str(out),
+        ]))
 
     def test_usage_needs_request(self, bundle_dir, tmp_path):
         rc = main(["synth", "--bundle", str(bundle_dir), "--out", str(tmp_path / "c.dae")])
@@ -231,6 +294,13 @@ class TestDump:
             fixture_dir / "sweep_02.pos"
         ).read_bytes()
         assert (tmp_path / "coils.pos").read_bytes() == expected
+
+    def test_out_file_replaced(self, fixture_dir, tmp_path):
+        out = tmp_path / "coils.pos"
+        check_output_replaced(out, lambda: main([
+            "dump", "--config", str(fixture_dir / "config.cfg"), "--kind", "coils",
+            "--out", str(out),
+        ]))
 
     def test_seed_vertices_dump(self, fixture_dir, tmp_path):
         rc = main([
