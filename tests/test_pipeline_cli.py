@@ -1,3 +1,4 @@
+import hashlib
 import os
 import shutil
 from dataclasses import replace
@@ -10,6 +11,9 @@ from emarig.cli import main
 from emarig.ema_io import parse_layout, read_pos, write_pos
 from emarig.fixture import FixtureSpec, write_fixture
 from emarig.pipeline import compile_model, load_config
+
+# sha256 of model.dae compiled from `emarig fixture` with its defaults.
+GOLDEN_MODEL_SHA256 = "b2ddbb5343aaecfb65678f3d3cf3a1e87078f5154e050b20865ff9c93d3f4ee5"
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +97,17 @@ class TestCompile:
         m1 = (tmp_path / "r1" / "manifest.txt").read_bytes()
         m2 = (tmp_path / "r2" / "manifest.txt").read_bytes()
         assert m1 == m2
+
+    def test_golden_model_digest(self, tmp_path):
+        # The default fixture's model.dae bytes, pinned across changes.
+        # Measured with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1.
+        assert main(["fixture", "--out", str(tmp_path / "f")]) == 0
+        assert main([
+            "compile", "--config", str(tmp_path / "f" / "config.cfg"),
+            "--out", str(tmp_path / "b"),
+        ]) == 0
+        digest = hashlib.sha256((tmp_path / "b" / "model.dae").read_bytes()).hexdigest()
+        assert digest == GOLDEN_MODEL_SHA256
 
     def test_report_residuals_match_recomputation(self, fixture_dir):
         config = load_config(fixture_dir / "config.cfg")
