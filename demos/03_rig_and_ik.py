@@ -13,11 +13,11 @@ import numpy as np
 from emarig import (
     IkParams,
     RigConfig,
-    apply_pose,
     compile_rig,
     generate_default_mesh,
     parse_rig_graph,
-    solve_pose,
+    skin_trajectories,
+    solve_track,
 )
 from emarig.fixture import RIG_GRAPH_DOT, FixtureSpec, synthetic_motion
 from emarig.motion_prep import fill_dropouts, normalize_head
@@ -39,25 +39,29 @@ for k, name in enumerate(arm.bone_names):
     print(f"  {parent:>8} -> {name:<8} rest length {arm.rest_lengths[k]:.2f} cm")
 print(f"registration rms: {rig.registration_rms:.2e} cm")
 
-# Solve a pose for frame 120 and inspect the stretch bookkeeping.
+# Solve a pose for frame 120 (a one-frame slice) and inspect the stretch
+# bookkeeping.
 idx = [sweep.channels.index(n) for n in arm.bone_names]
-targets = rig.registration.apply(sweep.positions[120, idx, :])
-pose = solve_pose(arm, targets, IkParams())
-print(f"\nframe 120 solved in {pose.iterations_used} iteration(s), "
-      f"max residual {pose.max_residual:.2e} cm")
+targets = rig.registration.apply(sweep.positions[120:121, idx, :])
+pose = solve_track(arm, targets, IkParams())
+print(f"\nframe 120 solved in {pose.iterations[0]} iteration(s), "
+      f"max residual {pose.max_residual()[0]:.2e} cm")
 for k, name in enumerate(arm.bone_names):
-    s = pose.stretches[k]
-    c = pose.cross_scales[k]
+    s = pose.stretches[0, k]
+    c = pose.cross_scales[0, k]
     print(f"  {name:<8} stretch {s:.3f}  cross-section {c:.3f}  "
           f"volume check {s * arm.rest_lengths[k] * c**2:.4f} "
           f"(rest {arm.rest_lengths[k]:.4f})")
 
-deformed = apply_pose(rig.mesh, arm, pose)
+deformed = skin_trajectories(
+    rig.mesh, arm, pose.quats, pose.heads, pose.stretches,
+    np.arange(rig.mesh.n_vertices),
+)[0]
 moved = np.linalg.norm(deformed - rig.mesh.vertices, axis=1)
 tongue = rig.mesh.group_indices("tongue")
-print(f"\napply_pose moved {np.count_nonzero(moved > 1e-9)} vertices; "
+print(f"\nskin_trajectories moved {np.count_nonzero(moved > 1e-9)} vertices; "
       f"max tongue displacement {moved[tongue].max():.3f} cm")
 
 seed = rig.seed_map["TTipC"]
 print("tongue-tip seed vertex sits at", np.round(deformed[seed], 4))
-print("tongue-tip IK target was     ", np.round(targets[arm.bone_index('TTipC')], 4))
+print("tongue-tip IK target was     ", np.round(targets[0, arm.bone_index('TTipC')], 4))

@@ -8,7 +8,6 @@ walkthrough and the demos/ directory for runnable examples.
 
 from .ema_io import (
     CoilRoles,
-    CoilSample,
     EmaSweep,
     PosLayout,
     format_layout,
@@ -39,17 +38,13 @@ from .rig import (
     generate_default_mesh,
     load_mesh,
     mesh_volume,
-    parse_rig_config,
     parse_rig_graph,
     save_obj,
 )
 from .ik_solver import (
     IkParams,
-    PoseFrame,
     PoseTrack,
-    apply_pose,
     skin_trajectories,
-    solve_pose,
     solve_track,
 )
 from .anim_db import (

@@ -9,7 +9,7 @@ velocities) feed the unit-selection join cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -98,11 +98,6 @@ class AnimationClip:
             lerp(self.tails),
             slerp(self.jaw_quats[k - 1], self.jaw_quats[k], a),
             lerp(self.jaw_translations),
-        )
-
-    def without_metadata(self) -> "AnimationClip":
-        return replace(
-            self, residuals=None, iterations=None, stop_reasons=None, targets=None
         )
 
 

@@ -13,7 +13,7 @@ import hashlib
 import io
 import zipfile
 from dataclasses import dataclass
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 from typing import Sequence
 
 import numpy as np
@@ -90,6 +90,11 @@ def _parse_manifest(text: str) -> tuple[int, tuple[str, ...], float, dict[str, s
             continue
         if "\t" in line:
             name, digest = line.split("\t", 1)
+            entry = PurePosixPath(name)
+            if entry.is_absolute() or ".." in entry.parts:
+                raise BundleError(
+                    f"manifest line {lineno}: entry {name!r} points outside the bundle"
+                )
             entries[name] = digest.strip()
         elif "=" in line:
             key, value = (p.strip() for p in line.split("=", 1))

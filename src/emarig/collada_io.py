@@ -24,7 +24,7 @@ import numpy as np
 
 from .anim_db import AnimationClip
 from .errors import InconsistentRig, ParseError, UnsupportedFeature
-from .ik_solver import _pose_affines
+from .ik_solver import _pose_affines, stretch_matrices
 from .rig import Armature, SkinnedMesh, GROUP_MANDIBLE, GROUP_MAXILLA, GROUP_TONGUE
 from .rotations import mat_to_quat, quat_to_mat, norm
 
@@ -191,11 +191,9 @@ def write_collada(
         world = _affine_to_matrix16(A, clip.heads).reshape(clip.n_keys, K, 4, 4)
 
         locals_ = np.empty_like(world)
-        c_inv = np.sqrt(clip.stretches)               # 1 / cross_scale
-        s_inv = 1.0 / clip.stretches
-        d0 = armature.rest_dirs
-        outer = d0[:, :, None] * d0[:, None, :]
-        S_inv = c_inv[..., None, None] * np.eye(3) + (s_inv - c_inv)[..., None, None] * outer
+        S_inv = stretch_matrices(
+            armature.rest_dirs, 1.0 / clip.stretches, np.sqrt(clip.stretches)
+        )
         R = quat_to_mat(clip.quats)
         A_inv = S_inv @ np.swapaxes(R, -1, -2)
         for k in range(K):
@@ -564,12 +562,7 @@ def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip | 
         heads_t = worlds[:, :, :3, 3]
         A = worlds[:, :, :3, :3]
         stretches = norm(np.einsum("fkij,kj->fki", A, armature.rest_dirs))
-        c_inv = np.sqrt(stretches)
-        s_inv = 1.0 / stretches
-        d0 = armature.rest_dirs
-        outer = d0[:, :, None] * d0[:, None, :]
-        S_inv = c_inv[..., None, None] * np.eye(3) + (s_inv - c_inv)[..., None, None] * outer
-        R = A @ S_inv
+        R = A @ stretch_matrices(armature.rest_dirs, 1.0 / stretches, np.sqrt(stretches))
         quats = mat_to_quat(R)
         tails_t = heads_t + np.einsum(
             "fkij,kj->fki", A, armature.tails - armature.heads

@@ -48,27 +48,6 @@ class PosLayout:
 
 
 @dataclass(frozen=True)
-class CoilSample:
-    """One coil in one frame: position (cm), axis angles (rad), fit residual."""
-
-    position: np.ndarray
-    phi: float
-    theta: float
-    rms: float
-    extra: float
-
-    @property
-    def valid(self) -> bool:
-        return bool(
-            np.all(np.isfinite(self.position))
-            and np.isfinite(self.phi)
-            and np.isfinite(self.theta)
-            and np.isfinite(self.rms)
-            and np.isfinite(self.extra)
-        )
-
-
-@dataclass(frozen=True)
 class EmaSweep:
     """One acquisition sweep as dense per-channel arrays.
 
@@ -115,16 +94,6 @@ class EmaSweep:
             return self.channels.index(name)
         except ValueError:
             raise KeyError(f"sweep has no channel {name!r}") from None
-
-    def sample(self, frame: int, channel: str | int) -> CoilSample:
-        c = channel if isinstance(channel, int) else self.channel_index(channel)
-        return CoilSample(
-            position=self.positions[frame, c].copy(),
-            phi=float(self.phi[frame, c]),
-            theta=float(self.theta[frame, c]),
-            rms=float(self.rms[frame, c]),
-            extra=float(self.extra[frame, c]),
-        )
 
     def valid_mask(self) -> np.ndarray:
         """(frames, channels) bool: True where all seven components are finite."""

@@ -6,14 +6,14 @@ stretch clamping and weighted averaging at branch points). Volume
 preservation is enforced analytically: a bone stretched by s scales its
 cross section by 1/sqrt(s), so its cylinder-equivalent volume is constant.
 
-Frames are independent; the batched entry point `solve_track` and the
-single-frame `solve_pose` share one code path, so results are bit-identical
-either way.
+`solve_track` is the one entry point. Frames are independent, so a single
+frame is the (1, bones, 3) slice of a target array and solves bit-identically
+to its row of the batch; bones without a target are marked in `target_mask`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,47 +72,6 @@ class PoseTrack:
         """(F,) worst per-target distance per frame."""
         with np.errstate(invalid="ignore"):
             return np.nanmax(self.residuals, axis=1)
-
-    def frame(self, f: int) -> "PoseFrame":
-        return PoseFrame(
-            bone_names=self.bone_names,
-            quats=self.quats[f],
-            heads=self.heads[f],
-            tails=self.tails[f],
-            stretches=self.stretches[f],
-            cross_scales=self.cross_scales[f],
-            residuals=self.residuals[f],
-            iterations_used=int(self.iterations[f]),
-        )
-
-
-@dataclass(frozen=True)
-class PoseFrame:
-    """One solved frame: per-bone transforms plus solve diagnostics.
-
-    The optional jaw fields carry the rigid transform applied to the
-    mandible group during skinning (identity when absent).
-    """
-
-    bone_names: tuple[str, ...]
-    quats: np.ndarray
-    heads: np.ndarray
-    tails: np.ndarray
-    stretches: np.ndarray
-    cross_scales: np.ndarray
-    residuals: np.ndarray
-    iterations_used: int
-    jaw_rotation: np.ndarray = field(default_factory=lambda: np.eye(3))
-    jaw_translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    @property
-    def rotations(self) -> np.ndarray:
-        return quat_to_mat(self.quats)
-
-    @property
-    def max_residual(self) -> float:
-        finite = self.residuals[np.isfinite(self.residuals)]
-        return float(finite.max()) if len(finite) else 0.0
 
 
 def solve_track(
@@ -277,36 +236,16 @@ def solve_track(
     )
 
 
-def solve_pose(
-    armature: Armature,
-    targets: dict[str, np.ndarray] | np.ndarray,
-    params: IkParams = IkParams(),
-) -> PoseFrame:
-    """Solve a single frame.
-
-    `targets` is either a (bones, 3) array in bone order or a mapping from
-    coil name to position; bones missing from the mapping follow their
-    parents. Non-convergence is reported through residuals/iterations, not
-    raised, so animation can always proceed.
-    """
-    K = armature.n_bones
-    mask = np.ones(K, dtype=bool)
-    if isinstance(targets, dict):
-        arr = np.array(armature.tails)
-        for k, name in enumerate(armature.bone_names):
-            if name in targets:
-                arr[k] = np.asarray(targets[name], dtype=np.float64)
-            else:
-                mask[k] = False
-    else:
-        arr = np.asarray(targets, dtype=np.float64)
-        if arr.shape != (K, 3):
-            raise ValueError(f"expected ({K}, 3) targets")
-    track = solve_track(armature, arr[None, :, :], params, target_mask=mask)
-    return track.frame(0)
-
-
 # --- skinning -----------------------------------------------------------------
+
+def stretch_matrices(
+    rest_dirs: np.ndarray, along: np.ndarray, across: np.ndarray
+) -> np.ndarray:
+    """(..., K, 3, 3) scales by `along` on each bone's rest axis and by
+    `across` perpendicular to it: across*I + (along - across)*outer(d0, d0)."""
+    outer = rest_dirs[:, :, None] * rest_dirs[:, None, :]
+    return across[..., None, None] * np.eye(3) + (along - across)[..., None, None] * outer
+
 
 def _pose_affines(
     armature: Armature,
@@ -321,54 +260,9 @@ def _pose_affines(
     """
     R = quat_to_mat(quats)
     s = np.asarray(stretches)
-    c = 1.0 / np.sqrt(s)
-    d0 = armature.rest_dirs
-    outer = d0[:, :, None] * d0[:, None, :]
-    S = c[..., None, None] * np.eye(3) + (s - c)[..., None, None] * outer
-    A = R @ S
+    A = R @ stretch_matrices(armature.rest_dirs, s, 1.0 / np.sqrt(s))
     b = heads - np.einsum("...kij,kj->...ki", A, armature.heads)
     return A, b
-
-
-def apply_pose(
-    mesh: SkinnedMesh,
-    armature: Armature,
-    pose: PoseFrame,
-    vertex_indices: np.ndarray | None = None,
-) -> np.ndarray:
-    """Deform mesh vertices by linear blend skinning.
-
-    Tongue vertices blend their (up to four) bone transforms; mandible
-    vertices move rigidly with the pose's jaw transform; everything else
-    (maxilla) stays put. Returns positions for `vertex_indices` (default:
-    all vertices).
-    """
-    if vertex_indices is None:
-        vertex_indices = np.arange(mesh.n_vertices)
-    idx = np.asarray(vertex_indices)
-    verts = mesh.vertices[idx]
-    bones = mesh.weight_bones[idx]
-    weights = mesh.weight_values[idx]
-
-    A, b = _pose_affines(armature, pose.quats, pose.heads, pose.stretches)
-
-    out = verts.copy()
-    skinned = (bones >= 0).any(axis=1)
-    if skinned.any():
-        vb = bones[skinned].clip(min=0)
-        vw = np.where(bones[skinned] >= 0, weights[skinned], 0.0)
-        vv = verts[skinned]
-        moved = np.einsum(
-            "nsij,nj->nsi", A[vb], vv
-        ) + b[vb]
-        out[skinned] = np.einsum("ns,nsi->ni", vw, moved)
-
-    mand = np.zeros(mesh.n_vertices, dtype=bool)
-    mand[mesh.group_indices(GROUP_MANDIBLE)] = True
-    jaw_rows = mand[idx] & ~skinned
-    if jaw_rows.any():
-        out[jaw_rows] = verts[jaw_rows] @ pose.jaw_rotation.T + pose.jaw_translation
-    return out
 
 
 def skin_trajectories(
@@ -381,10 +275,12 @@ def skin_trajectories(
     jaw_rotations: np.ndarray | None = None,
     jaw_translations: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Skinned positions of selected vertices over all frames: (F, n, 3).
+    """Deform mesh vertices by linear blend skinning: (F, n, 3).
 
-    Intended for small vertex subsets (seed vertices, probes); use
-    apply_pose per frame for whole-mesh deformation.
+    Tongue vertices blend their (up to four) bone transforms; mandible
+    vertices move rigidly with the jaw transforms when given; everything
+    else (maxilla) stays put. A single frame is F = 1, and the whole mesh
+    is `vertex_indices = np.arange(mesh.n_vertices)`.
     """
     idx = np.asarray(vertex_indices)
     verts = mesh.vertices[idx]

@@ -19,7 +19,7 @@ from .collada_io import write_collada
 from .ema_io import CoilRoles, EmaSweep, PosLayout, parse_layout, read_pos
 from .errors import ConfigError, IncompatibleBundle
 from .ik_solver import IkParams, skin_trajectories, stop_counts
-from .motion_prep import SmoothingSpec, fill_dropouts, normalize_head, smooth, similarity_align
+from .motion_prep import SmoothingSpec, fill_dropouts, normalize_head, smooth
 from .rig import (
     CompiledRig,
     MeshParams,
@@ -30,6 +30,7 @@ from .rig import (
     generate_default_mesh,
     load_mesh,
     parse_rig_graph,
+    register_first_frame,
 )
 
 
@@ -147,52 +148,52 @@ def load_config(path: str | Path) -> PipelineConfig:
             blend_window=float(get("synthesis", "blend_window", "0.04")),
             velocity_weight=float(get("synthesis", "velocity_weight", "0.01")),
         )
+
+        seeds: dict[str, np.ndarray] = {}
+        group_map: dict[str, str] = {}
+        rig_kwargs: dict = {}
+        if parser.has_section("rig"):
+            for key, value in parser.items("rig"):
+                if key.startswith("seed."):
+                    seeds[key[5:]] = _floats3(value, key)
+                elif key.startswith("group."):
+                    group_map[key[6:]] = value.strip()
+                elif key == "root_offset":
+                    rig_kwargs["root_offset"] = _floats3(value, key)
+                elif key == "influence_cap":
+                    rig_kwargs["influence_cap"] = int(value)
+                elif key == "weight_exponent":
+                    rig_kwargs["weight_exponent"] = float(value)
+                elif key == "distance_floor":
+                    rig_kwargs["distance_floor"] = float(value)
+                elif key == "snap_seeds":
+                    rig_kwargs["snap_seeds"] = value.strip().lower() in ("1", "true", "yes", "on")
+                else:
+                    raise ConfigError(f"unknown [rig] key {key!r}")
+        if group_map:
+            rig_kwargs["group_map"] = group_map
+        rig_config = RigConfig(seeds=seeds, **rig_kwargs)
+
+        mesh_kwargs: dict = {}
+        if parser.has_section("mesh"):
+            for key, value in parser.items("mesh"):
+                if key == "extents":
+                    mesh_kwargs["extents"] = tuple(_floats3(value, key))
+                elif key in ("n_long", "n_lat", "arch_segments"):
+                    mesh_kwargs[key] = int(value)
+                elif key in (
+                    "arch_radius",
+                    "arch_width",
+                    "arch_height",
+                    "maxilla_z",
+                    "mandible_z",
+                ):
+                    mesh_kwargs[key] = float(value)
+                else:
+                    raise ConfigError(f"unknown [mesh] key {key!r}")
+        mesh_params = MeshParams(**mesh_kwargs)
     except ValueError as exc:
-        raise ConfigError(f"bad numeric value in config: {exc}") from None
-
-    seeds: dict[str, np.ndarray] = {}
-    group_map: dict[str, str] = {}
-    rig_kwargs: dict = {}
-    if parser.has_section("rig"):
-        for key, value in parser.items("rig"):
-            if key.startswith("seed."):
-                seeds[key[5:]] = _floats3(value, key)
-            elif key.startswith("group."):
-                group_map[key[6:]] = value.strip()
-            elif key == "root_offset":
-                rig_kwargs["root_offset"] = _floats3(value, key)
-            elif key == "influence_cap":
-                rig_kwargs["influence_cap"] = int(value)
-            elif key == "weight_exponent":
-                rig_kwargs["weight_exponent"] = float(value)
-            elif key == "distance_floor":
-                rig_kwargs["distance_floor"] = float(value)
-            elif key == "snap_seeds":
-                rig_kwargs["snap_seeds"] = value.strip().lower() in ("1", "true", "yes", "on")
-            else:
-                raise ConfigError(f"unknown [rig] key {key!r}")
-    if group_map:
-        rig_kwargs["group_map"] = group_map
-    rig_config = RigConfig(seeds=seeds, **rig_kwargs)
-
-    mesh_kwargs: dict = {}
-    if parser.has_section("mesh"):
-        for key, value in parser.items("mesh"):
-            if key == "extents":
-                mesh_kwargs["extents"] = tuple(_floats3(value, key))
-            elif key in ("n_long", "n_lat", "arch_segments"):
-                mesh_kwargs[key] = int(value)
-            elif key in (
-                "arch_radius",
-                "arch_width",
-                "arch_height",
-                "maxilla_z",
-                "mandible_z",
-            ):
-                mesh_kwargs[key] = float(value)
-            else:
-                raise ConfigError(f"unknown [mesh] key {key!r}")
-    mesh_params = MeshParams(**mesh_kwargs)
+        raise ConfigError(f"bad value in config: {exc}") from None
 
     return PipelineConfig(
         base_dir=base,
@@ -287,36 +288,17 @@ def prepare_sweeps(
     return raw, prepared
 
 
-def build_mesh(config: PipelineConfig) -> tuple[SkinnedMesh, RigConfig]:
-    """Load the user mesh or generate the procedural stand-in.
-
-    With the procedural mesh, unconfigured seeds for the canonical coil
-    names fall back to the built-in surface points.
-    """
-    rig_config = config.rig
+def _mesh_seeds(config: PipelineConfig) -> dict[str, np.ndarray]:
+    """The configured seeds; with the procedural mesh, unconfigured seeds
+    for the canonical coil names fall back to its built-in surface points."""
     if config.mesh_path is not None:
-        mesh = load_mesh(_read_text(config.mesh_path, "mesh"), rig_config.group_map)
-    else:
-        mesh = generate_default_mesh(config.mesh_params)
-        defaults = default_seed_points(config.mesh_params)
-        seeds = dict(defaults)
-        seeds.update(rig_config.seeds)
-        rig_config = RigConfig(
-            seeds=seeds,
-            root_offset=rig_config.root_offset,
-            influence_cap=rig_config.influence_cap,
-            weight_exponent=rig_config.weight_exponent,
-            distance_floor=rig_config.distance_floor,
-            snap_seeds=rig_config.snap_seeds,
-            group_map=rig_config.group_map,
-        )
-    return mesh, rig_config
+        return config.rig.seeds
+    seeds = default_seed_points(config.mesh_params)
+    seeds.update(config.rig.seeds)
+    return seeds
 
 
-def compile_model(
-    config: PipelineConfig, smoothing_enabled: bool = True
-) -> PipelineResult:
-    """Run the full compile pipeline (no files written)."""
+def _layout_and_roles(config: PipelineConfig) -> tuple[PosLayout, CoilRoles]:
     layout = parse_layout(_read_text(config.layout_path, "layout"))
     roles = CoilRoles.from_channels(
         layout.channels,
@@ -324,7 +306,24 @@ def compile_model(
         jaw=tuple(config.jaw),
         tongue=tuple(config.tongue),
     )
+    return layout, roles
 
+
+def build_mesh(config: PipelineConfig) -> tuple[SkinnedMesh, RigConfig]:
+    """Load the user mesh or generate the procedural stand-in, with the
+    rig config whose seeds fit it (see _mesh_seeds)."""
+    if config.mesh_path is not None:
+        mesh = load_mesh(_read_text(config.mesh_path, "mesh"), config.rig.group_map)
+    else:
+        mesh = generate_default_mesh(config.mesh_params)
+    return mesh, replace(config.rig, seeds=_mesh_seeds(config))
+
+
+def compile_model(
+    config: PipelineConfig, smoothing_enabled: bool = True
+) -> PipelineResult:
+    """Run the full compile pipeline (no files written)."""
+    layout, roles = _layout_and_roles(config)
     graph = parse_rig_graph(_read_text(config.rig_graph_path, "rig graph"))
     mesh, rig_config = build_mesh(config)
 
@@ -410,21 +409,16 @@ def validate_model(
     """Compare bundle seed-vertex trajectories against the source coils.
 
     The source sweeps are prepared with the same settings, registered into
-    mesh space with the configured seeds, and measured per coil as the RMS
-    distance to the corresponding skinned seed-vertex trajectory.
+    mesh space as compile_rig registers them (register_first_frame), and
+    measured per coil as the RMS distance to the corresponding skinned
+    seed-vertex trajectory.
     """
     if loaded.clip is None:
         raise IncompatibleBundle("bundle carries no animation to validate")
     clip = loaded.clip
     armature = loaded.armature
 
-    layout = parse_layout(_read_text(config.layout_path, "layout"))
-    roles = CoilRoles.from_channels(
-        layout.channels,
-        reference=tuple(config.reference),
-        jaw=tuple(config.jaw),
-        tongue=tuple(config.tongue),
-    )
+    layout, roles = _layout_and_roles(config)
     missing = [n for n in armature.bone_names if n not in roles.tongue]
     if missing:
         raise IncompatibleBundle(
@@ -438,22 +432,9 @@ def validate_model(
             f"bundle has {clip.n_keys} keys but the EMA data has {total} frames"
         )
 
-    missing_seeds = [n for n in armature.bone_names if n not in config.rig.seeds]
-    if config.mesh_path is None:
-        defaults = default_seed_points(config.mesh_params)
-        seeds = dict(defaults)
-        seeds.update(config.rig.seeds)
-    else:
-        seeds = dict(config.rig.seeds)
-        if missing_seeds:
-            raise IncompatibleBundle(
-                f"no seeds configured for bones: {', '.join(missing_seeds)}"
-            )
-
     idx = [layout.channels.index(n) for n in armature.bone_names]
-    first = prepared[0].positions[0, idx, :]
-    registration = similarity_align(
-        first, np.stack([seeds[n] for n in armature.bone_names])
+    registration, _, _ = register_first_frame(
+        prepared[0].positions[0, idx, :], armature.bone_names, _mesh_seeds(config)
     )
     source = np.concatenate(
         [registration.apply(s.positions[:, idx, :]) for s in prepared], axis=0

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -225,10 +226,6 @@ class SkinnedMesh:
 
     def group_indices(self, name: str) -> np.ndarray:
         return self.groups.get(name, np.empty(0, dtype=np.int64))
-
-    @property
-    def has_weights(self) -> bool:
-        return bool((self.weight_bones >= 0).any())
 
 
 def mesh_volume(vertices: np.ndarray, triangles: np.ndarray) -> float:
@@ -529,42 +526,6 @@ class RigConfig:
     group_map: dict[str, str] | None = None
 
 
-def parse_rig_config(text: str) -> RigConfig:
-    """Parse the standalone ``key = value`` rig configuration format."""
-    seeds: dict[str, np.ndarray] = {}
-    group_map: dict[str, str] = {}
-    kwargs: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ParseError(f"rig config line {lineno}: expected 'key = value'")
-        key, value = (p.strip() for p in line.split("=", 1))
-        try:
-            if key.startswith("seed."):
-                seeds[key[5:]] = np.array([float(x) for x in value.split(",")])
-            elif key.startswith("group."):
-                group_map[key[6:]] = value
-            elif key == "root_offset":
-                kwargs["root_offset"] = np.array([float(x) for x in value.split(",")])
-            elif key == "influence_cap":
-                kwargs["influence_cap"] = int(value)
-            elif key == "weight_exponent":
-                kwargs["weight_exponent"] = float(value)
-            elif key == "distance_floor":
-                kwargs["distance_floor"] = float(value)
-            elif key == "snap_seeds":
-                kwargs["snap_seeds"] = value.lower() in ("1", "true", "yes", "on")
-            else:
-                raise ParseError(f"rig config line {lineno}: unknown key {key!r}")
-        except ValueError:
-            raise ParseError(f"rig config line {lineno}: bad value {value!r}") from None
-    if group_map:
-        kwargs["group_map"] = group_map
-    return RigConfig(seeds=seeds, **kwargs)
-
-
 @dataclass(frozen=True)
 class Armature:
     """Bone tree in DFS preorder (parents precede children).
@@ -622,6 +583,28 @@ def _segment_distances(points: np.ndarray, heads: np.ndarray, tails: np.ndarray)
     return np.sqrt(np.einsum("nkj,nkj->nk", diff, diff))
 
 
+def register_first_frame(
+    first: np.ndarray, coils: Sequence[str], seeds: dict[str, np.ndarray]
+) -> tuple[Similarity, np.ndarray, float]:
+    """Register first-frame coil positions (coils, 3) into mesh space.
+
+    Three or more coils get the least-squares similarity onto their
+    configured seeds; with fewer there is no similarity to fit, so device
+    space is taken as mesh space. Returns the registration, the mapped
+    positions and the fit RMS (cm).
+    """
+    if len(coils) < 3:
+        return Similarity.identity(), first, 0.0
+    missing = [n for n in coils if n not in seeds]
+    if missing:
+        raise MissingSeed(f"no mesh-space seed configured for coils: {', '.join(missing)}")
+    targets = np.stack([seeds[n] for n in coils])
+    registration = similarity_align(first, targets)
+    mapped = registration.apply(first)
+    rms = float(np.sqrt(np.mean(np.sum((mapped - targets) ** 2, axis=1))))
+    return registration, mapped, rms
+
+
 def compile_rig(
     graph: RigGraph,
     sweep: EmaSweep,
@@ -631,8 +614,8 @@ def compile_rig(
 ) -> CompiledRig:
     """Build the armature rest pose and skinning weights from first-frame data.
 
-    The similarity registration maps first-frame coil positions onto the
-    configured mesh-space seed points; bone tails sit at the mapped coil
+    First-frame coil positions are registered into mesh space
+    (register_first_frame); bone tails sit at the mapped coil
     positions and the root bone head at the first root-child coil offset by
     `config.root_offset`. When `config.snap_seeds` is set (default), the
     mesh vertex nearest each bone tail is moved exactly onto it so seed
@@ -655,23 +638,9 @@ def compile_rig(
             "first frame contains invalid tongue samples; run fill_dropouts first"
         )
 
-    if len(coil_nodes) >= 3:
-        missing = [n for n in coil_nodes if n not in config.seeds]
-        if missing:
-            raise MissingSeed(
-                f"no mesh-space seed configured for coils: {', '.join(missing)}"
-            )
-        seeds = np.stack([config.seeds[n] for n in coil_nodes])
-        registration = similarity_align(first, seeds)
-        mapped = registration.apply(first)
-        registration_rms = float(
-            np.sqrt(np.mean(np.sum((mapped - seeds) ** 2, axis=1)))
-        )
-    else:
-        # Too few coils to fit a similarity; treat device space as mesh space.
-        registration = Similarity.identity()
-        mapped = first
-        registration_rms = 0.0
+    registration, mapped, registration_rms = register_first_frame(
+        first, coil_nodes, config.seeds
+    )
 
     # Bones are the graph edges, named and ordered by their child (DFS order).
     bone_names = tuple(coil_nodes)

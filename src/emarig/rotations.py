@@ -10,10 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.cross(a, b)
-
-
 def norm(v: np.ndarray) -> np.ndarray:
     """Euclidean norm over the last axis, written out so batched and
     single-vector call sites round identically."""

@@ -17,7 +17,7 @@ import pytest
 from emarig.cli import main
 from emarig.ema_io import read_pos, write_pos
 from emarig.fixture import FixtureSpec, synthetic_motion, write_fixture
-from emarig.ik_solver import IkParams, solve_pose, solve_track
+from emarig.ik_solver import IkParams, solve_track
 from emarig.motion_prep import normalize_head, rigid_align
 from emarig.pipeline import build_bundle, compile_model, load_config, validate_model
 from emarig.rotations import axis_angle_matrix
@@ -93,20 +93,20 @@ def test_criterion_3_ik(compiled_model):
     arm = rig.armature
     assert arm.n_bones == 7
 
-    rest = solve_pose(arm, np.array(arm.tails))
-    rest_ok = rest.iterations_used == 1 and rest.max_residual == 0.0
+    rest = solve_track(arm, arm.tails[None])
+    rest_ok = rest.iterations[0] == 1 and rest.max_residual()[0] == 0.0
 
     chain = make_chain_armature([[0, 0, 0], [1, 0, 0], [2, 0, 0]])
     target = np.array([1.0, 1.0, 0.0])
-    pose = solve_pose(
+    pose = solve_track(
         chain,
-        np.array([[1.0, 0.0, 0.0], target]),
+        np.array([[[1.0, 0.0, 0.0], target]]),
         IkParams(tolerance=1e-9, max_iterations=100),
     )
     elbow = two_link_oracle(1.0, 1.0, target, elbow_hint=[1.0, 0.0, 0.0])
     two_link_ok = (
-        np.abs(pose.tails[0] - elbow).max() < 1e-6
-        and np.abs(pose.tails[1] - target).max() < 1e-6
+        np.abs(pose.tails[0, 0] - elbow).max() < 1e-6
+        and np.abs(pose.tails[0, 1] - target).max() < 1e-6
     )
 
     rng = np.random.default_rng(31337)

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import zipfile
 
@@ -96,6 +97,34 @@ class TestWriteBundle:
         for p in (a, b):
             write_bundle(p, model_text, channels=("A",), rate_hz=200.0)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("escape", ["relative", "absolute"])
+    @pytest.mark.parametrize("name", ["b", "b.zip"])
+    def test_manifest_entry_outside_bundle_rejected(
+        self, tmp_path, model_text, name, escape
+    ):
+        # A tampered manifest naming a file beyond the bundle, with that
+        # file's true digest, must not get it read and hashed.
+        path = tmp_path / name
+        write_bundle(path, model_text, channels=("A",), rate_hz=200.0)
+        outside = tmp_path / "outside.txt"
+        outside.write_bytes(b"not part of the bundle\n")
+        entry = "../outside.txt" if escape == "relative" else str(outside)
+        line = f"{entry}\t{hashlib.sha256(outside.read_bytes()).hexdigest()}\n"
+        if path.suffix == ".zip":
+            with zipfile.ZipFile(path) as zf:
+                files = {n: zf.read(n) for n in zf.namelist()}
+            files["manifest.txt"] += line.encode()
+            with zipfile.ZipFile(path, "w") as zf:
+                for n, data in files.items():
+                    zf.writestr(n, data)
+        else:
+            with open(path / "manifest.txt", "a") as f:
+                f.write(line)
+        with pytest.raises(BundleError, match="outside the bundle"):
+            verify_bundle(path)
+        with pytest.raises(BundleError, match="outside the bundle"):
+            read_bundle(path)
 
     @pytest.mark.parametrize("name", ["b", "b.zip"])
     def test_rewrite_replaces_files(self, tmp_path, model_text, name):

@@ -63,8 +63,9 @@ class TestReadPos:
         sweep = read_pos(raw.tobytes(), layout)
         assert not sweep.valid_mask()[0, 0]
         assert sweep.valid_mask()[1, 0]
-        assert not sweep.sample(0, 0).valid
-        assert sweep.sample(1, 0).valid
+        # the invalid frame is kept, its samples passed through as NaN
+        assert sweep.n_frames == 2
+        assert np.isnan(sweep.positions[0, 0]).all()
 
 
 class TestWritePos:

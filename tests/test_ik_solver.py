@@ -7,13 +7,12 @@ from emarig.ik_solver import (
     STOP_STALLED,
     IkParams,
     PoseTrack,
-    apply_pose,
-    solve_pose,
+    skin_trajectories,
     solve_track,
     stop_counts,
 )
 from emarig.rig import SkinnedMesh
-from emarig.rotations import axis_angle_matrix, mat_to_quat, minimal_rotation, norm
+from emarig.rotations import axis_angle_matrix, mat_to_quat, minimal_rotation, norm, quat_to_mat
 
 from conftest import make_chain_armature
 
@@ -35,60 +34,72 @@ def two_link_oracle(l1, l2, target, elbow_hint):
     return c1 if np.linalg.norm(c1 - hint) <= np.linalg.norm(c2 - hint) else c2
 
 
+def solve_one(armature, targets, params=IkParams(), target_mask=None):
+    """Solve a single frame: the (1, bones, 3) target array of one pose."""
+    targets = np.asarray(targets, dtype=np.float64)[None]
+    return solve_track(armature, targets, params, target_mask=target_mask)
+
+
 class TestSolvePose:
+    """Single-frame solves through solve_track."""
+
     def test_rest_targets_exact(self):
         arm = make_chain_armature([[0, 0, 0], [1, 0, 0], [2, 0, 0]])
-        pose = solve_pose(arm, np.array(arm.tails))
-        assert pose.iterations_used == 1
-        assert pose.max_residual == 0.0
-        assert np.array_equal(pose.stretches, [1.0, 1.0])
-        assert np.array_equal(pose.quats, [[1, 0, 0, 0], [1, 0, 0, 0]])
-        assert np.array_equal(pose.rotations, np.broadcast_to(np.eye(3), (2, 3, 3)))
+        pose = solve_one(arm, arm.tails)
+        assert pose.iterations[0] == 1
+        assert pose.max_residual()[0] == 0.0
+        assert np.array_equal(pose.stretches[0], [1.0, 1.0])
+        assert np.array_equal(pose.quats[0], [[1, 0, 0, 0], [1, 0, 0, 0]])
+        assert np.array_equal(quat_to_mat(pose.quats[0]), np.broadcast_to(np.eye(3), (2, 3, 3)))
 
     def test_two_link_matches_analytic(self):
         arm = make_chain_armature([[0, 0, 0], [1, 0, 0], [2, 0, 0]])
         target = np.array([1.0, 1.0, 0.0])  # distance sqrt(2), 90 degree bend
-        pose = solve_pose(
+        pose = solve_one(
             arm,
-            np.array([[1.0, 0.0, 0.0], target]),
+            [[1.0, 0.0, 0.0], target],
             IkParams(tolerance=1e-9, max_iterations=100),
         )
         elbow = two_link_oracle(1.0, 1.0, target, elbow_hint=[1.0, 0.0, 0.0])
-        assert np.abs(pose.tails[0] - elbow).max() < 1e-6
-        assert np.abs(pose.tails[1] - target).max() < 1e-6
-        assert pose.max_residual < 1e-6
+        assert np.abs(pose.tails[0, 0] - elbow).max() < 1e-6
+        assert np.abs(pose.tails[0, 1] - target).max() < 1e-6
+        assert pose.max_residual()[0] < 1e-6
 
     def test_single_bone_stretch(self):
         arm = make_chain_armature([[0, 0, 0], [1, 0, 0]])
-        pose = solve_pose(arm, np.array([[1.5, 0.0, 0.0]]), IkParams(s_max=2.0))
-        assert np.allclose(pose.stretches, [1.5])
-        assert np.allclose(pose.cross_scales, [1.0 / np.sqrt(1.5)])
-        assert abs(pose.cross_scales[0] - 0.8165) < 1e-4
-        assert pose.max_residual == 0.0
+        pose = solve_one(arm, [[1.5, 0.0, 0.0]], IkParams(s_max=2.0))
+        assert np.allclose(pose.stretches[0], [1.5])
+        assert np.allclose(pose.cross_scales[0], [1.0 / np.sqrt(1.5)])
+        assert abs(pose.cross_scales[0, 0] - 0.8165) < 1e-4
+        assert pose.max_residual()[0] == 0.0
 
     def test_stretch_clamped_to_bounds(self):
         arm = make_chain_armature([[0, 0, 0], [1, 0, 0]])
-        pose = solve_pose(arm, np.array([[5.0, 0.0, 0.0]]), IkParams(s_max=2.0))
-        assert pose.stretches[0] == 2.0
-        assert abs(pose.max_residual - 3.0) < 1e-12
+        pose = solve_one(arm, [[5.0, 0.0, 0.0]], IkParams(s_max=2.0))
+        assert pose.stretches[0, 0] == 2.0
+        assert abs(pose.max_residual()[0] - 3.0) < 1e-12
 
     def test_missing_target_follows_parent(self):
         arm = make_chain_armature([[0, 0, 0], [1, 0, 0], [2, 0, 0]])
-        pose = solve_pose(arm, {"B0": np.array([0.0, 1.0, 0.0])}, IkParams())
-        assert np.abs(pose.tails[0] - [0.0, 1.0, 0.0]).max() < 1e-9
-        assert np.isnan(pose.residuals[1])
+        targets = np.array(arm.tails)
+        targets[0] = [0.0, 1.0, 0.0]
+        pose = solve_one(arm, targets, target_mask=[True, False])
+        assert np.abs(pose.tails[0, 0] - [0.0, 1.0, 0.0]).max() < 1e-9
+        assert np.isnan(pose.residuals[0, 1])
         # untargeted bone keeps a legal length
-        length = np.linalg.norm(pose.tails[1] - pose.tails[0])
+        length = np.linalg.norm(pose.tails[0, 1] - pose.tails[0, 0])
         assert 0.5 - 1e-9 <= length <= 2.0 + 1e-9
 
     def test_fully_untargeted_branch(self):
         # only the trunk has a target; both branch bones follow along
         arm = branched_armature()
-        pose = solve_pose(arm, {"trunk": np.array([1.0, 0.2, 0.0])}, IkParams())
+        targets = np.array(arm.tails)
+        targets[0] = [1.0, 0.2, 0.0]
+        pose = solve_one(arm, targets, target_mask=[True, False, False])
         assert np.isfinite(pose.tails).all()
-        assert pose.residuals[0] < 1e-6
+        assert pose.residuals[0, 0] < 1e-6
         for k in (1, 2):
-            length = np.linalg.norm(pose.tails[k] - pose.tails[0])
+            length = np.linalg.norm(pose.tails[0, k] - pose.tails[0, 0])
             assert 0.5 * arm.rest_lengths[k] - 1e-9 <= length
             assert length <= 2.0 * arm.rest_lengths[k] + 1e-9
 
@@ -294,10 +305,13 @@ class TestSolveTrack:
         targets = arm.tails[None] + rng.normal(0, 0.4, (10, 3, 3))
         track = solve_track(arm, targets, IkParams())
         for f in range(10):
-            pose = solve_pose(arm, targets[f], IkParams())
-            assert np.array_equal(pose.tails, track.tails[f])
-            assert np.array_equal(pose.quats, track.quats[f])
-            assert pose.iterations_used == track.iterations[f]
+            pose = solve_track(arm, targets[f : f + 1], IkParams())
+            for name in PoseTrack.__dataclass_fields__:
+                a, b = getattr(pose, name), getattr(track, name)
+                if isinstance(a, np.ndarray):
+                    assert np.array_equal(a[0], b[f], equal_nan=True), name
+                else:
+                    assert a == b, name
 
     def test_reachable_targets_converge(self, compiled_model):
         rig, _, _ = compiled_model
@@ -336,40 +350,56 @@ def single_influence_mesh(position, bone_count=1):
     )
 
 
+def skin_mesh(mesh, armature, track, jaw_rotations=None, jaw_translations=None):
+    """Every vertex of `mesh` skinned by every frame of `track`: (F, n, 3)."""
+    return skin_trajectories(
+        mesh,
+        armature,
+        track.quats,
+        track.heads,
+        track.stretches,
+        np.arange(mesh.n_vertices),
+        jaw_rotations,
+        jaw_translations,
+    )
+
+
 class TestApplyPose:
+    """Whole-mesh, single-frame skinning through skin_trajectories."""
+
     def test_identity_pose(self, compiled_model):
         rig, _, _ = compiled_model
-        pose = solve_pose(rig.armature, np.array(rig.armature.tails))
-        out = apply_pose(rig.mesh, rig.armature, pose)
+        pose = solve_one(rig.armature, rig.armature.tails)
+        out = skin_mesh(rig.mesh, rig.armature, pose)[0]
         assert np.abs(out - rig.mesh.vertices).max() < 1e-12
 
     def test_single_influence_translation(self):
-        arm = make_chain_armature([[0, 0, 0], [1, 0, 0]])
-        mesh = single_influence_mesh([0.3, 0.2, 0.1])
-        pose = solve_pose(arm, np.array([[1.0, 0.0, 0.0]]))
-        # translate the whole chain: move root? simulate via a pose whose
-        # head/tail are shifted by t with identity rotation
+        # a pose whose heads and tails are shifted by t with identity
+        # rotation translates a single-influence vertex by t
         import dataclasses
 
+        arm = make_chain_armature([[0, 0, 0], [1, 0, 0]])
+        mesh = single_influence_mesh([0.3, 0.2, 0.1])
+        pose = solve_one(arm, [[1.0, 0.0, 0.0]])
         t = np.array([0.0, 0.5, 0.25])
         shifted = dataclasses.replace(
             pose, heads=pose.heads + t, tails=pose.tails + t
         )
-        out = apply_pose(mesh, arm, shifted)
+        out = skin_mesh(mesh, arm, shifted)[0]
         assert np.abs(out[0] - (mesh.vertices[0] + t)).max() < 1e-12
 
     def test_blend_linearity_single_influence(self):
         arm = make_chain_armature([[0, 0, 0], [1, 0, 0]])
         mesh = single_influence_mesh([0.5, 0.3, 0.0])
-        p0 = solve_pose(arm, np.array([[1.0, 0.0, 0.0]]))
-        p1 = solve_pose(arm, np.array([[0.0, 1.0, 0.0]]), IkParams(tolerance=1e-9, max_iterations=100))
-        v0 = apply_pose(mesh, arm, p0)[0]
-        v1 = apply_pose(mesh, arm, p1)[0]
+        p0 = solve_one(arm, [[1.0, 0.0, 0.0]])
+        p1 = solve_one(arm, [[0.0, 1.0, 0.0]], IkParams(tolerance=1e-9, max_iterations=100))
+        v0 = skin_mesh(mesh, arm, p0)[0, 0]
+        v1 = skin_mesh(mesh, arm, p1)[0, 0]
         # blending the two affines with weights (a, 1-a) lands on the segment
         from emarig.ik_solver import _pose_affines
 
-        A0, b0 = _pose_affines(arm, p0.quats, p0.heads, p0.stretches)
-        A1, b1 = _pose_affines(arm, p1.quats, p1.heads, p1.stretches)
+        A0, b0 = _pose_affines(arm, p0.quats[0], p0.heads[0], p0.stretches[0])
+        A1, b1 = _pose_affines(arm, p1.quats[0], p1.heads[0], p1.stretches[0])
         for a in (0.0, 0.25, 0.5, 0.75, 1.0):
             A = a * A0 + (1 - a) * A1
             b = a * b0 + (1 - a) * b1
@@ -379,8 +409,6 @@ class TestApplyPose:
 
     def test_seed_vertices_track_targets(self, compiled_model, small_fixture):
         rig, clip, _ = compiled_model
-        from emarig.ik_solver import skin_trajectories
-
         idx = np.array([rig.seed_map[n] for n in rig.armature.bone_names])
         tracks = skin_trajectories(
             rig.mesh, rig.armature, clip.quats, clip.heads, clip.stretches, idx
@@ -390,15 +418,12 @@ class TestApplyPose:
         assert err.max() <= 1e-3 + 1e-4
 
     def test_mandible_moves_rigidly_with_jaw(self, compiled_model):
-        import dataclasses
-
         rig, clip, _ = compiled_model
         arm = rig.armature
-        pose = solve_pose(arm, np.array(arm.tails))
+        pose = solve_one(arm, arm.tails)
         R = axis_angle_matrix([0, 1, 0], 0.1)
         t = np.array([0.1, -0.2, 0.05])
-        jawed = dataclasses.replace(pose, jaw_rotation=R, jaw_translation=t)
-        out = apply_pose(rig.mesh, arm, jawed)
+        out = skin_mesh(rig.mesh, arm, pose, R[None], t[None])[0]
         mand = rig.mesh.group_indices("mandible")
         expect = rig.mesh.vertices[mand] @ R.T + t
         assert np.abs(out[mand] - expect).max() < 1e-12

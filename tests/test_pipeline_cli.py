@@ -61,6 +61,24 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.cfg")
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [("influence_cap = 4", "influence_cap = four"), ("n_lat = 52", "n_lat = 2")],
+        ids=["rig_bad_number", "mesh_bad_value"],
+    )
+    def test_bad_rig_or_mesh_value_is_config_error(
+        self, fixture_dir, tmp_path, capsys, old, new
+    ):
+        # The config is rejected while it is read, before any path in it is.
+        text = (fixture_dir / "config.cfg").read_text()
+        assert old in text
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text.replace(old, new))
+        rc = main(["compile", "--config", str(cfg), "--out", str(tmp_path / "b")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:cli:config:")
+        assert not (tmp_path / "b").exists()
+
     def test_missing_reference_coil_fails_before_processing(self, fixture_dir, tmp_path):
         text = (fixture_dir / "config.cfg").read_text()
         broken = text.replace("reference = REF_L, REF_R, REF_N", "reference = REF_L, REF_R, GHOST")
@@ -296,6 +314,28 @@ class TestValidate:
         ])
         assert rc == 3
         assert "FAIL" in capsys.readouterr().out
+
+
+    @pytest.mark.parametrize(
+        "graph", ["Root -> TTipC", "Root -> TBackC -> TTipC"], ids=["1coil", "2coil"]
+    )
+    def test_few_coil_rig(self, fixture_dir, tmp_path, capsys, graph):
+        # Fewer than 3 coils: compile and validate both register with the
+        # identity, so the bundle validates against its own sources.
+        corpus = tmp_path / "corpus"
+        shutil.copytree(fixture_dir, corpus)
+        (corpus / "tongue.dot").write_text(f"digraph tongue {{ {graph}; }}\n")
+        cfg = str(corpus / "config.cfg")
+        assert main(["compile", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+        capsys.readouterr()
+        rc = main([
+            "validate", "--bundle", str(tmp_path / "b"), "--config", cfg,
+            "--threshold", "0.01",
+        ])
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        max_line = [l for l in out.splitlines() if l.startswith("max rms")]
+        assert float(max_line[0].split()[2]) <= 1e-2
 
 
 class TestDump:

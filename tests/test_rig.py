@@ -3,6 +3,7 @@ import pytest
 
 from emarig.ema_io import CoilRoles, EmaSweep
 from emarig.errors import (
+    ConfigError,
     CycleDetected,
     DegenerateBone,
     MissingGroup,
@@ -19,10 +20,10 @@ from emarig.rig import (
     generate_default_mesh,
     load_mesh,
     mesh_volume,
-    parse_rig_config,
     parse_rig_graph,
     save_obj,
 )
+from emarig.pipeline import load_config
 
 from conftest import FIG_GRAPH
 
@@ -327,20 +328,39 @@ class TestCompileRig:
             compile_rig(graph, sweep, roles, generate_default_mesh(), RigConfig(seeds={}))
 
 
+def load_rig_section(tmp_path, rig_lines: str) -> RigConfig:
+    """The RigConfig read from the [rig] section of a minimal pipeline config."""
+    path = tmp_path / "config.cfg"
+    path.write_text(
+        "[paths]\nema = a.pos\nlayout = layout.cfg\nrig_graph = tongue.dot\n"
+        "[roles]\nreference = R1, R2, R3\ntongue = TTipC\n"
+        "[rig]\n" + rig_lines
+    )
+    return load_config(path).rig
+
+
 class TestRigConfigText:
-    def test_parse(self):
-        cfg = parse_rig_config(
+    """The [rig] section of the pipeline config, the one rig-config format."""
+
+    def test_parse(self, tmp_path):
+        cfg = load_rig_section(
+            tmp_path,
             "seed.TTipC = 2.2, 0.0, 1.2\n"
             "root_offset = -1, 0, -1\n"
             "influence_cap = 3\n"
             "weight_exponent = 2.5\n"
-            "group.Lingua = tongue\n"
+            "group.Lingua = tongue\n",
         )
         assert np.allclose(cfg.seeds["TTipC"], [2.2, 0.0, 1.2])
+        assert np.array_equal(cfg.root_offset, [-1.0, 0.0, -1.0])
         assert cfg.influence_cap == 3
         assert cfg.weight_exponent == 2.5
         assert cfg.group_map == {"Lingua": "tongue"}
 
-    def test_unknown_key(self):
-        with pytest.raises(ParseError):
-            parse_rig_config("bogus = 1\n")
+    def test_unknown_key(self, tmp_path):
+        with pytest.raises(ConfigError):
+            load_rig_section(tmp_path, "bogus = 1\n")
+
+    def test_seed_needs_three_numbers(self, tmp_path):
+        with pytest.raises(ConfigError):
+            load_rig_section(tmp_path, "seed.TTipC = 2.2, 0.0\n")
