@@ -18,27 +18,28 @@ from emarig.fixture import FixtureSpec, write_fixture
 from emarig.pipeline import build_bundle, validate_model
 from emarig.bundle import read_bundle
 
-workdir = Path(tempfile.mkdtemp(prefix="emarig-demo-"))
-config_path = write_fixture(workdir / "corpus", FixtureSpec(n_sweeps=1, frames_per_sweep=400))
-config = load_config(config_path)
-result = compile_model(config, smoothing_enabled=False)
+with tempfile.TemporaryDirectory(prefix="emarig-demo-") as tmp:
+    workdir = Path(tmp)
+    config_path = write_fixture(workdir / "corpus", FixtureSpec(n_sweeps=1, frames_per_sweep=400))
+    config = load_config(config_path)
+    result = compile_model(config, smoothing_enabled=False)
 
-coils = dump_trajectories("coils", sweeps=result.sweeps_raw, layout=result.layout)
-targets = dump_trajectories("ik_targets", clip=result.clip)
-seeds = dump_trajectories("seed_vertices", rig=result.rig, clip=result.clip)
-for name, data in [("coils", coils), ("ik_targets", targets), ("seed_vertices", seeds)]:
-    (workdir / f"{name}.pos").write_bytes(data)
-    print(f"{name}.pos: {len(data)} bytes")
+    coils = dump_trajectories("coils", sweeps=result.sweeps_raw, layout=result.layout)
+    targets = dump_trajectories("ik_targets", clip=result.clip)
+    seeds = dump_trajectories("seed_vertices", rig=result.rig, clip=result.clip)
+    for name, data in [("coils", coils), ("ik_targets", targets), ("seed_vertices", seeds)]:
+        (workdir / f"{name}.pos").write_bytes(data)
+        print(f"{name}.pos: {len(data)} bytes")
 
-layout = PosLayout(channels=result.clip.bone_names, rate_hz=result.clip.rate_hz)
-t = read_pos(targets, layout)
-s = read_pos(seeds, layout)
-gap = np.linalg.norm(s.positions - t.positions, axis=2)
-print(f"\nseed vertices vs IK targets: max {gap.max():.2e} cm "
-      f"(solver tolerance is {config.ik.tolerance:g} cm)")
+    layout = PosLayout(channels=result.clip.bone_names, rate_hz=result.clip.rate_hz)
+    t = read_pos(targets, layout)
+    s = read_pos(seeds, layout)
+    gap = np.linalg.norm(s.positions - t.positions, axis=2)
+    print(f"\nseed vertices vs IK targets: max {gap.max():.2e} cm "
+          f"(solver tolerance is {config.ik.tolerance:g} cm)")
 
-bundle = build_bundle(result, workdir / "bundle")
-report = validate_model(read_bundle(bundle.path), config, smoothing_enabled=False)
-print("\nvalidation against the source EMA:")
-for line in report.lines():
-    print(" ", line)
+    bundle = build_bundle(result, workdir / "bundle")
+    report = validate_model(read_bundle(bundle.path), config, smoothing_enabled=False)
+    print("\nvalidation against the source EMA:")
+    for line in report.lines():
+        print(" ", line)

@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 usage error, 2 data/processing error,
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 from pathlib import Path
 
@@ -22,7 +21,7 @@ import numpy as np
 from .anim_db import build_unit_db
 from .bundle import DUMP_KINDS, dump_trajectories, read_bundle, write_new_file
 from .collada_io import write_collada
-from .errors import EmarigError, NoCandidate
+from .errors import EmarigError
 from .fixture import FixtureSpec, write_fixture
 from .pipeline import (
     SynthesisDefaults,
@@ -33,11 +32,11 @@ from .pipeline import (
 )
 from .unit_synth import (
     SynthesisRequest,
-    join_cost,
+    exhaustive_total,
     parse_request,
     render_plan,
     select_units,
-    target_cost,
+    slot_costs,
 )
 
 
@@ -118,34 +117,6 @@ def _cmd_compile(args) -> int:
     return 0
 
 
-def _brute_force_total(db, request: SynthesisRequest):
-    candidates = []
-    for label, _ in request.items:
-        cands = sorted(
-            (u for u in db if u.label == label), key=lambda u: u.source_index
-        )
-        if not cands:
-            raise NoCandidate(label)
-        candidates.append(cands)
-    if len(candidates) > 5 or any(len(c) > 5 for c in candidates):
-        raise UsageError(
-            "--exhaustive is limited to instances of at most 5 slots x 5 candidates"
-        )
-    best = None
-    best_seq = None
-    for combo in itertools.product(*candidates):
-        tl = [target_cost(u, d) for u, (_, d) in zip(combo, request.items)]
-        jl = [
-            join_cost(a, b, request.velocity_weight)
-            for a, b in zip(combo[:-1], combo[1:])
-        ]
-        total = request.w_target * sum(tl) + request.w_join * sum(jl)
-        seq = tuple(u.source_index for u in combo)
-        if best is None or (total, seq) < (best, best_seq):
-            best, best_seq = total, seq
-    return best, best_seq
-
-
 def _cmd_synth(args) -> int:
     if bool(args.request) == bool(args.request_file):
         raise UsageError("provide exactly one of --request / --request-file")
@@ -170,6 +141,10 @@ def _cmd_synth(args) -> int:
             "bundle has no segmentation/animation to synthesize from", module="cli"
         )
     db = build_unit_db(loaded.clip, loaded.tier)
+    if args.exhaustive and max(len(request.items), *map(len, slot_costs(db, request)[0])) > 5:
+        raise UsageError(
+            "--exhaustive is limited to instances of at most 5 slots x 5 candidates"
+        )
     plan = select_units(db, request)
 
     print(f"{'slot':>4}  {'label':<8}{'source':>6}  {'warp':>8}  {'target':>10}")
@@ -182,7 +157,7 @@ def _cmd_synth(args) -> int:
     print(f"total cost {plan.total:.6g}")
 
     if args.exhaustive:
-        best, seq = _brute_force_total(db, request)
+        best, seq = exhaustive_total(db, request)
         match = best == plan.total
         print(f"exhaustive minimum {best:.6g} ({'match' if match else 'MISMATCH'})")
         if not match:

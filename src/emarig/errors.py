@@ -140,6 +140,11 @@ class NoCandidate(EmarigError):
         self.label = label
 
 
+class BadRequest(EmarigError, ValueError):
+    module = "unit_synth"
+    code = "bad_request"
+
+
 # --- export -----------------------------------------------------------------
 
 class InconsistentRig(EmarigError):

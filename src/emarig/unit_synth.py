@@ -2,24 +2,26 @@
 
 Candidates matching each requested label are scored by how much they must
 be time-warped (target cost) and how badly their boundaries clash with
-their neighbors (join cost); a Viterbi pass picks the globally cheapest
-sequence. The winning units are then linearly time-warped and cross-faded
-into a new clip.
+their neighbors (join cost), all computed once by `slot_costs`; a Viterbi
+pass (`select_units`) and brute-force enumeration (`exhaustive_total`)
+pick the globally cheapest sequence from the same costs. The winning units
+are then linearly time-warped and cross-faded into a new clip.
 
 Costs are deliberately simple and fully parameterized; candidate pruning
-hooks are documented in the README but unimplemented since desk-scale
-databases never need them.
+would sit between `slot_costs` and the DP, but desk-scale databases never
+need it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .anim_db import AnimationClip, AnimationUnit
-from .errors import NoCandidate
+from .errors import BadRequest, NoCandidate
 from .rotations import slerp
 
 
@@ -35,11 +37,14 @@ class SynthesisRequest:
 
     def __post_init__(self):
         if not self.items:
-            raise ValueError("request needs at least one item")
-        if any(d <= 0 for _, d in self.items):
-            raise ValueError("requested durations must be positive")
-        if self.w_target < 0 or self.w_join < 0:
-            raise ValueError("cost weights must be non-negative")
+            raise BadRequest("request needs at least one item")
+        for label, d in self.items:
+            if not (math.isfinite(d) and d > 0):
+                raise BadRequest(f"duration of {label!r} must be finite and > 0, got {d!r}")
+        for name in ("w_target", "w_join", "blend_window", "velocity_weight"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise BadRequest(f"{name} must be finite and >= 0, got {value!r}")
 
 
 def parse_request(text: str) -> tuple[tuple[str, float], ...]:
@@ -51,13 +56,13 @@ def parse_request(text: str) -> tuple[tuple[str, float], ...]:
             continue
         parts = chunk.split()
         if len(parts) != 2:
-            raise ValueError(f"bad request item {chunk!r}; expected 'label seconds'")
+            raise BadRequest(f"bad request item {chunk!r}; expected 'label seconds'")
         try:
             items.append((parts[0], float(parts[1])))
         except ValueError:
-            raise ValueError(f"bad duration in request item {chunk!r}") from None
+            raise BadRequest(f"bad duration in request item {chunk!r}") from None
     if not items:
-        raise ValueError("empty synthesis request")
+        raise BadRequest("empty synthesis request")
     return tuple(items)
 
 
@@ -71,22 +76,47 @@ def target_cost(unit: AnimationUnit, requested: float) -> float:
     return abs(math.log(unit.duration / requested))
 
 
-def join_cost(
-    left: AnimationUnit, right: AnimationUnit, velocity_weight: float = 0.01
-) -> float:
-    """Boundary discontinuity between two concatenated units.
+def join_costs(
+    left: list[AnimationUnit], right: list[AnimationUnit], velocity_weight: float
+) -> np.ndarray:
+    """(L, R) boundary discontinuity from each unit in `left` to each in `right`.
 
-    Zero for units that were adjacent in the corpus (their boundary is the
+    Zero for pairs that were adjacent in the corpus (their boundary is the
     same sample); otherwise the Euclidean gap across all tracked points
     plus a velocity mismatch term scaled by `velocity_weight`.
     """
-    if right.source_index == left.source_index + 1:
-        return 0.0
-    dp = right.first_positions - left.last_positions
-    dv = right.first_velocities - left.last_velocities
-    return float(
-        np.sqrt(np.sum(dp * dp)) + velocity_weight * np.sqrt(np.sum(dv * dv))
-    )
+    def rows(units, feature):  # one flattened (B * 3) feature row per unit
+        return np.stack([getattr(u, feature) for u in units]).reshape(len(units), -1)
+
+    dp = rows(right, "first_positions") - rows(left, "last_positions")[:, None]
+    dv = rows(right, "first_velocities") - rows(left, "last_velocities")[:, None]
+    cost = np.sqrt(np.sum(dp * dp, axis=2))
+    cost += velocity_weight * np.sqrt(np.sum(dv * dv, axis=2))
+    after_left = np.array([u.source_index + 1 for u in left])[:, None]
+    cost[after_left == np.array([u.source_index for u in right])] = 0.0
+    return cost
+
+
+def join_cost(
+    left: AnimationUnit, right: AnimationUnit, velocity_weight: float = 0.01
+) -> float:
+    """`join_costs` of one pair."""
+    return float(join_costs([left], [right], velocity_weight)[0, 0])
+
+
+def slot_costs(db: list[AnimationUnit], request: SynthesisRequest) -> tuple:
+    """Per slot: the candidates (units with its label, by source index), their
+    target costs, and the (L, C) join costs from the previous slot's
+    candidates (None first). Raises `NoCandidate` for a label not in `db`."""
+    cands, targets, joins = [], [], []
+    for label, dur in request.items:
+        units = sorted((u for u in db if u.label == label), key=lambda u: u.source_index)
+        if not units:
+            raise NoCandidate(label)
+        joins.append(join_costs(cands[-1], units, request.velocity_weight) if cands else None)
+        cands.append(units)
+        targets.append(np.array([target_cost(u, dur) for u in units]))
+    return cands, targets, joins
 
 
 @dataclass(frozen=True)
@@ -101,7 +131,13 @@ class SynthesisPlan:
 
 
 def _plan_total(w_target, w_join, target_costs, join_costs) -> float:
-    return w_target * sum(target_costs) + w_join * sum(join_costs)
+    # Left to right like the DP's sums; sum() compensates rounding from 3.12 on.
+    sum_t = sum_j = 0.0
+    for t in target_costs:
+        sum_t += t
+    for j in join_costs:
+        sum_j += j
+    return float(w_target * sum_t + w_join * sum_j)
 
 
 def select_units(db: list[AnimationUnit], request: SynthesisRequest) -> SynthesisPlan:
@@ -112,53 +148,30 @@ def select_units(db: list[AnimationUnit], request: SynthesisRequest) -> Synthesi
     lexicographically smallest source-index sequence, which makes the
     selection deterministic.
     """
-    candidates: list[list[AnimationUnit]] = []
-    for label, _ in request.items:
-        cands = [u for u in db if u.label == label]
-        if not cands:
-            raise NoCandidate(label)
-        cands.sort(key=lambda u: u.source_index)
-        candidates.append(cands)
-
+    cands, targets, joins = slot_costs(db, request)
     wt, wj = request.w_target, request.w_join
-    tcosts = [
-        [target_cost(u, dur) for u in cands]
-        for cands, (_, dur) in zip(candidates, request.items)
-    ]
+    # Per candidate: the left-to-right target and join sums of its best path.
+    # `order` lists candidates by their paths' source-index sequences, so the
+    # first minimum in that order breaks ties.
+    sum_t, sum_j = targets[0], np.zeros(len(targets[0]))
+    order = np.arange(len(targets[0]))
+    backpointers = []
+    for target, join in zip(targets[1:], joins[1:]):
+        path_t, path_j = sum_t[:, None] + target, sum_j[:, None] + join
+        best = order[np.argmin((wt * path_t + wj * path_j)[order], axis=0)]
+        cols = np.arange(len(target))
+        sum_t, sum_j = path_t[best, cols], path_j[best, cols]
+        order = np.lexsort((cols, np.argsort(order)[best]))  # predecessor rank first
+        backpointers.append(best)
 
-    # State per candidate: (target-cost list, join-cost list, index sequence).
-    # Totals are recomputed from the lists with one fixed expression so the
-    # comparison (and the reported plan total) is reproducible exactly.
-    states = [
-        ((tcosts[0][c],), (), (u.source_index,)) for c, u in enumerate(candidates[0])
-    ]
+    picks = [int(order[np.argmin((wt * sum_t + wj * sum_j)[order])])]
+    for best in reversed(backpointers):
+        picks.append(int(best[picks[-1]]))
+    picks.reverse()
 
-    for i in range(1, len(candidates)):
-        new_states = []
-        for c, unit in enumerate(candidates[i]):
-            best = None
-            best_key = None
-            for p, prev_unit in enumerate(candidates[i - 1]):
-                st, sj, seq = states[p]
-                cand = (
-                    st + (tcosts[i][c],),
-                    sj + (join_cost(prev_unit, unit, request.velocity_weight),),
-                    seq + (unit.source_index,),
-                )
-                key = (_plan_total(wt, wj, cand[0], cand[1]), cand[2])
-                if best_key is None or key < best_key:
-                    best, best_key = cand, key
-            new_states.append(best)
-        states = new_states
-
-    final = min(
-        range(len(states)),
-        key=lambda c: (_plan_total(wt, wj, states[c][0], states[c][1]), states[c][2]),
-    )
-    tlist, jlist, seq = states[final]
-
-    by_index = {u.source_index: u for cands in candidates for u in cands}
-    units = tuple(by_index[s] for s in seq)
+    units = tuple(c[k] for c, k in zip(cands, picks))
+    tlist = tuple(float(t[k]) for t, k in zip(targets, picks))
+    jlist = tuple(float(j[p, k]) for j, p, k in zip(joins[1:], picks, picks[1:]))
     requested = tuple(d for _, d in request.items)
     warps = tuple(d / u.duration for u, d in zip(units, requested))
     return SynthesisPlan(
@@ -170,6 +183,20 @@ def select_units(db: list[AnimationUnit], request: SynthesisRequest) -> Synthesi
         total=_plan_total(wt, wj, tlist, jlist),
         blend_window=request.blend_window,
     )
+
+
+def exhaustive_total(db: list[AnimationUnit], request: SynthesisRequest):
+    """Minimum (total, source-index sequence) by enumerating every
+    assignment over the same slot costs and total as `select_units`."""
+    cands, targets, joins = slot_costs(db, request)
+    best = None
+    for picks in itertools.product(*(range(len(c)) for c in cands)):
+        tlist = [t[k] for t, k in zip(targets, picks)]
+        jlist = [j[p, k] for j, p, k in zip(joins[1:], picks, picks[1:])]
+        seq = tuple(c[k].source_index for c, k in zip(cands, picks))
+        key = (_plan_total(request.w_target, request.w_join, tlist, jlist), seq)
+        best = key if best is None else min(best, key)
+    return best
 
 
 def render_plan(plan: SynthesisPlan, clip: AnimationClip) -> AnimationClip:

@@ -197,6 +197,46 @@ class TestSynth:
         assert "match" in out
         assert (tmp_path / "clip.dae").exists()
 
+    def test_exhaustive_limit_checked_before_selecting(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        write_fixture(corpus, FixtureSpec(n_sweeps=2, frames_per_sweep=1500))
+        assert main(["compile", "--config", str(corpus / "config.cfg"),
+                     "--out", str(tmp_path / "b")]) == 0
+        capsys.readouterr()
+        labels = [s.label for s in read_bundle(tmp_path / "b").tier.segments]
+        assert labels.count("a") > 5
+        out = tmp_path / "clip.dae"
+        rc = main([
+            "synth", "--bundle", str(tmp_path / "b"), "--request", "a 0.2; a 0.2",
+            "--out", str(out), "--exhaustive",
+        ])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error:cli:usage: --exhaustive is limited")
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["--request", "a nan"],
+        ["--request", "a inf"],
+        ["--request", "a -0.1"],
+        ["--request", "a x"],
+        ["--request", "a"],
+        ["--request", "a 0.2", "--w-join", "nan"],
+        ["--request", "a 0.2", "--w-join", "-1"],
+        ["--request", "a 0.2", "--w-target", "inf"],
+        ["--request", "a 0.2", "--velocity-weight", "-5"],
+        ["--request", "a 0.2", "--blend-window", "-0.01"],
+    ], ids=lambda args: " ".join(args[1:]))
+    def test_bad_request(self, bundle_dir, tmp_path, capsys, args):
+        out = tmp_path / "clip.dae"
+        rc = main(["synth", "--bundle", str(bundle_dir), "--out", str(out), *args])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error:unit_synth:bad_request:")
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_no_candidate(self, bundle_dir, tmp_path, capsys):
         rc = main([
             "synth", "--bundle", str(bundle_dir), "--request", "zz 0.1",

@@ -1,19 +1,31 @@
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from emarig.anim_db import AnimationUnit, build_unit_db
+from emarig.anim_db import AnimationUnit, bake, build_unit_db
 from emarig.errors import NoCandidate
+from emarig.fixture import RIG_GRAPH_DOT, FixtureSpec, synthetic_motion
+from emarig.ik_solver import IkParams
+from emarig.rig import RigConfig, compile_rig, generate_default_mesh, parse_rig_graph
 from emarig.unit_synth import (
+    SynthesisPlan,
     SynthesisRequest,
+    _plan_total,
+    exhaustive_total,
     join_cost,
+    join_costs,
     parse_request,
     render_plan,
     select_units,
     target_cost,
 )
+
+from conftest import prepare
 
 
 def make_unit(label, duration, source_index, first=None, last=None, fv=None, lv=None):
@@ -68,6 +80,107 @@ def brute_force(db, request):
     return best, best_seq
 
 
+def scalar_join_cost(left, right, velocity_weight):
+    """The per-pair join formula that `join_costs` replaced."""
+    if right.source_index == left.source_index + 1:
+        return 0.0
+    dp = right.first_positions - left.last_positions
+    dv = right.first_velocities - left.last_velocities
+    return float(
+        np.sqrt(np.sum(dp * dp)) + velocity_weight * np.sqrt(np.sum(dv * dv))
+    )
+
+
+def tuple_state_select_units(
+    db: list[AnimationUnit], request: SynthesisRequest
+) -> SynthesisPlan:
+    """The tuple-state DP that `select_units` replaced, kept as its reference
+    (verbatim, but with the per-pair join formula it called then).
+
+    Minimum-cost unit sequence via dynamic programming over slots.
+
+    Minimizes w_target * sum(target costs) + w_join * sum(join costs) over
+    every candidate assignment; exact ties are broken by the
+    lexicographically smallest source-index sequence, which makes the
+    selection deterministic.
+    """
+    candidates: list[list[AnimationUnit]] = []
+    for label, _ in request.items:
+        cands = [u for u in db if u.label == label]
+        if not cands:
+            raise NoCandidate(label)
+        cands.sort(key=lambda u: u.source_index)
+        candidates.append(cands)
+
+    wt, wj = request.w_target, request.w_join
+    tcosts = [
+        [target_cost(u, dur) for u in cands]
+        for cands, (_, dur) in zip(candidates, request.items)
+    ]
+
+    # State per candidate: (target-cost list, join-cost list, index sequence).
+    # Totals are recomputed from the lists with one fixed expression so the
+    # comparison (and the reported plan total) is reproducible exactly.
+    states = [
+        ((tcosts[0][c],), (), (u.source_index,)) for c, u in enumerate(candidates[0])
+    ]
+
+    for i in range(1, len(candidates)):
+        new_states = []
+        for c, unit in enumerate(candidates[i]):
+            best = None
+            best_key = None
+            for p, prev_unit in enumerate(candidates[i - 1]):
+                st, sj, seq = states[p]
+                cand = (
+                    st + (tcosts[i][c],),
+                    sj + (scalar_join_cost(prev_unit, unit, request.velocity_weight),),
+                    seq + (unit.source_index,),
+                )
+                key = (_plan_total(wt, wj, cand[0], cand[1]), cand[2])
+                if best_key is None or key < best_key:
+                    best, best_key = cand, key
+            new_states.append(best)
+        states = new_states
+
+    final = min(
+        range(len(states)),
+        key=lambda c: (_plan_total(wt, wj, states[c][0], states[c][1]), states[c][2]),
+    )
+    tlist, jlist, seq = states[final]
+
+    by_index = {u.source_index: u for cands in candidates for u in cands}
+    units = tuple(by_index[s] for s in seq)
+    requested = tuple(d for _, d in request.items)
+    warps = tuple(d / u.duration for u, d in zip(units, requested))
+    return SynthesisPlan(
+        units=units,
+        warp_factors=warps,
+        requested=requested,
+        target_costs=tlist,
+        join_costs=jlist,
+        total=_plan_total(wt, wj, tlist, jlist),
+        blend_window=request.blend_window,
+    )
+
+
+@pytest.fixture(scope="module")
+def fixture_db():
+    """Unit DB of the 2 x 6000-frame fixture: 276 units, 28 per label."""
+    data = synthetic_motion(FixtureSpec(n_sweeps=2, frames_per_sweep=6000))
+    prepared = prepare(data)
+    rig = compile_rig(
+        parse_rig_graph(RIG_GRAPH_DOT), prepared[0], data.roles,
+        generate_default_mesh(), RigConfig(seeds=data.seeds),
+    )
+    return build_unit_db(bake(prepared, rig, data.roles, IkParams()), data.tier)
+
+
+def assert_same_plan(plan, reference):
+    for field in dataclasses.fields(SynthesisPlan):
+        assert getattr(plan, field.name) == getattr(reference, field.name), field.name
+
+
 class TestTargetCost:
     def test_exact_match_zero(self):
         assert target_cost(make_unit("a", 0.2, 0), 0.2) == 0.0
@@ -110,6 +223,27 @@ class TestJoinCost:
         left = make_unit("a", 0.2, 0)
         right = make_unit("t", 0.1, 5, fv=dv)
         assert abs(join_cost(left, right) - 0.01 * 10.0) < 1e-12
+
+
+class TestJoinCosts:
+    @staticmethod
+    def assert_bitwise(left, right, velocity_weight):
+        matrix = join_costs(left, right, velocity_weight)
+        expect = np.array(
+            [[scalar_join_cost(a, b, velocity_weight) for b in right] for a in left]
+        )
+        assert matrix.shape == (len(left), len(right))
+        assert np.array_equal(matrix.view(np.uint64), expect.view(np.uint64))
+        a, b = left[-1], right[0]
+        assert join_cost(a, b, velocity_weight) == scalar_join_cost(a, b, velocity_weight)
+
+    def test_fixture_db_every_pair(self, fixture_db):
+        self.assert_bitwise(fixture_db, fixture_db, 0.01)
+
+    @pytest.mark.parametrize("velocity_weight", [0.0, 0.01, 0.7])
+    def test_random_features(self, velocity_weight):
+        db = random_db(np.random.default_rng(23), 30)
+        self.assert_bitwise(db[:13], db[7:], velocity_weight)
 
 
 class TestSelectUnits:
@@ -217,6 +351,65 @@ class TestSelectUnits:
         plan = select_units(db, request)
         recomputed = 1.7 * sum(plan.target_costs) + 0.4 * sum(plan.join_costs)
         assert abs(plan.total - recomputed) < 1e-12
+
+
+class TestMatchesTupleStateDp:
+    @pytest.mark.parametrize("n_slots", [10, 40, 160])
+    def test_fixture_db(self, fixture_db, n_slots):
+        rng = np.random.default_rng(n_slots)
+        labels = sorted({u.label for u in fixture_db})
+        items = tuple(zip(
+            rng.choice(labels, n_slots).tolist(),
+            np.round(rng.uniform(0.06, 0.3, n_slots), 4).tolist(),
+        ))
+        request = SynthesisRequest(items=items)
+        assert_same_plan(
+            select_units(fixture_db, request), tuple_state_select_units(fixture_db, request)
+        )
+
+    @settings(max_examples=500, deadline=None, database=None)
+    @given(data=st.data())
+    def test_forced_ties(self, data):
+        # Integer features drawn from a few shared arrays and two durations
+        # make many assignments cost exactly the same.
+        n_shared = data.draw(st.integers(2, 4))
+        shared = np.array(data.draw(st.lists(
+            st.integers(0, 1), min_size=6 * n_shared, max_size=6 * n_shared
+        )), dtype=float).reshape(n_shared, 2, 3)
+        n_units = data.draw(st.integers(2, 12))
+        sources = data.draw(st.lists(
+            st.integers(0, 15), min_size=n_units, max_size=n_units, unique=True
+        ))
+        feature = st.sampled_from(range(len(shared)))
+        db = [
+            make_unit(
+                data.draw(st.sampled_from("ab")),
+                data.draw(st.sampled_from((0.1, 0.2))),
+                s,
+                first=shared[data.draw(feature)],
+                last=shared[data.draw(feature)],
+                fv=shared[data.draw(feature)],
+                lv=shared[data.draw(feature)],
+            )
+            for s in sources
+        ]
+        labels = sorted({u.label for u in db})
+        items = tuple(
+            (data.draw(st.sampled_from(labels)), data.draw(st.sampled_from((0.1, 0.2))))
+            for _ in range(data.draw(st.integers(1, 6)))
+        )
+        weight = st.sampled_from((0.0, 0.5, 1.0))
+        request = SynthesisRequest(
+            items=items,
+            w_target=data.draw(weight),
+            w_join=data.draw(weight),
+            velocity_weight=data.draw(weight),
+        )
+        plan = select_units(db, request)
+        assert_same_plan(plan, tuple_state_select_units(db, request))
+        assert exhaustive_total(db, request) == (
+            plan.total, tuple(u.source_index for u in plan.units)
+        )
 
 
 class TestRenderPlan:
