@@ -14,6 +14,9 @@ from emarig.pipeline import compile_model, load_config
 
 # sha256 of model.dae compiled from `emarig fixture` with its defaults.
 GOLDEN_MODEL_SHA256 = "b2ddbb5343aaecfb65678f3d3cf3a1e87078f5154e050b20865ff9c93d3f4ee5"
+# sha256 of `synth --out` for GOLDEN_SYNTH_REQUEST against that bundle.
+GOLDEN_SYNTH_REQUEST = "t 0.08; a 0.15; m 0.09; i 0.12; a 0.2"
+GOLDEN_SYNTH_SHA256 = "5ebf038fab9b13970c994093579bb773742b82eff8636437e2c3c482e86a2cfa"
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +199,22 @@ class TestSynth:
         assert "total cost 0" in out
         assert "match" in out
         assert (tmp_path / "clip.dae").exists()
+
+    def test_golden_synth_digest(self, tmp_path):
+        # The bundle is read back and the rendered clip written out again,
+        # so this pins the COLLADA read -> write path byte for byte.
+        # Measured with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1.
+        assert main(["fixture", "--out", str(tmp_path / "f")]) == 0
+        assert main([
+            "compile", "--config", str(tmp_path / "f" / "config.cfg"),
+            "--out", str(tmp_path / "b"),
+        ]) == 0
+        out = tmp_path / "clip.dae"
+        assert main([
+            "synth", "--bundle", str(tmp_path / "b"),
+            "--request", GOLDEN_SYNTH_REQUEST, "--out", str(out),
+        ]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SYNTH_SHA256
 
     def test_exhaustive_limit_checked_before_selecting(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
