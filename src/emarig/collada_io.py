@@ -25,13 +25,11 @@ import numpy as np
 from .anim_db import AnimationClip
 from .errors import InconsistentRig, ParseError, UnsupportedFeature
 from .ik_solver import _pose_affines, stretch_matrices
-from .rig import Armature, SkinnedMesh, GROUP_MANDIBLE, GROUP_MAXILLA, GROUP_TONGUE
+from .rig import GROUP_MANDIBLE, GROUP_MAXILLA, Armature, SkinnedMesh, groups_from_triangles
 from .rotations import mat_to_quat, quat_to_mat, norm
 
 NS = "http://www.collada.org/2005/11/COLLADASchema"
 PROFILE = "emarig"
-
-_GROUP_ORDER = (GROUP_TONGUE, GROUP_MANDIBLE, GROUP_MAXILLA)
 
 
 def _fmt(x: float) -> str:
@@ -129,15 +127,9 @@ def write_collada(
     verts = SubElement(m, "vertices", id="mesh-vertices")
     SubElement(verts, "input", semantic="POSITION", source="#mesh-positions")
 
-    vertex_group = np.full(mesh.n_vertices, -1, dtype=np.int64)
-    for gi, gname in enumerate(_GROUP_ORDER):
-        vertex_group[mesh.group_indices(gname)] = gi
-    tri_group = vertex_group[mesh.triangles[:, 0]] if len(mesh.triangles) else np.empty(0, int)
-    for gi, gname in enumerate(_GROUP_ORDER):
-        tris = mesh.triangles[tri_group == gi]
-        if not len(tris):
-            continue
-        t = SubElement(m, "triangles", material=gname, count=str(len(tris)))
+    for name, tris in mesh.triangle_batches():
+        material = {} if name is None else {"material": name}
+        t = SubElement(m, "triangles", material, count=str(len(tris)))
         SubElement(t, "input", semantic="VERTEX", source="#mesh-vertices", offset="0")
         SubElement(t, "p").text = _fmt_ints(tris)
 
@@ -153,36 +145,27 @@ def write_collada(
     inv_binds[:K, :3, 3] = -armature.heads
     _float_source(skin, "skin-bind-poses", inv_binds.reshape(-1, 16), [("TRANSFORM", "float4x4")])
 
-    weights: list[float] = [1.0]
-    vcounts: list[int] = []
-    pairs: list[int] = []
-    for v in range(mesh.n_vertices):
-        bones = mesh.weight_bones[v]
-        active = bones >= 0
-        if active.any():
-            idxs = bones[active]
-            vals = mesh.weight_values[v][active]
-            vcounts.append(len(idxs))
-            for bi, wv in zip(idxs, vals):
-                pairs.extend([int(bi), len(weights)])
-                weights.append(float(wv))
-        elif vertex_group[v] == 1:
-            vcounts.append(1)
-            pairs.extend([K, 0])
-        elif vertex_group[v] == 2:
-            vcounts.append(1)
-            pairs.extend([K + 1, 0])
-        else:
-            vcounts.append(0)
-    _float_source(skin, "skin-weights", np.asarray(weights), [("WEIGHT", "float")])
+    # Per vertex, (joint, weight index) pairs: its bone influences, whose
+    # weights get indices 1.. in vertex then slot order, or else its Jaw
+    # (K) or Skull (K + 1) anchor with the constant weight 0.
+    active = mesh.weight_bones >= 0
+    anchor = np.full(mesh.n_vertices, -1)
+    anchor[mesh.group_indices(GROUP_MANDIBLE)] = K
+    anchor[mesh.group_indices(GROUP_MAXILLA)] = K + 1
+    used = np.column_stack([active, ~active.any(axis=1) & (anchor >= 0)])
+    weight_index = np.zeros(used.shape, dtype=np.int64)
+    weight_index[:, :4][active] = np.arange(1, active.sum() + 1)
+    pair_joints = np.column_stack([mesh.weight_bones, anchor])[used]
+    weights = np.concatenate([[1.0], mesh.weight_values[active]])
+    _float_source(skin, "skin-weights", weights, [("WEIGHT", "float")])
     joints = SubElement(skin, "joints")
     SubElement(joints, "input", semantic="JOINT", source="#skin-joints")
     SubElement(joints, "input", semantic="INV_BIND_MATRIX", source="#skin-bind-poses")
     vw = SubElement(skin, "vertex_weights", count=str(mesh.n_vertices))
     SubElement(vw, "input", semantic="JOINT", source="#skin-joints", offset="0")
     SubElement(vw, "input", semantic="WEIGHT", source="#skin-weights", offset="1")
-    SubElement(vw, "vcount").text = " ".join(str(c) for c in vcounts)
-    SubElement(vw, "v").text = " ".join(str(i) for i in pairs)
+    SubElement(vw, "vcount").text = _fmt_ints(used.sum(axis=1))
+    SubElement(vw, "v").text = _fmt_ints(np.column_stack([pair_joints, weight_index[used]]))
 
     # animations -----------------------------------------------------------
     if clip is not None:
@@ -311,14 +294,27 @@ def _child(elem: Element, name: str) -> Element | None:
     return found[0] if found else None
 
 
-def _floats(text: str | None) -> np.ndarray:
-    parts = (text or "").split()
-    return np.array(parts, dtype=np.float64) if parts else np.empty(0)
+def _numbers(text: str | None, dtype=np.float64) -> np.ndarray:
+    try:
+        return np.array((text or "").split(), dtype=dtype)
+    except (ValueError, OverflowError):
+        raise ParseError(f"bad {np.dtype(dtype)} in array text", module="export") from None
 
 
-def _ints(text: str | None) -> np.ndarray:
-    parts = (text or "").split()
-    return np.array(parts, dtype=np.int64) if parts else np.empty(0, dtype=np.int64)
+def _rows(values: np.ndarray, elem: Element, width: int) -> np.ndarray:
+    """`values` as (count, width) rows, count being the ``count`` of `elem`."""
+    count = _numbers(elem.get("count"), np.int64)
+    if count.shape != (1,) or len(values) != count[0] * width:
+        raise ParseError(f"<{_local(elem)}> count does not match its array", module="export")
+    return values.reshape(-1, width)
+
+
+def _source_rows(src: Element, width: int) -> np.ndarray:
+    """A <source>'s float_array as rows, checked against its accessor."""
+    accessor = _child(_child(src, "technique_common"), "accessor")
+    if accessor.get("stride") != str(width):
+        raise ParseError(f"source {src.get('id')!r} needs stride {width}", module="export")
+    return _rows(_numbers(_child(src, "float_array").text), accessor, width)
 
 
 _KNOWN_LIBRARIES = {
@@ -358,31 +354,23 @@ def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip | 
     for child in mesh_el:
         if _local(child) not in ("source", "vertices", "triangles"):
             raise UnsupportedFeature(f"unsupported geometry element <{_local(child)}>")
-    src = _child(mesh_el, "source")
-    positions = _floats(_child(src, "float_array").text).reshape(-1, 3)
+    positions = _source_rows(_child(mesh_el, "source"), 3)
 
-    triangles = []
-    tri_materials = []
+    batches = []
+    materials = []
     for tri_el in _children(mesh_el, "triangles"):
         inputs = _children(tri_el, "input")
         if len(inputs) != 1 or inputs[0].get("semantic") != "VERTEX":
             raise UnsupportedFeature("triangles must carry a single VERTEX input")
-        tris = _ints(_child(tri_el, "p").text).reshape(-1, 3)
-        triangles.append(tris)
-        tri_materials.extend([tri_el.get("material", "")] * len(tris))
-    tris = (
-        np.concatenate(triangles).astype(np.int32)
-        if triangles
-        else np.empty((0, 3), np.int32)
+        batches.append(_rows(_numbers(_child(tri_el, "p").text, np.int64), tri_el, 3))
+        materials.append(tri_el.get("material"))
+    tris = np.concatenate([np.empty((0, 3), np.int64)] + batches)
+    if ((tris < 0) | (tris >= len(positions))).any():
+        raise ParseError("triangle vertex index out of range", module="export")
+    tris = tris.astype(np.int32)
+    group_arrays = groups_from_triangles(
+        tris, np.repeat(np.array(materials, dtype=object), [len(b) for b in batches])
     )
-
-    groups: dict[str, set[int]] = {}
-    for tri, mat in zip(tris, tri_materials):
-        if mat in _GROUP_ORDER:
-            groups.setdefault(mat, set()).update(int(v) for v in tri)
-    group_arrays = {
-        name: np.array(sorted(v), dtype=np.int64) for name, v in groups.items()
-    }
 
     # skin
     lc = _child(root, "library_controllers")
@@ -395,13 +383,14 @@ def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip | 
         name_arr = _child(s, "Name_array")
         if name_arr is not None and "joints" in (s.get("id") or ""):
             joint_names = (name_arr.text or "").split()
-        fa = _child(s, "float_array")
-        if fa is not None and "weights" in (s.get("id") or ""):
-            weights_arr = _floats(fa.text)
+        if _child(s, "float_array") is not None and "weights" in (s.get("id") or ""):
+            weights_arr = _source_rows(s, 1)[:, 0]
 
     vw = _child(skin, "vertex_weights")
-    vcount = _ints(_child(vw, "vcount").text)
-    v = _ints(_child(vw, "v").text)
+    vcount = _rows(_numbers(_child(vw, "vcount").text, np.int64), vw, 1)[:, 0]
+    if len(vcount) != len(positions):
+        raise ParseError("<vertex_weights> count is not the vertex count", module="export")
+    v = _numbers(_child(vw, "v").text, np.int64)
 
     # scene hierarchy
     lvs = _child(root, "library_visual_scenes")
@@ -426,7 +415,7 @@ def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip | 
     if root_node is None:
         raise ParseError(f"skeleton root {skeleton_root_id!r} not found", module="export")
     root_name = root_node.get("sid") or root_node.get("name") or "Root"
-    root_matrix = _floats(_child(root_node, "matrix").text).reshape(4, 4)
+    root_matrix = _numbers(_child(root_node, "matrix").text).reshape(4, 4)
     root_point = root_matrix[:3, 3]
 
     bone_names: list[str] = []
@@ -442,13 +431,13 @@ def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip | 
             k = len(bone_names)
             bone_names.append(sid)
             parents.append(parent_idx)
-            rest_locals.append(_floats(_child(child, "matrix").text).reshape(4, 4))
+            rest_locals.append(_numbers(_child(child, "matrix").text).reshape(4, 4))
             tail = None
             extra = _child(child, "extra")
             if extra is not None:
                 for tech in _children(extra, "technique"):
                     if tech.get("profile") == PROFILE and _child(tech, "tail") is not None:
-                        tail = _floats(_child(tech, "tail").text)
+                        tail = _numbers(_child(tech, "tail").text)
             if tail is None:
                 raise UnsupportedFeature(
                     f"joint {sid!r} is missing its rest-tail annotation"
@@ -480,29 +469,25 @@ def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip | 
         root_name=root_name,
     )
 
-    # weights back onto the mesh
-    jaw_index = K if len(joint_names) > K else -1
-    joint_to_bone = {}
-    for j, name in enumerate(joint_names):
-        if name in bone_names:
-            joint_to_bone[j] = bone_names.index(name)
+    # Weights back onto the mesh: influences of joints that are no bone
+    # (the anchors) are dropped, the rest renormalized per vertex.
+    joint_bone = np.array([bone_names.index(n) if n in bone_names else -1 for n in joint_names])
+    if (vcount < 0).any() or len(v) != 2 * vcount.sum():
+        raise ParseError("<v> does not hold one index pair per <vcount>", module="export")
+    joint, index = v.reshape(-1, 2).T
+    if ((joint < 0) | (joint >= len(joint_bone)) | (index < 0) | (index >= len(weights_arr))).any():
+        raise ParseError("<v> has a joint or weight index out of range", module="export")
+    keep = joint_bone[joint] >= 0
+    vertex = np.repeat(np.arange(len(vcount)), vcount)[keep]
+    slot = np.arange(len(vertex)) - np.searchsorted(vertex, vertex)  # rank within vertex
+    if (slot >= 4).any():
+        raise UnsupportedFeature("more than 4 bone influences per vertex")
     weight_bones = np.full((len(positions), 4), -1, dtype=np.int32)
     weight_values = np.zeros((len(positions), 4))
-    cursor = 0
-    for vi, cnt in enumerate(vcount):
-        slot = 0
-        for _ in range(cnt):
-            j, wi = int(v[cursor]), int(v[cursor + 1])
-            cursor += 2
-            if j in joint_to_bone:
-                if slot >= 4:
-                    raise UnsupportedFeature("more than 4 bone influences per vertex")
-                weight_bones[vi, slot] = joint_to_bone[j]
-                weight_values[vi, slot] = weights_arr[wi]
-                slot += 1
-        if slot:
-            weight_values[vi, :slot] /= weight_values[vi, :slot].sum()
-
+    weight_bones[vertex, slot] = joint_bone[joint[keep]]
+    weight_values[vertex, slot] = weights_arr[index[keep]]
+    weighted = weight_bones[:, 0] >= 0
+    weight_values[weighted] /= weight_values[weighted].sum(axis=1, keepdims=True)
     mesh = SkinnedMesh(
         vertices=positions,
         triangles=tris,
@@ -526,9 +511,9 @@ def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip | 
                 fa = _child(s, "float_array")
                 na = _child(s, "Name_array")
                 if fa is not None and sid.endswith("-input"):
-                    times = _floats(fa.text)
+                    times = _source_rows(s, 1)[:, 0]
                 elif fa is not None and sid.endswith("-output"):
-                    mats = _floats(fa.text).reshape(-1, 4, 4)
+                    mats = _source_rows(s, 16).reshape(-1, 4, 4)
                 elif na is not None and sid.endswith("-interp"):
                     kinds = set((na.text or "").split())
                     if kinds - {"LINEAR"}:

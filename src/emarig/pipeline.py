@@ -31,6 +31,7 @@ from .rig import (
     load_mesh,
     parse_rig_graph,
     register_first_frame,
+    seed_vertices,
 )
 
 
@@ -440,20 +441,16 @@ def validate_model(
         [registration.apply(s.positions[:, idx, :]) for s in prepared], axis=0
     )
 
-    # Seed vertices sit exactly on the rest tails when seeds were snapped;
-    # recover them as the nearest vertex per bone.
-    verts = loaded.mesh.vertices
-    seed_idx = []
-    for k in range(armature.n_bones):
-        d = np.sum((verts - armature.tails[k]) ** 2, axis=1)
-        seed_idx.append(int(np.argmin(d)))
+    # The rest tails are where compile_rig picked the seed vertices, so the
+    # same rule picks them again (snapping moved them onto the tails, where
+    # they stay the nearest).
     tracks = skin_trajectories(
         loaded.mesh,
         armature,
         clip.quats,
         clip.heads,
         clip.stretches,
-        np.array(seed_idx),
+        seed_vertices(loaded.mesh, armature.tails),
     )
 
     diffs = np.sqrt(np.sum((tracks - source) ** 2, axis=2))

@@ -30,6 +30,8 @@ from .motion_prep import Similarity, similarity_align
 GROUP_TONGUE = "tongue"
 GROUP_MANDIBLE = "mandible"
 GROUP_MAXILLA = "maxilla"
+# The canonical vertex groups, in the order meshes are written out.
+GROUPS = (GROUP_TONGUE, GROUP_MANDIBLE, GROUP_MAXILLA)
 
 
 # --- rig graph ---------------------------------------------------------------
@@ -227,6 +229,35 @@ class SkinnedMesh:
     def group_indices(self, name: str) -> np.ndarray:
         return self.groups.get(name, np.empty(0, dtype=np.int64))
 
+    def triangle_batches(self) -> list[tuple[str | None, np.ndarray]]:
+        """Triangles batched by the last of GROUPS holding their first
+        vertex: the non-empty groups in order, then the ungrouped
+        triangles under None."""
+        vertex_group = np.full(self.n_vertices, len(GROUPS))
+        for gi, name in enumerate(GROUPS):
+            vertex_group[self.group_indices(name)] = gi
+        tri_group = vertex_group[self.triangles[:, 0]]
+        return [
+            (name, self.triangles[tri_group == gi])
+            for gi, name in enumerate(GROUPS + (None,))
+            if (tri_group == gi).any()
+        ]
+
+
+def groups_from_triangles(
+    triangles: np.ndarray, labels: Sequence[str | None]
+) -> dict[str, np.ndarray]:
+    """The vertex groups spanned by labelled triangles: each of GROUPS
+    that labels at least one triangle, as the sorted indices of its
+    triangles' vertices. Other labels belong to no group."""
+    labels = np.asarray(labels, dtype=object)
+    groups = {}
+    for name in GROUPS:
+        members = triangles[labels == name]
+        if len(members):
+            groups[name] = np.unique(members).astype(np.int64)
+    return groups
+
 
 def mesh_volume(vertices: np.ndarray, triangles: np.ndarray) -> float:
     """Signed enclosed volume of an oriented triangle mesh (divergence theorem)."""
@@ -263,7 +294,7 @@ def load_mesh(obj_text: str, group_map: dict[str, str] | None = None) -> Skinned
     vertices: list[list[float]] = []
     triangles: list[tuple[int, int, int]] = []
     tri_groups: list[str | None] = []
-    current: str | None = None
+    current: str | None = None  # canonical group of the current o/g name
 
     for lineno, raw in enumerate(obj_text.splitlines(), start=1):
         line = raw.strip()
@@ -279,7 +310,7 @@ def load_mesh(obj_text: str, group_map: dict[str, str] | None = None) -> Skinned
             except ValueError:
                 raise ParseError(f"OBJ line {lineno}: bad vertex number") from None
         elif tag in ("o", "g"):
-            current = parts[1] if len(parts) > 1 else None
+            current = _canonical_group(parts[1], group_map) if len(parts) > 1 else None
         elif tag == "f":
             if len(parts) < 4:
                 raise ParseError(f"OBJ line {lineno}: face needs >= 3 vertices")
@@ -302,23 +333,10 @@ def load_mesh(obj_text: str, group_map: dict[str, str] | None = None) -> Skinned
     if tris.size and (tris.min() < 0 or tris.max() >= len(verts)):
         raise ParseError("OBJ face references a vertex that was never declared")
 
-    groups: dict[str, set[int]] = {}
-    for tri, gname in zip(tris, tri_groups):
-        canonical = _canonical_group(gname, group_map) if gname else None
-        if canonical is not None:
-            groups.setdefault(canonical, set()).update(int(v) for v in tri)
-
-    if GROUP_TONGUE not in groups or not groups[GROUP_TONGUE]:
+    groups = groups_from_triangles(tris, tri_groups)
+    if GROUP_TONGUE not in groups:
         raise MissingGroup("no tongue group resolvable from the OBJ source")
-
-    group_arrays = {
-        name: np.array(sorted(members), dtype=np.int64)
-        for name, members in groups.items()
-    }
-    return SkinnedMesh(vertices=verts, triangles=tris, groups=group_arrays)
-
-
-_GROUP_EXPORT_ORDER = (GROUP_TONGUE, GROUP_MANDIBLE, GROUP_MAXILLA)
+    return SkinnedMesh(vertices=verts, triangles=tris, groups=groups)
 
 
 def save_obj(mesh: SkinnedMesh) -> str:
@@ -331,22 +349,9 @@ def save_obj(mesh: SkinnedMesh) -> str:
     for v in mesh.vertices:
         lines.append(f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}")
 
-    vertex_group = np.full(mesh.n_vertices, -1, dtype=np.int64)
-    for gi, gname in enumerate(_GROUP_EXPORT_ORDER):
-        vertex_group[mesh.group_indices(gname)] = gi
-
-    tri_group = vertex_group[mesh.triangles[:, 0]]
-    for gi, gname in enumerate(_GROUP_EXPORT_ORDER):
-        chosen = mesh.triangles[tri_group == gi]
-        if not len(chosen):
-            continue
-        lines.append(f"o {gname.capitalize()}")
-        for tri in chosen:
-            lines.append(f"f {tri[0] + 1} {tri[1] + 1} {tri[2] + 1}")
-    leftovers = mesh.triangles[tri_group == -1]
-    if len(leftovers):
-        lines.append("o Ungrouped")
-        for tri in leftovers:
+    for name, tris in mesh.triangle_batches():
+        lines.append(f"o {(name or 'ungrouped').capitalize()}")
+        for tri in tris:
             lines.append(f"f {tri[0] + 1} {tri[1] + 1} {tri[2] + 1}")
     return "\n".join(lines) + "\n"
 
@@ -605,6 +610,25 @@ def register_first_frame(
     return registration, mapped, rms
 
 
+def seed_vertices(mesh: SkinnedMesh, points: np.ndarray) -> np.ndarray:
+    """The seed vertex of each point (n, 3): the nearest tongue vertex not
+    already taken by an earlier point, with ties to the lower index."""
+    tongue_idx = mesh.group_indices(GROUP_TONGUE)
+    if not len(tongue_idx):
+        raise MissingGroup("mesh has no tongue group")
+    tongue = mesh.vertices[tongue_idx]
+    seeds: list[int] = []
+    for point in points:
+        dist = np.sqrt(np.sum((tongue - point) ** 2, axis=1))
+        for j in np.argsort(dist, kind="stable"):
+            if int(tongue_idx[j]) not in seeds:
+                seeds.append(int(tongue_idx[j]))
+                break
+        else:
+            raise MissingSeed("fewer tongue vertices than coils")
+    return np.array(seeds, dtype=np.int64)
+
+
 def compile_rig(
     graph: RigGraph,
     sweep: EmaSweep,
@@ -683,26 +707,13 @@ def compile_rig(
         root_name=graph.root,
     )
 
-    # Seed vertices: nearest distinct tongue vertex per coil, optionally
-    # snapped exactly onto the bone tail.
-    tongue_idx = mesh.group_indices(GROUP_TONGUE)
-    if not len(tongue_idx):
-        raise MissingGroup("mesh has no tongue group")
+    # Seed vertices, optionally snapped exactly onto the bone tails.
+    seeds = seed_vertices(mesh, tail_arr)
+    seed_map = {n: int(v) for n, v in zip(bone_names, seeds)}
     vertices = np.array(mesh.vertices)
-    seed_map: dict[str, int] = {}
-    taken: set[int] = set()
-    for k, n in enumerate(bone_names):
-        dist = np.sqrt(np.sum((vertices[tongue_idx] - tail_arr[k]) ** 2, axis=1))
-        for j in np.argsort(dist, kind="stable"):
-            v = int(tongue_idx[j])
-            if v not in taken:
-                break
-        else:
-            raise MissingSeed("fewer tongue vertices than coils")
-        taken.add(v)
-        seed_map[n] = v
-        if config.snap_seeds:
-            vertices[v] = tail_arr[k]
+    if config.snap_seeds:
+        vertices[seeds] = tail_arr
+    tongue_idx = mesh.group_indices(GROUP_TONGUE)
 
     # Inverse-distance-power weights to the nearest bone segments.
     cap = min(config.influence_cap, len(bone_names), 4)

@@ -1,12 +1,15 @@
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emarig.anim_db import AnimationClip
-from emarig.collada_io import read_collada, write_collada
+from emarig.collada_io import _fmt_array, read_collada, write_collada
 from emarig.errors import InconsistentRig, ParseError, UnsupportedFeature
-from emarig.rig import Armature, SkinnedMesh
+from emarig.rig import Armature, SkinnedMesh, load_mesh
 from emarig.rotations import axis_angle_matrix, mat_to_quat
 
 from conftest import make_chain_armature
@@ -134,6 +137,148 @@ def random_clip(rng, armature, n_keys):
     )
 
 
+# --- the per-vertex skin-weight loops, kept as the codec's reference ----------
+
+_GROUP_ORDER = ("tongue", "mandible", "maxilla")
+
+
+def loop_encode_weights(mesh, K):
+    """(vcounts, pairs, weights) as lists, one vertex at a time."""
+    vertex_group = np.full(mesh.n_vertices, -1, dtype=np.int64)
+    for gi, gname in enumerate(_GROUP_ORDER):
+        vertex_group[mesh.group_indices(gname)] = gi
+    weights: list[float] = [1.0]
+    vcounts: list[int] = []
+    pairs: list[int] = []
+    for v in range(mesh.n_vertices):
+        bones = mesh.weight_bones[v]
+        active = bones >= 0
+        if active.any():
+            idxs = bones[active]
+            vals = mesh.weight_values[v][active]
+            vcounts.append(len(idxs))
+            for bi, wv in zip(idxs, vals):
+                pairs.extend([int(bi), len(weights)])
+                weights.append(float(wv))
+        elif vertex_group[v] == 1:
+            vcounts.append(1)
+            pairs.extend([K, 0])
+        elif vertex_group[v] == 2:
+            vcounts.append(1)
+            pairs.extend([K + 1, 0])
+        else:
+            vcounts.append(0)
+    return vcounts, pairs, weights
+
+
+def loop_decode_weights(vcount, v, joint_names, bone_names, weights_arr, n_vertices):
+    """(weight_bones, weight_values), one vertex at a time."""
+    joint_to_bone = {}
+    for j, name in enumerate(joint_names):
+        if name in bone_names:
+            joint_to_bone[j] = bone_names.index(name)
+    weight_bones = np.full((n_vertices, 4), -1, dtype=np.int32)
+    weight_values = np.zeros((n_vertices, 4))
+    cursor = 0
+    for vi, cnt in enumerate(vcount):
+        slot = 0
+        for _ in range(cnt):
+            j, wi = int(v[cursor]), int(v[cursor + 1])
+            cursor += 2
+            if j in joint_to_bone:
+                if slot >= 4:
+                    raise UnsupportedFeature("more than 4 bone influences per vertex")
+                weight_bones[vi, slot] = joint_to_bone[j]
+                weight_values[vi, slot] = weights_arr[wi]
+                slot += 1
+        if slot:
+            weight_values[vi, :slot] /= weight_values[vi, :slot].sum()
+    return weight_bones, weight_values
+
+
+def skin_texts(doc):
+    """The joint names and the <vcount>, <v> and skin-weights texts."""
+    root = ET.fromstring(doc)
+    ns = {"c": "http://www.collada.org/2005/11/COLLADASchema"}
+    return (
+        root.find(".//c:Name_array[@id='skin-joints-array']", ns).text.split(),
+        root.find(".//c:vertex_weights/c:vcount", ns).text or "",
+        root.find(".//c:vertex_weights/c:v", ns).text or "",
+        root.find(".//c:float_array[@id='skin-weights-array']", ns).text,
+    )
+
+
+@st.composite
+def skinned_meshes(draw, n_bones):
+    """Meshes whose triangles come in blocks, one per group and one
+    ungrouped, each block using only its own vertices, so triangles and
+    groups survive the batching unchanged; some vertices sit in no
+    triangle at all. Influences fill random slots (gaps included) of some
+    tongue vertices and, more rarely, of other vertices, so a mandible or
+    maxilla vertex gets its anchor only when it has none."""
+    sizes = [draw(st.integers(0, 6)) for _ in range(4)]  # tongue, mand, max, none
+    n = sum(sizes) + draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tris, groups, base = [], {}, 0
+    for name, size in zip(_GROUP_ORDER + (None,), sizes):
+        block = np.arange(base, base + size)
+        base += size
+        block_tris = [rng.choice(block, 3) for _ in range(draw(st.integers(0, 4)) if size else 0)]
+        tris.extend(block_tris)
+        if name is not None and block_tris:
+            groups[name] = np.unique(block_tris).astype(np.int64)
+    p_weighted = np.full(n, draw(st.sampled_from((0.0, 0.3))))
+    p_weighted[: sizes[0]] = draw(st.sampled_from((0.0, 0.5, 1.0)))
+    p_slot = draw(st.sampled_from((0.4, 1.0)))
+    weight_bones = np.full((n, 4), -1, dtype=np.int32)
+    weight_values = np.zeros((n, 4))
+    for v in np.flatnonzero(rng.random(n) < p_weighted):
+        slots = rng.random(4) < p_slot
+        weight_bones[v, slots] = rng.integers(0, n_bones, slots.sum())
+        weight_values[v, slots] = rng.uniform(0.05, 1.0, slots.sum())
+    return SkinnedMesh(
+        vertices=rng.normal(0, 2, (n, 3)),
+        triangles=np.asarray(tris, dtype=np.int32).reshape(-1, 3),
+        groups=groups,
+        weight_bones=weight_bones,
+        weight_values=weight_values,
+    )
+
+
+class TestSkinCodec:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(data=st.data())
+    def test_matches_per_vertex_loops(self, data):
+        n_bones = data.draw(st.integers(1, 7))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        arm = random_tree_armature(rng, n_bones)
+        mesh = data.draw(skinned_meshes(n_bones))
+        doc = write_collada(mesh, arm, None)
+
+        vcounts, pairs, weights = loop_encode_weights(mesh, n_bones)
+        joint_names, vcount_text, v_text, weights_text = skin_texts(doc)
+        assert vcount_text == " ".join(str(c) for c in vcounts)
+        assert v_text == " ".join(str(i) for i in pairs)
+        assert weights_text == _fmt_array(np.asarray(weights))
+
+        m2, a2, _ = read_collada(doc)
+        ref_bones, ref_values = loop_decode_weights(
+            [int(c) for c in vcount_text.split()],
+            [int(i) for i in v_text.split()],
+            joint_names,
+            a2.bone_names,
+            np.array(weights_text.split(), dtype=np.float64),
+            m2.n_vertices,
+        )
+        assert np.array_equal(m2.weight_bones, ref_bones)
+        assert m2.weight_values.tobytes() == ref_values.tobytes()
+
+        assert np.array_equal(m2.triangles, mesh.triangles)
+        assert set(m2.groups) == set(mesh.groups)
+        for name, members in mesh.groups.items():
+            assert np.array_equal(m2.group_indices(name), members)
+
+
 class TestWriter:
     def test_reference_rig_joint_nodes(self, compiled_model):
         rig, clip, _ = compiled_model
@@ -215,6 +360,22 @@ class TestRoundTrip:
         assert a2.bone_names == rig.armature.bone_names
 
 
+    def test_ungrouped_triangles_kept(self):
+        # A face outside the three groups is written as a <triangles> batch
+        # with no material and read back into no group.
+        obj = (
+            "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nv 2 2 2\n"
+            "o Tongue\nf 1 2 3\nf 1 3 4\no Palate\nf 5 2 3\n"
+        )
+        mesh = load_mesh(obj)
+        doc = write_collada(mesh, make_chain_armature([[0, 0, 0], [1, 0, 0]]), None)
+        assert '<triangles count="1">' in doc
+        m2, _, _ = read_collada(doc)
+        assert np.array_equal(m2.triangles, [[0, 1, 2], [0, 2, 3], [4, 1, 2]])
+        assert set(m2.groups) == {"tongue"}
+        assert np.array_equal(m2.group_indices("tongue"), [0, 1, 2, 3])
+
+
 class TestReaderErrors:
     def test_malformed_xml(self):
         with pytest.raises(ParseError):
@@ -242,3 +403,44 @@ class TestReaderErrors:
         )
         with pytest.raises(UnsupportedFeature):
             read_collada(doc)
+
+    @pytest.mark.parametrize(
+        "pattern, repl",
+        [
+            # <v> weight index one past the skin-weights array
+            (r"<v>(\d+) \d+ ", r"<v>\1 {n_weights} "),
+            # odd-length <v>
+            (r"<v>\d+ ", "<v>"),
+            # joint index one past the joint names, or negative
+            (r"<v>\d+ ", "<v>{n_joints} "),
+            (r"<v>\d+ ", "<v>-1 "),
+            # non-numeric number tokens
+            (r'(id="mesh-positions-array" count="\d+">)', r"\1x"),
+            (r"<v>\d+ ", "<v>one "),
+            # triangle vertex index one past the positions, or negative
+            (r"<p>\d+ ", "<p>{n_vertices} "),
+            (r"<p>\d+ ", "<p>-1 "),
+            # arrays whose size disagrees with their declared count
+            (r"<p>\d+ ", "<p>"),
+            (r"<vcount>", "<vcount>1 "),
+            (r'(id="mesh-positions-array" count="\d+">)', r"\g<1>1 "),
+        ],
+        ids=[
+            "weight_index", "odd_v", "joint_index", "negative_joint",
+            "float_token", "int_token", "triangle_index", "negative_triangle",
+            "triangle_count", "vcount_count", "positions_count",
+        ],
+    )
+    def test_tampered_arrays_are_tagged(self, compiled_model, pattern, repl):
+        rig, clip, _ = compiled_model
+        doc = write_collada(rig.mesh, rig.armature, clip)
+        sizes = {
+            "n_weights": re.search(r'"skin-weights-array" count="(\d+)"', doc)[1],
+            "n_joints": re.search(r'"skin-joints-array" count="(\d+)"', doc)[1],
+            "n_vertices": str(rig.mesh.n_vertices),
+        }
+        doc, n = re.subn(pattern, repl.format(**sizes), doc, count=1)
+        assert n == 1
+        with pytest.raises(ParseError) as err:
+            read_collada(doc)
+        assert err.value.diagnostic().startswith("error:export:parse_error:")

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import shutil
 from dataclasses import replace
 
@@ -10,7 +11,8 @@ from emarig.bundle import read_bundle
 from emarig.cli import main
 from emarig.ema_io import parse_layout, read_pos, write_pos
 from emarig.fixture import FixtureSpec, write_fixture
-from emarig.pipeline import compile_model, load_config
+from emarig.ik_solver import skin_trajectories
+from emarig.pipeline import compile_model, load_config, validate_model
 
 # sha256 of model.dae compiled from `emarig fixture` with its defaults.
 GOLDEN_MODEL_SHA256 = "b2ddbb5343aaecfb65678f3d3cf3a1e87078f5154e050b20865ff9c93d3f4ee5"
@@ -256,6 +258,29 @@ class TestSynth:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_tampered_model_is_tagged(self, bundle_dir, tmp_path, capsys):
+        # A weight index out of range in model.dae, with the manifest
+        # re-hashed so the bundle still verifies.
+        bundle = tmp_path / "b"
+        shutil.copytree(bundle_dir, bundle)
+        model = bundle / "model.dae"
+        old = model.read_bytes()
+        new = re.sub(rb"<v>(\d+) \d+ ", rb"<v>\1 99999 ", old, count=1)
+        assert new != old
+        model.write_bytes(new)
+        manifest = bundle / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace(
+            hashlib.sha256(old).hexdigest(), hashlib.sha256(new).hexdigest()
+        ))
+        rc = main([
+            "synth", "--bundle", str(bundle), "--request", "a 0.2",
+            "--out", str(tmp_path / "clip.dae"),
+        ])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error:export:parse_error:")
+        assert not (tmp_path / "clip.dae").exists()
+
     def test_no_candidate(self, bundle_dir, tmp_path, capsys):
         rc = main([
             "synth", "--bundle", str(bundle_dir), "--request", "zz 0.1",
@@ -395,6 +420,53 @@ class TestValidate:
         assert rc == 0, out
         max_line = [l for l in out.splitlines() if l.startswith("max rms")]
         assert float(max_line[0].split()[2]) <= 1e-2
+
+
+    def test_seed_vertices_shared_with_compile(self, fixture_dir, tmp_path):
+        # A box-shaped tongue of 8 vertices with unsnapped seeds: several
+        # coils share their nearest vertex, and compile gives each coil the
+        # nearest vertex not taken by an earlier coil. Validate must measure
+        # those same vertices.
+        corpus = tmp_path / "corpus"
+        shutil.copytree(fixture_dir, corpus)
+        corners = [(x, y, z) for x in (-2.4, 2.6) for y in (-1.4, 1.6) for z in (0.2, 2.1)]
+        faces = [(1, 2, 4, 3), (5, 7, 8, 6), (1, 5, 6, 2), (3, 4, 8, 7), (1, 3, 7, 5), (2, 6, 8, 4)]
+        (corpus / "box.obj").write_text(
+            "o Tongue\n"
+            + "".join(f"v {x} {y} {z}\n" for x, y, z in corners)
+            + "".join(f"f {a} {b} {c} {d}\n" for a, b, c, d in faces)
+        )
+        text = (corpus / "config.cfg").read_text()
+        text = text.replace("[paths]\n", "[paths]\nmesh = box.obj\n")
+        text = text.replace("[rig]\n", "[rig]\nsnap_seeds = false\n")
+        (corpus / "config.cfg").write_text(text)
+        config = load_config(corpus / "config.cfg")
+        assert main(["compile", "--config", str(corpus / "config.cfg"),
+                     "--out", str(tmp_path / "b")]) == 0
+
+        result = compile_model(config)
+        rig, clip = result.rig, result.clip
+        names = rig.armature.bone_names
+        seeds = np.array([rig.seed_map[n] for n in names])
+        nearest = [
+            int(np.argmin(np.sum((rig.mesh.vertices - tail) ** 2, axis=1)))
+            for tail in rig.armature.tails
+        ]
+        assert nearest != list(seeds)  # the nearest-any-vertex rule differs
+
+        tracks = skin_trajectories(
+            rig.mesh, rig.armature, clip.quats, clip.heads, clip.stretches, seeds
+        )
+        idx = [result.layout.channels.index(n) for n in names]
+        source = np.concatenate(
+            [rig.registration.apply(s.positions[:, idx, :]) for s in result.sweeps]
+        )
+        rms = np.sqrt(np.mean(np.sum((tracks - source) ** 2, axis=2), axis=0))
+
+        report = validate_model(read_bundle(tmp_path / "b"), config)
+        assert list(report.per_coil_rms) == list(names)
+        for name, expected in zip(names, rms):
+            assert report.per_coil_rms[name] == pytest.approx(expected, abs=1e-5)
 
 
 class TestDump:
