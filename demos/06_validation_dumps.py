@@ -7,12 +7,13 @@ smoothing disabled, the seed vertices should land on the source coils up
 to the solver tolerance, which is what `emarig validate` measures.
 """
 
+import dataclasses
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from emarig import PosLayout, compile_model, load_config, read_pos
+from emarig import PosLayout, SmoothingSpec, compile_model, load_config, read_pos
 from emarig.bundle import dump_trajectories
 from emarig.fixture import FixtureSpec, write_fixture
 from emarig.pipeline import build_bundle, validate_model
@@ -21,8 +22,8 @@ from emarig.bundle import read_bundle
 with tempfile.TemporaryDirectory(prefix="emarig-demo-") as tmp:
     workdir = Path(tmp)
     config_path = write_fixture(workdir / "corpus", FixtureSpec(n_sweeps=1, frames_per_sweep=400))
-    config = load_config(config_path)
-    result = compile_model(config, smoothing_enabled=False)
+    config = dataclasses.replace(load_config(config_path), smoothing=SmoothingSpec(kind="none"))
+    result = compile_model(config)
 
     coils = dump_trajectories("coils", sweeps=result.sweeps_raw, layout=result.layout)
     targets = dump_trajectories("ik_targets", clip=result.clip)
@@ -39,7 +40,7 @@ with tempfile.TemporaryDirectory(prefix="emarig-demo-") as tmp:
           f"(solver tolerance is {config.ik.tolerance:g} cm)")
 
     bundle = build_bundle(result, workdir / "bundle")
-    report = validate_model(read_bundle(bundle.path), config, smoothing_enabled=False)
+    report = validate_model(read_bundle(bundle.path), config)
     print("\nvalidation against the source EMA:")
     for line in report.lines():
         print(" ", line)

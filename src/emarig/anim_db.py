@@ -21,6 +21,10 @@ from .rig import CompiledRig
 from .rotations import mat_to_quat, minimal_rotation, slerp
 
 
+# The per-key channels of a clip, in the order poses are passed around.
+POSE_FIELDS = ("quats", "heads", "stretches", "tails", "jaw_quats", "jaw_translations")
+
+
 @dataclass(frozen=True)
 class AnimationClip:
     """Dense keyframed bone poses on one timeline.
@@ -66,39 +70,49 @@ class AnimationClip:
         """Nearest dense-bake frame for a time on this clip's grid."""
         return int(np.clip(round(t * self.rate_hz), 0, self.n_keys - 1))
 
-    def sample(self, t: float):
-        """Channel values at time t: (quats, heads, stretches, tails, jaw_q, jaw_t).
+    def pose(self, rows) -> tuple:
+        """The `POSE_FIELDS` channels at key indices `rows`."""
+        return tuple(getattr(self, name)[rows] for name in POSE_FIELDS)
 
-        Exact key times return the stored rows bit-for-bit; in between,
-        positions and stretches interpolate linearly and rotations
-        spherically. Times outside the key range clamp to the end keys.
+    def sample(self, t: np.ndarray) -> tuple:
+        """Channel values at times t (n,), as `pose` gives them.
+
+        A time that is exactly a key returns that key's stored row bit for
+        bit; any other time mixes the two keys around it (`mix_poses`).
+        Times outside the key range clamp to the end keys.
         """
         times = self.times
-        k = int(np.searchsorted(times, t))
-        if k < len(times) and times[k] == t:
-            return (
-                self.quats[k],
-                self.heads[k],
-                self.stretches[k],
-                self.tails[k],
-                self.jaw_quats[k],
-                self.jaw_translations[k],
-            )
-        if k == 0:
-            k = 1
-        if k >= len(times):
-            k = len(times) - 1
-        t0, t1 = times[k - 1], times[k]
-        a = float(np.clip((t - t0) / (t1 - t0), 0.0, 1.0))
-        lerp = lambda x: (1.0 - a) * x[k - 1] + a * x[k]
-        return (
-            slerp(self.quats[k - 1], self.quats[k], a),
-            lerp(self.heads),
-            lerp(self.stretches),
-            lerp(self.tails),
-            slerp(self.jaw_quats[k - 1], self.jaw_quats[k], a),
-            lerp(self.jaw_translations),
-        )
+        t = np.asarray(t, dtype=np.float64)
+        k = np.searchsorted(times, t)
+        on_key = times[np.minimum(k, len(times) - 1)] == t
+        out = self.pose(np.where(on_key, k, 0))
+        between = ~on_key
+        k = np.clip(k[between], 1, len(times) - 1)
+        a = np.clip((t[between] - times[k - 1]) / (times[k] - times[k - 1]), 0.0, 1.0)
+        for x, mixed in zip(out, mix_poses(self.pose(k - 1), self.pose(k), a)):
+            x[between] = mixed
+        return out
+
+
+def mix_poses(p: tuple, q: tuple, a: np.ndarray) -> tuple:
+    """Blend two poses row by row with weights a (n,), 0 giving `p`.
+
+    Poses are channel tuples in `POSE_FIELDS` order, n rows each.
+    Positions and stretches interpolate linearly, the bone and jaw
+    quaternions spherically (`slerp`).
+    """
+    def lerp(x, y):
+        w = a.reshape(a.shape + (1,) * (x.ndim - 1))
+        return (1 - w) * x + w * y
+
+    return (
+        slerp(p[0], q[0], a[:, None]),
+        lerp(p[1], q[1]),
+        lerp(p[2], q[2]),
+        lerp(p[3], q[3]),
+        slerp(p[4], q[4], a),
+        lerp(p[5], q[5]),
+    )
 
 
 def bake(

@@ -98,12 +98,15 @@ def _parse_manifest(text: str) -> tuple[int, tuple[str, ...], float, dict[str, s
             entries[name] = digest.strip()
         elif "=" in line:
             key, value = (p.strip() for p in line.split("=", 1))
-            if key == "format_version":
-                version = int(value)
-            elif key == "channels":
-                channels = tuple(c.strip() for c in value.split(",") if c.strip())
-            elif key == "rate_hz":
-                rate_hz = float(value)
+            try:
+                if key == "format_version":
+                    version = int(value)
+                elif key == "channels":
+                    channels = tuple(c.strip() for c in value.split(",") if c.strip())
+                elif key == "rate_hz":
+                    rate_hz = float(value)
+            except ValueError:
+                raise BundleError(f"manifest line {lineno}: bad number in {raw!r}") from None
         else:
             raise BundleError(f"manifest line {lineno}: unparsable entry {raw!r}")
     if version is None:

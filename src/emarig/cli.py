@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from .bundle import DUMP_KINDS, dump_trajectories, read_bundle, write_new_file
 from .collada_io import write_collada
 from .errors import EmarigError
 from .fixture import FixtureSpec, write_fixture
+from .motion_prep import SmoothingSpec
 from .pipeline import (
     SynthesisDefaults,
     build_bundle,
@@ -102,9 +104,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _cmd_compile(args) -> int:
+def _load_config(args):
+    """The config at --config, its smoothing off under --no-smoothing."""
     config = load_config(args.config)
-    result = compile_model(config, smoothing_enabled=not args.no_smoothing)
+    if args.no_smoothing:
+        config = replace(config, smoothing=SmoothingSpec(kind="none"))
+    return config
+
+
+def _cmd_compile(args) -> int:
+    result = compile_model(_load_config(args))
     bundle = build_bundle(result, args.out)
     for line in result.report.lines():
         print(line)
@@ -176,9 +185,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    config = load_config(args.config)
+    config = _load_config(args)
     loaded = read_bundle(args.bundle)
-    report = validate_model(loaded, config, smoothing_enabled=not args.no_smoothing)
+    report = validate_model(loaded, config)
     for line in report.lines():
         print(line)
     if report.max_rms > args.threshold:
@@ -189,8 +198,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_dump(args) -> int:
-    config = load_config(args.config)
-    result = compile_model(config, smoothing_enabled=not args.no_smoothing)
+    result = compile_model(_load_config(args))
     if args.kind == "coils":
         data = dump_trajectories(
             "coils", sweeps=result.sweeps_raw, layout=result.layout

@@ -289,9 +289,12 @@ def _children(elem: Element, name: str) -> list[Element]:
     return [c for c in elem if _local(c) == name]
 
 
-def _child(elem: Element, name: str) -> Element | None:
+def _child(elem: Element, name: str) -> Element:
+    """The first `name` child of `elem`, which the subset requires."""
     found = _children(elem, name)
-    return found[0] if found else None
+    if not found:
+        raise ParseError(f"<{_local(elem)}> has no <{name}>", module="export")
+    return found[0]
 
 
 def _numbers(text: str | None, dtype=np.float64) -> np.ndarray:
@@ -299,6 +302,14 @@ def _numbers(text: str | None, dtype=np.float64) -> np.ndarray:
         return np.array((text or "").split(), dtype=dtype)
     except (ValueError, OverflowError):
         raise ParseError(f"bad {np.dtype(dtype)} in array text", module="export") from None
+
+
+def _values(elem: Element, n: int) -> np.ndarray:
+    """The `n` finite numbers that `elem` must hold."""
+    values = _numbers(elem.text)
+    if values.shape != (n,) or not np.isfinite(values).all():
+        raise ParseError(f"<{_local(elem)}> must hold {n} finite numbers", module="export")
+    return values
 
 
 def _rows(values: np.ndarray, elem: Element, width: int) -> np.ndarray:
@@ -345,12 +356,13 @@ def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip | 
             raise UnsupportedFeature(f"unsupported element <{_local(child)}>")
 
     # geometry
-    lg = _child(root, "library_geometries")
-    if lg is None or not _children(lg, "geometry"):
+    lg = _children(root, "library_geometries")
+    if not lg or not _children(lg[0], "geometry"):
         raise UnsupportedFeature("document has no geometry")
-    mesh_el = _child(_children(lg, "geometry")[0], "mesh")
-    if mesh_el is None:
+    mesh_el = _children(_children(lg[0], "geometry")[0], "mesh")
+    if not mesh_el:
         raise UnsupportedFeature("geometry without <mesh>")
+    mesh_el = mesh_el[0]
     for child in mesh_el:
         if _local(child) not in ("source", "vertices", "triangles"):
             raise UnsupportedFeature(f"unsupported geometry element <{_local(child)}>")
@@ -373,17 +385,17 @@ def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip | 
     )
 
     # skin
-    lc = _child(root, "library_controllers")
-    skin = _child(_children(lc, "controller")[0], "skin") if lc is not None else None
-    if skin is None:
+    lc = _children(root, "library_controllers")
+    if not lc:
         raise UnsupportedFeature("document has no skin controller")
+    skin = _child(_child(lc[0], "controller"), "skin")
     joint_names: list[str] = []
     weights_arr = np.empty(0)
     for s in _children(skin, "source"):
-        name_arr = _child(s, "Name_array")
-        if name_arr is not None and "joints" in (s.get("id") or ""):
-            joint_names = (name_arr.text or "").split()
-        if _child(s, "float_array") is not None and "weights" in (s.get("id") or ""):
+        name_arr = _children(s, "Name_array")
+        if name_arr and "joints" in (s.get("id") or ""):
+            joint_names = (name_arr[0].text or "").split()
+        if _children(s, "float_array") and "weights" in (s.get("id") or ""):
             weights_arr = _source_rows(s, 1)[:, 0]
 
     vw = _child(skin, "vertex_weights")
@@ -393,10 +405,10 @@ def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip | 
     v = _numbers(_child(vw, "v").text, np.int64)
 
     # scene hierarchy
-    lvs = _child(root, "library_visual_scenes")
-    if lvs is None or not _children(lvs, "visual_scene"):
+    lvs = _children(root, "library_visual_scenes")
+    if not lvs or not _children(lvs[0], "visual_scene"):
         raise UnsupportedFeature("document has no visual scene")
-    vscene = _children(lvs, "visual_scene")[0]
+    vscene = _children(lvs[0], "visual_scene")[0]
 
     skeleton_root_id = None
     for node in vscene.iter():
@@ -415,7 +427,7 @@ def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip | 
     if root_node is None:
         raise ParseError(f"skeleton root {skeleton_root_id!r} not found", module="export")
     root_name = root_node.get("sid") or root_node.get("name") or "Root"
-    root_matrix = _numbers(_child(root_node, "matrix").text).reshape(4, 4)
+    root_matrix = _values(_child(root_node, "matrix"), 16).reshape(4, 4)
     root_point = root_matrix[:3, 3]
 
     bone_names: list[str] = []
@@ -431,13 +443,12 @@ def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip | 
             k = len(bone_names)
             bone_names.append(sid)
             parents.append(parent_idx)
-            rest_locals.append(_numbers(_child(child, "matrix").text).reshape(4, 4))
+            rest_locals.append(_values(_child(child, "matrix"), 16).reshape(4, 4))
             tail = None
-            extra = _child(child, "extra")
-            if extra is not None:
+            for extra in _children(child, "extra"):
                 for tech in _children(extra, "technique"):
-                    if tech.get("profile") == PROFILE and _child(tech, "tail") is not None:
-                        tail = _numbers(_child(tech, "tail").text)
+                    if tech.get("profile") == PROFILE and _children(tech, "tail"):
+                        tail = _values(_child(tech, "tail"), 3)
             if tail is None:
                 raise UnsupportedFeature(
                     f"joint {sid!r} is missing its rest-tail annotation"
@@ -497,25 +508,25 @@ def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip | 
     )
 
     # animation channels
-    la = _child(root, "library_animations")
+    la = _children(root, "library_animations")
     clip = None
-    if la is not None:
+    if la:
         channels: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for anim in _children(la, "animation"):
+        for anim in _children(la[0], "animation"):
             chan = _child(anim, "channel")
             target = (chan.get("target") or "").split("/")[0]
             times = None
             mats = None
             for s in _children(anim, "source"):
                 sid = s.get("id") or ""
-                fa = _child(s, "float_array")
-                na = _child(s, "Name_array")
-                if fa is not None and sid.endswith("-input"):
+                fa = _children(s, "float_array")
+                na = _children(s, "Name_array")
+                if fa and sid.endswith("-input"):
                     times = _source_rows(s, 1)[:, 0]
-                elif fa is not None and sid.endswith("-output"):
+                elif fa and sid.endswith("-output"):
                     mats = _source_rows(s, 16).reshape(-1, 4, 4)
-                elif na is not None and sid.endswith("-interp"):
-                    kinds = set((na.text or "").split())
+                elif na and sid.endswith("-interp"):
+                    kinds = set((na[0].text or "").split())
                     if kinds - {"LINEAR"}:
                         raise UnsupportedFeature(
                             f"unsupported interpolation {sorted(kinds - {'LINEAR'})}"
@@ -574,14 +585,16 @@ def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip | 
         for extra in _children(vscene, "extra"):
             for tech in _children(extra, "technique"):
                 if tech.get("profile") == PROFILE:
-                    if _child(tech, "rate_hz") is not None:
-                        rate = float(_child(tech, "rate_hz").text)
-                    if _child(tech, "duration") is not None:
-                        duration = float(_child(tech, "duration").text)
+                    for el in _children(tech, "rate_hz"):
+                        rate = float(_values(el, 1)[0])
+                    for el in _children(tech, "duration"):
+                        duration = float(_values(el, 1)[0])
         if rate is None:
             rate = (n - 1) / ref_times[-1] if n > 1 and ref_times[-1] > 0 else 1.0
         if duration is None:
             duration = ref_times[-1] + 1.0 / rate
+        if not (rate > 0 and duration > 0):
+            raise ParseError("clip rate and duration must be > 0", module="export")
 
         clip = AnimationClip(
             rate_hz=rate,

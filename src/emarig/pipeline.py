@@ -261,7 +261,6 @@ def prepare_sweeps(
     config: PipelineConfig,
     layout: PosLayout,
     roles: CoilRoles,
-    smoothing_enabled: bool = True,
 ) -> tuple[list[EmaSweep], list[EmaSweep]]:
     """Load and prepare all configured sweeps.
 
@@ -283,9 +282,7 @@ def prepare_sweeps(
         if reference_frame is None:
             reference_frame = np.array(filled.positions[0, ref_idx, :])
         normalized = normalize_head(filled, roles, reference_frame)
-        if smoothing_enabled and config.smoothing.kind != "none":
-            normalized = smooth(normalized, config.smoothing)
-        prepared.append(normalized)
+        prepared.append(smooth(normalized, config.smoothing))
     return raw, prepared
 
 
@@ -320,15 +317,13 @@ def build_mesh(config: PipelineConfig) -> tuple[SkinnedMesh, RigConfig]:
     return mesh, replace(config.rig, seeds=_mesh_seeds(config))
 
 
-def compile_model(
-    config: PipelineConfig, smoothing_enabled: bool = True
-) -> PipelineResult:
+def compile_model(config: PipelineConfig) -> PipelineResult:
     """Run the full compile pipeline (no files written)."""
     layout, roles = _layout_and_roles(config)
     graph = parse_rig_graph(_read_text(config.rig_graph_path, "rig graph"))
     mesh, rig_config = build_mesh(config)
 
-    raw, prepared = prepare_sweeps(config, layout, roles, smoothing_enabled)
+    raw, prepared = prepare_sweeps(config, layout, roles)
     rig = compile_rig(graph, prepared[0], roles, mesh, rig_config)
     clip = bake(prepared, rig, roles, config.ik)
 
@@ -402,11 +397,7 @@ class ValidationReport:
         return out
 
 
-def validate_model(
-    loaded: LoadedBundle,
-    config: PipelineConfig,
-    smoothing_enabled: bool = True,
-) -> ValidationReport:
+def validate_model(loaded: LoadedBundle, config: PipelineConfig) -> ValidationReport:
     """Compare bundle seed-vertex trajectories against the source coils.
 
     The source sweeps are prepared with the same settings, registered into
@@ -426,7 +417,7 @@ def validate_model(
             f"bundle bones have no tongue channel in this config: {', '.join(missing)}"
         )
 
-    _, prepared = prepare_sweeps(config, layout, roles, smoothing_enabled)
+    _, prepared = prepare_sweeps(config, layout, roles)
     total = sum(s.n_frames for s in prepared)
     if total != clip.n_keys:
         raise IncompatibleBundle(

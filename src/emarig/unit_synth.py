@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anim_db import AnimationClip, AnimationUnit
+from .anim_db import POSE_FIELDS, AnimationClip, AnimationUnit, mix_poses
 from .errors import BadRequest, NoCandidate
-from .rotations import slerp
 
 
 @dataclass(frozen=True)
@@ -204,90 +203,60 @@ def render_plan(plan: SynthesisPlan, clip: AnimationClip) -> AnimationClip:
 
     Each unit's keys are linearly time-warped by its warp factor; at every
     junction the two neighbors are cross-faded over
-    min(blend window, half of either unit's output duration), with linear
-    interpolation of positions/stretch and spherical interpolation of
-    rotations. Keys that fall outside a unit's span evaluate to its held
-    boundary pose.
+    min(blend window, half of either unit's output duration) with
+    `mix_poses`, the mix that also interpolates between keys. Keys that
+    fall outside a unit's span evaluate to its held boundary pose.
     """
-    n_units = len(plan.units)
-    offs = [0.0]
-    for d in plan.requested:
-        offs.append(offs[-1] + d)
+    requested = np.array(plan.requested)
+    offs = np.concatenate([[0.0], np.cumsum(requested)])
+    fades = np.minimum(plan.blend_window, np.minimum(requested[:-1], requested[1:]) / 2.0)
 
-    fades = []
-    for j in range(n_units - 1):
-        w = min(plan.blend_window, plan.requested[j] / 2.0, plan.requested[j + 1] / 2.0)
-        fades.append(w)
-
-    # Output rows: (time, owning unit, exact source time when on a native key).
-    rows: list[tuple[float, int, float]] = []
+    # Output rows: time, owning unit, exact source time. Units are laid out
+    # in order, so the rows come out in time order; of rows at one time the
+    # first wins, so a unit's end beats the next unit's start.
+    t_out, owner, tau = [], [], []
     for i, (unit, warp) in enumerate(zip(plan.units, plan.warp_factors)):
-        inner = np.flatnonzero((clip.times > unit.start) & (clip.times < unit.end))
-        rows.append((offs[i], i, unit.start))
-        for k in inner:
-            t_out = offs[i] + (clip.times[k] - unit.start) * warp
-            if offs[i] < t_out < offs[i + 1]:
-                rows.append((float(t_out), i, float(clip.times[k])))
-        rows.append((offs[i + 1], i, unit.end))
+        src = clip.times[(clip.times > unit.start) & (clip.times < unit.end)]
+        t = offs[i] + (src - unit.start) * warp
+        inside = (offs[i] < t) & (t < offs[i + 1])
+        t_out += [offs[i : i + 1], t[inside], offs[i + 1 : i + 2]]
+        tau += [[unit.start], src[inside], [unit.end]]
+        owner.append(np.full(inside.sum() + 2, i))
+    t_out, owner, tau = (np.concatenate(x) for x in (t_out, owner, tau))
+    first = np.concatenate([[True], np.diff(t_out) > 0])
+    t_out, owner, tau = t_out[first], owner[first], tau[first]
+    pose = clip.sample(tau)
 
-    rows.sort(key=lambda r: r[0])
-    dedup: list[tuple[float, int, float]] = []
-    for r in rows:
-        if dedup and r[0] <= dedup[-1][0]:
-            continue
-        dedup.append(r)
+    # Rows within half a fade of junction j (between units j and j + 1) mix
+    # its two units: the owner at its exact source time, the neighbor at the
+    # output time warped back into its span.
+    fade_in = np.concatenate([[0.0], fades])[owner]
+    fade_out = np.concatenate([fades, [0.0]])[owner]
+    junction = np.where(
+        (fade_in > 0) & (t_out <= offs[owner] + fade_in / 2.0),
+        owner - 1,
+        np.where((fade_out > 0) & (t_out >= offs[owner + 1] - fade_out / 2.0), owner, -1),
+    )
+    rows = np.flatnonzero(junction >= 0)
+    j, t = junction[rows], t_out[rows]
+    starts = np.array([u.start for u in plan.units])
+    ends = np.array([u.end for u in plan.units])
+    warps = np.array(plan.warp_factors)
 
-    def eval_unit(i: int, t_out: float, tau: float | None = None):
-        unit, warp = plan.units[i], plan.warp_factors[i]
-        if tau is None:
-            tau = unit.start + (t_out - offs[i]) / warp
-            tau = min(max(tau, unit.start), unit.end)
-        return clip.sample(tau)
+    def source_time(u):
+        warped = np.clip(starts[u] + (t - offs[u]) / warps[u], starts[u], ends[u])
+        return np.where(owner[rows] == u, tau[rows], warped)
 
-    n = len(dedup)
-    B = len(clip.bone_names)
-    times = np.empty(n)
-    quats = np.empty((n, B, 4))
-    heads = np.empty((n, B, 3))
-    stretches = np.empty((n, B))
-    tails = np.empty((n, B, 3))
-    jaw_q = np.empty((n, 4))
-    jaw_t = np.empty((n, 3))
-
-    for r, (t_out, i, tau) in enumerate(dedup):
-        junction = None
-        if i > 0 and fades[i - 1] > 0 and t_out <= offs[i] + fades[i - 1] / 2.0:
-            junction = i - 1
-        elif i < n_units - 1 and fades[i] > 0 and t_out >= offs[i + 1] - fades[i] / 2.0:
-            junction = i
-
-        if junction is None:
-            vals = eval_unit(i, t_out, tau)
-        else:
-            w = fades[junction]
-            a = float(np.clip((t_out - (offs[junction + 1] - w / 2.0)) / w, 0.0, 1.0))
-            left = eval_unit(junction, t_out, tau if i == junction else None)
-            right = eval_unit(junction + 1, t_out, tau if i == junction + 1 else None)
-            vals = (
-                slerp(left[0], right[0], a),
-                (1 - a) * left[1] + a * right[1],
-                (1 - a) * left[2] + a * right[2],
-                (1 - a) * left[3] + a * right[3],
-                slerp(left[4], right[4], a),
-                (1 - a) * left[5] + a * right[5],
-            )
-        times[r] = t_out
-        quats[r], heads[r], stretches[r], tails[r], jaw_q[r], jaw_t[r] = vals
+    w = fades[j]
+    a = np.clip((t - (offs[j + 1] - w / 2.0)) / w, 0.0, 1.0)
+    mixed = mix_poses(clip.sample(source_time(j)), clip.sample(source_time(j + 1)), a)
+    for x, m in zip(pose, mixed):
+        x[rows] = m
 
     return AnimationClip(
         rate_hz=clip.rate_hz,
         bone_names=clip.bone_names,
-        times=times,
-        quats=quats,
-        heads=heads,
-        stretches=stretches,
-        tails=tails,
-        jaw_quats=jaw_q,
-        jaw_translations=jaw_t,
-        duration=offs[-1],
+        times=t_out,
+        duration=float(offs[-1]),
+        **dict(zip(POSE_FIELDS, pose)),
     )

@@ -8,6 +8,7 @@ seed-vertex check, exact equality for unit-selection optimality, and the
 stated wall-clock budgets.
 """
 
+import dataclasses
 import itertools
 import time
 
@@ -18,7 +19,7 @@ from emarig.cli import main
 from emarig.ema_io import read_pos, write_pos
 from emarig.fixture import FixtureSpec, synthetic_motion, write_fixture
 from emarig.ik_solver import IkParams, solve_track
-from emarig.motion_prep import normalize_head, rigid_align
+from emarig.motion_prep import SmoothingSpec, normalize_head, rigid_align
 from emarig.pipeline import build_bundle, compile_model, load_config, validate_model
 from emarig.rotations import axis_angle_matrix
 from emarig.unit_synth import SynthesisRequest, join_cost, select_units, target_cost
@@ -129,13 +130,15 @@ def test_criterion_3_ik(compiled_model):
 
 def test_criterion_4_end_to_end_seed_tracking(tmp_path):
     write_fixture(tmp_path, FixtureSpec(n_sweeps=2, frames_per_sweep=400))
-    config = load_config(tmp_path / "config.cfg")
-    result = compile_model(config, smoothing_enabled=False)
+    config = dataclasses.replace(
+        load_config(tmp_path / "config.cfg"), smoothing=SmoothingSpec(kind="none")
+    )
+    result = compile_model(config)
     bundle = build_bundle(result, tmp_path / "bundle")
     from emarig.bundle import read_bundle
 
     loaded = read_bundle(bundle.path)
-    report = validate_model(loaded, config, smoothing_enabled=False)
+    report = validate_model(loaded, config)
     ok = report.max_rms <= 1e-2
     _report(
         4,

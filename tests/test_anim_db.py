@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emarig.anim_db import (
+    AnimationClip,
     Segment,
     SegmentTier,
     bake,
@@ -14,7 +17,7 @@ from emarig.fixture import FixtureSpec, synthetic_motion
 from emarig.rig import RigConfig, compile_rig, generate_default_mesh, parse_rig_graph
 from emarig.fixture import RIG_GRAPH_DOT
 
-from conftest import prepare
+from conftest import prepare, scalar_sample
 
 
 class TestBake:
@@ -84,6 +87,57 @@ class TestBake:
         R = quat_to_mat(clip.jaw_quats)
         moved = np.einsum("fij,j->fi", R, _JAW_HINGE) + clip.jaw_translations
         assert np.abs(moved - _JAW_HINGE).max() < 1e-5  # .pos float32 noise
+
+
+def random_clip(rng, n_keys, n_bones=3):
+    """Random keys on an uneven grid. Every third key repeats the rotations
+    of the one before it, and some rotations flip sign, so both the
+    near-identical and the shortest-path branches of slerp are taken."""
+    steps = rng.choice([1e-3, 0.005, 1 / 3], n_keys - 1)
+    quats = rng.normal(size=(n_keys, n_bones, 4))
+    quats /= np.linalg.norm(quats, axis=-1, keepdims=True)
+    quats[2::3] = quats[1:-1:3]
+    quats[rng.random((n_keys, n_bones)) < 0.3] *= -1.0
+    jaw = rng.normal(size=(n_keys, 4))
+    jaw /= np.linalg.norm(jaw, axis=-1, keepdims=True)
+    return AnimationClip(
+        rate_hz=200.0,
+        bone_names=tuple(f"B{i}" for i in range(n_bones)),
+        times=np.concatenate([[0.0], np.cumsum(steps)]),
+        quats=quats,
+        heads=rng.normal(size=(n_keys, n_bones, 3)),
+        stretches=rng.uniform(0.5, 2.0, (n_keys, n_bones)),
+        tails=rng.normal(size=(n_keys, n_bones, 3)),
+        jaw_quats=jaw,
+        jaw_translations=rng.normal(size=(n_keys, 3)),
+        duration=float(np.sum(steps)) + 0.005,
+    )
+
+
+class TestSample:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(data=st.data())
+    def test_matches_scalar_sample(self, data):
+        n_keys = data.draw(st.integers(2, 30))
+        clip = random_clip(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), n_keys)
+        times = clip.times.tolist()
+        gap = st.integers(0, n_keys - 2)
+        t = data.draw(st.lists(
+            st.one_of(
+                st.sampled_from(times),  # exact keys
+                gap.map(lambda i: (times[i] + times[i + 1]) / 2),  # midpoints
+                st.floats(-1.0, 0.0, exclude_max=True),  # before the first key
+                st.floats(0.0, 1.0, exclude_min=True).map(lambda x: times[-1] + x),
+                st.floats(0.0, times[-1]),
+            ),
+            min_size=1, max_size=40,
+        ))
+        sampled = clip.sample(np.array(t))
+        reference = [scalar_sample(clip, x) for x in t]
+        for channel, values in enumerate(sampled):
+            expect = np.stack([r[channel] for r in reference])
+            assert values.dtype == expect.dtype and values.shape == expect.shape
+            assert values.tobytes() == expect.tobytes(), channel
 
 
 class TestSegmentation:

@@ -23,6 +23,20 @@ def model_text(compiled_model):
     return write_collada(rig.mesh, rig.armature, clip)
 
 
+def edit_manifest(path, edit):
+    """Replace the manifest text of the bundle at `path` by `edit(text)`."""
+    if path.suffix == ".zip":
+        with zipfile.ZipFile(path) as zf:
+            files = {n: zf.read(n) for n in zf.namelist()}
+        files["manifest.txt"] = edit(files["manifest.txt"].decode()).encode()
+        with zipfile.ZipFile(path, "w") as zf:
+            for n, data in files.items():
+                zf.writestr(n, data)
+    else:
+        manifest = path / "manifest.txt"
+        manifest.write_text(edit(manifest.read_text()))
+
+
 class TestWriteBundle:
     def test_model_only(self, tmp_path, model_text):
         bundle = write_bundle(
@@ -111,19 +125,25 @@ class TestWriteBundle:
         outside.write_bytes(b"not part of the bundle\n")
         entry = "../outside.txt" if escape == "relative" else str(outside)
         line = f"{entry}\t{hashlib.sha256(outside.read_bytes()).hexdigest()}\n"
-        if path.suffix == ".zip":
-            with zipfile.ZipFile(path) as zf:
-                files = {n: zf.read(n) for n in zf.namelist()}
-            files["manifest.txt"] += line.encode()
-            with zipfile.ZipFile(path, "w") as zf:
-                for n, data in files.items():
-                    zf.writestr(n, data)
-        else:
-            with open(path / "manifest.txt", "a") as f:
-                f.write(line)
+        edit_manifest(path, lambda text: text + line)
         with pytest.raises(BundleError, match="outside the bundle"):
             verify_bundle(path)
         with pytest.raises(BundleError, match="outside the bundle"):
+            read_bundle(path)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [("format_version = 1", "format_version = x"), ("rate_hz = 200", "rate_hz = abc")],
+        ids=["format_version", "rate_hz"],
+    )
+    @pytest.mark.parametrize("name", ["b", "b.zip"])
+    def test_bad_manifest_number_rejected(self, tmp_path, model_text, name, old, new):
+        path = tmp_path / name
+        write_bundle(path, model_text, channels=("A",), rate_hz=200.0)
+        edit_manifest(path, lambda text: text.replace(old, new))
+        with pytest.raises(BundleError, match="bad number"):
+            verify_bundle(path)
+        with pytest.raises(BundleError, match="bad number"):
             read_bundle(path)
 
     @pytest.mark.parametrize("name", ["b", "b.zip"])

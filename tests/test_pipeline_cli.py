@@ -258,14 +258,43 @@ class TestSynth:
         assert captured.out == ""
         assert not out.exists()
 
-    def test_tampered_model_is_tagged(self, bundle_dir, tmp_path, capsys):
-        # A weight index out of range in model.dae, with the manifest
-        # re-hashed so the bundle still verifies.
+    @pytest.mark.parametrize(
+        "pattern, repl",
+        [
+            # weight index out of range
+            (rb"<v>(\d+) \d+ ", rb"<v>\1 99999 "),
+            # a required element removed
+            (rb"<p>[^<]*</p>", b""),
+            (rb"<vcount>[^<]*</vcount>", b""),
+            (rb"<accessor.*?</accessor>", b""),
+            (rb"<float_array[^>]*>[^<]*</float_array>", b""),
+            (rb"<channel [^>]*/>", b""),
+            (rb"<vertex_weights.*?</vertex_weights>", b""),
+            (rb'<source id="mesh-positions">.*?</source>', b""),
+            (rb"<controller.*?</controller>", b""),
+            # a counted number with too many, too few or bad values
+            (rb"<rate_hz>[^<]*</rate_hz>", b"<rate_hz/>"),
+            (rb'<matrix sid="transform">', b'<matrix sid="transform">1 '),
+            (rb"<tail>[^ ]+ ", b"<tail>"),
+            (rb"<rate_hz>[^<]*</rate_hz>", b"<rate_hz>x</rate_hz>"),
+            (rb"<rate_hz>[^<]*</rate_hz>", b"<rate_hz>0</rate_hz>"),
+            (rb"<duration>[^<]*</duration>", b"<duration>-1</duration>"),
+        ],
+        ids=[
+            "weight_index", "no_p", "no_vcount", "no_accessor", "no_float_array",
+            "no_channel", "no_vertex_weights", "no_mesh_source", "no_controller",
+            "empty_rate", "matrix_17_values", "tail_2_values", "rate_not_a_number",
+            "rate_zero", "negative_duration",
+        ],
+    )
+    def test_tampered_model_is_tagged(self, bundle_dir, tmp_path, capsys, pattern, repl):
+        # The first match in model.dae replaced, with the manifest re-hashed
+        # so the bundle still verifies.
         bundle = tmp_path / "b"
         shutil.copytree(bundle_dir, bundle)
         model = bundle / "model.dae"
         old = model.read_bytes()
-        new = re.sub(rb"<v>(\d+) \d+ ", rb"<v>\1 99999 ", old, count=1)
+        new = re.sub(pattern, repl, old, count=1, flags=re.S)
         assert new != old
         model.write_bytes(new)
         manifest = bundle / "manifest.txt"
@@ -278,6 +307,7 @@ class TestSynth:
         ])
         captured = capsys.readouterr()
         assert rc == 2
+        assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error:export:parse_error:")
         assert not (tmp_path / "clip.dae").exists()
 

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emarig.anim_db import AnimationUnit, bake, build_unit_db
+from emarig.anim_db import AnimationClip, AnimationUnit, bake, build_unit_db
+from emarig.collada_io import read_collada, write_collada
 from emarig.errors import NoCandidate
 from emarig.fixture import RIG_GRAPH_DOT, FixtureSpec, synthetic_motion
 from emarig.ik_solver import IkParams
 from emarig.rig import RigConfig, compile_rig, generate_default_mesh, parse_rig_graph
+from emarig.rotations import slerp
 from emarig.unit_synth import (
     SynthesisPlan,
     SynthesisRequest,
@@ -25,7 +27,7 @@ from emarig.unit_synth import (
     target_cost,
 )
 
-from conftest import prepare
+from conftest import prepare, scalar_sample
 
 
 def make_unit(label, duration, source_index, first=None, last=None, fv=None, lv=None):
@@ -165,15 +167,30 @@ def tuple_state_select_units(
 
 
 @pytest.fixture(scope="module")
-def fixture_db():
-    """Unit DB of the 2 x 6000-frame fixture: 276 units, 28 per label."""
+def fixture_model():
+    """Rig, baked clip and tier of the 2 x 6000-frame fixture."""
     data = synthetic_motion(FixtureSpec(n_sweeps=2, frames_per_sweep=6000))
     prepared = prepare(data)
     rig = compile_rig(
         parse_rig_graph(RIG_GRAPH_DOT), prepared[0], data.roles,
         generate_default_mesh(), RigConfig(seeds=data.seeds),
     )
-    return build_unit_db(bake(prepared, rig, data.roles, IkParams()), data.tier)
+    return rig, bake(prepared, rig, data.roles, IkParams()), data.tier
+
+
+@pytest.fixture(scope="module")
+def fixture_db(fixture_model):
+    """Unit DB of the 2 x 6000-frame fixture: 276 units, 28 per label."""
+    _, clip, tier = fixture_model
+    return build_unit_db(clip, tier)
+
+
+def exported(rig, clip, tier):
+    """The clip and unit DB as `synth` sees them, read back from model.dae.
+    Its quaternions come from the matrix decode, so a mix with weight 0 or
+    1 need not give a key's stored row back bit for bit."""
+    clip = read_collada(write_collada(rig.mesh, rig.armature, clip))[2]
+    return clip, build_unit_db(clip, tier)
 
 
 def assert_same_plan(plan, reference):
@@ -410,6 +427,167 @@ class TestMatchesTupleStateDp:
         assert exhaustive_total(db, request) == (
             plan.total, tuple(u.source_index for u in plan.units)
         )
+
+
+def per_row_render_plan(plan: SynthesisPlan, clip: AnimationClip) -> AnimationClip:
+    """The per-row `render_plan` that the array render replaced, kept as its
+    reference (verbatim, but sampling with the scalar `scalar_sample`).
+
+    Concatenate the planned units into a new clip.
+
+    Each unit's keys are linearly time-warped by its warp factor; at every
+    junction the two neighbors are cross-faded over
+    min(blend window, half of either unit's output duration), with linear
+    interpolation of positions/stretch and spherical interpolation of
+    rotations. Keys that fall outside a unit's span evaluate to its held
+    boundary pose.
+    """
+    n_units = len(plan.units)
+    offs = [0.0]
+    for d in plan.requested:
+        offs.append(offs[-1] + d)
+
+    fades = []
+    for j in range(n_units - 1):
+        w = min(plan.blend_window, plan.requested[j] / 2.0, plan.requested[j + 1] / 2.0)
+        fades.append(w)
+
+    # Output rows: (time, owning unit, exact source time when on a native key).
+    rows: list[tuple[float, int, float]] = []
+    for i, (unit, warp) in enumerate(zip(plan.units, plan.warp_factors)):
+        inner = np.flatnonzero((clip.times > unit.start) & (clip.times < unit.end))
+        rows.append((offs[i], i, unit.start))
+        for k in inner:
+            t_out = offs[i] + (clip.times[k] - unit.start) * warp
+            if offs[i] < t_out < offs[i + 1]:
+                rows.append((float(t_out), i, float(clip.times[k])))
+        rows.append((offs[i + 1], i, unit.end))
+
+    rows.sort(key=lambda r: r[0])
+    dedup: list[tuple[float, int, float]] = []
+    for r in rows:
+        if dedup and r[0] <= dedup[-1][0]:
+            continue
+        dedup.append(r)
+
+    def eval_unit(i: int, t_out: float, tau: float | None = None):
+        unit, warp = plan.units[i], plan.warp_factors[i]
+        if tau is None:
+            tau = unit.start + (t_out - offs[i]) / warp
+            tau = min(max(tau, unit.start), unit.end)
+        return scalar_sample(clip, tau)
+
+    n = len(dedup)
+    B = len(clip.bone_names)
+    times = np.empty(n)
+    quats = np.empty((n, B, 4))
+    heads = np.empty((n, B, 3))
+    stretches = np.empty((n, B))
+    tails = np.empty((n, B, 3))
+    jaw_q = np.empty((n, 4))
+    jaw_t = np.empty((n, 3))
+
+    for r, (t_out, i, tau) in enumerate(dedup):
+        junction = None
+        if i > 0 and fades[i - 1] > 0 and t_out <= offs[i] + fades[i - 1] / 2.0:
+            junction = i - 1
+        elif i < n_units - 1 and fades[i] > 0 and t_out >= offs[i + 1] - fades[i] / 2.0:
+            junction = i
+
+        if junction is None:
+            vals = eval_unit(i, t_out, tau)
+        else:
+            w = fades[junction]
+            a = float(np.clip((t_out - (offs[junction + 1] - w / 2.0)) / w, 0.0, 1.0))
+            left = eval_unit(junction, t_out, tau if i == junction else None)
+            right = eval_unit(junction + 1, t_out, tau if i == junction + 1 else None)
+            vals = (
+                slerp(left[0], right[0], a),
+                (1 - a) * left[1] + a * right[1],
+                (1 - a) * left[2] + a * right[2],
+                (1 - a) * left[3] + a * right[3],
+                slerp(left[4], right[4], a),
+                (1 - a) * left[5] + a * right[5],
+            )
+        times[r] = t_out
+        quats[r], heads[r], stretches[r], tails[r], jaw_q[r], jaw_t[r] = vals
+
+    return AnimationClip(
+        rate_hz=clip.rate_hz,
+        bone_names=clip.bone_names,
+        times=times,
+        quats=quats,
+        heads=heads,
+        stretches=stretches,
+        tails=tails,
+        jaw_quats=jaw_q,
+        jaw_translations=jaw_t,
+        duration=offs[-1],
+    )
+
+
+def assert_same_render(plan, clip):
+    out, reference = render_plan(plan, clip), per_row_render_plan(plan, clip)
+    for field in dataclasses.fields(AnimationClip):
+        assert np.array_equal(getattr(out, field.name), getattr(reference, field.name)), field.name
+    assert out.duration == reference.duration
+
+
+class TestMatchesPerRowRender:
+    @pytest.fixture(scope="class")
+    def fixture_exported(self, fixture_model):
+        return exported(*fixture_model)
+
+    @pytest.fixture(scope="class")
+    def small_exported(self, compiled_model, small_fixture):
+        rig, clip, _ = compiled_model
+        return exported(rig, clip, small_fixture.tier)
+
+    @pytest.mark.parametrize("n_slots", [1, 10, 40, 160])
+    def test_fixture_db(self, fixture_exported, n_slots):
+        clip, db = fixture_exported
+        rng = np.random.default_rng(100 + n_slots)
+        labels = sorted({u.label for u in db})
+        items = tuple(zip(
+            rng.choice(labels, n_slots).tolist(),
+            np.round(rng.uniform(0.06, 0.3, n_slots), 4).tolist(),
+        ))
+        assert_same_render(select_units(db, SynthesisRequest(items=items)), clip)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(data=st.data())
+    def test_drawn_plans(self, small_exported, data):
+        # Units follow each other in the corpus, repeat, or jump; durations
+        # keep, double or replace the unit's own; windows are none, the
+        # default or longer than every unit.
+        clip, db = small_exported
+        units = [db[data.draw(st.integers(0, len(db) - 1))]]
+        for _ in range(data.draw(st.integers(0, 11))):
+            step = data.draw(st.sampled_from(("next", "same", "any")))
+            if step == "next" and units[-1].source_index + 1 < len(db):
+                units.append(db[units[-1].source_index + 1])
+            elif step == "same":
+                units.append(units[-1])
+            else:
+                units.append(db[data.draw(st.integers(0, len(db) - 1))])
+        requested = tuple(
+            data.draw(st.one_of(
+                st.just(u.duration),
+                st.just(2.0 * u.duration),
+                st.floats(0.005, 0.5),
+            ))
+            for u in units
+        )
+        plan = SynthesisPlan(
+            units=tuple(units),
+            warp_factors=tuple(d / u.duration for u, d in zip(units, requested)),
+            requested=requested,
+            target_costs=(),
+            join_costs=(),
+            total=0.0,
+            blend_window=data.draw(st.sampled_from((0.0, 0.04, 10.0))),
+        )
+        assert_same_render(plan, clip)
 
 
 class TestRenderPlan:
