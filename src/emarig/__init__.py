@@ -17,7 +17,6 @@ from .ema_io import (
     write_pos,
 )
 from .motion_prep import (
-    RigidTransform,
     Similarity,
     SmoothingSpec,
     fill_dropouts,

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .ema_io import CoilRoles, EmaSweep, orientation_vector
-from .errors import BadNumber, EmptyTier, NonMonotonic, OverlapError
+from .errors import BadNumber, EmptyTier, IncompatibleBundle, NonMonotonic, OverlapError
 from .ik_solver import IkParams, solve_track
 from .rig import CompiledRig
 from .rotations import mat_to_quat, minimal_rotation, slerp
@@ -307,7 +307,7 @@ def build_unit_db(clip: AnimationClip, tier: SegmentTier) -> list[AnimationUnit]
     if not len(tier):
         raise EmptyTier("segmentation tier has no segments")
     if tier.end > clip.duration + 1e-9:
-        raise ValueError(
+        raise IncompatibleBundle(
             f"tier ends at {tier.end} s but the clip lasts {clip.duration} s"
         )
     vel = _tail_velocities(clip)

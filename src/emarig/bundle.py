@@ -181,12 +181,20 @@ def _read_file(path: Path, name: str) -> bytes:
     return target.read_bytes()
 
 
+def _read_text(path: Path, name: str) -> str:
+    """A bundle file decoded as UTF-8; other bytes are a BundleError."""
+    try:
+        return _read_file(path, name).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise BundleError(f"{name} is not UTF-8 text: {exc}") from None
+
+
 def open_bundle(path: str | Path) -> Bundle:
     path = Path(path)
     if not path.exists():
         raise BundleError(f"no bundle at {path}")
     version, channels, rate_hz, entries = _parse_manifest(
-        _read_file(path, MANIFEST_NAME).decode("utf-8")
+        _read_text(path, MANIFEST_NAME)
     )
     if version > FORMAT_VERSION:
         raise BundleError(f"bundle format {version} is newer than supported")
@@ -229,15 +237,13 @@ def read_bundle(path: str | Path) -> LoadedBundle:
     bad = verify_bundle(path)
     if bad:
         raise BundleError(f"bundle fails verification: {', '.join(bad)}")
-    mesh, armature, clip = read_collada(_read_file(bundle.path, MODEL_NAME).decode("utf-8"))
+    mesh, armature, clip = read_collada(_read_text(bundle.path, MODEL_NAME))
     tier = None
     if SEGMENTATION_NAME in bundle.entries:
-        tier = parse_segmentation(
-            _read_file(bundle.path, SEGMENTATION_NAME).decode("utf-8")
-        )
+        tier = parse_segmentation(_read_text(bundle.path, SEGMENTATION_NAME))
     layout = None
     if LAYOUT_NAME in bundle.entries:
-        layout = parse_layout(_read_file(bundle.path, LAYOUT_NAME).decode("utf-8"))
+        layout = parse_layout(_read_text(bundle.path, LAYOUT_NAME))
     return LoadedBundle(
         bundle=bundle, mesh=mesh, armature=armature, clip=clip, tier=tier, layout=layout
     )

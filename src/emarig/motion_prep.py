@@ -30,42 +30,6 @@ _DEGENERACY_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
-class RigidTransform:
-    """Proper rigid motion x -> rotation @ x + translation (cm)."""
-
-    rotation: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self):
-        R = np.asarray(self.rotation, dtype=np.float64)
-        if R.shape != (3, 3):
-            raise ValueError("rotation must be 3x3")
-        if abs(np.linalg.det(R) - 1.0) > 1e-9 or not np.allclose(
-            R @ R.T, np.eye(3), atol=1e-9
-        ):
-            raise ValueError("rotation must be orthonormal with determinant +1")
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(points) @ self.rotation.T + self.translation
-
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        """self after other: (self.compose(other)).apply(x) == self.apply(other.apply(x))."""
-        return RigidTransform(
-            rotation=self.rotation @ other.rotation,
-            translation=self.rotation @ other.translation + self.translation,
-        )
-
-    def inverse(self) -> "RigidTransform":
-        return RigidTransform(
-            rotation=self.rotation.T, translation=-(self.rotation.T @ self.translation)
-        )
-
-    @classmethod
-    def identity(cls) -> "RigidTransform":
-        return cls(rotation=np.eye(3), translation=np.zeros(3))
-
-
-@dataclass(frozen=True)
 class Similarity:
     """Uniform-scale rigid map x -> scale * (rotation @ x) + translation."""
 
@@ -79,14 +43,6 @@ class Similarity:
     def rotate(self, vectors: np.ndarray) -> np.ndarray:
         """Direction part only (unit vectors stay unit)."""
         return np.asarray(vectors) @ self.rotation.T
-
-    def inverse(self) -> "Similarity":
-        Rt = self.rotation.T
-        return Similarity(
-            scale=1.0 / self.scale,
-            rotation=Rt,
-            translation=-(Rt @ self.translation) / self.scale,
-        )
 
     @classmethod
     def identity(cls) -> "Similarity":
@@ -113,37 +69,18 @@ class SmoothingSpec:
 
 
 def _check_spread(points: np.ndarray, what: str) -> None:
-    centered = points - points.mean(axis=0)
+    """Raise unless each (n, 3) point set of `points` (..., n, 3) spans a
+    plane; for a stack of sets, the message names the first bad frame."""
+    centered = points - points.mean(axis=-2, keepdims=True)
     s = np.linalg.svd(centered, compute_uv=False)
-    if s[0] == 0.0 or s[1] <= _DEGENERACY_RTOL * s[0]:
+    bad = (s[..., 0] == 0.0) | (s[..., 1] <= _DEGENERACY_RTOL * s[..., 0])
+    if bad.any():
+        k = int(np.flatnonzero(bad)[0])
+        at = f" at frame {k}" if bad.ndim else ""
         raise DegenerateConfiguration(
-            f"{what} points are collinear or coincident (singular values {s})"
+            f"{what} points are collinear or coincident{at} "
+            f"(singular values {s.reshape(-1, s.shape[-1])[k]})"
         )
-
-
-def rigid_align(moving: np.ndarray, fixed: np.ndarray) -> RigidTransform:
-    """Least-squares rigid transform mapping `moving` onto `fixed` (Kabsch).
-
-    Requires >= 3 non-collinear point pairs; reflections are never returned.
-    """
-    moving = np.asarray(moving, dtype=np.float64)
-    fixed = np.asarray(fixed, dtype=np.float64)
-    if moving.shape != fixed.shape or moving.ndim != 2 or moving.shape[1] != 3:
-        raise ValueError("point sets must both have shape (n, 3)")
-    if moving.shape[0] < 3:
-        raise ValueError("need at least 3 point pairs")
-    _check_spread(moving, "moving")
-    _check_spread(fixed, "fixed")
-
-    cm = moving.mean(axis=0)
-    cf = fixed.mean(axis=0)
-    H = (moving - cm).T @ (fixed - cf)
-    U, _, Vt = np.linalg.svd(H)
-    V = Vt.T
-    d = np.sign(np.linalg.det(V @ U.T))
-    R = V @ np.diag([1.0, 1.0, d]) @ U.T
-    t = cf - R @ cm
-    return RigidTransform(rotation=R, translation=t)
 
 
 def similarity_align(moving: np.ndarray, fixed: np.ndarray) -> Similarity:
@@ -178,28 +115,31 @@ def similarity_align(moving: np.ndarray, fixed: np.ndarray) -> Similarity:
     return Similarity(scale=scale, rotation=R, translation=t)
 
 
-def _batched_rigid_align(moving: np.ndarray, fixed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frame Kabsch: moving (F, n, 3) onto a single fixed (n, 3).
+def rigid_align(moving: np.ndarray, fixed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares rigid fit (Kabsch) of each frame of `moving` (F, n, 3)
+    onto one `fixed` (n, 3); a single point set is the stack with F = 1.
 
-    Returns (rotations (F, 3, 3), translations (F, 3)). Raises on any
-    degenerate frame.
+    Returns (R (F, 3, 3), t (F, 3)) with R[f] @ x + t[f] mapping frame f
+    onto `fixed`; reflections are never returned. Every frame needs >= 3
+    non-collinear points, else DegenerateConfiguration names the first bad
+    frame. `fixed` is the caller's to check (`normalize_head` checks its
+    reference frame).
     """
+    moving = np.asarray(moving, dtype=np.float64)
+    fixed = np.asarray(fixed, dtype=np.float64)
+    if moving.ndim != 3 or moving.shape[1:] != fixed.shape or fixed.shape[1:] != (3,):
+        raise ValueError("point sets must have shapes (F, n, 3) and (n, 3)")
+    if fixed.shape[0] < 3:
+        raise ValueError("need at least 3 point pairs")
+    _check_spread(moving, "moving")
+
     F = moving.shape[0]
     cm = moving.mean(axis=1, keepdims=True)
     cf = fixed.mean(axis=0)
     mc = moving - cm
     fc = fixed - cf
     H = np.einsum("fni,nj->fij", mc, fc)
-    U, S, Vt = np.linalg.svd(H)
-
-    sm = np.linalg.svd(mc, compute_uv=False)
-    bad = (sm[:, 0] == 0.0) | (sm[:, 1] <= _DEGENERACY_RTOL * sm[:, 0])
-    if np.any(bad):
-        frame = int(np.argmax(bad))
-        raise DegenerateConfiguration(
-            f"reference coils are collinear or coincident at frame {frame}"
-        )
-
+    U, _, Vt = np.linalg.svd(H)
     V = np.swapaxes(Vt, 1, 2)
     d = np.sign(np.linalg.det(V @ np.swapaxes(U, 1, 2)))
     D = np.repeat(np.eye(3)[None, :, :], F, axis=0).copy()
@@ -245,7 +185,7 @@ def normalize_head(
         )
     _check_spread(fixed, "reference-frame")
 
-    R, t = _batched_rigid_align(ref_pos, fixed)
+    R, t = rigid_align(ref_pos, fixed)
 
     positions = np.einsum("fij,fcj->fci", R, sweep.positions) + t[:, None, :]
     axes = orientation_vector(sweep.phi, sweep.theta)

@@ -77,8 +77,8 @@ def test_criterion_2_head_normalization():
         R = axis_angle_matrix(rng.normal(0, 1, 3), rng.uniform(-np.pi, np.pi))
         t = rng.normal(0, 3, 3)
         moving = rng.normal(0, 2, (5, 3))
-        T = rigid_align(moving, moving @ R.T + t)
-        rot_err = max(rot_err, float(np.abs(T.rotation - R).max()))
+        R_fit, _ = rigid_align(moving[None], moving @ R.T + t)
+        rot_err = max(rot_err, float(np.abs(R_fit[0] - R).max()))
 
     ok = ref_dev < 1e-9 and traj_err < 1e-9 and rot_err < 1e-9
     _report(

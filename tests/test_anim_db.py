@@ -12,7 +12,13 @@ from emarig.anim_db import (
     format_segmentation,
     parse_segmentation,
 )
-from emarig.errors import BadNumber, EmptyTier, NonMonotonic, OverlapError
+from emarig.errors import (
+    BadNumber,
+    EmptyTier,
+    IncompatibleBundle,
+    NonMonotonic,
+    OverlapError,
+)
 from emarig.fixture import FixtureSpec, synthetic_motion
 from emarig.rig import RigConfig, compile_rig, generate_default_mesh, parse_rig_graph
 from emarig.fixture import RIG_GRAPH_DOT
@@ -239,5 +245,5 @@ class TestUnitDb:
     def test_tier_must_fit_clip(self, compiled_model):
         _, clip, _ = compiled_model
         tier = SegmentTier(segments=(Segment(0.0, clip.duration + 1.0, "x"),))
-        with pytest.raises(ValueError):
+        with pytest.raises(IncompatibleBundle, match="tier ends at"):
             build_unit_db(clip, tier)

@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emarig.ema_io import EmaSweep, orientation_vector
 from emarig.errors import (
@@ -9,7 +13,6 @@ from emarig.errors import (
 )
 from emarig.fixture import FixtureSpec, synthetic_motion
 from emarig.motion_prep import (
-    RigidTransform,
     SmoothingSpec,
     fill_dropouts,
     normalize_head,
@@ -69,37 +72,49 @@ def brute_force_rotation(moving, fixed, rounds=12, grid=9):
     return best_R
 
 
+def apply(R, t, points):
+    """The rigid map x -> R @ x + t on an (n, 3) point set."""
+    return points @ R.T + t
+
+
+def fit(moving, fixed):
+    """rigid_align on one point set: the stack with F = 1."""
+    R, t = rigid_align(moving[None], fixed)
+    assert R.shape == (1, 3, 3) and t.shape == (1, 3)
+    return R[0], t[0]
+
+
 class TestRigidAlign:
     POINTS = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])
 
     def test_identity(self):
-        T = rigid_align(self.POINTS, self.POINTS)
-        assert np.allclose(T.rotation, np.eye(3), atol=1e-12)
-        assert np.allclose(T.translation, 0.0, atol=1e-12)
+        R, t = fit(self.POINTS, self.POINTS)
+        assert np.allclose(R, np.eye(3), atol=1e-12)
+        assert np.allclose(t, 0.0, atol=1e-12)
 
     def test_pure_translation(self):
         moving = self.POINTS + np.array([2.0, 0.0, 0.0])
-        T = rigid_align(moving, self.POINTS)
-        assert np.allclose(T.rotation, np.eye(3), atol=1e-12)
-        assert np.allclose(T.translation, [-2.0, 0.0, 0.0], atol=1e-12)
+        R, t = fit(moving, self.POINTS)
+        assert np.allclose(R, np.eye(3), atol=1e-12)
+        assert np.allclose(t, [-2.0, 0.0, 0.0], atol=1e-12)
 
     def test_constructed_rotation_and_brute_force(self):
-        R = axis_angle_matrix([0, 0, 1], np.pi / 6)
+        R_true = axis_angle_matrix([0, 0, 1], np.pi / 6)
         rng = np.random.default_rng(5)
         moving = rng.normal(0, 2, (6, 3))
-        fixed = moving @ R.T
-        T = rigid_align(moving, fixed)
-        assert np.abs(T.rotation - R).max() < 1e-9
+        fixed = moving @ R_true.T
+        R, _ = fit(moving, fixed)
+        assert np.abs(R - R_true).max() < 1e-9
         R_search = brute_force_rotation(moving, fixed)
-        assert np.abs(T.rotation - R_search).max() < 1e-4
+        assert np.abs(R - R_search).max() < 1e-4
 
     def test_no_reflection_on_random_inputs(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
             moving = rng.normal(0, 1, (4, 3))
             fixed = rng.normal(0, 1, (4, 3))
-            T = rigid_align(moving, fixed)
-            assert abs(np.linalg.det(T.rotation) - 1.0) < 1e-9
+            R, _ = fit(moving, fixed)
+            assert abs(np.linalg.det(R) - 1.0) < 1e-9
 
     def test_left_invariance(self):
         rng = np.random.default_rng(13)
@@ -107,37 +122,184 @@ class TestRigidAlign:
             moving = rng.normal(0, 1, (5, 3))
             fixed = rng.normal(0, 1, (5, 3))
             axis = rng.normal(0, 1, 3)
-            E = RigidTransform(
-                rotation=axis_angle_matrix(axis, rng.uniform(-np.pi, np.pi)),
-                translation=rng.normal(0, 2, 3),
-            )
-            direct = rigid_align(moving, fixed)
-            composed = rigid_align(E.apply(moving), fixed).compose(E)
-            assert np.abs(direct.rotation - composed.rotation).max() < 1e-9
-            assert np.abs(direct.translation - composed.translation).max() < 1e-9
+            Re = axis_angle_matrix(axis, rng.uniform(-np.pi, np.pi))
+            te = rng.normal(0, 2, 3)
+            R, t = fit(moving, fixed)
+            R2, t2 = fit(apply(Re, te, moving), fixed)
+            # the fit of E(moving), composed after E, is the fit of moving
+            assert np.abs(R - R2 @ Re).max() < 1e-9
+            assert np.abs(t - (R2 @ te + t2)).max() < 1e-9
 
     def test_collinear_degenerate(self):
         line = np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0]])
         with pytest.raises(DegenerateConfiguration):
-            rigid_align(line, line)
+            fit(line, line)
+
+    def test_collinear_frame_is_named(self):
+        rng = np.random.default_rng(19)
+        fixed = rng.normal(0, 1, (4, 3))
+        moving = rng.normal(0, 1, (9, 4, 3))
+        moving[6] = [[0.0, 0, 0], [1, 1, 0], [2, 2, 0], [-1, -1, 0]]
+        moving[8, 1] = moving[8, 0]  # a later coincident pair is not named
+        moving[8, 2] = moving[8, 0]
+        with pytest.raises(DegenerateConfiguration, match=r"at frame 6 \("):
+            rigid_align(moving, fixed)
+        # without the bad frames the stack fits
+        R, t = rigid_align(moving[:6], fixed)
+        assert R.shape == (6, 3, 3) and t.shape == (6, 3)
 
     def test_least_squares_optimality_vs_noise(self):
         rng = np.random.default_rng(17)
         moving = rng.normal(0, 1, (8, 3))
-        R = axis_angle_matrix([1, 2, 3], 0.7)
-        fixed = moving @ R.T + np.array([0.5, -1, 2]) + rng.normal(0, 0.01, (8, 3))
-        T = rigid_align(moving, fixed)
-        base = np.sum((T.apply(moving) - fixed) ** 2)
+        R_true = axis_angle_matrix([1, 2, 3], 0.7)
+        fixed = moving @ R_true.T + np.array([0.5, -1, 2]) + rng.normal(0, 0.01, (8, 3))
+        R, t = fit(moving, fixed)
+        base = np.sum((apply(R, t, moving) - fixed) ** 2)
         for _ in range(50):
             axis = rng.normal(0, 1, 3)
-            P = RigidTransform(
-                rotation=axis_angle_matrix(axis, rng.normal(0, 0.05)),
-                translation=rng.normal(0, 0.05, 3),
-            )
-            perturbed = P.compose(T)
-            assert np.sum((perturbed.apply(moving) - fixed) ** 2) >= base - 1e-12
+            Rp = axis_angle_matrix(axis, rng.normal(0, 0.05))
+            tp = rng.normal(0, 0.05, 3)
+            # the fit perturbed by P: P after (R, t)
+            perturbed = apply(Rp @ R, Rp @ t + tp, moving)
+            assert np.sum((perturbed - fixed) ** 2) >= base - 1e-12
+
+    def test_shape_checked(self):
+        with pytest.raises(ValueError):
+            rigid_align(self.POINTS, self.POINTS)  # not a stack
+        with pytest.raises(ValueError):
+            rigid_align(self.POINTS[None, :2], self.POINTS[:2])  # 2 points
 
 
+# --- the two Kabsch fits that rigid_align replaced, kept as its references ---
+#
+# Verbatim but for two names: the single-frame fit returns (R, t) where it
+# returned a RigidTransform, and its spread check is the old 2-D one.
+
+_DEGENERACY_RTOL = 1e-9
+
+
+def old_check_spread(points: np.ndarray, what: str) -> None:
+    centered = points - points.mean(axis=0)
+    s = np.linalg.svd(centered, compute_uv=False)
+    if s[0] == 0.0 or s[1] <= _DEGENERACY_RTOL * s[0]:
+        raise DegenerateConfiguration(
+            f"{what} points are collinear or coincident (singular values {s})"
+        )
+
+
+def old_rigid_align(moving: np.ndarray, fixed: np.ndarray):
+    """Least-squares rigid transform mapping `moving` onto `fixed` (Kabsch).
+
+    Requires >= 3 non-collinear point pairs; reflections are never returned.
+    """
+    moving = np.asarray(moving, dtype=np.float64)
+    fixed = np.asarray(fixed, dtype=np.float64)
+    if moving.shape != fixed.shape or moving.ndim != 2 or moving.shape[1] != 3:
+        raise ValueError("point sets must both have shape (n, 3)")
+    if moving.shape[0] < 3:
+        raise ValueError("need at least 3 point pairs")
+    old_check_spread(moving, "moving")
+    old_check_spread(fixed, "fixed")
+
+    cm = moving.mean(axis=0)
+    cf = fixed.mean(axis=0)
+    H = (moving - cm).T @ (fixed - cf)
+    U, _, Vt = np.linalg.svd(H)
+    V = Vt.T
+    d = np.sign(np.linalg.det(V @ U.T))
+    R = V @ np.diag([1.0, 1.0, d]) @ U.T
+    t = cf - R @ cm
+    return R, t
+
+
+def old_batched_rigid_align(moving: np.ndarray, fixed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-frame Kabsch: moving (F, n, 3) onto a single fixed (n, 3).
+
+    Returns (rotations (F, 3, 3), translations (F, 3)). Raises on any
+    degenerate frame.
+    """
+    F = moving.shape[0]
+    cm = moving.mean(axis=1, keepdims=True)
+    cf = fixed.mean(axis=0)
+    mc = moving - cm
+    fc = fixed - cf
+    H = np.einsum("fni,nj->fij", mc, fc)
+    U, S, Vt = np.linalg.svd(H)
+
+    sm = np.linalg.svd(mc, compute_uv=False)
+    bad = (sm[:, 0] == 0.0) | (sm[:, 1] <= _DEGENERACY_RTOL * sm[:, 0])
+    if np.any(bad):
+        frame = int(np.argmax(bad))
+        raise DegenerateConfiguration(
+            f"reference coils are collinear or coincident at frame {frame}"
+        )
+
+    V = np.swapaxes(Vt, 1, 2)
+    d = np.sign(np.linalg.det(V @ np.swapaxes(U, 1, 2)))
+    D = np.repeat(np.eye(3)[None, :, :], F, axis=0).copy()
+    D[:, 2, 2] = d
+    R = V @ D @ np.swapaxes(U, 1, 2)
+    t = cf - np.einsum("fij,fj->fi", R, cm[:, 0, :])
+    return R, t
+
+
+def rejected_frame(align, moving, fixed):
+    """The frame `align` names as degenerate, or None when it fits."""
+    try:
+        align(moving, fixed)
+    except DegenerateConfiguration as exc:
+        return int(re.search(r"at frame (\d+)", str(exc)).group(1))
+    return None
+
+
+class TestRigidAlignEquivalence:
+    @settings(max_examples=500, deadline=None, database=None)
+    @given(data=st.data())
+    def test_matches_old_fits(self, data):
+        F = data.draw(st.integers(1, 6))
+        n = data.draw(st.integers(3, 7))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        scale = data.draw(st.sampled_from([1e-3, 1.0, 30.0]))
+        fixed = rng.normal(0, scale, (n, 3))
+        moving = rng.normal(0, scale, (F, n, 3)) + rng.normal(0, 5 * scale, 3)
+        for f in range(F):
+            # Squash a frame onto a line through its first two points, leaving
+            # an off-line residue from exactly zero to well above the
+            # degeneracy threshold.
+            residue = data.draw(st.sampled_from(
+                [None, 0.0, 1e-16, 1e-12, 1e-10, 1e-9, 2e-9, 1e-8, 1e-6, 1e-3]
+            ))
+            if residue is not None:
+                a, b = moving[f, 0], moving[f, 1]
+                along = rng.uniform(-2, 2, n)
+                along[:2] = [0.0, 1.0]
+                moving[f] = a + along[:, None] * (b - a) + residue * (moving[f] - a)
+
+        # bitwise equal to the old batched fit, rejecting the same frame
+        bad = rejected_frame(old_batched_rigid_align, moving, fixed)
+        assert rejected_frame(rigid_align, moving, fixed) == bad
+        if bad is None:
+            R, t = rigid_align(moving, fixed)
+            R_old, t_old = old_batched_rigid_align(moving, fixed)
+            assert np.array_equal(R, R_old) and np.array_equal(t, t_old)
+
+        # Frame by frame at F = 1: the single-frame fit rejects the same
+        # frames and agrees within 1e-12 on a frame that spans a plane well
+        # (s1 >= s0 / 10). A thinner frame leaves the turn about its line
+        # ill-conditioned, so there the bound grows as s0 / s1.
+        for f in range(F):
+            one = moving[f : f + 1]
+            try:
+                R_old, t_old = old_rigid_align(moving[f], fixed)
+            except DegenerateConfiguration:
+                assert rejected_frame(rigid_align, one, fixed) == 0
+                continue
+            R, t = rigid_align(one, fixed)
+            s = np.linalg.svd(moving[f] - moving[f].mean(axis=0), compute_uv=False)
+            tol = 1e-12 * max(1.0, 0.1 * s[0] / s[1])
+            size = max(1.0, np.abs(moving[f]).max(), np.abs(fixed).max())
+            assert np.abs(R[0] - R_old).max() <= tol
+            assert np.abs(t[0] - t_old).max() <= tol * size
 class TestSimilarityAlign:
     def test_recovers_construction(self):
         rng = np.random.default_rng(23)
@@ -151,12 +313,13 @@ class TestSimilarityAlign:
         assert np.abs(sim.rotation - R).max() < 1e-9
         assert np.abs(sim.apply(moving) - fixed).max() < 1e-9
 
-    def test_inverse(self):
-        rng = np.random.default_rng(29)
-        moving = rng.normal(0, 2, (5, 3))
-        fixed = 0.8 * (moving @ axis_angle_matrix([0, 0, 1], 0.4).T) + 1.0
-        sim = similarity_align(moving, fixed)
-        assert np.abs(sim.inverse().apply(sim.apply(moving)) - moving).max() < 1e-9
+    @pytest.mark.parametrize("which", ["moving", "fixed"])
+    def test_collinear_seeds(self, which):
+        spread = np.random.default_rng(29).normal(0, 2, (4, 3))
+        line = np.outer([0.0, 1.0, 2.5, -1.0], [1.0, 2.0, -0.5]) + 3.0
+        pair = {"moving": (line, spread), "fixed": (spread, line)}[which]
+        with pytest.raises(DegenerateConfiguration, match=f"^{which} points"):
+            similarity_align(*pair)
 
 
 class TestNormalizeHead:
@@ -220,6 +383,14 @@ class TestNormalizeHead:
         got = orientation_vector(normalized.phi, normalized.theta)
         want = orientation_vector(truth.phi, truth.theta)
         assert np.abs(got - want).max() < 1e-9
+
+    def test_collinear_reference_frame(self):
+        sweep, roles = self._roles_and_sweep()
+        line = np.array([[0.0, 0, 5], [1, 1, 5], [3, 3, 5]])
+        with pytest.raises(
+            DegenerateConfiguration, match=r"^reference-frame points .*collinear"
+        ):
+            normalize_head(sweep, roles, line)
 
     def test_no_valid_reference_frame(self):
         from emarig.errors import NoValidReferenceFrame

@@ -50,6 +50,29 @@ def check_output_replaced(path, run):
     assert path.read_bytes() == first
 
 
+def rewrite_rehashed(bundle, name, data):
+    """Replace a bundle file and re-hash it in the manifest, so the bundle
+    still verifies."""
+    target = bundle / name
+    old = target.read_bytes()
+    target.write_bytes(data)
+    manifest = bundle / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace(
+        hashlib.sha256(old).hexdigest(), hashlib.sha256(data).hexdigest()
+    ))
+
+
+def synth_fails_tagged(bundle, tmp_path, capsys, tag):
+    """`synth` on the bundle exits 2 with one `tag` line and no output file."""
+    out = tmp_path / "clip.dae"
+    rc = main(["synth", "--bundle", str(bundle), "--request", "a 0.2", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(tag), captured.err
+    assert not out.exists()
+
+
 class TestConfig:
     def test_load(self, fixture_dir):
         config = load_config(fixture_dir / "config.cfg")
@@ -156,6 +179,28 @@ class TestCompile:
             "compile", "--config", str(fixture_dir / "config.cfg"),
             "--out", str(tmp_path / "b"), "--report", str(report),
         ]))
+
+    def test_collinear_reference_coils_are_tagged(self, fixture_dir, tmp_path, capsys):
+        # REF_N moved onto REF_L at frame 50 of the first sweep: the three
+        # reference coils give no head pose there.
+        corpus = tmp_path / "corpus"
+        shutil.copytree(fixture_dir, corpus)
+        config = load_config(corpus / "config.cfg")
+        layout = parse_layout(config.layout_path.read_text(encoding="utf-8"))
+        left, nose = layout.channels.index("REF_L"), layout.channels.index("REF_N")
+        path = config.ema_paths[0]
+        sweep = read_pos(path.read_bytes(), layout)
+        positions = np.array(sweep.positions)
+        assert np.isfinite(positions[50, left]).all()
+        positions[50, nose] = positions[50, left]
+        path.write_bytes(write_pos(replace(sweep, positions=positions), layout))
+        out = tmp_path / "b"
+        rc = main(["compile", "--config", str(corpus / "config.cfg"), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:motion_prep:degenerate_configuration:")
+        assert re.search(r"at frame 50\b", err)
+        assert not out.exists()
 
     def test_ik_stop_counts(self, fixture_dir, tmp_path, capsys):
         corpus = tmp_path / "noisy"
@@ -292,24 +337,40 @@ class TestSynth:
         # so the bundle still verifies.
         bundle = tmp_path / "b"
         shutil.copytree(bundle_dir, bundle)
-        model = bundle / "model.dae"
-        old = model.read_bytes()
+        old = (bundle / "model.dae").read_bytes()
         new = re.sub(pattern, repl, old, count=1, flags=re.S)
         assert new != old
-        model.write_bytes(new)
-        manifest = bundle / "manifest.txt"
-        manifest.write_text(manifest.read_text().replace(
-            hashlib.sha256(old).hexdigest(), hashlib.sha256(new).hexdigest()
-        ))
-        rc = main([
-            "synth", "--bundle", str(bundle), "--request", "a 0.2",
-            "--out", str(tmp_path / "clip.dae"),
-        ])
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert len(captured.err.splitlines()) == 1
-        assert captured.err.startswith("error:export:parse_error:")
-        assert not (tmp_path / "clip.dae").exists()
+        rewrite_rehashed(bundle, "model.dae", new)
+        synth_fails_tagged(bundle, tmp_path, capsys, "error:export:parse_error:")
+
+    @pytest.mark.parametrize("name", ["manifest.txt", "segmentation.txt"])
+    def test_non_utf8_text_is_tagged(self, bundle_dir, tmp_path, capsys, name):
+        # Two bytes that are not UTF-8 appended; a companion file is
+        # re-hashed, so only its decoding can fail.
+        bundle = tmp_path / "b"
+        shutil.copytree(bundle_dir, bundle)
+        data = (bundle / name).read_bytes() + b"\xff\xfe"
+        if name == "manifest.txt":
+            (bundle / name).write_bytes(data)
+        else:
+            rewrite_rehashed(bundle, name, data)
+        synth_fails_tagged(bundle, tmp_path, capsys, f"error:export:bundle: {name} is not UTF-8")
+
+    def test_clip_shorter_than_tier_is_tagged(self, bundle_dir, tmp_path, capsys):
+        # The model's <duration> halved, with the manifest re-hashed: the
+        # segmentation now runs past the end of the clip.
+        bundle = tmp_path / "b"
+        shutil.copytree(bundle_dir, bundle)
+        old = (bundle / "model.dae").read_bytes()
+        match = re.search(rb"<duration>([^<]*)</duration>", old)
+        new = old.replace(
+            match.group(0), b"<duration>%r</duration>" % (float(match.group(1)) / 2)
+        )
+        assert new != old
+        rewrite_rehashed(bundle, "model.dae", new)
+        synth_fails_tagged(
+            bundle, tmp_path, capsys, "error:cli:incompatible_bundle: tier ends at"
+        )
 
     def test_no_candidate(self, bundle_dir, tmp_path, capsys):
         rc = main([
