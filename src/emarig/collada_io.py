@@ -17,6 +17,7 @@ blocks under the ``emarig`` technique profile; the reader requires them.
 from __future__ import annotations
 
 import re
+import warnings
 import xml.etree.ElementTree as ET
 from xml.etree.ElementTree import Element, SubElement
 
@@ -30,61 +31,57 @@ from .rotations import mat_to_quat, quat_to_mat, norm
 
 NS = "http://www.collada.org/2005/11/COLLADASchema"
 PROFILE = "emarig"
+# One 4x4 matrix: its top three rows, then the last row every matrix here has.
+_MATRIX = " ".join(["%.9g"] * 12) + " 0 0 0 1"
+_TRANSFORM = [("TRANSFORM", "float4x4")]
 
 
 def _fmt(x: float) -> str:
-    return format(float(x), ".9g")
+    return "%.9g" % x
 
 
 def _fmt_array(values: np.ndarray) -> str:
-    return " ".join(_fmt(v) for v in np.asarray(values).ravel())
+    flat = np.asarray(values).ravel().tolist()
+    return " ".join(["%.9g"] * len(flat)) % tuple(flat)
 
 
 def _fmt_ints(values: np.ndarray) -> str:
-    return " ".join(str(int(v)) for v in np.asarray(values).ravel())
+    return " ".join(map(str, np.asarray(values).ravel().tolist()))
+
+
+def _fmt_matrices(rows: np.ndarray) -> str:
+    """Row-major 4x4 matrices from their top three rows (..., 3, 4)."""
+    flat = rows.ravel().tolist()
+    return " ".join([_MATRIX] * (len(flat) // 12)) % tuple(flat)
 
 
 def _sanitize(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.\-]", "_", name)
 
 
-def _affine_to_matrix16(A: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Stack (..., 3, 3) + (..., 3) into flat row-major 4x4 rows (..., 16)."""
-    batch = A.shape[:-2]
-    M = np.zeros(batch + (4, 4))
-    M[..., :3, :3] = A
-    M[..., :3, 3] = t
-    M[..., 3, 3] = 1.0
-    return M.reshape(batch + (16,))
+def _affine_rows(A: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Stack (..., 3, 3) + (..., 3) into the top three 4x4 rows (..., 3, 4)."""
+    return np.concatenate([A, t[..., None]], axis=-1)
 
 
-def _float_source(parent: Element, sid: str, values: np.ndarray, params) -> None:
-    src = SubElement(parent, "source", id=sid)
-    arr = SubElement(src, "float_array", id=f"{sid}-array", count=str(values.size))
-    arr.text = _fmt_array(values)
-    tc = SubElement(src, "technique_common")
+def _float_source(parent: Element, sid: str, text: str, count: int, params) -> None:
+    """A <source> of `count` elements of `params`, printed as `text`."""
     stride = sum(1 if p[1] != "float4x4" else 16 for p in params)
-    acc = SubElement(
-        tc,
-        "accessor",
-        source=f"#{sid}-array",
-        count=str(values.size // stride),
-        stride=str(stride),
-    )
-    for name, typ in params:
-        p = SubElement(acc, "param", type=typ)
-        if name:
-            p.set("name", name)
-
-
-def _name_source(parent: Element, sid: str, names, param_name: str) -> None:
     src = SubElement(parent, "source", id=sid)
-    arr = SubElement(src, "Name_array", id=f"{sid}-array", count=str(len(names)))
-    arr.text = " ".join(names)
+    arr = SubElement(src, "float_array", id=f"{sid}-array", count=str(count * stride))
+    arr.text = text
     tc = SubElement(src, "technique_common")
-    acc = SubElement(
-        tc, "accessor", source=f"#{sid}-array", count=str(len(names)), stride="1"
-    )
+    acc = SubElement(tc, "accessor", source=f"#{sid}-array", count=str(count), stride=str(stride))
+    for name, typ in params:
+        SubElement(acc, "param", type=typ, name=name)
+
+
+def _name_source(parent: Element, sid: str, text: str, count: int, param_name: str) -> None:
+    src = SubElement(parent, "source", id=sid)
+    arr = SubElement(src, "Name_array", id=f"{sid}-array", count=str(count))
+    arr.text = text
+    tc = SubElement(src, "technique_common")
+    acc = SubElement(tc, "accessor", source=f"#{sid}-array", count=str(count), stride="1")
     SubElement(acc, "param", name=param_name, type="name")
 
 
@@ -123,7 +120,8 @@ def write_collada(
     lg = SubElement(root, "library_geometries")
     geom = SubElement(lg, "geometry", id="mesh", name="mesh")
     m = SubElement(geom, "mesh")
-    _float_source(m, "mesh-positions", mesh.vertices, [("X", "float"), ("Y", "float"), ("Z", "float")])
+    xyz = [("X", "float"), ("Y", "float"), ("Z", "float")]
+    _float_source(m, "mesh-positions", _fmt_array(mesh.vertices), mesh.n_vertices, xyz)
     verts = SubElement(m, "vertices", id="mesh-vertices")
     SubElement(verts, "input", semantic="POSITION", source="#mesh-positions")
 
@@ -137,13 +135,12 @@ def write_collada(
     lc = SubElement(root, "library_controllers")
     controller = SubElement(lc, "controller", id="skin")
     skin = SubElement(controller, "skin", source="#mesh")
-    SubElement(skin, "bind_shape_matrix").text = _fmt_array(np.eye(4))
-    _name_source(skin, "skin-joints", joint_sids, "JOINT")
+    SubElement(skin, "bind_shape_matrix").text = _fmt_matrices(np.eye(3, 4))
+    _name_source(skin, "skin-joints", " ".join(joint_sids), len(joint_sids), "JOINT")
 
-    inv_binds = np.zeros((K + 2, 4, 4))
-    inv_binds[:] = np.eye(4)
-    inv_binds[:K, :3, 3] = -armature.heads
-    _float_source(skin, "skin-bind-poses", inv_binds.reshape(-1, 16), [("TRANSFORM", "float4x4")])
+    inv_binds = np.tile(np.eye(3, 4), (K + 2, 1, 1))
+    inv_binds[:K, :, 3] = -armature.heads
+    _float_source(skin, "skin-bind-poses", _fmt_matrices(inv_binds), K + 2, _TRANSFORM)
 
     # Per vertex, (joint, weight index) pairs: its bone influences, whose
     # weights get indices 1.. in vertex then slot order, or else its Jaw
@@ -157,7 +154,7 @@ def write_collada(
     weight_index[:, :4][active] = np.arange(1, active.sum() + 1)
     pair_joints = np.column_stack([mesh.weight_bones, anchor])[used]
     weights = np.concatenate([[1.0], mesh.weight_values[active]])
-    _float_source(skin, "skin-weights", weights, [("WEIGHT", "float")])
+    _float_source(skin, "skin-weights", _fmt_array(weights), len(weights), [("WEIGHT", "float")])
     joints = SubElement(skin, "joints")
     SubElement(joints, "input", semantic="JOINT", source="#skin-joints")
     SubElement(joints, "input", semantic="INV_BIND_MATRIX", source="#skin-bind-poses")
@@ -171,9 +168,7 @@ def write_collada(
     if clip is not None:
         la = SubElement(root, "library_animations")
         A, b = _pose_affines(armature, clip.quats, clip.heads, clip.stretches)
-        world = _affine_to_matrix16(A, clip.heads).reshape(clip.n_keys, K, 4, 4)
-
-        locals_ = np.empty_like(world)
+        locals_ = np.empty((clip.n_keys, K, 3, 4))
         S_inv = stretch_matrices(
             armature.rest_dirs, 1.0 / clip.stretches, np.sqrt(clip.stretches)
         )
@@ -182,29 +177,22 @@ def write_collada(
         for k in range(K):
             p = armature.parents[k]
             if p < 0:
-                locals_[:, k] = world[:, k]
-                locals_[:, k, :3, 3] -= armature.root_point
+                locals_[:, k] = _affine_rows(A[:, k], clip.heads[:, k] - armature.root_point)
             else:
                 rel = clip.heads[:, k] - clip.heads[:, p]
-                locals_[:, k, :3, :3] = A_inv[:, p] @ A[:, k]
-                locals_[:, k, :3, 3] = np.einsum("fij,fj->fi", A_inv[:, p], rel)
-                locals_[:, k, 3, :] = [0.0, 0.0, 0.0, 1.0]
+                locals_[:, k, :, :3] = A_inv[:, p] @ A[:, k]
+                locals_[:, k, :, 3] = np.einsum("fij,fj->fi", A_inv[:, p], rel)
 
-        def emit_animation(node_sid: str, matrices: np.ndarray):
-            anim = SubElement(la, "animation", id=f"anim-{node_sid}")
-            _float_source(anim, f"anim-{node_sid}-input", clip.times, [("TIME", "float")])
-            _float_source(
-                anim,
-                f"anim-{node_sid}-output",
-                matrices.reshape(-1, 16),
-                [("TRANSFORM", "float4x4")],
-            )
-            _name_source(
-                anim,
-                f"anim-{node_sid}-interp",
-                ["LINEAR"] * clip.n_keys,
-                "INTERPOLATION",
-            )
+        # Every animation shares the clip's time source and interpolation names.
+        times_text = _fmt_array(clip.times)
+        interp_text = " ".join(["LINEAR"] * clip.n_keys)
+
+        def emit_animation(node_sid: str, rows: np.ndarray):
+            aid = f"anim-{node_sid}"
+            anim = SubElement(la, "animation", id=aid)
+            _float_source(anim, f"{aid}-input", times_text, clip.n_keys, [("TIME", "float")])
+            _float_source(anim, f"{aid}-output", _fmt_matrices(rows), clip.n_keys, _TRANSFORM)
+            _name_source(anim, f"{aid}-interp", interp_text, clip.n_keys, "INTERPOLATION")
             sampler = SubElement(anim, "sampler", id=f"anim-{node_sid}-sampler")
             SubElement(sampler, "input", semantic="INPUT", source=f"#anim-{node_sid}-input")
             SubElement(sampler, "input", semantic="OUTPUT", source=f"#anim-{node_sid}-output")
@@ -220,8 +208,7 @@ def write_collada(
 
         for k, sid in enumerate(bone_sids):
             emit_animation(sid, locals_[:, k])
-        jaw_world = _affine_to_matrix16(quat_to_mat(clip.jaw_quats), clip.jaw_translations)
-        emit_animation(jaw_sid, jaw_world)
+        emit_animation(jaw_sid, _affine_rows(quat_to_mat(clip.jaw_quats), clip.jaw_translations))
 
     # visual scene -----------------------------------------------------------
     lvs = SubElement(root, "library_visual_scenes")
@@ -231,7 +218,7 @@ def write_collada(
         scene, "node", id=f"node-{root_sid}", name=root_sid, sid=root_sid, type="JOINT"
     )
     mat = SubElement(root_node, "matrix", sid="transform")
-    mat.text = _fmt_array(_affine_to_matrix16(np.eye(3), armature.root_point))
+    mat.text = _fmt_matrices(_affine_rows(np.eye(3), armature.root_point))
 
     node_elems = {-1: root_node}
     for k, sid in enumerate(bone_sids):
@@ -242,9 +229,7 @@ def write_collada(
         m_el = SubElement(node, "matrix", sid="transform")
         p = int(armature.parents[k])
         parent_head = armature.root_point if p < 0 else armature.heads[p]
-        m_el.text = _fmt_array(
-            _affine_to_matrix16(np.eye(3), armature.heads[k] - parent_head)
-        )
+        m_el.text = _fmt_matrices(_affine_rows(np.eye(3), armature.heads[k] - parent_head))
         extra = SubElement(node, "extra")
         tech = SubElement(extra, "technique", profile=PROFILE)
         SubElement(tech, "tail").text = _fmt_array(armature.tails[k])
@@ -253,7 +238,7 @@ def write_collada(
 
     for sid in (jaw_sid, skull_sid):
         n = SubElement(scene, "node", id=f"node-{sid}", name=sid, sid=sid, type="JOINT")
-        SubElement(n, "matrix", sid="transform").text = _fmt_array(np.eye(4))
+        SubElement(n, "matrix", sid="transform").text = _fmt_matrices(np.eye(3, 4))
 
     model = SubElement(scene, "node", id="model", name="model")
     ic = SubElement(model, "instance_controller", url="#skin")
@@ -298,16 +283,31 @@ def _child(elem: Element, name: str) -> Element:
 
 
 def _numbers(text: str | None, dtype=np.float64) -> np.ndarray:
+    """The numbers of `text`, separated by ASCII whitespace; floats must be finite.
+
+    ``np.fromstring`` gives ``[-1.]`` for blank text, and raises (numpy 2) or
+    warns and returns a prefix (numpy 1) on text it cannot read to the end.
+    It saturates integers past int64, so integers stay on ``split()``.
+    """
     try:
-        return np.array((text or "").split(), dtype=dtype)
-    except (ValueError, OverflowError):
+        if dtype is not np.float64:
+            return np.array((text or "").split(), dtype=dtype)
+        if not text or text.isspace():
+            return np.empty(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            values = np.fromstring(text, sep=" ")
+    except (ValueError, OverflowError, DeprecationWarning):
         raise ParseError(f"bad {np.dtype(dtype)} in array text", module="export") from None
+    if not np.isfinite(values).all():
+        raise ParseError("non-finite number in array text", module="export")
+    return values
 
 
 def _values(elem: Element, n: int) -> np.ndarray:
     """The `n` finite numbers that `elem` must hold."""
     values = _numbers(elem.text)
-    if values.shape != (n,) or not np.isfinite(values).all():
+    if values.shape != (n,):
         raise ParseError(f"<{_local(elem)}> must hold {n} finite numbers", module="export")
     return values
 

@@ -1,4 +1,5 @@
 import re
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -7,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emarig.anim_db import AnimationClip
-from emarig.collada_io import _fmt_array, read_collada, write_collada
+from emarig.collada_io import (
+    _affine_rows,
+    _fmt_array,
+    _fmt_matrices,
+    _numbers,
+    read_collada,
+    write_collada,
+)
 from emarig.errors import InconsistentRig, ParseError, UnsupportedFeature
 from emarig.rig import Armature, SkinnedMesh, load_mesh
 from emarig.rotations import axis_angle_matrix, mat_to_quat
@@ -243,6 +251,111 @@ def skinned_meshes(draw, n_bones):
         weight_bones=weight_bones,
         weight_values=weight_values,
     )
+
+
+# --- the per-float number codec, kept as the reference ----------------------
+
+
+def loop_fmt_array(values):
+    return " ".join(format(float(v), ".9g") for v in np.asarray(values).ravel())
+
+
+def loop_affine_to_matrix16(A, t):
+    M = np.zeros(A.shape[:-2] + (4, 4))
+    M[..., :3, :3] = A
+    M[..., :3, 3] = t
+    M[..., 3, 3] = 1.0
+    return M.reshape(A.shape[:-2] + (16,))
+
+
+# Every float64 bit pattern (subnormals, +-0.0, inf and nan among them),
+# +-1e+-300, integral floats, and values whose 10th significant digit is a
+# 5, so that printing them rounds at the 9th.
+any_float = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64))),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, -1e-300, np.inf, np.nan]),
+    st.integers(-(2**63), 2**63).map(float),
+    st.builds(
+        lambda m, e, sign: sign * (m + 0.5) * 10.0**e,
+        st.integers(10**8, 10**9 - 1),
+        st.integers(-30, 30),
+        st.sampled_from([1.0, -1.0]),
+    ),
+)
+finite_float = any_float.filter(np.isfinite)
+
+
+class TestNumberCodec:
+    @settings(max_examples=500, deadline=None, database=None)
+    @given(st.lists(any_float, max_size=40))
+    def test_fmt_array_matches_per_float_format(self, values):
+        assert _fmt_array(np.array(values)) == loop_fmt_array(np.array(values))
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.integers(0, 6).flatmap(
+        lambda n: st.tuples(
+            st.lists(any_float, min_size=9 * n, max_size=9 * n),
+            st.lists(any_float, min_size=3 * n, max_size=3 * n),
+        )
+    ))
+    def test_matrix_rows_match_full_matrices(self, entries):
+        A = np.array(entries[0]).reshape(-1, 3, 3)
+        t = np.array(entries[1]).reshape(-1, 3)
+        expected = loop_fmt_array(loop_affine_to_matrix16(A, t))
+        assert _fmt_matrices(_affine_rows(A, t)) == expected
+
+    @settings(max_examples=500, deadline=None, database=None)
+    @given(
+        st.lists(
+            st.tuples(finite_float, st.sampled_from(["%.9g", "%r"])), min_size=1, max_size=40
+        ),
+        st.lists(
+            st.sampled_from([" ", "  ", "\t", "\n", " \n  ", "\r\n", "\t \n"]),
+            min_size=39,
+            max_size=39,
+        ),
+        st.sampled_from(["", " ", "\n", "\n    ", "\t"]),
+        st.sampled_from(["", " ", "\n", "\n  ", "\t\n"]),
+    )
+    def test_decoder_matches_split(self, tokens, gaps, lead, trail):
+        # %.9g tokens as written, and repr tokens as in <duration>.
+        words = [template % x for x, template in tokens]
+        text = lead + words[0] + "".join(g + w for g, w in zip(gaps, words[1:])) + trail
+        expected = np.array(text.split(), dtype=np.float64)
+        assert _numbers(text).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("text", [None, "", " ", "\n", " \t\n  "])
+    def test_blank_text_is_empty(self, text):
+        assert _numbers(text).shape == (0,)
+        assert _numbers(text, np.int64).shape == (0,)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1 2 x", "1,2", "0x10", "1_0", "\u0661", "1\xa02", "nan", "1 inf", "-inf 2", "1e999"],
+    )
+    def test_bad_float_text_fails(self, text):
+        with pytest.raises(ParseError) as err:
+            _numbers(text)
+        assert err.value.diagnostic().startswith("error:export:parse_error:")
+
+    def test_numpy_1_prefix_with_warning_fails(self, monkeypatch):
+        # numpy 1.x only warns on text it cannot read to the end and
+        # returns the numbers before it; the caller's filter must not matter.
+        def fromstring_1x(text, sep):
+            warnings.warn("string or file could not be read to its end", DeprecationWarning)
+            return np.array([1.0, 2.0])
+
+        monkeypatch.setattr(np, "fromstring", fromstring_1x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ParseError):
+                _numbers("1 2 x")
+
+    @pytest.mark.parametrize("text", ["9223372036854775808", "1 -9223372036854775809", "1.5"])
+    def test_bad_int_text_fails(self, text):
+        with pytest.raises(ParseError):
+            _numbers(text, np.int64)
 
 
 class TestSkinCodec:

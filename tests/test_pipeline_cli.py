@@ -343,6 +343,19 @@ class TestSynth:
         rewrite_rehashed(bundle, "model.dae", new)
         synth_fails_tagged(bundle, tmp_path, capsys, "error:export:parse_error:")
 
+    @pytest.mark.parametrize("token", [b"nan", b"inf", b"1e999"])
+    @pytest.mark.parametrize("array", [b"mesh-positions", b"anim-TBackC-output"])
+    def test_non_finite_number_is_tagged(self, bundle_dir, tmp_path, capsys, array, token):
+        # The first value of the array replaced, with the manifest re-hashed.
+        bundle = tmp_path / "b"
+        shutil.copytree(bundle_dir, bundle)
+        old = (bundle / "model.dae").read_bytes()
+        pattern = rb'(<float_array id="%s-array" count="\d+">)[^ ]+' % array
+        new, n = re.subn(pattern, rb"\g<1>" + token, old, count=1)
+        assert n == 1
+        rewrite_rehashed(bundle, "model.dae", new)
+        synth_fails_tagged(bundle, tmp_path, capsys, "error:export:parse_error:")
+
     @pytest.mark.parametrize("name", ["manifest.txt", "segmentation.txt"])
     def test_non_utf8_text_is_tagged(self, bundle_dir, tmp_path, capsys, name):
         # Two bytes that are not UTF-8 appended; a companion file is
