@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import re
 import warnings
 import xml.etree.ElementTree as ET
@@ -557,3 +559,53 @@ class TestReaderErrors:
         with pytest.raises(ParseError) as err:
             read_collada(doc)
         assert err.value.diagnostic().startswith("error:export:parse_error:")
+
+
+# --- golden read-back ---------------------------------------------------------
+
+# sha256 over every field `read_collada` returns (mesh, armature, clip) for
+# the `emarig fixture` default model.dae, then for the `synth --out` clip of
+# the golden synth request against that bundle. The document digests cannot
+# prove a bit-identical reader, because %.9g hides last-bit changes.
+GOLDEN_READ_SHA256 = "ba90281a69481106cb2859912f70bfe6d6056616c33dd24aa4eccf65a01eae88"
+
+
+def _hash_fields(h, obj):
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        h.update(f.name.encode())
+        if isinstance(value, dict):
+            for key in sorted(value):
+                h.update(key.encode())
+                _hash_value(h, value[key])
+        else:
+            _hash_value(h, value)
+
+
+def _hash_value(h, value):
+    if isinstance(value, np.ndarray):
+        h.update(f"{value.dtype.str}{value.shape}".encode())
+        h.update(np.ascontiguousarray(value).tobytes())
+    else:
+        h.update(repr(value).encode())
+
+
+def test_golden_read_digest(tmp_path):
+    from test_pipeline_cli import GOLDEN_SYNTH_REQUEST
+
+    from emarig.cli import main
+
+    assert main(["fixture", "--out", str(tmp_path / "f")]) == 0
+    assert main([
+        "compile", "--config", str(tmp_path / "f" / "config.cfg"), "--out", str(tmp_path / "b"),
+    ]) == 0
+    out = tmp_path / "clip.dae"
+    assert main([
+        "synth", "--bundle", str(tmp_path / "b"), "--request", GOLDEN_SYNTH_REQUEST,
+        "--out", str(out),
+    ]) == 0
+    h = hashlib.sha256()
+    for path in (tmp_path / "b" / "model.dae", out):
+        for part in read_collada(path.read_text(encoding="utf-8")):
+            _hash_fields(h, part)
+    assert h.hexdigest() == GOLDEN_READ_SHA256
