@@ -66,9 +66,13 @@ class AnimationClip:
     def n_keys(self) -> int:
         return len(self.times)
 
-    def frame_index(self, t: float) -> int:
-        """Nearest dense-bake frame for a time on this clip's grid."""
-        return int(np.clip(round(t * self.rate_hz), 0, self.n_keys - 1))
+    def frame_index(self, t):
+        """Nearest dense-bake frame(s) for time(s) on this clip's grid.
+
+        Halfway times round to the even frame, as Python's ``round`` does.
+        """
+        rows = np.clip(np.round(np.multiply(t, self.rate_hz)), 0, self.n_keys - 1)
+        return rows.astype(np.intp)
 
     def pose(self, rows) -> tuple:
         """The `POSE_FIELDS` channels at key indices `rows`."""
@@ -311,20 +315,20 @@ def build_unit_db(clip: AnimationClip, tier: SegmentTier) -> list[AnimationUnit]
             f"tier ends at {tier.end} s but the clip lasts {clip.duration} s"
         )
     vel = _tail_velocities(clip)
-    units = []
-    for i, seg in enumerate(tier):
-        a = clip.frame_index(seg.start)
-        b = clip.frame_index(seg.end)
-        units.append(
-            AnimationUnit(
-                label=seg.label,
-                start=seg.start,
-                end=seg.end,
-                source_index=i,
-                first_positions=clip.tails[a].copy(),
-                first_velocities=vel[a].copy(),
-                last_positions=clip.tails[b].copy(),
-                last_velocities=vel[b].copy(),
-            )
+    a = clip.frame_index([seg.start for seg in tier])
+    b = clip.frame_index([seg.end for seg in tier])
+    first_positions, first_velocities = clip.tails[a], vel[a]
+    last_positions, last_velocities = clip.tails[b], vel[b]
+    return [
+        AnimationUnit(
+            label=seg.label,
+            start=seg.start,
+            end=seg.end,
+            source_index=i,
+            first_positions=first_positions[i],
+            first_velocities=first_velocities[i],
+            last_positions=last_positions[i],
+            last_velocities=last_velocities[i],
         )
-    return units
+        for i, seg in enumerate(tier)
+    ]

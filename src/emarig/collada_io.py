@@ -16,6 +16,7 @@ blocks under the ``emarig`` technique profile; the reader requires them.
 
 from __future__ import annotations
 
+import functools
 import re
 import warnings
 import xml.etree.ElementTree as ET
@@ -46,7 +47,8 @@ def _fmt_array(values: np.ndarray) -> str:
 
 
 def _fmt_ints(values: np.ndarray) -> str:
-    return " ".join(map(str, np.asarray(values).ravel().tolist()))
+    flat = np.asarray(values).ravel().tolist()
+    return " ".join(["%d"] * len(flat)) % tuple(flat)
 
 
 def _fmt_matrices(rows: np.ndarray) -> str:
@@ -180,8 +182,9 @@ def write_collada(
                 locals_[:, k] = _affine_rows(A[:, k], clip.heads[:, k] - armature.root_point)
             else:
                 rel = clip.heads[:, k] - clip.heads[:, p]
-                locals_[:, k, :, :3] = A_inv[:, p] @ A[:, k]
-                locals_[:, k, :, 3] = np.einsum("fij,fj->fi", A_inv[:, p], rel)
+                A_inv_p = np.ascontiguousarray(A_inv[:, p])
+                locals_[:, k, :, :3] = A_inv_p @ A[:, k]
+                locals_[:, k, :, 3] = np.einsum("fij,fj->fi", A_inv_p, rel)
 
         # Every animation shares the clip's time source and interpolation names.
         times_text = _fmt_array(clip.times)
@@ -282,25 +285,39 @@ def _child(elem: Element, name: str) -> Element:
     return found[0]
 
 
-def _numbers(text: str | None, dtype=np.float64) -> np.ndarray:
-    """The numbers of `text`, separated by ASCII whitespace; floats must be finite.
+_INT64 = np.iinfo(np.int64)
+# A sign that no digit follows, which ``np.fromstring`` reads as 0 or joins
+# to the next number.
+_LONE_SIGN = re.compile(r"[+-](?![0-9])")
 
-    ``np.fromstring`` gives ``[-1.]`` for blank text, and raises (numpy 2) or
-    warns and returns a prefix (numpy 1) on text it cannot read to the end.
-    It saturates integers past int64, so integers stay on ``split()``.
+
+def _numbers(text: str | None, dtype=np.float64) -> np.ndarray:
+    """The numbers of `text`, separated by ASCII whitespace.
+
+    Floats must be finite; integers are ASCII digits with an optional sign,
+    inside int64. ``np.fromstring`` gives ``[-1.]`` for blank text, and
+    raises (numpy 2) or warns and returns a prefix (numpy 1) on text it
+    cannot read to the end. It saturates integers past int64 in both
+    directions to the int64 maximum, so both int64 limits are refused.
     """
+    if not text or text.isspace():
+        return np.empty(0, dtype)
     try:
-        if dtype is not np.float64:
-            return np.array((text or "").split(), dtype=dtype)
-        if not text or text.isspace():
-            return np.empty(0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            values = np.fromstring(text, sep=" ")
-    except (ValueError, OverflowError, DeprecationWarning):
+            if dtype is np.float64:
+                values = np.fromstring(text, sep=" ")
+            else:
+                values = np.fromstring(text, dtype=np.int64, sep=" ")
+    except (ValueError, DeprecationWarning):
         raise ParseError(f"bad {np.dtype(dtype)} in array text", module="export") from None
-    if not np.isfinite(values).all():
-        raise ParseError("non-finite number in array text", module="export")
+    if dtype is np.float64:
+        if not np.isfinite(values).all():
+            raise ParseError("non-finite number in array text", module="export")
+    elif (
+        ("-" in text or "+" in text) and _LONE_SIGN.search(text)
+    ) or ((values == _INT64.max) | (values == _INT64.min)).any():
+        raise ParseError("bad int64 in array text", module="export")
     return values
 
 
@@ -320,12 +337,36 @@ def _rows(values: np.ndarray, elem: Element, width: int) -> np.ndarray:
     return values.reshape(-1, width)
 
 
-def _source_rows(src: Element, width: int) -> np.ndarray:
+def _source_rows(src: Element, width: int, numbers=_numbers) -> np.ndarray:
     """A <source>'s float_array as rows, checked against its accessor."""
     accessor = _child(_child(src, "technique_common"), "accessor")
     if accessor.get("stride") != str(width):
         raise ParseError(f"source {src.get('id')!r} needs stride {width}", module="export")
-    return _rows(_numbers(_child(src, "float_array").text), accessor, width)
+    return _rows(numbers(_child(src, "float_array").text), accessor, width)
+
+
+def _affine(matrices: np.ndarray, what: str) -> np.ndarray:
+    """`matrices` (..., 4, 4), each of which must end in the row 0 0 0 1."""
+    if not (matrices[..., 3, :] == (0.0, 0.0, 0.0, 1.0)).all():
+        raise ParseError(f"{what} must end in the row 0 0 0 1", module="export")
+    return matrices
+
+
+def _translation(elem: Element) -> np.ndarray:
+    """The offset of a node <matrix>, which must be a pure translation."""
+    m = _affine(_values(elem, 16).reshape(4, 4), "a node <matrix>")
+    if not (m[:3, :3] == np.eye(3)).all():
+        raise ParseError("a node <matrix> must not rotate or scale", module="export")
+    return m[:3, 3]
+
+
+def _bone_channels(worlds: np.ndarray, armature: Armature) -> tuple:
+    """Quaternions, stretches and tails of bone world matrices (n, K, 4, 4)."""
+    A = np.ascontiguousarray(worlds[:, :, :3, :3])
+    stretches = norm(np.einsum("fkij,kj->fki", A, armature.rest_dirs))
+    R = A @ stretch_matrices(armature.rest_dirs, 1.0 / stretches, np.sqrt(stretches))
+    tails = worlds[:, :, :3, 3] + np.einsum("fkij,kj->fki", A, armature.tails - armature.heads)
+    return mat_to_quat(R), stretches, tails
 
 
 _KNOWN_LIBRARIES = {
@@ -427,12 +468,11 @@ def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip | 
     if root_node is None:
         raise ParseError(f"skeleton root {skeleton_root_id!r} not found", module="export")
     root_name = root_node.get("sid") or root_node.get("name") or "Root"
-    root_matrix = _values(_child(root_node, "matrix"), 16).reshape(4, 4)
-    root_point = root_matrix[:3, 3]
+    root_point = _translation(_child(root_node, "matrix"))
 
     bone_names: list[str] = []
     parents: list[int] = []
-    rest_locals: list[np.ndarray] = []
+    offsets: list[np.ndarray] = []
     tails: list[np.ndarray] = []
 
     def walk(elem: Element, parent_idx: int):
@@ -443,7 +483,7 @@ def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip | 
             k = len(bone_names)
             bone_names.append(sid)
             parents.append(parent_idx)
-            rest_locals.append(_values(_child(child, "matrix"), 16).reshape(4, 4))
+            offsets.append(_translation(_child(child, "matrix")))
             tail = None
             for extra in _children(child, "extra"):
                 for tech in _children(extra, "technique"):
@@ -465,7 +505,7 @@ def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip | 
     for k in range(K):
         p = parents[k]
         base = root_point if p < 0 else heads[p]
-        heads[k] = base + rest_locals[k][:3, 3]
+        heads[k] = base + offsets[k]
     tails_arr = np.asarray(tails)
     deltas = tails_arr - heads
     rest_lengths = np.sqrt(np.sum(deltas * deltas, axis=-1))
@@ -512,6 +552,8 @@ def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip | 
     clip = None
     if la:
         channels: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        # The animations share one time-source text: parse it once.
+        time_numbers = functools.cache(_numbers)
         for anim in _children(la[0], "animation"):
             chan = _child(anim, "channel")
             target = (chan.get("target") or "").split("/")[0]
@@ -522,9 +564,9 @@ def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip | 
                 fa = _children(s, "float_array")
                 na = _children(s, "Name_array")
                 if fa and sid.endswith("-input"):
-                    times = _source_rows(s, 1)[:, 0]
+                    times = _source_rows(s, 1, time_numbers)[:, 0]
                 elif fa and sid.endswith("-output"):
-                    mats = _source_rows(s, 16).reshape(-1, 4, 4)
+                    mats = _affine(_source_rows(s, 16).reshape(-1, 4, 4), f"source {sid!r}")
                 elif na and sid.endswith("-interp"):
                     kinds = set((na[0].text or "").split())
                     if kinds - {"LINEAR"}:
@@ -556,13 +598,7 @@ def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip | 
                 worlds[:, k] = worlds[:, parents[k]] @ local
 
         heads_t = worlds[:, :, :3, 3]
-        A = worlds[:, :, :3, :3]
-        stretches = norm(np.einsum("fkij,kj->fki", A, armature.rest_dirs))
-        R = A @ stretch_matrices(armature.rest_dirs, 1.0 / stretches, np.sqrt(stretches))
-        quats = mat_to_quat(R)
-        tails_t = heads_t + np.einsum(
-            "fkij,kj->fki", A, armature.tails - armature.heads
-        )
+        quats, stretches, tails_t = _bone_channels(worlds, armature)
 
         jaw_key = next(
             (

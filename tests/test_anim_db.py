@@ -1,3 +1,5 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,10 @@ from hypothesis import strategies as st
 
 from emarig.anim_db import (
     AnimationClip,
+    AnimationUnit,
     Segment,
     SegmentTier,
+    _tail_velocities,
     bake,
     build_unit_db,
     format_segmentation,
@@ -247,3 +251,77 @@ class TestUnitDb:
         tier = SegmentTier(segments=(Segment(0.0, clip.duration + 1.0, "x"),))
         with pytest.raises(IncompatibleBundle, match="tier ends at"):
             build_unit_db(clip, tier)
+
+
+# --- the per-segment unit DB loop, kept as the reference ----------------------
+
+
+def scalar_frame_index(clip, t: float) -> int:
+    """Nearest dense-bake frame for a time on this clip's grid."""
+    return int(np.clip(round(t * clip.rate_hz), 0, clip.n_keys - 1))
+
+
+def loop_build_unit_db(clip, tier):
+    vel = _tail_velocities(clip)
+    units = []
+    for i, seg in enumerate(tier):
+        a = scalar_frame_index(clip, seg.start)
+        b = scalar_frame_index(clip, seg.end)
+        units.append(
+            AnimationUnit(
+                label=seg.label,
+                start=seg.start,
+                end=seg.end,
+                source_index=i,
+                first_positions=clip.tails[a].copy(),
+                first_velocities=vel[a].copy(),
+                last_positions=clip.tails[b].copy(),
+                last_velocities=vel[b].copy(),
+            )
+        )
+    return units
+
+
+@st.composite
+def grid_tiers(draw):
+    """A clip keyed densely at a drawn rate, and a tier over it whose edges
+    sit on frames, exactly on half frames (power-of-two rates make k + 0.5
+    exact, so rounding ties to even) or anywhere, with gaps between some
+    segments and the last edge possibly at the clip's end."""
+    rate = draw(st.sampled_from([128.0, 256.0, 200.0, 100.0, 60.0]))
+    n = draw(st.integers(2, 40))
+    clip = random_clip(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    clip = replace(clip, rate_hz=rate, times=np.arange(n) / rate, duration=n / rate)
+    edge = st.one_of(
+        st.integers(0, n).map(lambda k: k / rate),
+        st.integers(0, n - 1).map(lambda k: (k + 0.5) / rate),
+        st.floats(0.0, n / rate),
+    )
+    edges = sorted(draw(st.lists(edge, min_size=2, max_size=12, unique=True)))
+    segments = [
+        Segment(start, end, f"s{i}")
+        for i, (start, end) in enumerate(zip(edges[:-1], edges[1:]))
+        if draw(st.booleans()) or i == 0
+    ]
+    return clip, SegmentTier(segments=tuple(segments))
+
+
+class TestUnitDbFrames:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(grid_tiers())
+    def test_matches_per_segment_loop(self, case):
+        clip, tier = case
+        times = [t for seg in tier for t in (seg.start, seg.end)]
+        expect = [scalar_frame_index(clip, t) for t in times]
+        assert clip.frame_index(times).tolist() == expect
+        assert [clip.frame_index(t) for t in times] == expect
+
+        got, ref = build_unit_db(clip, tier), loop_build_unit_db(clip, tier)
+        assert len(got) == len(ref)
+        for u, r in zip(got, ref):
+            for f in fields(AnimationUnit):
+                x, y = getattr(u, f.name), getattr(r, f.name)
+                if isinstance(y, np.ndarray):
+                    assert np.array_equal(x, y, equal_nan=True)
+                else:
+                    assert x == y

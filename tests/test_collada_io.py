@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from emarig.anim_db import AnimationClip
 from emarig.collada_io import (
     _affine_rows,
+    _bone_channels,
     _fmt_array,
     _fmt_matrices,
     _numbers,
@@ -20,9 +21,11 @@ from emarig.collada_io import (
 )
 from emarig.errors import InconsistentRig, ParseError, UnsupportedFeature
 from emarig.rig import Armature, SkinnedMesh, load_mesh
-from emarig.rotations import axis_angle_matrix, mat_to_quat
+from emarig.ik_solver import stretch_matrices
+from emarig.rotations import axis_angle_matrix, mat_to_quat, norm
 
 from conftest import make_chain_armature
+from test_rotations import four_branch_mat_to_quat
 
 
 def quat_close(a, b, atol):
@@ -331,6 +334,28 @@ class TestNumberCodec:
     def test_blank_text_is_empty(self, text):
         assert _numbers(text).shape == (0,)
         assert _numbers(text, np.int64).shape == (0,)
+        assert _numbers(text, np.int64).dtype == np.int64
+
+    @settings(max_examples=500, deadline=None, database=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(-(2**63) + 1, 2**63 - 2), st.sampled_from(["%d", "%+d", "%03d"])
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        st.lists(st.sampled_from([" ", "  ", "\t", "\n", " \n  ", "\r\n"]), min_size=39, max_size=39),
+        st.sampled_from(["", " ", "\n  "]),
+        st.sampled_from(["", " ", "\n"]),
+    )
+    def test_int_decoder_matches_split(self, tokens, gaps, lead, trail):
+        words = [template % x for x, template in tokens]
+        text = lead + words[0] + "".join(g + w for g, w in zip(gaps, words[1:])) + trail
+        expected = np.array(text.split(), dtype=np.int64)
+        got = _numbers(text, np.int64)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize(
         "text",
@@ -354,10 +379,21 @@ class TestNumberCodec:
             with pytest.raises(ParseError):
                 _numbers("1 2 x")
 
-    @pytest.mark.parametrize("text", ["9223372036854775808", "1 -9223372036854775809", "1.5"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "9223372036854775808", "1 -9223372036854775809", "1.5",
+            # Past int64 reads as the int64 maximum, so both limits fail.
+            "-9223372036854775809", "9223372036854775807", "-9223372036854775808",
+            "1_0", "\u0660", "\u0661 2", "1e3", "0x10", "1 2 x", "1,2", "1\xa02",
+            # A sign with no digit after it reads as 0 or joins the next number.
+            "-", "+", "1 -", "- 1", "1 + 2",
+        ],
+    )
     def test_bad_int_text_fails(self, text):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as err:
             _numbers(text, np.int64)
+        assert err.value.diagnostic().startswith("error:export:parse_error:")
 
 
 class TestSkinCodec:
@@ -491,6 +527,51 @@ class TestRoundTrip:
         assert np.array_equal(m2.group_indices("tongue"), [0, 1, 2, 3])
 
 
+def strided_bone_channels(worlds, armature):
+    """The reader's bone-channel math as it ran on the strided 3x3 view of
+    the world matrices, kept verbatim as the reference."""
+    heads_t = worlds[:, :, :3, 3]
+    A = worlds[:, :, :3, :3]
+    stretches = norm(np.einsum("fkij,kj->fki", A, armature.rest_dirs))
+    R = A @ stretch_matrices(armature.rest_dirs, 1.0 / stretches, np.sqrt(stretches))
+    quats = four_branch_mat_to_quat(R)
+    tails_t = heads_t + np.einsum(
+        "fkij,kj->fki", A, armature.tails - armature.heads
+    )
+    return quats, stretches, tails_t
+
+
+class TestBoneChannels:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        st.integers(1, 7),
+        st.integers(1, 40),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["posed", "raw"]),
+        st.sampled_from([1e-3, 1.0, 1e3]),
+    )
+    def test_matches_strided_reference(self, n_bones, n_keys, seed, kind, scale):
+        # Posed worlds are rotation times stretch along the rest direction,
+        # as the writer bakes them; raw worlds are arbitrary 3x4 entries.
+        rng = np.random.default_rng(seed)
+        arm = random_tree_armature(rng, n_bones)
+        worlds = np.zeros((n_keys, n_bones, 4, 4))
+        worlds[..., 3, 3] = 1.0
+        worlds[..., :3, 3] = rng.normal(0, 2, (n_keys, n_bones, 3))
+        if kind == "posed":
+            stretch = rng.uniform(0.5, 2.0, (n_keys, n_bones))
+            S = stretch_matrices(arm.rest_dirs, stretch, 1.0 / np.sqrt(stretch))
+            R = np.array([
+                axis_angle_matrix(rng.normal(0, 1, 3), rng.uniform(-np.pi, np.pi))
+                for _ in range(n_keys * n_bones)
+            ]).reshape(n_keys, n_bones, 3, 3)
+            worlds[..., :3, :3] = scale * (R @ S)
+        else:
+            worlds[..., :3, :3] = rng.normal(0, scale, (n_keys, n_bones, 3, 3))
+        for got, ref in zip(_bone_channels(worlds, arm), strided_bone_channels(worlds, arm)):
+            assert np.array_equal(got, ref, equal_nan=True)
+
+
 class TestReaderErrors:
     def test_malformed_xml(self):
         with pytest.raises(ParseError):
@@ -518,6 +599,37 @@ class TestReaderErrors:
         )
         with pytest.raises(UnsupportedFeature):
             read_collada(doc)
+
+    @pytest.mark.parametrize(
+        "pattern, repl",
+        [
+            # a bone's first animation key ending in 0 0 0 2
+            (r'(id="anim-TMidC-output-array" count="\d+">(?:\S+ ){15})1 ', r"\g<1>2 "),
+            # the jaw's
+            (r'(id="anim-Jaw-output-array" count="\d+">(?:\S+ ){15})1 ', r"\g<1>2 "),
+            # a bone node <matrix> ending in 0 0 0 2, scaled, or sheared
+            (r'(id="node-TMidC"[^>]*>\s*<matrix sid="transform">(?:\S+ ){15})1<', r"\g<1>2<"),
+            (r'(id="node-TMidC"[^>]*>\s*<matrix sid="transform">)1 ', r"\g<1>2 "),
+            (r'(id="node-TMidC"[^>]*>\s*<matrix sid="transform">\S+ )0 ', r"\g<1>0.5 "),
+            # the skeleton root's <matrix> rotated a quarter turn about z
+            (
+                r'(id="node-TRoot"[^>]*>\s*<matrix sid="transform">)1 0 0 (\S+) 0 1 0 ',
+                r"\g<1>0 -1 0 \2 1 0 0 ",
+            ),
+        ],
+        ids=[
+            "bone_key_last_row", "jaw_key_last_row", "node_last_row", "node_scaled",
+            "node_sheared", "root_rotated",
+        ],
+    )
+    def test_non_affine_or_rotated_node_is_tagged(self, compiled_model, pattern, repl):
+        rig, clip, _ = compiled_model
+        doc = write_collada(rig.mesh, rig.armature, clip)
+        doc, n = re.subn(pattern, repl, doc, count=1)
+        assert n == 1
+        with pytest.raises(ParseError) as err:
+            read_collada(doc)
+        assert err.value.diagnostic().startswith("error:export:parse_error:")
 
     @pytest.mark.parametrize(
         "pattern, repl",

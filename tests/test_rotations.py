@@ -1,0 +1,116 @@
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from emarig.rotations import axis_angle_matrix, mat_to_quat, norm
+
+
+def four_branch_mat_to_quat(R):
+    """The `mat_to_quat` that evaluated all four Shepperd branches on every
+    matrix and then picked one, kept verbatim as the reference."""
+    R = np.asarray(R, dtype=np.float64)
+    batch = R.shape[:-2]
+    q = np.empty(batch + (4,), dtype=np.float64)
+    m00, m11, m22 = R[..., 0, 0], R[..., 1, 1], R[..., 2, 2]
+    trace = m00 + m11 + m22
+
+    # Shepperd's method, branch chosen per element for numerical safety.
+    q0 = np.empty(batch + (4,))
+    s = np.sqrt(np.maximum(trace + 1.0, 0.0)) * 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q0[..., 0] = 0.25 * s
+        q0[..., 1] = (R[..., 2, 1] - R[..., 1, 2]) / s
+        q0[..., 2] = (R[..., 0, 2] - R[..., 2, 0]) / s
+        q0[..., 3] = (R[..., 1, 0] - R[..., 0, 1]) / s
+
+        q1 = np.empty(batch + (4,))
+        s1 = np.sqrt(np.maximum(1.0 + m00 - m11 - m22, 0.0)) * 2.0
+        q1[..., 0] = (R[..., 2, 1] - R[..., 1, 2]) / s1
+        q1[..., 1] = 0.25 * s1
+        q1[..., 2] = (R[..., 0, 1] + R[..., 1, 0]) / s1
+        q1[..., 3] = (R[..., 0, 2] + R[..., 2, 0]) / s1
+
+        q2 = np.empty(batch + (4,))
+        s2 = np.sqrt(np.maximum(1.0 - m00 + m11 - m22, 0.0)) * 2.0
+        q2[..., 0] = (R[..., 0, 2] - R[..., 2, 0]) / s2
+        q2[..., 1] = (R[..., 0, 1] + R[..., 1, 0]) / s2
+        q2[..., 2] = 0.25 * s2
+        q2[..., 3] = (R[..., 1, 2] + R[..., 2, 1]) / s2
+
+        q3 = np.empty(batch + (4,))
+        s3 = np.sqrt(np.maximum(1.0 - m00 - m11 + m22, 0.0)) * 2.0
+        q3[..., 0] = (R[..., 1, 0] - R[..., 0, 1]) / s3
+        q3[..., 1] = (R[..., 0, 2] + R[..., 2, 0]) / s3
+        q3[..., 2] = (R[..., 1, 2] + R[..., 2, 1]) / s3
+        q3[..., 3] = 0.25 * s3
+
+    choice = np.argmax(
+        np.stack([trace, m00, m11, m22], axis=-1), axis=-1
+    )
+    stacked = np.stack([q0, q1, q2, q3], axis=-2)
+    q = np.take_along_axis(stacked, choice[..., None, None], axis=-2)[..., 0, :]
+    q /= norm(q)[..., None]
+    neg = q[..., 0] < 0
+    q[neg] = -q[neg]
+    return q
+
+
+unit = st.floats(-1.0, 1.0, allow_nan=False)
+tiny = st.sampled_from([0.0, 1e-300, 5e-324, 1e-16, 2.2e-16, 1e-12, 1e-8])
+
+
+@st.composite
+def matrices(draw):
+    """One 3x3 matrix: a rotation, possibly a quarter or half turn about a
+    coordinate axis (where the trace ties with a diagonal entry, or two
+    diagonal entries tie), nudged by a tiny angle or a last-bit step, then
+    possibly scaled, sheared, replaced by raw entries or zeroed."""
+    kind = draw(st.sampled_from(["any", "quarter", "half"]))
+    if kind == "any":
+        axis = np.array([draw(unit), draw(unit), draw(unit)])
+        if not norm(axis) > 1e-6:
+            axis = np.array([0.0, 0.0, 1.0])
+        angle = draw(st.floats(-np.pi, np.pi))
+    else:
+        axis = np.eye(3)[draw(st.integers(0, 2))]
+        angle = (np.pi / 2 if kind == "quarter" else np.pi) * draw(st.sampled_from([1, -1]))
+    angle += draw(tiny) * draw(st.sampled_from([1, -1]))
+    M = axis_angle_matrix(axis, angle)
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        M[i, j] = np.nextafter(M[i, j], draw(st.sampled_from([-np.inf, np.inf])))
+    shape = draw(st.sampled_from(["rotation", "scaled", "sheared", "raw", "zero"]))
+    if shape == "scaled":
+        M = M * draw(st.sampled_from([0.5, 2.0, -1.0, 1e-3, 1e3]))
+    elif shape == "sheared":
+        shear = np.eye(3)
+        shear[draw(st.integers(0, 1)), 2] = draw(unit)
+        M = M @ shear
+    elif shape == "raw":
+        M = np.array([draw(st.floats(-3.0, 3.0)) for _ in range(9)]).reshape(3, 3)
+    elif shape == "zero":
+        M = np.zeros((3, 3))
+    return M
+
+
+class TestMatToQuat:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.lists(matrices(), min_size=1, max_size=24), st.sampled_from([(-1,), (-1, 2), ()]))
+    def test_matches_four_branch_reference(self, mats, batch):
+        R = np.array(mats)
+        if batch == ():
+            R = R[0]
+        elif batch == (-1, 2):
+            R = np.concatenate([R, R[::-1]]).reshape(-1, 2, 3, 3)
+        assert np.array_equal(mat_to_quat(R), four_branch_mat_to_quat(R), equal_nan=True)
+
+    def test_every_branch_and_tie(self):
+        # Identity (trace), half turns about x, y and z (each diagonal entry
+        # in turn) and a half turn about (1, 1, 0), whose m00 and m11 tie.
+        R = np.stack(
+            [np.eye(3), np.diag([1.0, -1, -1]), np.diag([-1.0, 1, -1]), np.diag([-1.0, -1, 1])]
+            + [axis_angle_matrix([1.0, 1.0, 0.0], np.pi), np.zeros((3, 3))]
+        )
+        q = mat_to_quat(R)
+        assert np.array_equal(q, four_branch_mat_to_quat(R), equal_nan=True)
+        assert np.array_equal(q[:4], np.eye(4))
