@@ -66,7 +66,7 @@ class AnimationClip:
     def n_keys(self) -> int:
         return len(self.times)
 
-    def frame_index(self, t):
+    def frame_index(self, t: float | Sequence[float] | np.ndarray):
         """Nearest dense-bake frame(s) for time(s) on this clip's grid.
 
         Halfway times round to the even frame, as Python's ``round`` does.

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emarig.anim_db import AnimationClip
+from emarig.cli import main
 from emarig.collada_io import (
     _affine_rows,
     _bone_channels,
@@ -25,6 +26,7 @@ from emarig.ik_solver import stretch_matrices
 from emarig.rotations import axis_angle_matrix, mat_to_quat, norm
 
 from conftest import make_chain_armature
+from test_pipeline_cli import GOLDEN_SYNTH_REQUEST
 from test_rotations import four_branch_mat_to_quat
 
 
@@ -603,37 +605,6 @@ class TestReaderErrors:
     @pytest.mark.parametrize(
         "pattern, repl",
         [
-            # a bone's first animation key ending in 0 0 0 2
-            (r'(id="anim-TMidC-output-array" count="\d+">(?:\S+ ){15})1 ', r"\g<1>2 "),
-            # the jaw's
-            (r'(id="anim-Jaw-output-array" count="\d+">(?:\S+ ){15})1 ', r"\g<1>2 "),
-            # a bone node <matrix> ending in 0 0 0 2, scaled, or sheared
-            (r'(id="node-TMidC"[^>]*>\s*<matrix sid="transform">(?:\S+ ){15})1<', r"\g<1>2<"),
-            (r'(id="node-TMidC"[^>]*>\s*<matrix sid="transform">)1 ', r"\g<1>2 "),
-            (r'(id="node-TMidC"[^>]*>\s*<matrix sid="transform">\S+ )0 ', r"\g<1>0.5 "),
-            # the skeleton root's <matrix> rotated a quarter turn about z
-            (
-                r'(id="node-TRoot"[^>]*>\s*<matrix sid="transform">)1 0 0 (\S+) 0 1 0 ',
-                r"\g<1>0 -1 0 \2 1 0 0 ",
-            ),
-        ],
-        ids=[
-            "bone_key_last_row", "jaw_key_last_row", "node_last_row", "node_scaled",
-            "node_sheared", "root_rotated",
-        ],
-    )
-    def test_non_affine_or_rotated_node_is_tagged(self, compiled_model, pattern, repl):
-        rig, clip, _ = compiled_model
-        doc = write_collada(rig.mesh, rig.armature, clip)
-        doc, n = re.subn(pattern, repl, doc, count=1)
-        assert n == 1
-        with pytest.raises(ParseError) as err:
-            read_collada(doc)
-        assert err.value.diagnostic().startswith("error:export:parse_error:")
-
-    @pytest.mark.parametrize(
-        "pattern, repl",
-        [
             # <v> weight index one past the skin-weights array
             (r"<v>(\d+) \d+ ", r"<v>\1 {n_weights} "),
             # odd-length <v>
@@ -651,11 +622,25 @@ class TestReaderErrors:
             (r"<p>\d+ ", "<p>"),
             (r"<vcount>", "<vcount>1 "),
             (r'(id="mesh-positions-array" count="\d+">)', r"\g<1>1 "),
+            # a bone's or the jaw's first animation key ending in 0 0 0 2
+            (r'(id="anim-TMidC-output-array" count="\d+">(?:\S+ ){15})1 ', r"\g<1>2 "),
+            (r'(id="anim-Jaw-output-array" count="\d+">(?:\S+ ){15})1 ', r"\g<1>2 "),
+            # a bone node <matrix> ending in 0 0 0 2, scaled, or sheared
+            (r'(id="node-TMidC"[^>]*>\s*<matrix sid="transform">(?:\S+ ){15})1<', r"\g<1>2<"),
+            (r'(id="node-TMidC"[^>]*>\s*<matrix sid="transform">)1 ', r"\g<1>2 "),
+            (r'(id="node-TMidC"[^>]*>\s*<matrix sid="transform">\S+ )0 ', r"\g<1>0.5 "),
+            # the skeleton root's <matrix> turned a quarter about z
+            (
+                r'(id="node-TRoot"[^>]*>\s*<matrix sid="transform">)1 0 0 (\S+) 0 1 0 ',
+                r"\g<1>0 -1 0 \2 1 0 0 ",
+            ),
         ],
         ids=[
             "weight_index", "odd_v", "joint_index", "negative_joint",
             "float_token", "int_token", "triangle_index", "negative_triangle",
             "triangle_count", "vcount_count", "positions_count",
+            "bone_key_last_row", "jaw_key_last_row", "node_last_row", "node_scaled",
+            "node_sheared", "root_rotated",
         ],
     )
     def test_tampered_arrays_are_tagged(self, compiled_model, pattern, repl):
@@ -703,10 +688,6 @@ def _hash_value(h, value):
 
 
 def test_golden_read_digest(tmp_path):
-    from test_pipeline_cli import GOLDEN_SYNTH_REQUEST
-
-    from emarig.cli import main
-
     assert main(["fixture", "--out", str(tmp_path / "f")]) == 0
     assert main([
         "compile", "--config", str(tmp_path / "f" / "config.cfg"), "--out", str(tmp_path / "b"),
