@@ -34,6 +34,7 @@ from .pipeline import (
 )
 from .unit_synth import (
     SynthesisRequest,
+    dp_slack,
     exhaustive_total,
     parse_request,
     render_plan,
@@ -167,7 +168,7 @@ def _cmd_synth(args) -> int:
 
     if args.exhaustive:
         best, seq = exhaustive_total(db, request)
-        match = best == plan.total
+        match = best <= plan.total <= best * (1 + dp_slack(len(request.items)))
         print(f"exhaustive minimum {best:.6g} ({'match' if match else 'MISMATCH'})")
         if not match:
             raise EmarigError(

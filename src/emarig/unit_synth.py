@@ -142,10 +142,15 @@ def _plan_total(w_target, w_join, target_costs, join_costs) -> float:
 def select_units(db: list[AnimationUnit], request: SynthesisRequest) -> SynthesisPlan:
     """Minimum-cost unit sequence via dynamic programming over slots.
 
-    Minimizes w_target * sum(target costs) + w_join * sum(join costs) over
-    every candidate assignment; exact ties are broken by the
-    lexicographically smallest source-index sequence, which makes the
-    selection deterministic.
+    Minimizes w_target * sum(target costs) + w_join * sum(join costs), each
+    sum taken left to right, over every candidate assignment. Per slot and
+    candidate the pass keeps the path of the smallest partial total, exact
+    ties going to the lexicographically smallest source-index prefix, so
+    the selection is deterministic. The partial totals are rounded, so a
+    path pruned at one slot can end up tied with, or a few units in the
+    last place cheaper than, the path kept: the plan's total exceeds the
+    brute-force minimum of `exhaustive_total` by at most `dp_slack` of it,
+    and when another sequence lies that close, the plan may be that one.
     """
     cands, targets, joins = slot_costs(db, request)
     wt, wj = request.w_target, request.w_join
@@ -184,9 +189,24 @@ def select_units(db: list[AnimationUnit], request: SynthesisRequest) -> Synthesi
     )
 
 
+def dp_slack(n_slots: int) -> float:
+    """Relative bound on how far `select_units`' total over `n_slots` slots
+    can exceed the minimum: (n + 3)**2 units of 2**-53.
+
+    Costs and weights are >= 0, so the total of i slots is within
+    (i + 1) * 2**-53 of its exact value, relative. A choice between two such
+    totals can cost twice that; the choices at slots 2..n and the rounding
+    of the final total add up to (n**2 + 5 n - 2) * 2**-53, to first order.
+    """
+    return (n_slots + 3) ** 2 * 2.0**-53
+
+
 def exhaustive_total(db: list[AnimationUnit], request: SynthesisRequest):
     """Minimum (total, source-index sequence) by enumerating every
-    assignment over the same slot costs and total as `select_units`."""
+    assignment over the same slot costs and total as `select_units`, ties
+    going to the lexicographically smallest sequence. `select_units` comes
+    within `dp_slack` of this total, and picks this sequence unless another
+    one is as close."""
     cands, targets, joins = slot_costs(db, request)
     best = None
     for picks in itertools.product(*(range(len(c)) for c in cands)):

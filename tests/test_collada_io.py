@@ -1,8 +1,11 @@
 import dataclasses
 import hashlib
+import math
 import re
+import sys
 import warnings
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,8 +15,12 @@ from hypothesis import strategies as st
 from emarig.anim_db import AnimationClip
 from emarig.cli import main
 from emarig.collada_io import (
+    _CHUNK,
+    _E_MAX,
+    _E_MIN,
     _affine_rows,
     _bone_channels,
+    _decimal,
     _fmt_array,
     _fmt_matrices,
     _numbers,
@@ -396,6 +403,117 @@ class TestNumberCodec:
         with pytest.raises(ParseError) as err:
             _numbers(text, np.int64)
         assert err.value.diagnostic().startswith("error:export:parse_error:")
+
+
+# --- the array float printer against the per-float format -------------------
+
+
+def _neighbours(x):
+    return [x, math.nextafter(x, math.inf), math.nextafter(x, -math.inf)]
+
+
+_sign = st.sampled_from([1.0, -1.0])
+_decade = st.integers(-45, 45)
+# Each of these, with both of its float neighbours and either sign, is a place
+# where a printer of 9 digits can go wrong.
+_hard_float = st.one_of(
+    # a 10th significant digit of 5: a rounding tie in decimal
+    st.builds(lambda n, k: (n + 0.5) * 10.0 ** (k - 8), st.integers(10**8, 10**9 - 1), _decade),
+    # powers of ten, where log10 is off by one
+    st.builds(lambda k: 10.0**k, st.integers(-330, 308)),
+    # the 9-digit carry: 999999999.5 rounds up to a new decade
+    st.builds(lambda k: 999999999.5 * 10.0 ** (k - 8), _decade),
+    # the %g switches between fixed and exponent notation
+    st.builds(
+        lambda m, k: m * 10.0**k,
+        st.sampled_from([1.0, 9.9999999, 9.99999999, 9.999999995, 9.9999999949]),
+        st.sampled_from([-6, -5, -4, 7, 8, 9]),
+    ),
+    # the two-step scaling (the model's rotation noise) and past it
+    st.builds(lambda m, k: m * 10.0**k, st.floats(1.0, 10.0), st.integers(-48, -20)),
+    st.builds(lambda m, k: m * 10.0**k, st.floats(1.0, 10.0), st.integers(20, 35)),
+    st.sampled_from([0.0, 5e-324, sys.float_info.min, sys.float_info.max]),
+).flatmap(lambda x: st.sampled_from(_neighbours(x))).flatmap(
+    lambda x: _sign.map(lambda s: s * x)
+)
+kernel_float = st.one_of(any_float, _hard_float)
+
+
+class TestFloatKernel:
+    @settings(max_examples=500, deadline=None, database=None)
+    @given(st.lists(kernel_float, max_size=60))
+    def test_matches_per_float_format(self, values):
+        assert _fmt_array(np.array(values)) == loop_fmt_array(values)
+
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_decimal_ties_in_bulk(self, seed):
+        # Thousands of (n + 0.5) * 10**k at once, with both float neighbours:
+        # the values nearest to where the scaled product rounds either way.
+        rng = np.random.default_rng(seed)
+        n = rng.integers(10**8, 10**9, 3000) + 0.5
+        ties = n * 10.0 ** (rng.integers(-45, 46, 3000) - 8.0) * rng.choice([-1.0, 1.0], 3000)
+        x = np.concatenate([ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf)])
+        assert _fmt_array(x) == loop_fmt_array(x)
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(
+        st.integers(1, 3),
+        st.integers(0, 60),
+        st.lists(kernel_float, min_size=1, max_size=40),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_chunk_edges(self, n_chunks, shift, values, seed):
+        # Drawn values around every chunk edge of a longer array.
+        x = np.random.default_rng(seed).normal(0, 100, n_chunks * _CHUNK + 2 * shift + 1)
+        for edge in range(_CHUNK, len(x), _CHUNK):
+            lo = max(edge - shift, 0)
+            x[lo : lo + len(values)] = values[: len(x) - lo]
+        assert _fmt_array(x) == loop_fmt_array(x)
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(st.integers(0, 3), st.lists(kernel_float, min_size=1, max_size=24), st.integers(0, 2**32 - 1))
+    def test_matrix_chunk_edges(self, n_extra, values, seed):
+        n = _CHUNK // 12 + n_extra
+        rows = np.random.default_rng(seed).normal(0, 1, (2 * n, 3, 4))
+        rows.reshape(-1)[12 * n - 12 : 12 * n - 12 + len(values)] = values
+        expected = loop_fmt_array(loop_affine_to_matrix16(rows[..., :3], rows[..., 3]))
+        assert _fmt_matrices(rows) == expected
+
+    def test_special_values(self):
+        values = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-310]
+        assert _fmt_array(np.array(values)) == (
+            "0 -0 nan nan inf -inf 4.94065646e-324 -4.94065646e-324 1e-310"
+        )
+        assert _fmt_array(np.array([])) == ""
+        assert _fmt_array(np.float64(2.5)) == "2.5"
+
+    @settings(max_examples=500, deadline=None, database=None)
+    @given(st.lists(kernel_float.filter(np.isfinite), min_size=1, max_size=40))
+    def test_fast_path_covers_all_but_near_ties(self, values):
+        # Only values outside the printed exponents (before or after rounding
+        # to 9 digits), subnormals, and values whose exact scaled fraction is
+        # near one half go one at a time.
+        x = np.array(values)
+        fallback = _decimal(x)[2]
+        for v, slow in zip(values, fallback.tolist()):
+            if v == 0:
+                assert not slow
+                continue
+            e = Fraction(abs(v))
+            k = 0
+            while e >= 10:
+                e, k = e / 10, k + 1
+            while e < 1:
+                e, k = e * 10, k - 1
+            scaled = e * 10**8
+            near_tie = abs(scaled - int(scaled) - Fraction(1, 2)) <= Fraction(1, 2**19)
+            printed_k = k + (round(scaled) == 10**9)  # 9.999999999e30 prints as 1e+31
+            normal = abs(v) >= sys.float_info.min
+            if _E_MIN <= k and printed_k <= _E_MAX and normal and not near_tie:
+                assert not slow, v
+            elif not _E_MIN - 1 <= k <= _E_MAX:
+                assert slow, v
 
 
 class TestSkinCodec:
