@@ -420,6 +420,16 @@ def _child(elem: Element, name: str) -> Element:
     return found[0]
 
 
+def _annotation(elem: Element, name: str) -> Element:
+    """The first `name` in an emarig <technique> of `elem`'s <extra> blocks,
+    which the subset requires."""
+    for extra in _children(elem, "extra"):
+        for tech in _children(extra, "technique"):
+            if tech.get("profile") == PROFILE and _children(tech, name):
+                return _children(tech, name)[0]
+    raise ParseError(f"<{_local(elem)}> has no {PROFILE} <{name}>", module="export")
+
+
 _INT64 = np.iinfo(np.int64)
 # A sign that no digit follows, which ``np.fromstring`` reads as 0 or joins
 # to the next number.
@@ -518,8 +528,10 @@ _KNOWN_LIBRARIES = {
 def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip | None]:
     """Parse a document produced by write_collada (subset only).
 
-    Raises ParseError on malformed XML and UnsupportedFeature on any
-    element outside the written subset.
+    Raises ParseError on malformed XML or a missing required element (an
+    animated model needs the clip's rate_hz and duration and exactly one
+    jaw channel), and UnsupportedFeature on any element outside the
+    written subset.
     """
     try:
         root = ET.fromstring(document)
@@ -619,16 +631,7 @@ def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip | 
             bone_names.append(sid)
             parents.append(parent_idx)
             offsets.append(_translation(_child(child, "matrix")))
-            tail = None
-            for extra in _children(child, "extra"):
-                for tech in _children(extra, "technique"):
-                    if tech.get("profile") == PROFILE and _children(tech, "tail"):
-                        tail = _values(_child(tech, "tail"), 3)
-            if tail is None:
-                raise UnsupportedFeature(
-                    f"joint {sid!r} is missing its rest-tail annotation"
-                )
-            tails.append(tail)
+            tails.append(_values(_annotation(child, "tail"), 3))
             walk(child, k)
 
     walk(root_node, -1)
@@ -710,7 +713,11 @@ def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip | 
                         )
             if times is None or mats is None:
                 raise UnsupportedFeature("animation without matrix sampler")
+            if target in channels:
+                raise ParseError(f"two animations target {target!r}", module="export")
             channels[target] = (times, mats)
+        if not channels:
+            raise ParseError("<library_animations> has no <animation>", module="export")
 
         ref_times = next(iter(channels.values()))[0]
         for times, _ in channels.values():
@@ -735,35 +742,15 @@ def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip | 
         heads_t = worlds[:, :, :3, 3]
         quats, stretches, tails_t = _bone_channels(worlds, armature)
 
-        jaw_key = next(
-            (
-                t
-                for t in channels
-                if t not in {f"node-{s}" for s in bone_names}
-            ),
-            None,
-        )
-        if jaw_key is not None:
-            jaw_m = channels[jaw_key][1]
-            jaw_quats = mat_to_quat(jaw_m[:, :3, :3])
-            jaw_trans = jaw_m[:, :3, 3]
-        else:
-            jaw_quats = np.tile([1.0, 0.0, 0.0, 0.0], (n, 1))
-            jaw_trans = np.zeros((n, 3))
+        jaw_keys = channels.keys() - {f"node-{s}" for s in bone_names}
+        if len(jaw_keys) != 1:
+            raise ParseError(f"expected one jaw animation, found {len(jaw_keys)}", module="export")
+        jaw_m = channels[jaw_keys.pop()][1]
+        jaw_quats = mat_to_quat(jaw_m[:, :3, :3])
+        jaw_trans = jaw_m[:, :3, 3]
 
-        rate = None
-        duration = None
-        for extra in _children(vscene, "extra"):
-            for tech in _children(extra, "technique"):
-                if tech.get("profile") == PROFILE:
-                    for el in _children(tech, "rate_hz"):
-                        rate = float(_values(el, 1)[0])
-                    for el in _children(tech, "duration"):
-                        duration = float(_values(el, 1)[0])
-        if rate is None:
-            rate = (n - 1) / ref_times[-1] if n > 1 and ref_times[-1] > 0 else 1.0
-        if duration is None:
-            duration = ref_times[-1] + 1.0 / rate
+        rate = float(_values(_annotation(vscene, "rate_hz"), 1)[0])
+        duration = float(_values(_annotation(vscene, "duration"), 1)[0])
         if not (rate > 0 and duration > 0):
             raise ParseError("clip rate and duration must be > 0", module="export")
 

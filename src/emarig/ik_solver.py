@@ -6,9 +6,9 @@ stretch clamping and weighted averaging at branch points). Volume
 preservation is enforced analytically: a bone stretched by s scales its
 cross section by 1/sqrt(s), so its cylinder-equivalent volume is constant.
 
-`solve_track` is the one entry point. Frames are independent, so a single
-frame is the (1, bones, 3) slice of a target array and solves bit-identically
-to its row of the batch; bones without a target are marked in `target_mask`.
+`solve_track` is the one entry point. Every bone tracks its own target.
+Frames are independent, so a single frame is the (1, bones, 3) slice of a
+target array and solves bit-identically to its row of the batch.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class PoseTrack:
     tails: np.ndarray         # (F, K, 3) cm
     stretches: np.ndarray     # (F, K)
     cross_scales: np.ndarray  # (F, K) = 1/sqrt(stretch)
-    residuals: np.ndarray     # (F, K) per-target distance, NaN where untargeted
+    residuals: np.ndarray     # (F, K) per-target distance
     iterations: np.ndarray    # (F,)
     stop_reasons: np.ndarray  # (F,) int8 index into STOP_REASONS
 
@@ -70,15 +70,13 @@ class PoseTrack:
 
     def max_residual(self) -> np.ndarray:
         """(F,) worst per-target distance per frame."""
-        with np.errstate(invalid="ignore"):
-            return np.nanmax(self.residuals, axis=1)
+        return self.residuals.max(axis=1)
 
 
 def solve_track(
     armature: Armature,
     targets: np.ndarray,
     params: IkParams = IkParams(),
-    target_mask: np.ndarray | None = None,
 ) -> PoseTrack:
     """Solve every frame of a (frames, bones, 3) target array.
 
@@ -93,24 +91,18 @@ def solve_track(
     the batch, so the result is the same as iterating the whole batch. A
     frame is never left in a worse state than a previous iterate, so the
     reported residual is non-increasing in the iteration count.
-    Untargeted bones (target_mask False) follow their parents.
     """
     targets = np.asarray(targets, dtype=np.float64)
     F, K = targets.shape[0], armature.n_bones
     if targets.shape != (F, K, 3):
         raise ValueError("targets must have shape (frames, n_bones, 3)")
-    has = (
-        np.ones(K, dtype=bool)
-        if target_mask is None
-        else np.asarray(target_mask, dtype=bool)
-    )
 
-    # Branch proposals are averaged, weighted by the number of targeted
-    # bones in each child's subtree.
+    # Branch proposals are averaged, weighted by the number of bones (and so
+    # of targets) in each child's subtree.
     children = [armature.children_of(k) for k in range(K)]
     subtree_w = np.zeros(K)
     for k in reversed(range(K)):
-        subtree_w[k] = float(has[k]) + sum(subtree_w[c] for c in children[k])
+        subtree_w[k] = 1.0 + sum(subtree_w[c] for c in children[k])
 
     lo = params.s_min * armature.rest_lengths
     hi = params.s_max * armature.rest_lengths
@@ -122,9 +114,7 @@ def solve_track(
     joints[:, 1:] = armature.tails
 
     def residual_of(j, t):
-        d = norm(j[:, 1:] - t)
-        d[:, ~has] = 0.0
-        return d.max(axis=1) if K else np.zeros(len(t))
+        return norm(j[:, 1:] - t).max(axis=1)
 
     def pull(anchor, toward, lo_k, hi_k, fallback_dir):
         """Point at clamped distance from `anchor` in the direction of `toward`.
@@ -144,31 +134,23 @@ def solve_track(
 
     def iterate(t, j):
         """One backward/forward pass over a batch of frames."""
-        # Backward pass: each bone proposes a tail position for itself; a
-        # targeted bone wants its own target, projected into the reach
+        # Backward pass: each bone proposes a tail position for itself: its
+        # own target, averaged with that target projected into the reach
         # annulus of every child's proposal.
         n = len(t)
         prop = np.empty((n, K, 3))
         for k in reversed(range(K)):
-            desired = t[:, k] if has[k] else j[:, k + 1]
-            contribs = []
-            weights = []
-            if has[k]:
-                contribs.append(t[:, k])
-                weights.append(1.0)
+            contribs = [t[:, k]]
+            weights = [1.0]
             for c in children[k]:
-                p = pull(prop[:, c], desired, lo[c], hi[c], -armature.rest_dirs[c])
+                p = pull(prop[:, c], t[:, k], lo[c], hi[c], -armature.rest_dirs[c])
                 contribs.append(p)
                 weights.append(subtree_w[c])
-            if not contribs:
-                prop[:, k] = j[:, k + 1]
-            elif len(contribs) == 1:
+            if len(contribs) == 1:
                 prop[:, k] = contribs[0]
             else:
                 stacked = np.stack(contribs, axis=1)
                 wv = np.asarray(weights, dtype=np.float64)
-                if wv.sum() == 0.0:  # fully untargeted subtree
-                    wv = np.ones_like(wv)
                 avg = np.einsum("m,fmi->fi", wv, stacked) / wv.sum()
                 same = (stacked == stacked[:, :1]).all(axis=(1, 2))
                 prop[:, k] = np.where(same[:, None], stacked[:, 0], avg)
@@ -220,9 +202,6 @@ def solve_track(
     R = minimal_rotation(np.broadcast_to(armature.rest_dirs, dirs.shape), dirs)
     quats = mat_to_quat(R)
 
-    residuals = norm(tails - targets)
-    residuals[:, ~has] = np.nan
-
     return PoseTrack(
         bone_names=armature.bone_names,
         quats=quats,
@@ -230,7 +209,7 @@ def solve_track(
         tails=tails,
         stretches=stretches,
         cross_scales=cross_scales,
-        residuals=residuals,
+        residuals=norm(tails - targets),
         iterations=iterations,
         stop_reasons=stop_reasons,
     )

@@ -335,7 +335,7 @@ def compile_model(config: PipelineConfig) -> PipelineResult:
                 f"segmentation runs to {tier.end} s but the clip lasts {clip.duration} s"
             )
 
-    residuals = clip.residuals if clip.residuals is not None else np.zeros(clip.n_keys)
+    residuals = clip.residuals
     report = CompileReport(
         n_frames=clip.n_keys,
         max_residual=float(residuals.max()),

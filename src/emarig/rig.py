@@ -189,6 +189,8 @@ def parse_rig_graph(text: str) -> RigGraph:
         raise CycleDetected(
             f"nodes unreachable from root {root!r} (cycle): {', '.join(leftover)}"
         )
+    if len(dfs) < 2:
+        raise ParseError("rig graph declares no bones")
 
     return RigGraph(nodes=tuple(dfs), edges=tuple(edges), root=root)
 
@@ -530,6 +532,18 @@ class RigConfig:
     snap_seeds: bool = True
     group_map: dict[str, str] | None = None
 
+    def __post_init__(self):
+        if not 1 <= self.influence_cap <= 4:
+            raise ValueError("influence_cap must be between 1 and 4")
+        if not np.isfinite(self.weight_exponent):
+            raise ValueError("weight_exponent must be finite")
+        if not (0 < self.distance_floor < np.inf):
+            raise ValueError("distance_floor must be finite and positive")
+        seeds = [(f"seed.{coil}", point) for coil, point in self.seeds.items()]
+        for name, point in [("root_offset", self.root_offset), *seeds]:
+            if np.shape(point) != (3,) or not np.isfinite(point).all():
+                raise ValueError(f"{name} must be three finite numbers")
+
 
 @dataclass(frozen=True)
 class Armature:
@@ -716,7 +730,7 @@ def compile_rig(
     tongue_idx = mesh.group_indices(GROUP_TONGUE)
 
     # Inverse-distance-power weights to the nearest bone segments.
-    cap = min(config.influence_cap, len(bone_names), 4)
+    cap = min(config.influence_cap, len(bone_names))
     dist = _segment_distances(vertices[tongue_idx], heads, tail_arr)
     dist = np.maximum(dist, config.distance_floor)
     order = np.argsort(dist, axis=1, kind="stable")[:, :cap]

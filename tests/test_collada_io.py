@@ -752,13 +752,24 @@ class TestReaderErrors:
                 r'(id="node-TRoot"[^>]*>\s*<matrix sid="transform">)1 0 0 (\S+) 0 1 0 ',
                 r"\g<1>0 -1 0 \2 1 0 0 ",
             ),
+            # no animation at all, the jaw's twice, or a second non-bone one
+            (r"(?s)<library_animations>.*</library_animations>", "<library_animations />"),
+            (r'(?s)<animation id="anim-Jaw">.*?</animation>', r"\g<0>\g<0>"),
+            (
+                r'(?s)(<animation id="anim-)Jaw(">.*?target="node-)Jaw'
+                r'(/transform" />\s*</animation>)',
+                r"\g<0>\g<1>Skull\g<2>Skull\g<3>",
+            ),
+            # the clip's rate and duration under another technique profile
+            (r'<technique profile="emarig">(\s*<rate_hz>)', r'<technique profile="other">\1'),
         ],
         ids=[
             "weight_index", "odd_v", "joint_index", "negative_joint",
             "float_token", "int_token", "triangle_index", "negative_triangle",
             "triangle_count", "vcount_count", "positions_count",
             "bone_key_last_row", "jaw_key_last_row", "node_last_row", "node_scaled",
-            "node_sheared", "root_rotated",
+            "node_sheared", "root_rotated", "no_animations", "jaw_animation_twice",
+            "second_non_bone_animation", "no_clip_technique",
         ],
     )
     def test_tampered_arrays_are_tagged(self, compiled_model, pattern, repl):

@@ -91,20 +91,39 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "old, new",
-        [("influence_cap = 4", "influence_cap = four"), ("n_lat = 52", "n_lat = 2")],
-        ids=["rig_bad_number", "mesh_bad_value"],
+        [
+            ("influence_cap = 4", "influence_cap = four"),
+            ("n_lat = 52", "n_lat = 2"),
+            # out of range: each of these used to compile (the NaN ones into
+            # model.dae) or fail later with an untagged numpy error
+            ("influence_cap = 4", "influence_cap = 0"),
+            ("influence_cap = 4", "influence_cap = -1"),
+            ("influence_cap = 4", "influence_cap = 5"),
+            ("influence_cap = 4", "influence_cap = 4\ndistance_floor = 0"),
+            ("influence_cap = 4", "influence_cap = 4\ndistance_floor = inf"),
+            ("weight_exponent = 2.0", "weight_exponent = nan"),
+            ("root_offset = [^\n]*", "root_offset = nan, 0, 0"),
+            ("seed.TTipC = [^\n]*", "seed.TTipC = nan, 0, 1"),
+        ],
+        ids=[
+            "rig_bad_number", "mesh_bad_value", "influence_cap_0", "influence_cap_-1",
+            "influence_cap_5", "distance_floor_0", "distance_floor_inf",
+            "weight_exponent_nan", "root_offset_nan", "seed_nan",
+        ],
     )
     def test_bad_rig_or_mesh_value_is_config_error(
         self, fixture_dir, tmp_path, capsys, old, new
     ):
         # The config is rejected while it is read, before any path in it is.
-        text = (fixture_dir / "config.cfg").read_text()
-        assert old in text
+        # `old` is a pattern for the one line that `new` replaces.
+        text, n = re.subn(old, new, (fixture_dir / "config.cfg").read_text(), count=1)
+        assert n == 1
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(text.replace(old, new))
+        cfg.write_text(text)
         rc = main(["compile", "--config", str(cfg), "--out", str(tmp_path / "b")])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error:cli:config:")
+        # not the missing-file error that the paths, relative to `cfg`, give
+        assert capsys.readouterr().err.startswith("error:cli:config: bad value in config:")
         assert not (tmp_path / "b").exists()
 
     def test_missing_reference_coil_fails_before_processing(self, fixture_dir, tmp_path):
@@ -324,6 +343,11 @@ class TestSynth:
             (rb"<rate_hz>[^<]*</rate_hz>", b"<rate_hz>x</rate_hz>"),
             (rb"<rate_hz>[^<]*</rate_hz>", b"<rate_hz>0</rate_hz>"),
             (rb"<duration>[^<]*</duration>", b"<duration>-1</duration>"),
+            # clip data that used to be guessed from the key times, or the
+            # jaw frozen at rest, when it was missing
+            (rb"<rate_hz>[^<]*</rate_hz>", b""),
+            (rb"<duration>[^<]*</duration>", b""),
+            (rb'<animation id="anim-Jaw">.*?</animation>', b""),
             # an integer in Python's grammar only, which read as 10
             (rb"<p>\d+ ", b"<p>1_0 "),
             # transforms that are not affine, or a node <matrix> that scales;
@@ -337,7 +361,8 @@ class TestSynth:
             "weight_index", "no_p", "no_vcount", "no_accessor", "no_float_array",
             "no_channel", "no_vertex_weights", "no_mesh_source", "no_controller",
             "empty_rate", "matrix_17_values", "tail_2_values", "rate_not_a_number",
-            "rate_zero", "negative_duration", "p_underscore",
+            "rate_zero", "negative_duration", "no_rate", "no_duration",
+            "no_jaw_animation", "p_underscore",
             "key_last_row", "node_last_row", "node_scaled",
         ],
     )
@@ -533,6 +558,22 @@ class TestValidate:
         assert rc == 0, out
         max_line = [l for l in out.splitlines() if l.startswith("max rms")]
         assert float(max_line[0].split()[2]) <= 1e-2
+
+    @pytest.mark.parametrize("command", ["compile", "dump"])
+    def test_no_coil_rig(self, fixture_dir, tmp_path, capsys, command):
+        # A graph of the root alone has no bones: a tagged parse error, with
+        # no traceback and no output.
+        corpus = tmp_path / "corpus"
+        shutil.copytree(fixture_dir, corpus)
+        (corpus / "tongue.dot").write_text("digraph tongue { TRoot; }\n")
+        out = tmp_path / "out"
+        args = {"compile": [], "dump": ["--kind", "coils"]}[command]
+        rc = main([command, "--config", str(corpus / "config.cfg"), *args, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == "error:rig:parse_error: rig graph declares no bones\n"
+        assert captured.out == ""
+        assert not out.exists()
 
 
     def test_seed_vertices_shared_with_compile(self, fixture_dir, tmp_path):
