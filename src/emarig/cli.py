@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,6 @@ from .bundle import DUMP_KINDS, dump_trajectories, read_bundle, write_new_file
 from .collada_io import write_collada
 from .errors import EmarigError
 from .fixture import FixtureSpec, write_fixture
-from .motion_prep import SmoothingSpec
 from .pipeline import (
     SynthesisDefaults,
     build_bundle,
@@ -63,7 +61,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("compile", help="compile EMA data into a model bundle")
     p.add_argument("--config", required=True, help="pipeline config file")
     p.add_argument("--out", required=True, help="bundle directory or .zip path")
-    p.add_argument("--no-smoothing", action="store_true", help="skip jitter smoothing")
     p.add_argument("--report", help="write per-frame residuals to this file")
 
     p = sub.add_parser("synth", help="select and render units from a bundle")
@@ -87,13 +84,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--bundle", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--threshold", type=float, default=np.inf, help="max RMS in cm")
-    p.add_argument("--no-smoothing", action="store_true")
 
     p = sub.add_parser("dump", help="dump trajectories as a .pos file")
     p.add_argument("--config", required=True)
     p.add_argument("--kind", required=True, choices=DUMP_KINDS)
     p.add_argument("--out", required=True)
-    p.add_argument("--no-smoothing", action="store_true")
 
     p = sub.add_parser("fixture", help="generate the synthetic test corpus")
     p.add_argument("--out", required=True, help="output directory")
@@ -105,16 +100,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_config(args):
-    """The config at --config, its smoothing off under --no-smoothing."""
-    config = load_config(args.config)
-    if args.no_smoothing:
-        config = replace(config, smoothing=SmoothingSpec(kind="none"))
-    return config
-
-
 def _cmd_compile(args) -> int:
-    result = compile_model(_load_config(args))
+    result = compile_model(load_config(args.config))
     bundle = build_bundle(result, args.out)
     for line in result.report.lines():
         print(line)
@@ -186,7 +173,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    config = _load_config(args)
+    config = load_config(args.config)
     loaded = read_bundle(args.bundle)
     report = validate_model(loaded, config)
     for line in report.lines():
@@ -199,7 +186,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_dump(args) -> int:
-    result = compile_model(_load_config(args))
+    result = compile_model(load_config(args.config))
     if args.kind == "coils":
         data = dump_trajectories(
             "coils", sweeps=result.sweeps_raw, layout=result.layout

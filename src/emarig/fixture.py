@@ -294,8 +294,6 @@ def _config_text(data: FixtureData, spec: FixtureSpec) -> str:
         "",
         "[rig]",
         "root_offset = -1.0, 0.0, -1.0",
-        "influence_cap = 4",
-        "weight_exponent = 2.0",
     ]
     for name in TONGUE_COILS:
         p = [float(x) for x in data.seeds[name]]

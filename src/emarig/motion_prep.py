@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import uniform_filter1d
-from scipy.signal import savgol_filter
 
 from .ema_io import EmaSweep, CoilRoles, angles_from_vector, orientation_vector
 from .errors import (
@@ -55,17 +53,12 @@ class SmoothingSpec:
 
     kind: str = "moving_average"
     window_frames: int = 9
-    polynomial_order: int = 2
 
     def __post_init__(self):
-        if self.kind not in ("none", "moving_average", "savitzky_golay"):
+        if self.kind not in ("none", "moving_average"):
             raise ValueError(f"unknown smoothing kind {self.kind!r}")
         if self.window_frames < 1 or self.window_frames % 2 == 0:
             raise ValueError("window_frames must be odd and >= 1")
-        if self.kind == "savitzky_golay" and not (
-            0 <= self.polynomial_order < self.window_frames
-        ):
-            raise ValueError("polynomial_order must be < window_frames")
 
 
 def _check_spread(points: np.ndarray, what: str) -> None:
@@ -252,32 +245,28 @@ def fill_dropouts(sweep: EmaSweep, rms_ceiling: float = np.inf) -> EmaSweep:
 
 
 def smooth(sweep: EmaSweep, spec: SmoothingSpec) -> EmaSweep:
-    """Zero-phase smoothing of coil positions (angles pass through).
+    """Zero-phase moving average of coil positions (angles pass through).
 
     Edges are handled by reflection padding. Filtering is applied about each
     signal's mean so constant signals are preserved exactly. Expects
     dropouts to have been filled already.
     """
-    if spec.kind == "none" or spec.window_frames == 1:
+    w = spec.window_frames
+    if spec.kind == "none" or w == 1:
         return sweep
     n = sweep.n_frames
-    if spec.window_frames > n:
-        raise WindowTooLarge(
-            f"window of {spec.window_frames} frames exceeds sweep length {n}"
-        )
+    if w > n:
+        raise WindowTooLarge(f"window of {w} frames exceeds sweep length {n}")
 
     flat = np.array(sweep.positions).reshape(n, -1)
     mean = flat.mean(axis=0)
-    centered = flat - mean
-    if spec.kind == "moving_average":
-        out = uniform_filter1d(centered, size=spec.window_frames, axis=0, mode="mirror")
-    else:
-        out = savgol_filter(
-            centered,
-            window_length=spec.window_frames,
-            polyorder=spec.polynomial_order,
-            axis=0,
-            mode="mirror",
-        )
-    positions = (out + mean).reshape(sweep.positions.shape)
+    # The arithmetic of scipy.ndimage.uniform_filter1d(mode="mirror"), bit
+    # for bit: the first window summed row by row, then a running sum of
+    # the rows entering minus the rows leaving, divided by w once.
+    padded = np.pad(flat - mean, ((w // 2, w // 2), (0, 0)), mode="reflect")
+    sums = np.empty_like(flat)
+    sums[0] = np.add.accumulate(padded[:w], axis=0)[-1]
+    np.subtract(padded[w:], padded[: n - 1], out=sums[1:])
+    np.add.accumulate(sums, axis=0, out=sums)
+    positions = (sums / w + mean).reshape(sweep.positions.shape)
     return sweep.with_arrays(positions=positions)

@@ -67,6 +67,19 @@ def _split_list(value: str) -> tuple[str, ...]:
     return tuple(v.strip() for v in value.split(",") if v.strip())
 
 
+# The keys each config section takes; [rig] also takes seed.<Coil> and
+# group.<Name> keys.
+_SECTION_KEYS = {
+    "paths": ("ema", "layout", "rig_graph", "mesh", "segmentation", "audio"),
+    "roles": ("reference", "jaw", "tongue"),
+    "smoothing": ("kind", "window_frames", "rms_ceiling"),
+    "ik": ("tolerance", "max_iterations", "s_min", "s_max"),
+    "rig": ("root_offset",),
+    "synthesis": ("w_target", "w_join", "blend_window", "velocity_weight"),
+    "mesh": ("extents", "n_long", "n_lat"),
+}
+
+
 def _floats3(value: str, what: str) -> np.ndarray:
     parts = _split_list(value)
     if len(parts) != 3:
@@ -80,7 +93,8 @@ def _floats3(value: str, what: str) -> np.ndarray:
 def load_config(path: str | Path) -> PipelineConfig:
     """Parse the sectioned ``key = value`` pipeline configuration file.
 
-    Relative paths are resolved against the config file's directory.
+    Relative paths are resolved against the config file's directory. An
+    unknown section or key is a ConfigError, not a setting ignored.
     """
     path = Path(path)
     if not path.exists():
@@ -91,6 +105,14 @@ def load_config(path: str | Path) -> PipelineConfig:
         parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
+    for section in parser.sections():
+        if section not in _SECTION_KEYS:
+            raise ConfigError(f"unknown section [{section}]")
+        for key in parser.options(section):
+            if key not in _SECTION_KEYS[section] and not (
+                section == "rig" and key.startswith(("seed.", "group."))
+            ):
+                raise ConfigError(f"unknown [{section}] key {key!r}")
 
     base = path.parent
 
@@ -134,7 +156,6 @@ def load_config(path: str | Path) -> PipelineConfig:
         smoothing = SmoothingSpec(
             kind=get("smoothing", "kind", "moving_average"),
             window_frames=int(get("smoothing", "window_frames", "9")),
-            polynomial_order=int(get("smoothing", "polynomial_order", "2")),
         )
         rms_ceiling = float(get("smoothing", "rms_ceiling", "inf"))
         ik = IkParams(
@@ -159,18 +180,8 @@ def load_config(path: str | Path) -> PipelineConfig:
                     seeds[key[5:]] = _floats3(value, key)
                 elif key.startswith("group."):
                     group_map[key[6:]] = value.strip()
-                elif key == "root_offset":
-                    rig_kwargs["root_offset"] = _floats3(value, key)
-                elif key == "influence_cap":
-                    rig_kwargs["influence_cap"] = int(value)
-                elif key == "weight_exponent":
-                    rig_kwargs["weight_exponent"] = float(value)
-                elif key == "distance_floor":
-                    rig_kwargs["distance_floor"] = float(value)
-                elif key == "snap_seeds":
-                    rig_kwargs["snap_seeds"] = value.strip().lower() in ("1", "true", "yes", "on")
                 else:
-                    raise ConfigError(f"unknown [rig] key {key!r}")
+                    rig_kwargs["root_offset"] = _floats3(value, key)
         if group_map:
             rig_kwargs["group_map"] = group_map
         rig_config = RigConfig(seeds=seeds, **rig_kwargs)
@@ -180,18 +191,8 @@ def load_config(path: str | Path) -> PipelineConfig:
             for key, value in parser.items("mesh"):
                 if key == "extents":
                     mesh_kwargs["extents"] = tuple(_floats3(value, key))
-                elif key in ("n_long", "n_lat", "arch_segments"):
-                    mesh_kwargs[key] = int(value)
-                elif key in (
-                    "arch_radius",
-                    "arch_width",
-                    "arch_height",
-                    "maxilla_z",
-                    "mandible_z",
-                ):
-                    mesh_kwargs[key] = float(value)
                 else:
-                    raise ConfigError(f"unknown [mesh] key {key!r}")
+                    mesh_kwargs[key] = int(value)
         mesh_params = MeshParams(**mesh_kwargs)
     except ValueError as exc:
         raise ConfigError(f"bad value in config: {exc}") from None

@@ -358,33 +358,33 @@ def save_obj(mesh: SkinnedMesh) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The procedural stand-in's dental arches (cm): two horseshoe prisms of
+# this radius, cross-section and segment count, centred at these heights.
+ARCH_RADIUS = 3.2
+ARCH_WIDTH = 0.7
+ARCH_HEIGHT = 0.9
+ARCH_SEGMENTS = 24
+MAXILLA_Z = 2.1
+MANDIBLE_Z = -1.4
+
+
 @dataclass(frozen=True)
 class MeshParams:
-    """Controls for the procedural stand-in model (all lengths in cm)."""
+    """Controls for the procedural stand-in's tongue (lengths in cm)."""
 
     extents: tuple[float, float, float] = (3.0, 2.25, 1.8)
     n_long: int = 96
     n_lat: int = 52
-    arch_radius: float = 3.2
-    arch_width: float = 0.7
-    arch_height: float = 0.9
-    arch_segments: int = 24
-    maxilla_z: float = 2.1
-    mandible_z: float = -1.4
 
     def __post_init__(self):
-        if min(self.extents) <= 0:
-            raise ValueError("extents must be positive")
+        if not (np.isfinite(self.extents).all() and min(self.extents) > 0):
+            raise ValueError("extents must be finite and positive")
         if self.n_long < 8 or self.n_lat < 4:
             raise ValueError("resolution too coarse")
 
     @property
     def dome_vertex_count(self) -> int:
         return self.n_long * self.n_lat + 2
-
-    @property
-    def arch_vertex_count(self) -> int:
-        return 4 * (self.arch_segments + 1)
 
 
 def _half_ellipsoid(a: float, b: float, c: float, n_long: int, n_lat: int):
@@ -424,16 +424,17 @@ def _half_ellipsoid(a: float, b: float, c: float, n_long: int, n_lat: int):
     return verts, np.asarray(tris, dtype=np.int32)
 
 
-def _arch_prism(radius, width, height, z_center, n_seg, x_offset=0.3):
+def _arch_prism(z_center):
+    n_seg = ARCH_SEGMENTS
     alphas = np.linspace(-0.5 * np.pi, 0.5 * np.pi, n_seg + 1)
     u = np.stack([np.cos(alphas), np.sin(alphas), np.zeros_like(alphas)], axis=-1)
-    center = u * radius + np.array([x_offset, 0.0, z_center])
+    center = u * ARCH_RADIUS + np.array([0.3, 0.0, z_center])
     zhat = np.array([0.0, 0.0, 1.0])
     corners = [
-        (+0.5 * width, -0.5 * height),
-        (+0.5 * width, +0.5 * height),
-        (-0.5 * width, +0.5 * height),
-        (-0.5 * width, -0.5 * height),
+        (+0.5 * ARCH_WIDTH, -0.5 * ARCH_HEIGHT),
+        (+0.5 * ARCH_WIDTH, +0.5 * ARCH_HEIGHT),
+        (-0.5 * ARCH_WIDTH, +0.5 * ARCH_HEIGHT),
+        (-0.5 * ARCH_WIDTH, -0.5 * ARCH_HEIGHT),
     ]
     verts = np.concatenate(
         [center + du * u + dz * zhat for du, dz in corners], axis=0
@@ -471,20 +472,8 @@ def generate_default_mesh(params: MeshParams = MeshParams()) -> SkinnedMesh:
     """
     a, b, c = params.extents
     tongue_v, tongue_t = _half_ellipsoid(a, b, c, params.n_long, params.n_lat)
-    mand_v, mand_t = _arch_prism(
-        params.arch_radius,
-        params.arch_width,
-        params.arch_height,
-        params.mandible_z,
-        params.arch_segments,
-    )
-    max_v, max_t = _arch_prism(
-        params.arch_radius,
-        params.arch_width,
-        params.arch_height,
-        params.maxilla_z,
-        params.arch_segments,
-    )
+    mand_v, mand_t = _arch_prism(MANDIBLE_Z)
+    max_v, max_t = _arch_prism(MAXILLA_Z)
 
     n0 = len(tongue_v)
     n1 = n0 + len(mand_v)
@@ -526,19 +515,9 @@ class RigConfig:
     root_offset: np.ndarray = field(
         default_factory=lambda: np.array([-1.0, 0.0, -1.0])
     )
-    influence_cap: int = 4
-    weight_exponent: float = 2.0
-    distance_floor: float = 1e-3
-    snap_seeds: bool = True
     group_map: dict[str, str] | None = None
 
     def __post_init__(self):
-        if not 1 <= self.influence_cap <= 4:
-            raise ValueError("influence_cap must be between 1 and 4")
-        if not np.isfinite(self.weight_exponent):
-            raise ValueError("weight_exponent must be finite")
-        if not (0 < self.distance_floor < np.inf):
-            raise ValueError("distance_floor must be finite and positive")
         seeds = [(f"seed.{coil}", point) for coil, point in self.seeds.items()]
         for name, point in [("root_offset", self.root_offset), *seeds]:
             if np.shape(point) != (3,) or not np.isfinite(point).all():
@@ -655,9 +634,10 @@ def compile_rig(
     First-frame coil positions are registered into mesh space
     (register_first_frame); bone tails sit at the mapped coil
     positions and the root bone head at the first root-child coil offset by
-    `config.root_offset`. When `config.snap_seeds` is set (default), the
-    mesh vertex nearest each bone tail is moved exactly onto it so seed
-    vertices track coils with no standing offset.
+    `config.root_offset`. Each coil's seed vertex (seed_vertices) is moved
+    exactly onto its bone tail, so seed vertices track coils with no
+    standing offset. Each tongue vertex is then weighted to its up to 4
+    nearest bone segments by inverse-square distance, floored at 1e-3 cm.
     """
     roles.validate_against(sweep.channels)
     coil_nodes = [n for n in graph.nodes if n != graph.root]
@@ -721,21 +701,19 @@ def compile_rig(
         root_name=graph.root,
     )
 
-    # Seed vertices, optionally snapped exactly onto the bone tails.
     seeds = seed_vertices(mesh, tail_arr)
     seed_map = {n: int(v) for n, v in zip(bone_names, seeds)}
     vertices = np.array(mesh.vertices)
-    if config.snap_seeds:
-        vertices[seeds] = tail_arr
+    vertices[seeds] = tail_arr
     tongue_idx = mesh.group_indices(GROUP_TONGUE)
 
-    # Inverse-distance-power weights to the nearest bone segments.
-    cap = min(config.influence_cap, len(bone_names))
+    # 4 influences, as SkinnedMesh holds them.
+    cap = min(4, len(bone_names))
     dist = _segment_distances(vertices[tongue_idx], heads, tail_arr)
-    dist = np.maximum(dist, config.distance_floor)
+    dist = np.maximum(dist, 1e-3)
     order = np.argsort(dist, axis=1, kind="stable")[:, :cap]
     picked = np.take_along_axis(dist, order, axis=1)
-    w = picked ** (-config.weight_exponent)
+    w = picked ** -2.0
     w /= w.sum(axis=1, keepdims=True)
 
     weight_bones = np.full((mesh.n_vertices, 4), -1, dtype=np.int32)

@@ -472,16 +472,29 @@ class TestSmooth:
         expect = np.convolve(padded, np.ones(5) / 5.0, mode="valid")
         assert np.allclose(out.positions[:, 0, 0], expect, atol=1e-12)
 
-    def test_savitzky_golay_matches_scipy_oracle(self):
-        from scipy.signal import savgol_filter
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(data=st.data())
+    def test_moving_average_matches_frozen_scipy_oracle(self, data):
+        # smooth() keeps the arithmetic of the scipy filter it replaced,
+        # bit for bit; a window of 1 leaves the sweep as it is.
+        from scipy.ndimage import uniform_filter1d
 
-        rng = np.random.default_rng(37)
-        positions = rng.normal(0, 1, (64, 2, 3))
-        sweep = make_sweep(positions)
-        spec = SmoothingSpec(kind="savitzky_golay", window_frames=11, polynomial_order=3)
-        out = smooth(sweep, spec)
-        expect = savgol_filter(positions, 11, 3, axis=0, mode="mirror")
-        assert np.allclose(out.positions, expect, atol=1e-9)
+        n = data.draw(st.integers(1, 40))
+        half = (n - 1) // 2
+        w = 2 * data.draw(st.one_of(st.just(half), st.integers(0, half))) + 1  # odd, <= n
+        cols = 3 * data.draw(st.integers(1, 8))
+        exponents = data.draw(st.lists(st.floats(-3, 3), min_size=cols, max_size=cols))
+        constant = data.draw(st.lists(st.booleans(), min_size=cols, max_size=cols))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        flat = rng.normal(rng.normal(0.0, 5.0, cols), 1.0, (n, cols)) * 10.0 ** np.array(exponents)
+        flat[:, constant] = flat[0, constant]
+
+        out = smooth(make_sweep(flat.reshape(n, -1, 3)), SmoothingSpec(window_frames=w))
+        expect = flat
+        if w > 1:
+            mean = flat.mean(axis=0)
+            expect = uniform_filter1d(flat - mean, w, axis=0, mode="mirror") + mean
+        assert np.array_equal(out.positions.reshape(n, cols), expect)
 
     def test_window_too_large(self):
         sweep = make_sweep(np.zeros((5, 1, 3)))
@@ -497,8 +510,6 @@ class TestSmooth:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SmoothingSpec(kind="moving_average", window_frames=4)
-        with pytest.raises(ValueError):
-            SmoothingSpec(kind="savitzky_golay", window_frames=5, polynomial_order=5)
         with pytest.raises(ValueError):
             SmoothingSpec(kind="boxcar")
 

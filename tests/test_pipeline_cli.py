@@ -13,6 +13,7 @@ from emarig.ema_io import parse_layout, read_pos, write_pos
 from emarig.fixture import FixtureSpec, write_fixture
 from emarig.ik_solver import skin_trajectories
 from emarig.pipeline import compile_model, load_config, validate_model
+from emarig.rig import load_mesh
 
 # sha256 of model.dae compiled from `emarig fixture` with its defaults.
 GOLDEN_MODEL_SHA256 = "b2ddbb5343aaecfb65678f3d3cf3a1e87078f5154e050b20865ff9c93d3f4ee5"
@@ -89,31 +90,8 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.cfg")
 
-    @pytest.mark.parametrize(
-        "old, new",
-        [
-            ("influence_cap = 4", "influence_cap = four"),
-            ("n_lat = 52", "n_lat = 2"),
-            # out of range: each of these used to compile (the NaN ones into
-            # model.dae) or fail later with an untagged numpy error
-            ("influence_cap = 4", "influence_cap = 0"),
-            ("influence_cap = 4", "influence_cap = -1"),
-            ("influence_cap = 4", "influence_cap = 5"),
-            ("influence_cap = 4", "influence_cap = 4\ndistance_floor = 0"),
-            ("influence_cap = 4", "influence_cap = 4\ndistance_floor = inf"),
-            ("weight_exponent = 2.0", "weight_exponent = nan"),
-            ("root_offset = [^\n]*", "root_offset = nan, 0, 0"),
-            ("seed.TTipC = [^\n]*", "seed.TTipC = nan, 0, 1"),
-        ],
-        ids=[
-            "rig_bad_number", "mesh_bad_value", "influence_cap_0", "influence_cap_-1",
-            "influence_cap_5", "distance_floor_0", "distance_floor_inf",
-            "weight_exponent_nan", "root_offset_nan", "seed_nan",
-        ],
-    )
-    def test_bad_rig_or_mesh_value_is_config_error(
-        self, fixture_dir, tmp_path, capsys, old, new
-    ):
+    @staticmethod
+    def compile_fails_as(fixture_dir, tmp_path, capsys, old, new, error):
         # The config is rejected while it is read, before any path in it is.
         # `old` is a pattern for the one line that `new` replaces.
         text, n = re.subn(old, new, (fixture_dir / "config.cfg").read_text(), count=1)
@@ -123,8 +101,73 @@ class TestConfig:
         rc = main(["compile", "--config", str(cfg), "--out", str(tmp_path / "b")])
         assert rc == 2
         # not the missing-file error that the paths, relative to `cfg`, give
-        assert capsys.readouterr().err.startswith("error:cli:config: bad value in config:")
+        assert capsys.readouterr().err.startswith(error)
         assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize(
+        "old, new, error",
+        [
+            ("window_frames = 9", "window_frames = nine", "bad value in config:"),
+            ("n_lat = 52", "n_lat = 2", "bad value in config:"),
+            # out of range: each of these used to compile (the NaN ones into
+            # model.dae) or fail later with an untagged numpy error; the rig
+            # keys that took them are gone, so they fail as unknown keys
+            ("\\[rig\\]\n", "[rig]\ninfluence_cap = 0\n", "unknown [rig] key 'influence_cap'"),
+            ("\\[rig\\]\n", "[rig]\ninfluence_cap = -1\n", "unknown [rig] key 'influence_cap'"),
+            ("\\[rig\\]\n", "[rig]\ninfluence_cap = 5\n", "unknown [rig] key 'influence_cap'"),
+            ("\\[rig\\]\n", "[rig]\ndistance_floor = 0\n", "unknown [rig] key 'distance_floor'"),
+            ("\\[rig\\]\n", "[rig]\ndistance_floor = inf\n", "unknown [rig] key 'distance_floor'"),
+            ("\\[rig\\]\n", "[rig]\nweight_exponent = nan\n", "unknown [rig] key 'weight_exponent'"),
+            ("root_offset = [^\n]*", "root_offset = nan, 0, 0", "bad value in config:"),
+            ("seed.TTipC = [^\n]*", "seed.TTipC = nan, 0, 1", "bad value in config:"),
+            ("extents = [^\n]*", "extents = nan, 1.0, 1.0", "bad value in config:"),
+            ("extents = [^\n]*", "extents = 3.0, inf, 1.8", "bad value in config:"),
+        ],
+        ids=[
+            "rig_bad_number", "mesh_bad_value", "influence_cap_0", "influence_cap_-1",
+            "influence_cap_5", "distance_floor_0", "distance_floor_inf",
+            "weight_exponent_nan", "root_offset_nan", "seed_nan", "extents_nan",
+            "extents_inf",
+        ],
+    )
+    def test_bad_rig_or_mesh_value_is_config_error(
+        self, fixture_dir, tmp_path, capsys, old, new, error
+    ):
+        self.compile_fails_as(
+            fixture_dir, tmp_path, capsys, old, new, "error:cli:config: " + error
+        )
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            # keys of removed options
+            ("smoothing", "polynomial_order", "2"),
+            ("rig", "snap_seeds", "false"),
+            ("mesh", "arch_radius", "3.2"),
+            ("mesh", "arch_width", "0.7"),
+            ("mesh", "arch_height", "0.9"),
+            ("mesh", "arch_segments", "24"),
+            ("mesh", "maxilla_z", "2.1"),
+            ("mesh", "mandible_z", "-1.4"),
+            # misspelt keys, which used to be ignored
+            ("ik", "max_iteration", "5"),
+            ("smoothing", "window_frame", "99999"),
+            ("synthesis", "w_joint", "7"),
+        ],
+    )
+    def test_unknown_key_is_config_error(
+        self, fixture_dir, tmp_path, capsys, section, key, value
+    ):
+        self.compile_fails_as(
+            fixture_dir, tmp_path, capsys, f"\\[{section}\\]\n", f"[{section}]\n{key} = {value}\n",
+            f"error:cli:config: unknown [{section}] key {key!r}\n",
+        )
+
+    def test_unknown_section_is_config_error(self, fixture_dir, tmp_path, capsys):
+        self.compile_fails_as(
+            fixture_dir, tmp_path, capsys, "\\[synthesis\\]", "[synthesys]",
+            "error:cli:config: unknown section [synthesys]\n",
+        )
 
     def test_missing_reference_coil_fails_before_processing(self, fixture_dir, tmp_path):
         text = (fixture_dir / "config.cfg").read_text()
@@ -577,10 +620,10 @@ class TestValidate:
 
 
     def test_seed_vertices_shared_with_compile(self, fixture_dir, tmp_path):
-        # A box-shaped tongue of 8 vertices with unsnapped seeds: several
-        # coils share their nearest vertex, and compile gives each coil the
-        # nearest vertex not taken by an earlier coil. Validate must measure
-        # those same vertices.
+        # A box-shaped tongue of 8 vertices: several coils share their
+        # nearest vertex, and compile gives each coil the nearest vertex not
+        # taken by an earlier coil. Validate must measure those same
+        # vertices.
         corpus = tmp_path / "corpus"
         shutil.copytree(fixture_dir, corpus)
         corners = [(x, y, z) for x in (-2.4, 2.6) for y in (-1.4, 1.6) for z in (0.2, 2.1)]
@@ -592,7 +635,6 @@ class TestValidate:
         )
         text = (corpus / "config.cfg").read_text()
         text = text.replace("[paths]\n", "[paths]\nmesh = box.obj\n")
-        text = text.replace("[rig]\n", "[rig]\nsnap_seeds = false\n")
         (corpus / "config.cfg").write_text(text)
         config = load_config(corpus / "config.cfg")
         assert main(["compile", "--config", str(corpus / "config.cfg"),
@@ -602,8 +644,9 @@ class TestValidate:
         rig, clip = result.rig, result.clip
         names = rig.armature.bone_names
         seeds = np.array([rig.seed_map[n] for n in names])
+        box = load_mesh((corpus / "box.obj").read_text()).vertices  # unsnapped
         nearest = [
-            int(np.argmin(np.sum((rig.mesh.vertices - tail) ** 2, axis=1)))
+            int(np.argmin(np.sum((box - tail) ** 2, axis=1)))
             for tail in rig.armature.tails
         ]
         assert nearest != list(seeds)  # the nearest-any-vertex rule differs
@@ -645,7 +688,7 @@ class TestDump:
     def test_seed_vertices_dump(self, fixture_dir, tmp_path):
         rc = main([
             "dump", "--config", str(fixture_dir / "config.cfg"),
-            "--kind", "seed_vertices", "--no-smoothing",
+            "--kind", "seed_vertices",
             "--out", str(tmp_path / "seeds.pos"),
         ])
         assert rc == 0
@@ -656,6 +699,8 @@ class TestCliBasics:
     def test_usage_error_exit_code(self):
         assert main(["compile"]) == 1
         assert main(["--bogus"]) == 1
+        # [smoothing] kind = none is the one way to switch smoothing off
+        assert main(["compile", "--config", "c", "--out", "o", "--no-smoothing"]) == 1
 
     def test_fixture_command(self, tmp_path):
         rc = main(["fixture", "--out", str(tmp_path / "f"), "--frames", "120", "--sweeps", "1"])

@@ -13,6 +13,7 @@ from emarig.errors import (
     UnknownCoilNode,
 )
 from emarig.rig import (
+    ARCH_SEGMENTS,
     MeshParams,
     RigConfig,
     compile_rig,
@@ -147,7 +148,7 @@ class TestDefaultMesh:
     def test_vertex_count_formula(self):
         params = MeshParams()
         mesh = generate_default_mesh(params)
-        expected = params.dome_vertex_count + 2 * params.arch_vertex_count
+        expected = params.dome_vertex_count + 2 * 4 * (ARCH_SEGMENTS + 1)
         assert mesh.n_vertices == expected
         assert mesh.n_vertices >= 5000
 
@@ -347,14 +348,10 @@ class TestRigConfigText:
             tmp_path,
             "seed.TTipC = 2.2, 0.0, 1.2\n"
             "root_offset = -1, 0, -1\n"
-            "influence_cap = 3\n"
-            "weight_exponent = 2.5\n"
             "group.Lingua = tongue\n",
         )
         assert np.allclose(cfg.seeds["TTipC"], [2.2, 0.0, 1.2])
         assert np.array_equal(cfg.root_offset, [-1.0, 0.0, -1.0])
-        assert cfg.influence_cap == 3
-        assert cfg.weight_exponent == 2.5
         assert cfg.group_map == {"Lingua": "tongue"}
 
     def test_unknown_key(self, tmp_path):
