@@ -84,6 +84,7 @@ def _parse_manifest(text: str) -> tuple[int, tuple[str, ...], float, dict[str, s
     channels: tuple[str, ...] = ()
     rate_hz = 0.0
     entries: dict[str, str] = {}
+    keys: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.rstrip("\n")
         if not line.strip():
@@ -95,9 +96,14 @@ def _parse_manifest(text: str) -> tuple[int, tuple[str, ...], float, dict[str, s
                 raise BundleError(
                     f"manifest line {lineno}: entry {name!r} points outside the bundle"
                 )
+            if name in entries:
+                raise BundleError(f"manifest line {lineno}: entry {name!r} is listed twice")
             entries[name] = digest.strip()
         elif "=" in line:
             key, value = (p.strip() for p in line.split("=", 1))
+            if key in keys:
+                raise BundleError(f"manifest line {lineno}: key {key!r} is set twice")
+            keys.add(key)
             try:
                 if key == "format_version":
                     version = int(value)
@@ -198,6 +204,8 @@ def open_bundle(path: str | Path) -> Bundle:
     )
     if version > FORMAT_VERSION:
         raise BundleError(f"bundle format {version} is newer than supported")
+    if version < 1:
+        raise BundleError(f"bundle format {version} is not a format version")
     return Bundle(
         path=path,
         format_version=version,

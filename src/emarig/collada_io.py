@@ -20,13 +20,14 @@ import functools
 import re
 import warnings
 import xml.etree.ElementTree as ET
+from types import SimpleNamespace
 from xml.etree.ElementTree import Element, SubElement
 
 import numpy as np
 
 from .anim_db import AnimationClip
 from .errors import InconsistentRig, ParseError, UnsupportedFeature
-from .ik_solver import _pose_affines, stretch_matrices
+from .ik_solver import stretch_matrices
 from .rig import GROUP_MANDIBLE, GROUP_MAXILLA, Armature, SkinnedMesh, groups_from_triangles
 from .rotations import mat_to_quat, quat_to_mat, norm
 
@@ -201,6 +202,33 @@ def _affine_rows(A: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.concatenate([A, t[..., None]], axis=-1)
 
 
+def _bone_pose(armature: Armature, clip: AnimationClip, k: int, inverse: bool) -> np.ndarray:
+    """Bone k's pose map A = R S of ``_pose_affines`` over the clip, or with
+    `inverse` its inverse S^-1 R^T, as (n_keys, 3, 3)."""
+    bone = slice(k, k + 1)  # a bone axis of length 1: the all-bones arithmetic, bit for bit
+    R = quat_to_mat(clip.quats[:, bone])
+    s = clip.stretches[:, bone]
+    dirs = armature.rest_dirs[bone]
+    if inverse:
+        return (stretch_matrices(dirs, 1.0 / s, np.sqrt(s)) @ np.swapaxes(R, -1, -2))[:, 0]
+    return (R @ stretch_matrices(dirs, s, 1.0 / np.sqrt(s)))[:, 0]
+
+
+def _local_rows(armature: Armature, clip: AnimationClip, k: int) -> np.ndarray:
+    """Bone k's node matrices over the clip, relative to its parent's pose,
+    as top three rows (n_keys, 3, 4). One bone at a time, which bounds the
+    temporaries to one bone's."""
+    A = _bone_pose(armature, clip, k, inverse=False)
+    p = armature.parents[k]
+    if p < 0:
+        return _affine_rows(A, clip.heads[:, k] - armature.root_point)
+    A_inv_p = _bone_pose(armature, clip, p, inverse=True)
+    rows = np.empty((clip.n_keys, 3, 4))
+    rows[:, :, :3] = A_inv_p @ A
+    rows[:, :, 3] = np.einsum("fij,fj->fi", A_inv_p, clip.heads[:, k] - clip.heads[:, p])
+    return rows
+
+
 def _float_source(parent: Element, sid: str, text: str, count: int, params) -> None:
     """A <source> of `count` elements of `params`, printed as `text`."""
     stride = sum(1 if p[1] != "float4x4" else 16 for p in params)
@@ -304,22 +332,6 @@ def write_collada(
     # animations -----------------------------------------------------------
     if clip is not None:
         la = SubElement(root, "library_animations")
-        A, b = _pose_affines(armature, clip.quats, clip.heads, clip.stretches)
-        locals_ = np.empty((clip.n_keys, K, 3, 4))
-        S_inv = stretch_matrices(
-            armature.rest_dirs, 1.0 / clip.stretches, np.sqrt(clip.stretches)
-        )
-        R = quat_to_mat(clip.quats)
-        A_inv = S_inv @ np.swapaxes(R, -1, -2)
-        for k in range(K):
-            p = armature.parents[k]
-            if p < 0:
-                locals_[:, k] = _affine_rows(A[:, k], clip.heads[:, k] - armature.root_point)
-            else:
-                rel = clip.heads[:, k] - clip.heads[:, p]
-                A_inv_p = np.ascontiguousarray(A_inv[:, p])
-                locals_[:, k, :, :3] = A_inv_p @ A[:, k]
-                locals_[:, k, :, 3] = np.einsum("fij,fj->fi", A_inv_p, rel)
 
         # Every animation shares the clip's time source and interpolation names.
         times_text = _fmt_array(clip.times)
@@ -345,7 +357,7 @@ def write_collada(
             )
 
         for k, sid in enumerate(bone_sids):
-            emit_animation(sid, locals_[:, k])
+            emit_animation(sid, _local_rows(armature, clip, k))
         emit_animation(jaw_sid, _affine_rows(quat_to_mat(clip.jaw_quats), clip.jaw_translations))
 
     # visual scene -----------------------------------------------------------
@@ -392,9 +404,11 @@ def write_collada(
     SubElement(sc, "instance_visual_scene", url="#Scene")
 
     ET.indent(root, space="  ")
-    return '<?xml version="1.0" encoding="utf-8"?>\n' + ET.tostring(
-        root, encoding="unicode"
-    ) + "\n"
+    # The serializer's pieces, the array texts among them, are joined once.
+    parts = ['<?xml version="1.0" encoding="utf-8"?>\n']
+    ET.ElementTree(root).write(SimpleNamespace(write=parts.append), encoding="unicode")
+    parts.append("\n")
+    return "".join(parts)
 
 
 # --- reader ---------------------------------------------------------------------
@@ -466,6 +480,13 @@ def _numbers(text: str | None, dtype=np.float64) -> np.ndarray:
     return values
 
 
+def _take_text(elem: Element) -> str | None:
+    """`elem`'s text, which is dropped from the tree: the reader decodes each
+    array text once, so the tree's text shrinks as the arrays grow."""
+    text, elem.text = elem.text, None
+    return text
+
+
 def _values(elem: Element, n: int) -> np.ndarray:
     """The `n` finite numbers that `elem` must hold."""
     values = _numbers(elem.text)
@@ -487,7 +508,7 @@ def _source_rows(src: Element, width: int, numbers=_numbers) -> np.ndarray:
     accessor = _child(_child(src, "technique_common"), "accessor")
     if accessor.get("stride") != str(width):
         raise ParseError(f"source {src.get('id')!r} needs stride {width}", module="export")
-    return _rows(numbers(_child(src, "float_array").text), accessor, width)
+    return _rows(numbers(_take_text(_child(src, "float_array"))), accessor, width)
 
 
 def _affine(matrices: np.ndarray, what: str) -> np.ndarray:
@@ -506,12 +527,36 @@ def _translation(elem: Element) -> np.ndarray:
 
 
 def _bone_channels(worlds: np.ndarray, armature: Armature) -> tuple:
-    """Quaternions, stretches and tails of bone world matrices (n, K, 4, 4)."""
-    A = np.ascontiguousarray(worlds[:, :, :3, :3])
-    stretches = norm(np.einsum("fkij,kj->fki", A, armature.rest_dirs))
-    R = A @ stretch_matrices(armature.rest_dirs, 1.0 / stretches, np.sqrt(stretches))
-    tails = worlds[:, :, :3, 3] + np.einsum("fkij,kj->fki", A, armature.tails - armature.heads)
-    return mat_to_quat(R), stretches, tails
+    """Quaternions, stretches and tails of bone world matrices (n, K, 4, 4),
+    one bone at a time, which bounds the temporaries to one bone's."""
+    n, K = worlds.shape[:2]
+    quats, stretches, tails = np.empty((n, K, 4)), np.empty((n, K)), np.empty((n, K, 3))
+    offsets = armature.tails - armature.heads
+    for k in range(K):
+        bone = slice(k, k + 1)  # a bone axis of length 1: the all-bones arithmetic, bit for bit
+        dirs = armature.rest_dirs[bone]
+        A = np.ascontiguousarray(worlds[:, bone, :3, :3])
+        s = norm(np.einsum("fkij,kj->fki", A, dirs))
+        R = A @ stretch_matrices(dirs, 1.0 / s, np.sqrt(s))
+        quats[:, bone] = mat_to_quat(R)
+        stretches[:, bone] = s
+        tails[:, bone] = worlds[:, bone, :3, 3] + np.einsum("fkij,kj->fki", A, offsets[bone])
+    return quats, stretches, tails
+
+
+_SLICE = 1 << 20  # characters per XMLParser.feed
+
+
+def _parse_xml(document: str) -> Element:
+    """The element tree of `document`, fed to the parser in slices so that it
+    never copies the whole document; its buffer is freed on return."""
+    parser = ET.XMLParser()
+    try:
+        for lo in range(0, len(document), _SLICE):
+            parser.feed(document[lo : lo + _SLICE])
+        return parser.close()
+    except ET.ParseError as exc:
+        raise ParseError(f"malformed XML: {exc}", module="export") from None
 
 
 _KNOWN_LIBRARIES = {
@@ -533,10 +578,7 @@ def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip | 
     jaw channel), and UnsupportedFeature on any element outside the
     written subset.
     """
-    try:
-        root = ET.fromstring(document)
-    except ET.ParseError as exc:
-        raise ParseError(f"malformed XML: {exc}", module="export") from None
+    root = _parse_xml(document)
     if _local(root) != "COLLADA":
         raise ParseError("not a COLLADA document", module="export")
     for child in root:
@@ -562,7 +604,7 @@ def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip | 
         inputs = _children(tri_el, "input")
         if len(inputs) != 1 or inputs[0].get("semantic") != "VERTEX":
             raise UnsupportedFeature("triangles must carry a single VERTEX input")
-        batches.append(_rows(_numbers(_child(tri_el, "p").text, np.int64), tri_el, 3))
+        batches.append(_rows(_numbers(_take_text(_child(tri_el, "p")), np.int64), tri_el, 3))
         materials.append(tri_el.get("material"))
     tris = np.concatenate([np.empty((0, 3), np.int64)] + batches)
     if ((tris < 0) | (tris >= len(positions))).any():
@@ -587,10 +629,10 @@ def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip | 
             weights_arr = _source_rows(s, 1)[:, 0]
 
     vw = _child(skin, "vertex_weights")
-    vcount = _rows(_numbers(_child(vw, "vcount").text, np.int64), vw, 1)[:, 0]
+    vcount = _rows(_numbers(_take_text(_child(vw, "vcount")), np.int64), vw, 1)[:, 0]
     if len(vcount) != len(positions):
         raise ParseError("<vertex_weights> count is not the vertex count", module="export")
-    v = _numbers(_child(vw, "v").text, np.int64)
+    v = _numbers(_take_text(_child(vw, "v")), np.int64)
 
     # scene hierarchy
     lvs = _children(root, "library_visual_scenes")
@@ -739,13 +781,14 @@ def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip | 
             else:
                 worlds[:, k] = worlds[:, parents[k]] @ local
 
+        # The bones' matrices are in `worlds` now; what is left is the jaw's.
+        for sid in bone_names:
+            channels.pop(f"node-{sid}", None)
+        if len(channels) != 1:
+            raise ParseError(f"expected one jaw animation, found {len(channels)}", module="export")
+        jaw_m = channels.popitem()[1][1]
         heads_t = worlds[:, :, :3, 3]
         quats, stretches, tails_t = _bone_channels(worlds, armature)
-
-        jaw_keys = channels.keys() - {f"node-{s}" for s in bone_names}
-        if len(jaw_keys) != 1:
-            raise ParseError(f"expected one jaw animation, found {len(jaw_keys)}", module="export")
-        jaw_m = channels[jaw_keys.pop()][1]
         jaw_quats = mat_to_quat(jaw_m[:, :3, :3])
         jaw_trans = jaw_m[:, :3, 3]
 

@@ -162,10 +162,12 @@ def read_pos(data: bytes, layout: PosLayout) -> EmaSweep:
     c = len(layout.channels)
     raw = np.frombuffer(data, dtype="<f4").reshape(n, c, VALUES_PER_CHANNEL)
     # 64-bit intermediates make the mm->cm and deg->rad conversions exactly
-    # invertible at float32 output precision.
-    positions = raw[:, :, 0:3].astype(np.float64) / _MM_PER_CM
-    phi = raw[:, :, 3].astype(np.float64) / _DEG_PER_RAD
-    theta = raw[:, :, 4].astype(np.float64) / _DEG_PER_RAD
+    # invertible at float32 output precision. A signalling NaN comes out as a
+    # quiet NaN, a dropout like any other, without the cast's warning.
+    with np.errstate(invalid="ignore"):
+        positions = raw[:, :, 0:3].astype(np.float64) / _MM_PER_CM
+        phi = raw[:, :, 3].astype(np.float64) / _DEG_PER_RAD
+        theta = raw[:, :, 4].astype(np.float64) / _DEG_PER_RAD
     rms = raw[:, :, 5].copy()
     extra = raw[:, :, 6].copy()
     return EmaSweep(

@@ -146,6 +146,30 @@ class TestWriteBundle:
         with pytest.raises(BundleError, match="bad number"):
             read_bundle(path)
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            # A wrong digest listed before the right one must not be overridden.
+            ("model.dae\t", "model.dae\t" + "0" * 64 + "\nmodel.dae\t"),
+            ("rate_hz = 200", "rate_hz = 100\nrate_hz = 200"),
+            ("channels = A", "channels = A\nchannels = A"),
+            ("format_version = 1", "format_version = 0"),
+            ("format_version = 1", "format_version = -1"),
+        ],
+        ids=[
+            "entry_twice", "rate_hz_twice", "channels_twice", "format_version_0", "format_version_-1",
+        ],
+    )
+    @pytest.mark.parametrize("name", ["b", "b.zip"])
+    def test_ambiguous_or_invalid_manifest_rejected(self, tmp_path, model_text, name, old, new):
+        path = tmp_path / name
+        write_bundle(path, model_text, channels=("A",), rate_hz=200.0)
+        edit_manifest(path, lambda text: text.replace(old, new, 1))
+        for check in (open_bundle, verify_bundle, read_bundle):
+            with pytest.raises(BundleError) as err:
+                check(path)
+            assert err.value.diagnostic().startswith("error:export:bundle:")
+
     @pytest.mark.parametrize("name", ["b", "b.zip"])
     def test_rewrite_replaces_files(self, tmp_path, model_text, name):
         path = tmp_path / name

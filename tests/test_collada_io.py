@@ -3,6 +3,7 @@ import hashlib
 import math
 import re
 import sys
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -23,14 +24,15 @@ from emarig.collada_io import (
     _decimal,
     _fmt_array,
     _fmt_matrices,
+    _local_rows,
     _numbers,
     read_collada,
     write_collada,
 )
 from emarig.errors import InconsistentRig, ParseError, UnsupportedFeature
 from emarig.rig import Armature, SkinnedMesh, load_mesh
-from emarig.ik_solver import stretch_matrices
-from emarig.rotations import axis_angle_matrix, mat_to_quat, norm
+from emarig.ik_solver import _pose_affines, stretch_matrices
+from emarig.rotations import axis_angle_matrix, mat_to_quat, norm, quat_to_mat
 
 from conftest import make_chain_armature
 from test_pipeline_cli import GOLDEN_SYNTH_REQUEST
@@ -130,8 +132,6 @@ def random_clip(rng, armature, n_keys):
     )
     heads = np.empty((n_keys, K, 3))
     tails = np.empty((n_keys, K, 3))
-    from emarig.ik_solver import _pose_affines
-
     # heads must be tree-consistent: child head = parent posed tail
     for f in range(n_keys):
         A, _ = _pose_affines(armature, quats[f], np.zeros((K, 3)), stretches[f])
@@ -588,6 +588,40 @@ class TestWriter:
         assert "<up_axis>Z_UP</up_axis>" in doc
 
 
+def batched_local_rows(armature, clip):
+    """The node matrices (n_keys, K, 3, 4) as `write_collada` computed them
+    for all bones at once up to 09e8b7f, kept verbatim as the reference."""
+    K = armature.n_bones
+    A, b = _pose_affines(armature, clip.quats, clip.heads, clip.stretches)
+    locals_ = np.empty((clip.n_keys, K, 3, 4))
+    S_inv = stretch_matrices(
+        armature.rest_dirs, 1.0 / clip.stretches, np.sqrt(clip.stretches)
+    )
+    R = quat_to_mat(clip.quats)
+    A_inv = S_inv @ np.swapaxes(R, -1, -2)
+    for k in range(K):
+        p = armature.parents[k]
+        if p < 0:
+            locals_[:, k] = _affine_rows(A[:, k], clip.heads[:, k] - armature.root_point)
+        else:
+            rel = clip.heads[:, k] - clip.heads[:, p]
+            A_inv_p = np.ascontiguousarray(A_inv[:, p])
+            locals_[:, k, :, :3] = A_inv_p @ A[:, k]
+            locals_[:, k, :, 3] = np.einsum("fij,fj->fi", A_inv_p, rel)
+    return locals_
+
+
+class TestLocalRows:
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(st.integers(1, 7), st.integers(1, 30), st.integers(0, 2**32 - 1))
+    def test_matches_batched_reference(self, n_bones, n_keys, seed):
+        rng = np.random.default_rng(seed)
+        arm = random_tree_armature(rng, n_bones)
+        clip = random_clip(rng, arm, n_keys)
+        got = np.stack([_local_rows(arm, clip, k) for k in range(n_bones)], axis=1)
+        assert np.array_equal(got, batched_local_rows(arm, clip))
+
+
 class TestRoundTrip:
     def test_randomized(self):
         rng = np.random.default_rng(42)
@@ -831,3 +865,49 @@ def test_golden_read_digest(tmp_path):
         for part in read_collada(path.read_text(encoding="utf-8")):
             _hash_fields(h, part)
     assert h.hexdigest() == GOLDEN_READ_SHA256
+
+
+# --- memory -------------------------------------------------------------------
+
+# Peak traced allocations per character of the default model.dae. Reading
+# holds the element tree's text, which shrinks as the arrays are decoded,
+# plus the arrays; writing holds the tree's text plus the joined document.
+# The codec that parsed the whole text at once, kept every array text and
+# concatenated the serialized document twice measured 4.6 (read) and 4.8
+# (write) on this model.
+READ_PEAK_PER_CHAR = 3.0
+WRITE_PEAK_PER_CHAR = 3.0
+
+
+@pytest.fixture(scope="module")
+def default_model(tmp_path_factory):
+    """The text of the `emarig fixture` default (2 x 600 frames) model.dae."""
+    tmp = tmp_path_factory.mktemp("default")
+    assert main(["fixture", "--out", str(tmp / "f")]) == 0
+    config = str(tmp / "f" / "config.cfg")
+    assert main(["compile", "--config", config, "--out", str(tmp / "b")]) == 0
+    return (tmp / "b" / "model.dae").read_text(encoding="utf-8")
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the peak of the allocations traced during the call above
+    those traced before it)."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_read_peak_memory(default_model):
+    _, peak = traced_peak(read_collada, default_model)
+    assert peak < READ_PEAK_PER_CHAR * len(default_model)
+
+
+def test_write_peak_memory(default_model):
+    mesh, armature, clip = read_collada(default_model)
+    _, peak = traced_peak(write_collada, mesh, armature, clip)
+    assert peak < WRITE_PEAK_PER_CHAR * len(default_model)

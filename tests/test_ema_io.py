@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,21 @@ class TestReadPos:
         # the invalid frame is kept, its samples passed through as NaN
         assert sweep.n_frames == 2
         assert np.isnan(sweep.positions[0, 0]).all()
+
+    def test_signalling_nan_is_a_quiet_dropout(self):
+        # x, phi and rms hold a signalling NaN. The float64 casts of x and phi
+        # must not warn (under -W error a warning escapes as a traceback); the
+        # sample is a dropout, and x and phi come back quieted while the raw
+        # float32 rms keeps its bits.
+        bits = np.array([0x7F800001, 0x3F800000, 0, 0x7F800001, 0, 0x7F800001, 0], "<u4")
+        layout = make_layout(1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sweep = read_pos(bits.tobytes(), layout)
+        assert not sweep.valid_mask()[0, 0]
+        assert np.isnan(sweep.positions[0, 0, 0]) and np.isnan(sweep.phi[0, 0])
+        back = np.frombuffer(write_pos(sweep, layout), "<u4")
+        assert back.tolist() == [0x7FC00001, 0x3F800000, 0, 0x7FC00001, 0, 0x7F800001, 0]
 
 
 class TestWritePos:
