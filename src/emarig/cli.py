@@ -201,12 +201,15 @@ def _cmd_dump(args) -> int:
 
 
 def _cmd_fixture(args) -> int:
-    spec = FixtureSpec(
-        n_sweeps=args.sweeps,
-        frames_per_sweep=args.frames,
-        rate_hz=args.rate,
-        head_motion=not args.no_head_motion,
-    )
+    try:
+        spec = FixtureSpec(
+            n_sweeps=args.sweeps,
+            frames_per_sweep=args.frames,
+            rate_hz=args.rate,
+            head_motion=not args.no_head_motion,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     config_path = write_fixture(args.out, spec)
     print(f"fixture written; config at {config_path}")
     return 0

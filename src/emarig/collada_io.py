@@ -787,10 +787,11 @@ def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip | 
         if len(channels) != 1:
             raise ParseError(f"expected one jaw animation, found {len(channels)}", module="export")
         jaw_m = channels.popitem()[1][1]
-        heads_t = worlds[:, :, :3, 3]
+        # Copies, so the clip does not keep `worlds` and `jaw_m` alive.
+        heads_t = np.ascontiguousarray(worlds[:, :, :3, 3])
         quats, stretches, tails_t = _bone_channels(worlds, armature)
         jaw_quats = mat_to_quat(jaw_m[:, :3, :3])
-        jaw_trans = jaw_m[:, :3, 3]
+        jaw_trans = np.ascontiguousarray(jaw_m[:, :3, 3])
 
         rate = float(_values(_annotation(vscene, "rate_hz"), 1)[0])
         duration = float(_values(_annotation(vscene, "duration"), 1)[0])

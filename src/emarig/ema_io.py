@@ -37,8 +37,8 @@ class PosLayout:
             raise BadLayout("layout declares no channels")
         if len(set(self.channels)) != len(self.channels):
             raise BadLayout("duplicate channel names in layout")
-        if not (self.rate_hz > 0):
-            raise BadLayout(f"sample rate must be positive, got {self.rate_hz}")
+        if not (self.rate_hz > 0 and np.isfinite(self.rate_hz)):
+            raise BadLayout(f"sample rate must be finite and positive, got {self.rate_hz}")
         if self.units != "mm_deg":
             raise BadLayout(f"unsupported on-disk units {self.units!r}")
 
@@ -76,8 +76,8 @@ class EmaSweep:
             raise ValueError("channel axis does not match channel names")
         if len(set(self.channels)) != len(self.channels):
             raise ValueError("channel names must be unique")
-        if not (self.rate_hz > 0):
-            raise ValueError("rate_hz must be positive")
+        if not (self.rate_hz > 0 and np.isfinite(self.rate_hz)):
+            raise BadLayout(f"sample rate must be finite and positive, got {self.rate_hz}")
         for name in ("positions", "phi", "theta", "rms", "extra"):
             getattr(self, name).flags.writeable = False
 
@@ -250,8 +250,10 @@ def parse_layout(text: str) -> PosLayout:
 
 
 def format_layout(layout: PosLayout) -> str:
+    # The rate's shortest round-trip digits, with no exponent and no trailing ".0".
+    rate = np.format_float_positional(layout.rate_hz, trim="-")
     return (
         f"channels = {','.join(layout.channels)}\n"
-        f"rate_hz = {layout.rate_hz:g}\n"
+        f"rate_hz = {rate}\n"
         f"units = {layout.units}\n"
     )

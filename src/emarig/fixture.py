@@ -88,6 +88,15 @@ class FixtureSpec:
     head_motion: bool = True
     mesh: MeshParams = MeshParams()
 
+    def __post_init__(self):
+        if self.n_sweeps < 1 or self.frames_per_sweep < 1:
+            raise ValueError(
+                "a fixture needs at least 1 sweep of at least 1 frame, got "
+                f"{self.n_sweeps} sweeps of {self.frames_per_sweep} frames"
+            )
+        if not (self.rate_hz > 0 and np.isfinite(self.rate_hz)):
+            raise ValueError(f"fixture rate must be finite and positive, got {self.rate_hz}")
+
     @property
     def total_frames(self) -> int:
         return self.n_sweeps * self.frames_per_sweep
@@ -118,9 +127,7 @@ def _head_pose(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a2 = 0.04 * np.sin(2 * np.pi * 0.13 * t)
     ax1 = np.array([0.3, 1.0, 0.2]) / np.linalg.norm([0.3, 1.0, 0.2])
     ax2 = np.array([1.0, 0.0, 0.0])
-    R = np.empty((len(t), 3, 3))
-    for i in range(len(t)):
-        R[i] = axis_angle_matrix(ax1, a1[i]) @ axis_angle_matrix(ax2, a2[i])
+    R = axis_angle_matrix(ax1, a1) @ axis_angle_matrix(ax2, a2)
     c = np.stack(
         [
             0.4 * np.sin(2 * np.pi * 0.17 * t),
@@ -152,13 +159,8 @@ def _mouth_trajectories(seeds: dict[str, np.ndarray], t: np.ndarray) -> np.ndarr
 def _jaw_trajectory(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Jaw coil positions and axis vectors in the mouth frame."""
     alpha = _JAW_MAX_OPEN * (1.0 - np.cos(2 * np.pi * _JAW_FREQ * t)) / 2.0
-    pos = np.empty((len(t), 3))
-    axes = np.empty((len(t), 3))
-    for i, a in enumerate(alpha):
-        R = axis_angle_matrix([0.0, 1.0, 0.0], a)
-        pos[i] = R @ (_JAW_REST - _JAW_HINGE) + _JAW_HINGE
-        axes[i] = R @ _JAW_AXIS_REST
-    return pos, axes
+    R = axis_angle_matrix([0.0, 1.0, 0.0], alpha)
+    return R @ (_JAW_REST - _JAW_HINGE) + _JAW_HINGE, R @ _JAW_AXIS_REST
 
 
 def fixture_channels() -> tuple[str, ...]:

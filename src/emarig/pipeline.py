@@ -17,7 +17,7 @@ from .anim_db import AnimationClip, SegmentTier, bake, parse_segmentation
 from .bundle import Bundle, LoadedBundle, write_bundle
 from .collada_io import write_collada
 from .ema_io import CoilRoles, EmaSweep, PosLayout, parse_layout, read_pos
-from .errors import ConfigError, IncompatibleBundle
+from .errors import ConfigError, IncompatibleBundle, NoValidReferenceFrame
 from .ik_solver import IkParams, skin_trajectories, stop_counts
 from .motion_prep import SmoothingSpec, fill_dropouts, normalize_head, smooth
 from .rig import (
@@ -281,6 +281,8 @@ def prepare_sweeps(
     for sweep in raw:
         filled = fill_dropouts(sweep, config.rms_ceiling)
         if reference_frame is None:
+            if filled.n_frames == 0:
+                raise NoValidReferenceFrame(f"first sweep {sweep.sweep_id!r} has no frames")
             reference_frame = np.array(filled.positions[0, ref_idx, :])
         normalized = normalize_head(filled, roles, reference_frame)
         prepared.append(smooth(normalized, config.smoothing))

@@ -164,17 +164,20 @@ def slerp(q0: np.ndarray, q1: np.ndarray, t) -> np.ndarray:
     return out
 
 
-def axis_angle_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rotation matrix about a (not necessarily unit) axis."""
+def axis_angle_matrix(axis: np.ndarray, angle) -> np.ndarray:
+    """Rotation matrices about one (not necessarily unit) axis.
+
+    `angle` may be a scalar, which gives one (3, 3) matrix, or an array of
+    any shape (...), which gives (..., 3, 3): entry [i] is bit for bit the
+    matrix of the scalar call with angle[i].
+    """
     axis = np.asarray(axis, dtype=np.float64)
-    axis = axis / norm(axis)
-    x, y, z = axis
+    x, y, z = axis / norm(axis)
     c, s = np.cos(angle), np.sin(angle)
     C = 1.0 - c
-    return np.array(
-        [
-            [c + x * x * C, x * y * C - z * s, x * z * C + y * s],
-            [y * x * C + z * s, c + y * y * C, y * z * C - x * s],
-            [z * x * C - y * s, z * y * C + x * s, c + z * z * C],
-        ]
-    )
+    rows = [
+        [c + x * x * C, x * y * C - z * s, x * z * C + y * s],
+        [y * x * C + z * s, c + y * y * C, y * z * C - x * s],
+        [z * x * C - y * s, z * y * C + x * s, c + z * z * C],
+    ]
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)

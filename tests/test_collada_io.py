@@ -911,3 +911,11 @@ def test_write_peak_memory(default_model):
     mesh, armature, clip = read_collada(default_model)
     _, peak = traced_peak(write_collada, mesh, armature, clip)
     assert peak < WRITE_PEAK_PER_CHAR * len(default_model)
+
+
+def test_read_clip_owns_heads_and_jaw_translations(default_model):
+    # Views would keep the composed (n, K, 4, 4) world matrices and the
+    # jaw's decoded matrices alive for as long as the clip lives.
+    _, _, clip = read_collada(default_model)
+    assert clip.heads.base is None
+    assert clip.jaw_translations.base is None

@@ -1,7 +1,10 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emarig.ema_io import (
     CoilRoles,
@@ -53,10 +56,17 @@ class TestReadPos:
     def test_bad_layout(self):
         with pytest.raises(BadLayout):
             PosLayout(channels=())
-        with pytest.raises(BadLayout):
-            PosLayout(channels=("A",), rate_hz=0.0)
+        for rate in (0.0, -200.0, np.inf, np.nan):
+            with pytest.raises(BadLayout):
+                PosLayout(channels=("A",), rate_hz=rate)
         with pytest.raises(BadLayout):
             PosLayout(channels=("A", "A"))
+
+    def test_sweep_rate_must_be_finite_and_positive(self):
+        sweep = read_pos(b"", make_layout(1))
+        for rate in (0.0, -200.0, np.inf, np.nan):
+            with pytest.raises(BadLayout):
+                replace(sweep, rate_hz=rate)
 
     def test_invalid_samples_flagged_not_rejected(self):
         layout = make_layout(1)
@@ -204,7 +214,21 @@ class TestLayoutSidecar:
 
     def test_round_trip(self):
         layout = PosLayout(channels=("A", "B", "C"), rate_hz=200.0)
+        assert "rate_hz = 200\n" in format_layout(layout)
         assert parse_layout(format_layout(layout)) == layout
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        st.one_of(
+            st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+            st.sampled_from([199.99999, 333.3333, 1e-300, 5e-324, 1e300]),
+        )
+    )
+    def test_rate_round_trips(self, rate):
+        # `:g` kept 6 digits, so 199.99999 came back as 200 and 333.3333
+        # as 333.333.
+        layout = PosLayout(channels=("A",), rate_hz=rate)
+        assert parse_layout(format_layout(layout)).rate_hz == rate
 
     def test_unknown_key(self):
         with pytest.raises(BadLayout):

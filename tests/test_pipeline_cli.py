@@ -708,6 +708,61 @@ class TestCliBasics:
         assert (tmp_path / "f" / "config.cfg").exists()
         assert (tmp_path / "f" / "sweep_01.pos").stat().st_size == 120 * 12 * 28
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--frames", "0"], ["--sweeps", "0"], ["--frames", "-3"],
+            ["--rate", "0"], ["--rate", "-200"], ["--rate", "inf"], ["--rate", "nan"],
+        ],
+    )
+    def test_fixture_rejects_what_it_cannot_produce(self, tmp_path, capsys, flags):
+        # Each of these used to exit 0 with a corpus that `compile` rejects,
+        # or fail as an untagged I/O error.
+        out = tmp_path / "f"
+        assert main(["fixture", "--out", str(out), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:cli:usage: ") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rate", ["199.99999", "333.3333"])
+    def test_fixture_rate_reaches_the_model(self, tmp_path, rate):
+        # The layout printed 6 digits: the first corpus failed to compile
+        # (its segmentation outlasted the clip), the second compiled at 333.333 Hz.
+        out = tmp_path / "f"
+        assert main([
+            "fixture", "--out", str(out), "--rate", rate, "--frames", "300", "--sweeps", "1",
+        ]) == 0
+        assert main(["compile", "--config", str(out / "config.cfg"), "--out", str(tmp_path / "b")]) == 0
+        assert read_bundle(tmp_path / "b").clip.rate_hz == float(rate)
+
+    @pytest.mark.parametrize("command", ["compile", "validate", "dump"])
+    @pytest.mark.parametrize(
+        "empty, error",
+        [
+            # the first sweep's first frame is the session's head frame
+            ("sweep_01.pos", "error:motion_prep:no_valid_reference_frame: "),
+            ("sweep_02.pos", "error:motion_prep:window_too_large: "),
+        ],
+        ids=["first", "later"],
+    )
+    def test_empty_sweep_fails_tagged(
+        self, fixture_dir, bundle_dir, tmp_path, capsys, command, empty, error
+    ):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(fixture_dir, corpus)
+        (corpus / empty).write_bytes(b"")
+        out = tmp_path / "out"
+        args = {
+            "compile": ["--out", str(out)],
+            "validate": ["--bundle", str(bundle_dir)],
+            "dump": ["--kind", "coils", "--out", str(out)],
+        }[command]
+        rc = main([command, "--config", str(corpus / "config.cfg"), *args])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(error) and len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_machine_parsable_diagnostics(self, tmp_path, capsys):
         rc = main(["compile", "--config", str(tmp_path / "none.cfg"), "--out", str(tmp_path / "b")])
         assert rc == 2

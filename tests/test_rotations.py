@@ -4,6 +4,8 @@ from hypothesis import strategies as st
 
 from emarig.rotations import axis_angle_matrix, mat_to_quat, norm
 
+import reference
+
 
 def four_branch_mat_to_quat(R):
     """The `mat_to_quat` that evaluated all four Shepperd branches on every
@@ -114,3 +116,32 @@ class TestMatToQuat:
         q = mat_to_quat(R)
         assert np.array_equal(q, four_branch_mat_to_quat(R), equal_nan=True)
         assert np.array_equal(q[:4], np.eye(4))
+
+
+class TestAxisAngleMatrix:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3).filter(
+            lambda v: norm(np.array(v)) > 1e-3
+        ),
+        st.sampled_from([(), (5,), (3, 4)]),
+        st.data(),
+    )
+    def test_batch_equals_stack_of_scalar_calls(self, axis, shape, data):
+        # Non-unit axes; angles of shape (), (n,) and (n, m).
+        n = int(np.prod(shape))
+        angles = np.array(
+            data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
+        ).reshape(shape)
+        got = axis_angle_matrix(axis, angles)
+        assert got.shape == shape + (3, 3)
+        scalar = [axis_angle_matrix(axis, a) for a in angles.reshape(-1)]
+        frozen = [reference.axis_angle_matrix(axis, a) for a in angles.reshape(-1)]
+        assert all(m.shape == (3, 3) for m in scalar)
+        assert np.array_equal(got, np.array(scalar).reshape(shape + (3, 3)))
+        assert np.array_equal(got, np.array(frozen).reshape(shape + (3, 3)))
+
+    def test_scalar_angle_gives_one_matrix(self):
+        M = axis_angle_matrix([0.0, 0.0, 2.0], np.pi / 2)
+        assert M.shape == (3, 3)
+        assert np.allclose(M @ [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], atol=1e-15)
