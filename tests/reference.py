@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from emarig.fixture import _JAW_AXIS_REST, _JAW_FREQ, _JAW_HINGE, _JAW_MAX_OPEN, _JAW_REST
 from emarig.rotations import norm
 
-# --- emarig.rotations and emarig.fixture at 391fce3 ----------------------------------
+# --- emarig.rotations and emarig.fixture at 391fce3 ---------------------------
 
 
 def axis_angle_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
@@ -28,13 +29,6 @@ def axis_angle_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
             [z * x * C - y * s, z * y * C + x * s, c + z * z * C],
         ]
     )
-
-
-_JAW_REST = np.array([2.0, 0.0, -1.6])
-_JAW_AXIS_REST = np.array([1.0, 0.0, 0.25]) / np.linalg.norm([1.0, 0.0, 0.25])
-_JAW_HINGE = np.array([-4.0, 0.0, 0.0])
-_JAW_MAX_OPEN = 0.18      # radians about +y
-_JAW_FREQ = 0.55
 
 
 def loop_head_pose(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

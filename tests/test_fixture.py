@@ -72,13 +72,3 @@ def test_synthetic_motion_matches_per_frame_loops(monkeypatch, frames, head_moti
     assert np.array_equal(data.device.translation, ref.device.translation)
     assert data.device.scale == ref.device.scale
 
-
-@pytest.mark.parametrize("frames", [1, 7, 300])
-def test_pose_helpers_match_per_frame_loops(frames):
-    t = (frames + np.arange(frames)) / 200.0
-    for got, want in [
-        (fixture._head_pose(t), loop_head_pose(t)),
-        (fixture._jaw_trajectory(t), loop_jaw_trajectory(t)),
-    ]:
-        for a, b in zip(got, want):
-            assert a.shape == b.shape and np.array_equal(a, b)
