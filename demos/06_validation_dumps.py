@@ -22,7 +22,7 @@ from emarig.bundle import read_bundle
 with tempfile.TemporaryDirectory(prefix="emarig-demo-") as tmp:
     workdir = Path(tmp)
     config_path = write_fixture(workdir / "corpus", FixtureSpec(n_sweeps=1, frames_per_sweep=400))
-    config = dataclasses.replace(load_config(config_path), smoothing=SmoothingSpec(kind="none"))
+    config = dataclasses.replace(load_config(config_path), smoothing=SmoothingSpec(window_frames=1))
     result = compile_model(config)
 
     coils = dump_trajectories("coils", sweeps=result.sweeps_raw, layout=result.layout)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .anim_db import AnimationClip, SegmentTier, parse_segmentation
 from .collada_io import read_collada
-from .ema_io import EmaSweep, PosLayout, parse_layout, write_pos
+from .ema_io import EmaSweep, PosLayout, format_rate, parse_layout, write_pos
 from .errors import BundleError, UnknownKind
 from .ik_solver import skin_trajectories
 from .rig import Armature, CompiledRig, SkinnedMesh
@@ -73,7 +73,7 @@ def _format_manifest(
     lines = [
         f"format_version = {FORMAT_VERSION}",
         f"channels = {','.join(channels)}",
-        f"rate_hz = {rate_hz:g}",
+        f"rate_hz = {format_rate(rate_hz)}",
     ]
     lines += [f"{name}\t{digest}" for name, digest in sorted(entries.items())]
     return "\n".join(lines) + "\n"

@@ -13,7 +13,9 @@ Exit codes: 0 success, 1 usage error, 2 data/processing error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +39,10 @@ from .unit_synth import (
     parse_request,
     render_plan,
     select_units,
-    slot_costs,
 )
+
+# The most candidate sequences `synth --exhaustive` enumerates.
+EXHAUSTIVE_LIMIT = 5**5
 
 
 class UsageError(Exception):
@@ -76,8 +80,8 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--exhaustive",
         action="store_true",
-        help="cross-check the plan against brute-force enumeration "
-        "(instances up to 5 slots x 5 candidates)",
+        help="cross-check the plan against the minimum over every candidate "
+        f"sequence (requests of up to {EXHAUSTIVE_LIMIT} sequences)",
     )
 
     p = sub.add_parser("validate", help="compare a bundle against source EMA")
@@ -138,10 +142,14 @@ def _cmd_synth(args) -> int:
             "bundle has no segmentation/animation to synthesize from", module="cli"
         )
     db = build_unit_db(loaded.clip, loaded.tier)
-    if args.exhaustive and max(len(request.items), *map(len, slot_costs(db, request)[0])) > 5:
-        raise UsageError(
-            "--exhaustive is limited to instances of at most 5 slots x 5 candidates"
-        )
+    if args.exhaustive:
+        per_label = Counter(u.label for u in db)
+        n_sequences = math.prod(per_label[label] for label, _ in request.items)
+        if n_sequences > EXHAUSTIVE_LIMIT:
+            raise UsageError(
+                f"--exhaustive is limited to {EXHAUSTIVE_LIMIT} candidate sequences; "
+                f"this request has {n_sequences}"
+            )
     plan = select_units(db, request)
 
     print(f"{'slot':>4}  {'label':<8}{'source':>6}  {'warp':>8}  {'target':>10}")

@@ -249,11 +249,14 @@ def parse_layout(text: str) -> PosLayout:
     return PosLayout(channels=channels, rate_hz=rate_hz, units=units)
 
 
+def format_rate(rate_hz: float) -> str:
+    """Shortest round-trip digits of a rate, with no exponent or trailing ".0"."""
+    return np.format_float_positional(rate_hz, trim="-")
+
+
 def format_layout(layout: PosLayout) -> str:
-    # The rate's shortest round-trip digits, with no exponent and no trailing ".0".
-    rate = np.format_float_positional(layout.rate_hz, trim="-")
     return (
         f"channels = {','.join(layout.channels)}\n"
-        f"rate_hz = {rate}\n"
+        f"rate_hz = {format_rate(layout.rate_hz)}\n"
         f"units = {layout.units}\n"
     )

@@ -271,6 +271,8 @@ def _token_wav() -> bytes:
 
 
 def _config_text(data: FixtureData, spec: FixtureSpec) -> str:
+    # the largest odd smoothing window, up to 9 frames, that fits in a sweep
+    window = min(9, (spec.frames_per_sweep - 1) | 1)
     lines = [
         "[paths]",
         "ema = " + ", ".join(f"sweep_{s + 1:02d}.pos" for s in range(spec.n_sweeps)),
@@ -285,8 +287,7 @@ def _config_text(data: FixtureData, spec: FixtureSpec) -> str:
         f"tongue = {', '.join(TONGUE_COILS)}",
         "",
         "[smoothing]",
-        "kind = moving_average",
-        "window_frames = 9",
+        f"window_frames = {window}",
         "",
         "[ik]",
         "tolerance = 0.001",

@@ -49,14 +49,11 @@ class Similarity:
 
 @dataclass(frozen=True)
 class SmoothingSpec:
-    """Zero-phase filter choice for coil-jitter suppression."""
+    """Moving-average window against coil jitter; 1 frame switches it off."""
 
-    kind: str = "moving_average"
     window_frames: int = 9
 
     def __post_init__(self):
-        if self.kind not in ("none", "moving_average"):
-            raise ValueError(f"unknown smoothing kind {self.kind!r}")
         if self.window_frames < 1 or self.window_frames % 2 == 0:
             raise ValueError("window_frames must be odd and >= 1")
 
@@ -252,7 +249,7 @@ def smooth(sweep: EmaSweep, spec: SmoothingSpec) -> EmaSweep:
     dropouts to have been filled already.
     """
     w = spec.window_frames
-    if spec.kind == "none" or w == 1:
+    if w == 1:
         return sweep
     n = sweep.n_frames
     if w > n:

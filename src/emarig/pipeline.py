@@ -45,7 +45,6 @@ class SynthesisDefaults:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    base_dir: Path
     ema_paths: tuple[Path, ...]
     layout_path: Path
     rig_graph_path: Path
@@ -72,7 +71,7 @@ def _split_list(value: str) -> tuple[str, ...]:
 _SECTION_KEYS = {
     "paths": ("ema", "layout", "rig_graph", "mesh", "segmentation", "audio"),
     "roles": ("reference", "jaw", "tongue"),
-    "smoothing": ("kind", "window_frames", "rms_ceiling"),
+    "smoothing": ("window_frames", "rms_ceiling"),
     "ik": ("tolerance", "max_iterations", "s_min", "s_max"),
     "rig": ("root_offset",),
     "synthesis": ("w_target", "w_join", "blend_window", "velocity_weight"),
@@ -153,10 +152,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigError("[roles] tongue must name at least one coil")
 
     try:
-        smoothing = SmoothingSpec(
-            kind=get("smoothing", "kind", "moving_average"),
-            window_frames=int(get("smoothing", "window_frames", "9")),
-        )
+        smoothing = SmoothingSpec(window_frames=int(get("smoothing", "window_frames", "9")))
         rms_ceiling = float(get("smoothing", "rms_ceiling", "inf"))
         ik = IkParams(
             tolerance=float(get("ik", "tolerance", "1e-3")),
@@ -198,7 +194,6 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigError(f"bad value in config: {exc}") from None
 
     return PipelineConfig(
-        base_dir=base,
         ema_paths=ema_paths,
         layout_path=resolve(layout_value),
         rig_graph_path=resolve(graph_value),

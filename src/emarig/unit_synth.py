@@ -3,9 +3,9 @@
 Candidates matching each requested label are scored by how much they must
 be time-warped (target cost) and how badly their boundaries clash with
 their neighbors (join cost), all computed once by `slot_costs`; a Viterbi
-pass (`select_units`) and brute-force enumeration (`exhaustive_total`)
-pick the globally cheapest sequence from the same costs. The winning units
-are then linearly time-warped and cross-faded into a new clip.
+pass (`select_units`) and its unpruned grid (`exhaustive_total`) add up
+the same costs, slot by slot, to pick the globally cheapest sequence. The
+winning units are then linearly time-warped and cross-faded into a new clip.
 
 Costs are deliberately simple and fully parameterized; candidate pruning
 would sit between `slot_costs` and the DP, but desk-scale databases never
@@ -14,7 +14,6 @@ need it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -129,16 +128,6 @@ class SynthesisPlan:
     blend_window: float
 
 
-def _plan_total(w_target, w_join, target_costs, join_costs) -> float:
-    # Left to right like the DP's sums; sum() compensates rounding from 3.12 on.
-    sum_t = sum_j = 0.0
-    for t in target_costs:
-        sum_t += t
-    for j in join_costs:
-        sum_j += j
-    return float(w_target * sum_t + w_join * sum_j)
-
-
 def select_units(db: list[AnimationUnit], request: SynthesisRequest) -> SynthesisPlan:
     """Minimum-cost unit sequence via dynamic programming over slots.
 
@@ -184,7 +173,7 @@ def select_units(db: list[AnimationUnit], request: SynthesisRequest) -> Synthesi
         requested=requested,
         target_costs=tlist,
         join_costs=jlist,
-        total=_plan_total(wt, wj, tlist, jlist),
+        total=float(wt * sum_t[picks[-1]] + wj * sum_j[picks[-1]]),
         blend_window=request.blend_window,
     )
 
@@ -202,20 +191,20 @@ def dp_slack(n_slots: int) -> float:
 
 
 def exhaustive_total(db: list[AnimationUnit], request: SynthesisRequest):
-    """Minimum (total, source-index sequence) by enumerating every
-    assignment over the same slot costs and total as `select_units`, ties
-    going to the lexicographically smallest sequence. `select_units` comes
-    within `dp_slack` of this total, and picks this sequence unless another
-    one is as close."""
+    """Minimum (total, source-index sequence) over every assignment: the
+    accumulation of `select_units` without its pruning, over the grid of
+    all sequences, ties going to the lexicographically smallest sequence
+    (C order, since each slot's candidates are sorted by source index).
+    `select_units` comes within `dp_slack` of this total, and picks this
+    sequence unless another one is as close."""
     cands, targets, joins = slot_costs(db, request)
-    best = None
-    for picks in itertools.product(*(range(len(c)) for c in cands)):
-        tlist = [t[k] for t, k in zip(targets, picks)]
-        jlist = [j[p, k] for j, p, k in zip(joins[1:], picks, picks[1:])]
-        seq = tuple(c[k].source_index for c, k in zip(cands, picks))
-        key = (_plan_total(request.w_target, request.w_join, tlist, jlist), seq)
-        best = key if best is None else min(best, key)
-    return best
+    grid_t, grid_j = targets[0], np.zeros(len(targets[0]))
+    for target, join in zip(targets[1:], joins[1:]):
+        grid_t = grid_t[..., None] + target
+        grid_j = grid_j[..., None] + join
+    total = request.w_target * grid_t + request.w_join * grid_j
+    picks = np.unravel_index(np.argmin(total), total.shape)
+    return float(total[picks]), tuple(c[k].source_index for c, k in zip(cands, picks))
 
 
 def render_plan(plan: SynthesisPlan, clip: AnimationClip) -> AnimationClip:

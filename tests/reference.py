@@ -7,10 +7,14 @@ the package; a test asserts that the replacement gives the same bits.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
+from emarig.anim_db import AnimationUnit
 from emarig.fixture import _JAW_AXIS_REST, _JAW_FREQ, _JAW_HINGE, _JAW_MAX_OPEN, _JAW_REST
 from emarig.rotations import norm
+from emarig.unit_synth import SynthesisRequest, slot_costs
 
 # --- emarig.rotations and emarig.fixture at 391fce3 ---------------------------
 
@@ -62,3 +66,33 @@ def loop_jaw_trajectory(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pos[i] = R @ (_JAW_REST - _JAW_HINGE) + _JAW_HINGE
         axes[i] = R @ _JAW_AXIS_REST
     return pos, axes
+
+
+# --- emarig.unit_synth at f93902a ---------------------------------------------
+
+
+def _plan_total(w_target, w_join, target_costs, join_costs) -> float:
+    # Left to right like the DP's sums; sum() compensates rounding from 3.12 on.
+    sum_t = sum_j = 0.0
+    for t in target_costs:
+        sum_t += t
+    for j in join_costs:
+        sum_j += j
+    return float(w_target * sum_t + w_join * sum_j)
+
+
+def loop_exhaustive_total(db: list[AnimationUnit], request: SynthesisRequest):
+    """Minimum (total, source-index sequence) by enumerating every
+    assignment over the same slot costs and total as `select_units`, ties
+    going to the lexicographically smallest sequence. `select_units` comes
+    within `dp_slack` of this total, and picks this sequence unless another
+    one is as close."""
+    cands, targets, joins = slot_costs(db, request)
+    best = None
+    for picks in itertools.product(*(range(len(c)) for c in cands)):
+        tlist = [t[k] for t, k in zip(targets, picks)]
+        jlist = [j[p, k] for j, p, k in zip(joins[1:], picks, picks[1:])]
+        seq = tuple(c[k].source_index for c, k in zip(cands, picks))
+        key = (_plan_total(request.w_target, request.w_join, tlist, jlist), seq)
+        best = key if best is None else min(best, key)
+    return best

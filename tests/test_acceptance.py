@@ -131,7 +131,7 @@ def test_criterion_3_ik(compiled_model):
 def test_criterion_4_end_to_end_seed_tracking(tmp_path):
     write_fixture(tmp_path, FixtureSpec(n_sweeps=2, frames_per_sweep=400))
     config = dataclasses.replace(
-        load_config(tmp_path / "config.cfg"), smoothing=SmoothingSpec(kind="none")
+        load_config(tmp_path / "config.cfg"), smoothing=SmoothingSpec(window_frames=1)
     )
     result = compile_model(config)
     bundle = build_bundle(result, tmp_path / "bundle")

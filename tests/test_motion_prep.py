@@ -450,19 +450,19 @@ class TestSmooth:
     def test_constant_preserved_exactly(self):
         positions = np.full((30, 2, 3), 1.2345678901234567)
         sweep = make_sweep(positions)
-        out = smooth(sweep, SmoothingSpec(kind="moving_average", window_frames=9))
+        out = smooth(sweep, SmoothingSpec(window_frames=9))
         assert np.array_equal(out.positions, sweep.positions)
 
-    def test_kind_none_identity(self):
+    def test_window_of_one_identity(self):
         sweep = make_sweep(np.random.default_rng(0).normal(0, 1, (20, 1, 3)))
-        assert smooth(sweep, SmoothingSpec(kind="none")) is sweep
+        assert smooth(sweep, SmoothingSpec(window_frames=1)) is sweep
 
     def test_impulse_against_convolution_oracle(self):
         n = 31
         positions = np.zeros((n, 1, 3))
         positions[15, 0, 0] = 1.0
         sweep = make_sweep(positions)
-        out = smooth(sweep, SmoothingSpec(kind="moving_average", window_frames=5))
+        out = smooth(sweep, SmoothingSpec(window_frames=5))
         assert np.allclose(out.positions[13:18, 0, 0], 0.2, atol=1e-12)
         assert np.allclose(out.positions[:13, 0, 0], 0.0, atol=1e-12)
 
@@ -499,19 +499,19 @@ class TestSmooth:
     def test_window_too_large(self):
         sweep = make_sweep(np.zeros((5, 1, 3)))
         with pytest.raises(WindowTooLarge):
-            smooth(sweep, SmoothingSpec(kind="moving_average", window_frames=7))
+            smooth(sweep, SmoothingSpec(window_frames=7))
 
     def test_length_unchanged(self):
         rng = np.random.default_rng(41)
         sweep = make_sweep(rng.normal(0, 1, (50, 3, 3)))
-        out = smooth(sweep, SmoothingSpec(kind="moving_average", window_frames=9))
+        out = smooth(sweep, SmoothingSpec(window_frames=9))
         assert out.n_frames == sweep.n_frames
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            SmoothingSpec(kind="moving_average", window_frames=4)
+            SmoothingSpec(window_frames=4)
         with pytest.raises(ValueError):
-            SmoothingSpec(kind="boxcar")
+            SmoothingSpec(window_frames=0)
 
 
 def test_prepare_pipeline_order(small_fixture):

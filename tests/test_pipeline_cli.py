@@ -81,7 +81,7 @@ class TestConfig:
         assert config.tongue == (
             "TBackC", "TMidC", "TTipC", "TMidL", "TBladeL", "TMidR", "TBladeR",
         )
-        assert config.smoothing.kind == "moving_average"
+        assert config.smoothing.window_frames == 9
         assert "TTipC" in config.rig.seeds
 
     def test_missing_file(self, tmp_path):
@@ -142,6 +142,7 @@ class TestConfig:
         [
             # keys of removed options
             ("smoothing", "polynomial_order", "2"),
+            ("smoothing", "kind", "none"),
             ("rig", "snap_seeds", "false"),
             ("mesh", "arch_radius", "3.2"),
             ("mesh", "arch_width", "0.7"),
@@ -334,8 +335,9 @@ class TestSynth:
         labels = [s.label for s in read_bundle(tmp_path / "b").tier.segments]
         assert labels.count("a") > 5
         out = tmp_path / "clip.dae"
+        # at least 6**5 = 7776 sequences, over the cap of 5**5
         rc = main([
-            "synth", "--bundle", str(tmp_path / "b"), "--request", "a 0.2; a 0.2",
+            "synth", "--bundle", str(tmp_path / "b"), "--request", "a 0.2; " * 5,
             "--out", str(out), "--exhaustive",
         ])
         captured = capsys.readouterr()
@@ -343,6 +345,14 @@ class TestSynth:
         assert captured.err.startswith("error:cli:usage: --exhaustive is limited")
         assert captured.out == ""
         assert not out.exists()
+        # The cap counts sequences, not slots or candidates: two slots of
+        # more than 5 candidates each used to be refused.
+        assert labels.count("a") ** 2 <= 5**5
+        assert main([
+            "synth", "--bundle", str(tmp_path / "b"), "--request", "a 0.2; a 0.2",
+            "--out", str(out), "--exhaustive",
+        ]) == 0
+        assert "(match)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("args", [
         ["--request", "a nan"],
@@ -699,7 +709,7 @@ class TestCliBasics:
     def test_usage_error_exit_code(self):
         assert main(["compile"]) == 1
         assert main(["--bogus"]) == 1
-        # [smoothing] kind = none is the one way to switch smoothing off
+        # [smoothing] window_frames = 1 is the one way to switch smoothing off
         assert main(["compile", "--config", "c", "--out", "o", "--no-smoothing"]) == 1
 
     def test_fixture_command(self, tmp_path):
@@ -733,7 +743,18 @@ class TestCliBasics:
             "fixture", "--out", str(out), "--rate", rate, "--frames", "300", "--sweeps", "1",
         ]) == 0
         assert main(["compile", "--config", str(out / "config.cfg"), "--out", str(tmp_path / "b")]) == 0
-        assert read_bundle(tmp_path / "b").clip.rate_hz == float(rate)
+        loaded = read_bundle(tmp_path / "b")
+        assert loaded.clip.rate_hz == float(rate)
+        # the manifest printed 6 digits too, so it disagreed with layout.cfg
+        assert loaded.bundle.rate_hz == loaded.layout.rate_hz == float(rate)
+
+    @pytest.mark.parametrize("frames", ["1", "4", "8"])
+    def test_small_fixture_compiles(self, tmp_path, frames):
+        # The config used to set a 9-frame smoothing window whatever the
+        # sweep length, so `compile` rejected every sweep under 9 frames.
+        out = tmp_path / "f"
+        assert main(["fixture", "--out", str(out), "--frames", frames, "--sweeps", "1"]) == 0
+        assert main(["compile", "--config", str(out / "config.cfg"), "--out", str(tmp_path / "b")]) == 0
 
     @pytest.mark.parametrize("command", ["compile", "validate", "dump"])
     @pytest.mark.parametrize(

@@ -17,7 +17,6 @@ from emarig.rotations import slerp
 from emarig.unit_synth import (
     SynthesisPlan,
     SynthesisRequest,
-    _plan_total,
     dp_slack,
     exhaustive_total,
     join_cost,
@@ -29,6 +28,7 @@ from emarig.unit_synth import (
 )
 
 from conftest import prepare, scalar_sample
+from reference import _plan_total, loop_exhaustive_total
 
 
 def make_unit(label, duration, source_index, first=None, last=None, fv=None, lv=None):
@@ -192,6 +192,48 @@ def exported(rig, clip, tier):
     1 need not give a key's stored row back bit for bit."""
     clip = read_collada(write_collada(rig.mesh, rig.armature, clip))[2]
     return clip, build_unit_db(clip, tier)
+
+
+@st.composite
+def forced_ties(draw, weights, max_units=12):
+    """A unit DB of up to `max_units` units and a request on which many
+    assignments cost exactly the same: integer features drawn from a few
+    shared arrays and two durations. The three request weights are drawn
+    from `weights`."""
+    n_shared = draw(st.integers(2, 4))
+    shared = np.array(draw(st.lists(
+        st.integers(0, 1), min_size=6 * n_shared, max_size=6 * n_shared
+    )), dtype=float).reshape(n_shared, 2, 3)
+    n_units = draw(st.integers(2, max_units))
+    sources = draw(st.lists(
+        st.integers(0, 15), min_size=n_units, max_size=n_units, unique=True
+    ))
+    feature = st.sampled_from(range(len(shared)))
+    db = [
+        make_unit(
+            draw(st.sampled_from("ab")),
+            draw(st.sampled_from((0.1, 0.2))),
+            s,
+            first=shared[draw(feature)],
+            last=shared[draw(feature)],
+            fv=shared[draw(feature)],
+            lv=shared[draw(feature)],
+        )
+        for s in sources
+    ]
+    labels = sorted({u.label for u in db})
+    items = tuple(
+        (draw(st.sampled_from(labels)), draw(st.sampled_from((0.1, 0.2))))
+        for _ in range(draw(st.integers(1, 6)))
+    )
+    weight = st.sampled_from(weights)
+    request = SynthesisRequest(
+        items=items,
+        w_target=draw(weight),
+        w_join=draw(weight),
+        velocity_weight=draw(weight),
+    )
+    return db, request
 
 
 def assert_same_plan(plan, reference):
@@ -386,50 +428,16 @@ class TestMatchesTupleStateDp:
         )
 
     @settings(max_examples=500, deadline=None, database=None)
-    @given(data=st.data())
-    def test_forced_ties(self, data):
-        # Integer features drawn from a few shared arrays and two durations
-        # make many assignments cost exactly the same.
-        n_shared = data.draw(st.integers(2, 4))
-        shared = np.array(data.draw(st.lists(
-            st.integers(0, 1), min_size=6 * n_shared, max_size=6 * n_shared
-        )), dtype=float).reshape(n_shared, 2, 3)
-        n_units = data.draw(st.integers(2, 12))
-        sources = data.draw(st.lists(
-            st.integers(0, 15), min_size=n_units, max_size=n_units, unique=True
-        ))
-        feature = st.sampled_from(range(len(shared)))
-        db = [
-            make_unit(
-                data.draw(st.sampled_from("ab")),
-                data.draw(st.sampled_from((0.1, 0.2))),
-                s,
-                first=shared[data.draw(feature)],
-                last=shared[data.draw(feature)],
-                fv=shared[data.draw(feature)],
-                lv=shared[data.draw(feature)],
-            )
-            for s in sources
-        ]
-        labels = sorted({u.label for u in db})
-        items = tuple(
-            (data.draw(st.sampled_from(labels)), data.draw(st.sampled_from((0.1, 0.2))))
-            for _ in range(data.draw(st.integers(1, 6)))
-        )
-        weight = st.sampled_from((0.0, 0.5, 1.0))
-        request = SynthesisRequest(
-            items=items,
-            w_target=data.draw(weight),
-            w_join=data.draw(weight),
-            velocity_weight=data.draw(weight),
-        )
+    @given(case=forced_ties((0.0, 0.5, 1.0)))
+    def test_forced_ties(self, case):
+        db, request = case
         plan = select_units(db, request)
         assert_same_plan(plan, tuple_state_select_units(db, request))
         # Rounding can let the DP prune a path that ties, or wins by an ulp,
         # only once summed to the end (see test_tie_found_after_pruning), so
         # the sequence may differ from the brute force's.
         total, _ = exhaustive_total(db, request)
-        assert total <= plan.total <= total * (1 + dp_slack(len(items)))
+        assert total <= plan.total <= total * (1 + dp_slack(len(request.items)))
 
     def test_tie_found_after_pruning(self):
         # Two sequences whose totals are the same float, though the DP had
@@ -479,6 +487,18 @@ class TestMatchesTupleStateDp:
         assert (total, seq) == (4.234822498543746, (1, 0, 1, 0, 1))
         assert plan.total == math.nextafter(total, math.inf)
         assert plan.total <= total * (1 + dp_slack(5))
+
+
+class TestMatchesLoopBruteForce:
+    # Exact ties, and weights that do not scale exactly: the grid adds the
+    # same numbers in the same order as the loop, so both the total and the
+    # sequence it breaks ties to are the same bits. Up to 8 units keep the
+    # loop under 2 s per example (8**6 sequences); 12**6 take 20 s.
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(case=forced_ties((0.0, 0.3, 0.5, 1.0, 1.7), max_units=8))
+    def test_forced_ties(self, case):
+        db, request = case
+        assert exhaustive_total(db, request) == loop_exhaustive_total(db, request)
 
 
 def per_row_render_plan(plan: SynthesisPlan, clip: AnimationClip) -> AnimationClip:
