@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import math
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
@@ -50,8 +51,16 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def write_new_file(path: str | Path, data: bytes) -> None:
+# Characters of a text encoded and written at a time.
+SLICE_CHARS = 1 << 20
+
+
+def write_new_file(path: str | Path, data: bytes | str, digest=None) -> None:
     """Write `data` to `path` as a newly created file.
+
+    A str is written as UTF-8, SLICE_CHARS characters at a time, so no
+    bytes copy of the whole text is built. `digest`, a hashlib object, is
+    updated with every byte written.
 
     An existing file is unlinked first, not truncated and rewritten: a
     reader that has the old file open keeps reading its complete old
@@ -63,8 +72,18 @@ def write_new_file(path: str | Path, data: bytes) -> None:
     """
     path = Path(path)
     path.unlink(missing_ok=True)
+    if isinstance(data, str):
+        chunks = (
+            data[lo : lo + SLICE_CHARS].encode("utf-8")
+            for lo in range(0, len(data), SLICE_CHARS)
+        )
+    else:
+        chunks = (data,)
     with open(path, "xb") as f:
-        f.write(data)
+        for chunk in chunks:
+            if digest is not None:
+                digest.update(chunk)
+            f.write(chunk)
 
 
 def _format_manifest(
@@ -82,7 +101,7 @@ def _format_manifest(
 def _parse_manifest(text: str) -> tuple[int, tuple[str, ...], float, dict[str, str]]:
     version = None
     channels: tuple[str, ...] = ()
-    rate_hz = 0.0
+    rate_hz = None
     entries: dict[str, str] = {}
     keys: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -117,6 +136,10 @@ def _parse_manifest(text: str) -> tuple[int, tuple[str, ...], float, dict[str, s
             raise BundleError(f"manifest line {lineno}: unparsable entry {raw!r}")
     if version is None:
         raise BundleError("manifest is missing format_version")
+    if rate_hz is None:
+        raise BundleError("manifest is missing rate_hz")
+    if not (math.isfinite(rate_hz) and rate_hz > 0):
+        raise BundleError(f"manifest rate_hz {rate_hz!r} is not a positive finite rate")
     return version, channels, rate_hz, entries
 
 
@@ -138,19 +161,19 @@ def write_bundle(
     the archive) is written as a new file, see write_new_file.
     """
     path = Path(path)
-    files: dict[str, bytes] = {MODEL_NAME: model_text.encode("utf-8")}
+    files: dict[str, bytes | str] = {MODEL_NAME: model_text}
     if segmentation_text is not None:
-        files[SEGMENTATION_NAME] = segmentation_text.encode("utf-8")
+        files[SEGMENTATION_NAME] = segmentation_text
     if layout_text is not None:
-        files[LAYOUT_NAME] = layout_text.encode("utf-8")
+        files[LAYOUT_NAME] = layout_text
     for name, data in (audio or {}).items():
         files[f"{AUDIO_DIR}/{Path(name).name}"] = data
 
-    entries = {name: _sha256(data) for name, data in files.items()}
-    manifest = _format_manifest(channels, rate_hz, entries)
-
     if path.suffix == ".zip":
         path.parent.mkdir(parents=True, exist_ok=True)
+        files = {n: d.encode("utf-8") if isinstance(d, str) else d for n, d in files.items()}
+        entries = {name: _sha256(data) for name, data in files.items()}
+        manifest = _format_manifest(channels, rate_hz, entries)
         archive = io.BytesIO()
         with zipfile.ZipFile(archive, "w", zipfile.ZIP_DEFLATED) as zf:
             for name in sorted(files) + [MANIFEST_NAME]:
@@ -159,11 +182,14 @@ def write_bundle(
         write_new_file(path, archive.getvalue())
     else:
         path.mkdir(parents=True, exist_ok=True)
+        entries = {}
         for name, data in files.items():
             target = path / name
             target.parent.mkdir(parents=True, exist_ok=True)
-            write_new_file(target, data)
-        write_new_file(path / MANIFEST_NAME, manifest.encode("utf-8"))
+            digest = hashlib.sha256()
+            write_new_file(target, data, digest)
+            entries[name] = digest.hexdigest()
+        write_new_file(path / MANIFEST_NAME, _format_manifest(channels, rate_hz, entries))
 
     return Bundle(
         path=path,
@@ -252,6 +278,11 @@ def read_bundle(path: str | Path) -> LoadedBundle:
     layout = None
     if LAYOUT_NAME in bundle.entries:
         layout = parse_layout(_read_text(bundle.path, LAYOUT_NAME))
+        if (bundle.channels, bundle.rate_hz) != (layout.channels, layout.rate_hz):
+            raise BundleError(
+                f"manifest channels {','.join(bundle.channels)} at {bundle.rate_hz!r} Hz "
+                f"differ from {LAYOUT_NAME}'s {','.join(layout.channels)} at {layout.rate_hz!r} Hz"
+            )
     return LoadedBundle(
         bundle=bundle, mesh=mesh, armature=armature, clip=clip, tier=tier, layout=layout
     )

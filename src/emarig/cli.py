@@ -114,7 +114,7 @@ def _cmd_compile(args) -> int:
         rows = "".join(
             f"{i}\t{r!r}\n" for i, r in enumerate(result.report.residuals)
         )
-        write_new_file(args.report, ("frame\tmax_residual_cm\n" + rows).encode("utf-8"))
+        write_new_file(args.report, "frame\tmax_residual_cm\n" + rows)
     return 0
 
 
@@ -173,9 +173,7 @@ def _cmd_synth(args) -> int:
             )
 
     rendered = render_plan(plan, loaded.clip)
-    write_new_file(
-        args.out, write_collada(loaded.mesh, loaded.armature, rendered).encode("utf-8")
-    )
+    write_new_file(args.out, write_collada(loaded.mesh, loaded.armature, rendered))
     print(f"rendered clip of {rendered.duration:g} s -> {args.out}")
     return 0
 

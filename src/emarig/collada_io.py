@@ -526,22 +526,41 @@ def _translation(elem: Element) -> np.ndarray:
     return m[:3, 3]
 
 
-def _bone_channels(worlds: np.ndarray, armature: Armature) -> tuple:
-    """Quaternions, stretches and tails of bone world matrices (n, K, 4, 4),
-    one bone at a time, which bounds the temporaries to one bone's."""
-    n, K = worlds.shape[:2]
-    quats, stretches, tails = np.empty((n, K, 4)), np.empty((n, K)), np.empty((n, K, 3))
-    offsets = armature.tails - armature.heads
-    for k in range(K):
-        bone = slice(k, k + 1)  # a bone axis of length 1: the all-bones arithmetic, bit for bit
-        dirs = armature.rest_dirs[bone]
-        A = np.ascontiguousarray(worlds[:, bone, :3, :3])
-        s = norm(np.einsum("fkij,kj->fki", A, dirs))
-        R = A @ stretch_matrices(dirs, 1.0 / s, np.sqrt(s))
-        quats[:, bone] = mat_to_quat(R)
-        stretches[:, bone] = s
-        tails[:, bone] = worlds[:, bone, :3, 3] + np.einsum("fkij,kj->fki", A, offsets[bone])
-    return quats, stretches, tails
+def _decompose_world(world: np.ndarray, armature: Armature, k: int) -> tuple:
+    """Quaternions (n, 4), stretches (n,) and tails (n, 3) of bone k's world
+    matrices (n, 4, 4)."""
+    bone = slice(k, k + 1)  # a bone axis of length 1: the all-bones arithmetic, bit for bit
+    dirs = armature.rest_dirs[bone]
+    A = np.ascontiguousarray(world[:, None, :3, :3])
+    s = norm(np.einsum("fkij,kj->fki", A, dirs))
+    R = A @ stretch_matrices(dirs, 1.0 / s, np.sqrt(s))
+    offset = armature.tails[bone] - armature.heads[bone]
+    tails = world[:, None, :3, 3] + np.einsum("fkij,kj->fki", A, offset)
+    return mat_to_quat(R)[:, 0], s[:, 0], tails[:, 0]
+
+
+def _bone_channels(locals_: list, armature: Armature) -> tuple:
+    """Heads, quaternions, stretches and tails over the keys, from each
+    bone's local matrices (n, 4, 4) in `locals_`, which it empties.
+
+    Bone by bone in preorder: a bone's world matrix, its parent's times its
+    local, is decomposed at once and kept only until its last child is
+    composed, and each local is dropped once used. So no (n, K, 4, 4)
+    array is built, and the channels grow only as the locals shrink."""
+    base = np.eye(4)
+    base[:3, 3] = armature.root_point
+    last_child = {int(p): k for k, p in enumerate(armature.parents)}
+    worlds = {}
+    per_bone = []
+    for k, p in enumerate(armature.parents.tolist()):
+        world = (base if p < 0 else worlds[p]) @ locals_[k]
+        locals_[k] = None
+        if p >= 0 and last_child[p] == k:
+            del worlds[p]
+        if k in last_child:
+            worlds[k] = world
+        per_bone.append((world[:, :3, 3].copy(), *_decompose_world(world, armature, k)))
+    return tuple(np.stack(channel, axis=1) for channel in zip(*per_bone))
 
 
 _SLICE = 1 << 20  # characters per XMLParser.feed
@@ -766,32 +785,23 @@ def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip | 
             if len(times) != len(ref_times) or not np.array_equal(times, ref_times):
                 raise UnsupportedFeature("animations must share one time source")
 
-        n = len(ref_times)
-        worlds = np.empty((n, K, 4, 4))
-        for k, sid in enumerate(bone_names):
+        locals_ = []
+        for sid in bone_names:
             key = f"node-{sid}"
             if key not in channels:
                 raise UnsupportedFeature(f"bone {sid!r} has no animation channel")
-            local = channels[key][1]
-            p = parents[k]
-            if p < 0:
-                base = np.eye(4)
-                base[:3, 3] = root_point
-                worlds[:, k] = base @ local
-            else:
-                worlds[:, k] = worlds[:, parents[k]] @ local
-
-        # The bones' matrices are in `worlds` now; what is left is the jaw's.
+            locals_.append(channels[key][1])
+        # The bones' matrices are in `locals_` now; what is left is the jaw's.
         for sid in bone_names:
             channels.pop(f"node-{sid}", None)
         if len(channels) != 1:
             raise ParseError(f"expected one jaw animation, found {len(channels)}", module="export")
         jaw_m = channels.popitem()[1][1]
-        # Copies, so the clip does not keep `worlds` and `jaw_m` alive.
-        heads_t = np.ascontiguousarray(worlds[:, :, :3, 3])
-        quats, stretches, tails_t = _bone_channels(worlds, armature)
+        # A copy, so the clip does not keep `jaw_m` alive.
         jaw_quats = mat_to_quat(jaw_m[:, :3, :3])
         jaw_trans = np.ascontiguousarray(jaw_m[:, :3, 3])
+        del jaw_m
+        heads_t, quats, stretches, tails_t = _bone_channels(locals_, armature)
 
         rate = float(_values(_annotation(vscene, "rate_hz"), 1)[0])
         duration = float(_values(_annotation(vscene, "duration"), 1)[0])

@@ -275,10 +275,16 @@ def skin_trajectories(
         vb = bones[skinned].clip(min=0)                       # (n, 4)
         vw = np.where(bones[skinned] >= 0, weights[skinned], 0.0)
         vv = verts[skinned]
-        Ag = A[:, vb]                                         # (F, n, 4, 3, 3)
-        bg = b[:, vb]
-        moved = np.einsum("fnsij,nj->fnsi", Ag, vv) + bg
-        out[:, skinned] = np.einsum("ns,fnsi->fni", vw, moved)
+        # One influence slot at a time, with (F, n, 3, 3) temporaries; the
+        # weighted moves are summed from zero in slot order, the order of a
+        # contraction over all four slots, so the bits are the same.
+        blend = np.zeros((F, len(vv), 3))
+        for s in range(vb.shape[1]):
+            moved = np.einsum("fnij,nj->fni", A[:, vb[:, s]], vv)
+            moved += b[:, vb[:, s]]
+            moved *= vw[:, s, None]
+            blend += moved
+        out[:, skinned] = blend
 
     mand = np.zeros(mesh.n_vertices, dtype=bool)
     mand[mesh.group_indices(GROUP_MANDIBLE)] = True

@@ -31,10 +31,11 @@ def minimal_rotation(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     w = np.cross(u, v)
     c = np.sum(u * v, axis=-1)
 
-    R = np.zeros(batch + (3, 3), dtype=np.float64)
     eye = np.eye(3)
 
-    # Regular case: Rodrigues with the stable 1/(1+c) form.
+    # Regular case: Rodrigues with the stable 1/(1+c) form, I + K + K²/d,
+    # summed in place as K²/d + (K + I): the same bits, as IEEE addition is
+    # commutative, with no temporary of the batch's size beyond K.
     denom = 1.0 + c
     safe = denom > 1e-12
     d = np.where(safe, denom, 1.0)
@@ -46,7 +47,10 @@ def minimal_rotation(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     K[..., 1, 2] = -wx
     K[..., 2, 0] = -wy
     K[..., 2, 1] = wx
-    R[:] = eye + K + (K @ K) / d[..., None, None]
+    R = np.matmul(K, K, out=np.empty_like(K))
+    R /= d[..., None, None]
+    K += eye
+    R += K
 
     if not np.all(safe):
         # Near-antiparallel: pi rotation about an axis perpendicular to u,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,19 @@ def scalar_sample(self, t: float):
         slerp(self.jaw_quats[k - 1], self.jaw_quats[k], a),
         lerp(self.jaw_translations),
     )
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), the peak of the allocations traced during the
+    call above those traced before it)."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def prepare(data, smoothing=None):

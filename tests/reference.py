@@ -13,7 +13,9 @@ import numpy as np
 
 from emarig.anim_db import AnimationUnit
 from emarig.fixture import _JAW_AXIS_REST, _JAW_FREQ, _JAW_HINGE, _JAW_MAX_OPEN, _JAW_REST
-from emarig.rotations import norm
+from emarig.ik_solver import _pose_affines, stretch_matrices
+from emarig.rig import GROUP_MANDIBLE
+from emarig.rotations import mat_to_quat, norm
 from emarig.unit_synth import SynthesisRequest, slot_costs
 
 # --- emarig.rotations and emarig.fixture at 391fce3 ---------------------------
@@ -96,3 +98,133 @@ def loop_exhaustive_total(db: list[AnimationUnit], request: SynthesisRequest):
         key = (_plan_total(request.w_target, request.w_join, tlist, jlist), seq)
         best = key if best is None else min(best, key)
     return best
+
+
+# --- emarig.rotations, emarig.ik_solver and emarig.collada_io at 9f05ce2 -------
+
+
+def minimal_rotation(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Shortest-arc rotation matrix taking unit vector(s) u onto v.
+
+    Twist-free by construction (rotation axis is u x v). The antiparallel
+    case rotates pi about a deterministic axis perpendicular to u. Exact
+    identity is returned when u == v bitwise.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    u, v = np.broadcast_arrays(u, v)
+    batch = u.shape[:-1]
+    w = np.cross(u, v)
+    c = np.sum(u * v, axis=-1)
+
+    R = np.zeros(batch + (3, 3), dtype=np.float64)
+    eye = np.eye(3)
+
+    # Regular case: Rodrigues with the stable 1/(1+c) form.
+    denom = 1.0 + c
+    safe = denom > 1e-12
+    d = np.where(safe, denom, 1.0)
+    wx, wy, wz = w[..., 0], w[..., 1], w[..., 2]
+    K = np.zeros(batch + (3, 3), dtype=np.float64)
+    K[..., 0, 1] = -wz
+    K[..., 0, 2] = wy
+    K[..., 1, 0] = wz
+    K[..., 1, 2] = -wx
+    K[..., 2, 0] = -wy
+    K[..., 2, 1] = wx
+    R[:] = eye + K + (K @ K) / d[..., None, None]
+
+    if not np.all(safe):
+        # Near-antiparallel: pi rotation about an axis perpendicular to u,
+        # chosen from the coordinate axis least aligned with u.
+        flip = ~safe
+        uf = u[flip]
+        pick = np.argmin(np.abs(uf), axis=-1)
+        e = np.zeros_like(uf)
+        e[np.arange(len(uf)), pick] = 1.0
+        axis = np.cross(uf, e)
+        axis /= norm(axis)[..., None]
+        R[flip] = 2.0 * axis[..., :, None] * axis[..., None, :] - eye
+
+    # Bitwise-equal inputs must give the exact identity (rest-pose fast path).
+    same = np.all(u == v, axis=-1)
+    if np.any(same):
+        R[same] = eye
+    return R
+
+
+def skin_trajectories(
+    mesh,
+    armature,
+    quats: np.ndarray,
+    heads: np.ndarray,
+    stretches: np.ndarray,
+    vertex_indices: np.ndarray,
+    jaw_rotations: np.ndarray | None = None,
+    jaw_translations: np.ndarray | None = None,
+) -> np.ndarray:
+    """Deform mesh vertices by linear blend skinning: (F, n, 3).
+
+    Tongue vertices blend their (up to four) bone transforms; mandible
+    vertices move rigidly with the jaw transforms when given; everything
+    else (maxilla) stays put. A single frame is F = 1, and the whole mesh
+    is `vertex_indices = np.arange(mesh.n_vertices)`.
+    """
+    idx = np.asarray(vertex_indices)
+    verts = mesh.vertices[idx]
+    bones = mesh.weight_bones[idx]
+    weights = mesh.weight_values[idx]
+    F = quats.shape[0]
+
+    A, b = _pose_affines(armature, quats, heads, stretches)  # (F, K, 3, 3), (F, K, 3)
+
+    out = np.broadcast_to(verts, (F,) + verts.shape).copy()
+    skinned = (bones >= 0).any(axis=1)
+    if skinned.any():
+        vb = bones[skinned].clip(min=0)                       # (n, 4)
+        vw = np.where(bones[skinned] >= 0, weights[skinned], 0.0)
+        vv = verts[skinned]
+        Ag = A[:, vb]                                         # (F, n, 4, 3, 3)
+        bg = b[:, vb]
+        moved = np.einsum("fnsij,nj->fnsi", Ag, vv) + bg
+        out[:, skinned] = np.einsum("ns,fnsi->fni", vw, moved)
+
+    mand = np.zeros(mesh.n_vertices, dtype=bool)
+    mand[mesh.group_indices(GROUP_MANDIBLE)] = True
+    jaw_rows = mand[idx] & ~skinned
+    if jaw_rows.any() and jaw_rotations is not None:
+        moved = np.einsum("fij,nj->fni", jaw_rotations, verts[jaw_rows])
+        out[:, jaw_rows] = moved + jaw_translations[:, None, :]
+    return out
+
+
+def compose_bone_channels(locals_: list, armature) -> tuple:
+    """`read_collada`'s animation composition: every bone's world matrix
+    (n, K, 4, 4) from its local matrices (n, 4, 4) in `locals_`, then the
+    clip's (heads, quats, stretches, tails) decomposed from them."""
+    n, K = len(locals_[0]), armature.n_bones
+    parents, root_point = armature.parents, armature.root_point
+    worlds = np.empty((n, K, 4, 4))
+    for k in range(K):
+        local = locals_[k]
+        p = parents[k]
+        if p < 0:
+            base = np.eye(4)
+            base[:3, 3] = root_point
+            worlds[:, k] = base @ local
+        else:
+            worlds[:, k] = worlds[:, parents[k]] @ local
+    heads_t = np.ascontiguousarray(worlds[:, :, :3, 3])
+
+    quats, stretches, tails = np.empty((n, K, 4)), np.empty((n, K)), np.empty((n, K, 3))
+    offsets = armature.tails - armature.heads
+    for k in range(K):
+        bone = slice(k, k + 1)  # a bone axis of length 1: the all-bones arithmetic, bit for bit
+        dirs = armature.rest_dirs[bone]
+        A = np.ascontiguousarray(worlds[:, bone, :3, :3])
+        s = norm(np.einsum("fkij,kj->fki", A, dirs))
+        R = A @ stretch_matrices(dirs, 1.0 / s, np.sqrt(s))
+        quats[:, bone] = mat_to_quat(R)
+        stretches[:, bone] = s
+        tails[:, bone] = worlds[:, bone, :3, 3] + np.einsum("fkij,kj->fki", A, offsets[bone])
+    return heads_t, quats, stretches, tails

@@ -6,15 +6,19 @@ import numpy as np
 import pytest
 
 from emarig.bundle import (
+    SLICE_CHARS,
     dump_trajectories,
     open_bundle,
     read_bundle,
     verify_bundle,
     write_bundle,
+    write_new_file,
 )
 from emarig.collada_io import write_collada
 from emarig.ema_io import read_pos, write_pos
 from emarig.errors import BundleError, UnknownKind
+
+from conftest import traced_peak
 
 
 @pytest.fixture()
@@ -170,6 +174,54 @@ class TestWriteBundle:
                 check(path)
             assert err.value.diagnostic().startswith("error:export:bundle:")
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("rate_hz = 200\n", ""),
+            ("rate_hz = 200", "rate_hz = nan"),
+            ("rate_hz = 200", "rate_hz = inf"),
+            ("rate_hz = 200", "rate_hz = 0"),
+            ("rate_hz = 200", "rate_hz = -200"),
+        ],
+        ids=["missing", "nan", "inf", "zero", "negative"],
+    )
+    @pytest.mark.parametrize("name", ["b", "b.zip"])
+    def test_bad_manifest_rate_rejected(self, tmp_path, model_text, name, old, new):
+        path = tmp_path / name
+        write_bundle(path, model_text, channels=("A",), rate_hz=200.0)
+        edit_manifest(path, lambda text: text.replace(old, new, 1))
+        for check in (open_bundle, verify_bundle, read_bundle):
+            with pytest.raises(BundleError, match="rate_hz") as err:
+                check(path)
+            assert err.value.diagnostic().startswith("error:export:bundle:")
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("rate_hz = 200", "rate_hz = 100"),
+            ("rate_hz = 200", "rate_hz = 200.000001"),
+            ("channels = A,B", "channels = A"),
+            ("channels = A,B", "channels = B,A"),
+            ("channels = A,B", "channels = A,X"),
+        ],
+        ids=["rate", "rate_last_digit", "channel_missing", "channel_order", "channel_name"],
+    )
+    @pytest.mark.parametrize("name", ["b", "b.zip"])
+    def test_manifest_disagreeing_with_layout_rejected(
+        self, tmp_path, model_text, name, old, new
+    ):
+        # The hashes still verify: the metadata is checked against layout.cfg
+        # when the bundle is read.
+        path = tmp_path / name
+        layout = "channels = A,B\nrate_hz = 200\nunits = mm_deg\n"
+        write_bundle(path, model_text, channels=("A", "B"), rate_hz=200.0, layout_text=layout)
+        assert read_bundle(path).layout.channels == ("A", "B")
+        edit_manifest(path, lambda text: text.replace(old, new, 1))
+        assert verify_bundle(path) == []
+        with pytest.raises(BundleError, match="layout.cfg") as err:
+            read_bundle(path)
+        assert err.value.diagnostic().startswith("error:export:bundle:")
+
     @pytest.mark.parametrize("name", ["b", "b.zip"])
     def test_rewrite_replaces_files(self, tmp_path, model_text, name):
         path = tmp_path / name
@@ -214,6 +266,33 @@ class TestWriteBundle:
         assert bundle.channels == ("X", "Y")
         assert bundle.rate_hz == 250.0
         assert bundle.format_version == 1
+
+
+class TestSlicedWrite:
+    def test_text_across_slices(self, tmp_path):
+        # Two-byte characters on both sides of a slice boundary.
+        text = "a" * (SLICE_CHARS - 1) + "é" * 3 + "z" * (SLICE_CHARS + 7)
+        digest = hashlib.sha256()
+        write_new_file(tmp_path / "t", text, digest)
+        assert (tmp_path / "t").read_bytes() == text.encode("utf-8")
+        assert digest.hexdigest() == hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    def test_directory_bundle_peak_memory(self, tmp_path):
+        # A directory bundle encodes, hashes and writes its model a slice at a
+        # time, so at its peak it holds the text it was given plus a fixed
+        # allowance, however long the text: a slice, its UTF-8 bytes and the
+        # previous slice's bytes, 3 bytes per slice character for ASCII text.
+        # Encoding the whole text at once held a second copy of it.
+        allowance = 4 * SLICE_CHARS
+        text = "<float_array>0.123456789 -1.5e-07</float_array>\n" * 270_000
+        assert len(text) > 3 * allowance
+        bundle, peak = traced_peak(
+            write_bundle, tmp_path / "b", text, channels=("A",), rate_hz=200.0
+        )
+        assert peak < allowance
+        assert (tmp_path / "b" / "model.dae").read_bytes() == text.encode("utf-8")
+        assert bundle.entries["model.dae"] == hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert verify_bundle(tmp_path / "b") == []
 
 
 class TestReadBundle:

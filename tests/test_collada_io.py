@@ -3,7 +3,6 @@ import hashlib
 import math
 import re
 import sys
-import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -22,6 +21,7 @@ from emarig.collada_io import (
     _affine_rows,
     _bone_channels,
     _decimal,
+    _decompose_world,
     _fmt_array,
     _fmt_matrices,
     _local_rows,
@@ -34,7 +34,8 @@ from emarig.rig import Armature, SkinnedMesh, load_mesh
 from emarig.ik_solver import _pose_affines, stretch_matrices
 from emarig.rotations import axis_angle_matrix, mat_to_quat, norm, quat_to_mat
 
-from conftest import make_chain_armature
+import reference
+from conftest import make_chain_armature, traced_peak
 from test_pipeline_cli import GOLDEN_SYNTH_REQUEST
 from test_rotations import four_branch_mat_to_quat
 
@@ -722,8 +723,59 @@ class TestBoneChannels:
             worlds[..., :3, :3] = scale * (R @ S)
         else:
             worlds[..., :3, :3] = rng.normal(0, scale, (n_keys, n_bones, 3, 3))
-        for got, ref in zip(_bone_channels(worlds, arm), strided_bone_channels(worlds, arm)):
+        per_bone = [_decompose_world(worlds[:, k], arm, k) for k in range(n_bones)]
+        stacked = [np.stack(channel, axis=1) for channel in zip(*per_bone)]
+        for got, ref in zip(stacked, strided_bone_channels(worlds, arm)):
             assert np.array_equal(got, ref, equal_nan=True)
+
+
+def posed_locals(rng, armature, n_keys):
+    """Per bone, (n_keys, 4, 4) local matrices as the writer bakes them: a
+    rotation times a stretch along the rest direction, and an offset."""
+    locals_ = []
+    for k in range(armature.n_bones):
+        q = rng.normal(size=(n_keys, 4))
+        s = rng.uniform(0.5, 2.0, (n_keys, 1))
+        S = stretch_matrices(armature.rest_dirs[k : k + 1], s, 1.0 / np.sqrt(s))[:, 0]
+        m = np.zeros((n_keys, 4, 4))
+        m[:, :3, :3] = quat_to_mat(q / norm(q)[:, None]) @ S
+        m[:, :3, 3] = rng.normal(0, 2, (n_keys, 3))
+        m[:, 3, 3] = 1.0
+        locals_.append(m)
+    return locals_
+
+
+class TestBoneComposition:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.integers(1, 7), st.integers(1, 300), st.integers(0, 2**32 - 1))
+    def test_matches_9f05ce2(self, n_bones, n_keys, seed):
+        rng = np.random.default_rng(seed)
+        arm = random_tree_armature(rng, n_bones)
+        locals_ = posed_locals(rng, arm, n_keys)
+        ref = reference.compose_bone_channels(locals_, arm)
+        consumed = list(locals_)
+        got = _bone_channels(consumed, arm)
+        assert consumed == [None] * n_bones
+        for g, r in zip(got, ref):
+            assert np.array_equal(g, r)
+
+    def test_reader_matches_9f05ce2(self, compiled_model):
+        # The clip `read_collada` returns against the frozen composition of
+        # the document's own node animations.
+        rig, clip, _ = compiled_model
+        doc = write_collada(rig.mesh, rig.armature, clip)
+        _, arm, got = read_collada(doc)
+        ns = {"c": "http://www.collada.org/2005/11/COLLADASchema"}
+        root = ET.fromstring(doc)
+        locals_ = [
+            np.fromstring(
+                root.find(f".//c:float_array[@id='anim-{name}-output-array']", ns).text, sep=" "
+            ).reshape(-1, 4, 4)
+            for name in arm.bone_names
+        ]
+        ref = reference.compose_bone_channels(locals_, arm)
+        for g, r in zip((got.heads, got.quats, got.stretches, got.tails), ref):
+            assert np.array_equal(g, r)
 
 
 class TestReaderErrors:
@@ -887,19 +939,6 @@ def default_model(tmp_path_factory):
     config = str(tmp / "f" / "config.cfg")
     assert main(["compile", "--config", config, "--out", str(tmp / "b")]) == 0
     return (tmp / "b" / "model.dae").read_text(encoding="utf-8")
-
-
-def traced_peak(fn, *args):
-    """(fn(*args), the peak of the allocations traced during the call above
-    those traced before it)."""
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        result = fn(*args)
-        return result, tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
 
 
 def test_read_peak_memory(default_model):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emarig.ik_solver import (
     STOP_BUDGET,
@@ -14,7 +16,9 @@ from emarig.ik_solver import (
 from emarig.rig import SkinnedMesh
 from emarig.rotations import axis_angle_matrix, mat_to_quat, minimal_rotation, norm, quat_to_mat
 
-from conftest import make_chain_armature
+import reference
+from conftest import make_chain_armature, traced_peak
+from test_collada_io import random_mesh, random_tree_armature
 
 
 def two_link_oracle(l1, l2, target, elbow_hint):
@@ -398,3 +402,41 @@ class TestApplyPose:
         assert np.abs(out[mand] - expect).max() < 1e-12
         maxi = rig.mesh.group_indices("maxilla")
         assert np.abs(out[maxi] - rig.mesh.vertices[maxi]).max() < 1e-12
+
+
+def random_pose(rng, n_frames, n_bones):
+    """(quats, heads, stretches) of unrelated random poses."""
+    quats = rng.normal(size=(n_frames, n_bones, 4))
+    quats /= norm(quats)[..., None]
+    heads = rng.normal(0.0, 2.0, (n_frames, n_bones, 3))
+    return quats, heads, rng.uniform(0.5, 2.0, (n_frames, n_bones))
+
+
+class TestSkinTrajectories:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.integers(1, 7), st.integers(1, 300), st.integers(0, 2**32 - 1), st.booleans())
+    def test_matches_9f05ce2(self, n_bones, n_frames, seed, with_jaw):
+        # Tongue vertices with one to four influences, and unweighted
+        # mandible (moved by the jaw when it is given) and maxilla vertices,
+        # picked in a random order with repeats.
+        rng = np.random.default_rng(seed)
+        arm = random_tree_armature(rng, n_bones)
+        mesh = random_mesh(rng, n_bones)
+        pose = random_pose(rng, n_frames, n_bones)
+        jaw = (None, None)
+        if with_jaw:
+            jaw = (quat_to_mat(random_pose(rng, n_frames, 1)[0][:, 0]), rng.normal(size=(n_frames, 3)))
+        idx = rng.integers(0, mesh.n_vertices, int(rng.integers(1, 2 * mesh.n_vertices)))
+        got = skin_trajectories(mesh, arm, *pose, idx, *jaw)
+        assert np.array_equal(got, reference.skin_trajectories(mesh, arm, *pose, idx, *jaw))
+
+    def test_peak_memory(self):
+        # Gathering the four influence slots at once built (F, n, 4, 3, 3)
+        # temporaries, 20 times the output on this mesh; one slot at a time
+        # needs about 7.
+        rng = np.random.default_rng(7)
+        arm = random_tree_armature(rng, 7)
+        mesh = random_mesh(rng, 7, n_tongue=64)
+        pose = random_pose(rng, 2000, 7)
+        out, peak = traced_peak(skin_trajectories, mesh, arm, *pose, np.arange(mesh.n_vertices))
+        assert peak < 10 * out.nbytes

@@ -2,9 +2,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emarig.rotations import axis_angle_matrix, mat_to_quat, norm
+from emarig.rotations import axis_angle_matrix, mat_to_quat, minimal_rotation, norm
 
 import reference
+from conftest import traced_peak
 
 
 def four_branch_mat_to_quat(R):
@@ -145,3 +146,41 @@ class TestAxisAngleMatrix:
         M = axis_angle_matrix([0.0, 0.0, 2.0], np.pi / 2)
         assert M.shape == (3, 3)
         assert np.allclose(M @ [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], atol=1e-15)
+
+
+def unit_rows(rng, shape):
+    v = rng.normal(size=shape + (3,))
+    return v / norm(v)[..., None]
+
+
+class TestMinimalRotation:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.integers(1, 7), st.integers(1, 300), st.integers(0, 2**32 - 1))
+    def test_matches_9f05ce2(self, n_bones, n_frames, seed):
+        # Rest directions broadcast against posed ones, as the solver calls
+        # it; rows are random, identical, antiparallel, or antiparallel up to
+        # a turn of about 1e-9 (inside the 1e-12 band of 1 + cos) or 1e-5
+        # (just outside it).
+        rng = np.random.default_rng(seed)
+        u = np.broadcast_to(unit_rows(rng, (n_bones,)), (n_frames, n_bones, 3))
+        v = unit_rows(rng, (n_frames, n_bones))
+        kind = rng.integers(0, 5, (n_frames, n_bones))
+        v[kind == 1] = u[kind == 1]
+        v[kind == 2] = -u[kind == 2]
+        for k, turn in ((3, 1e-9), (4, 1e-5)):
+            near = -u[kind == k] + rng.normal(0.0, turn, ((kind == k).sum(), 3))
+            v[kind == k] = near / norm(near)[..., None]
+        assert np.array_equal(minimal_rotation(u, v), reference.minimal_rotation(u, v))
+
+    def test_single_vectors_match_9f05ce2(self):
+        rng = np.random.default_rng(5)
+        for u, v in [(unit_rows(rng, ()), unit_rows(rng, ())), ([0.0, 0, 1], [0.0, 0, -1])]:
+            assert np.array_equal(minimal_rotation(u, v), reference.minimal_rotation(u, v))
+
+    def test_peak_memory(self):
+        # The Rodrigues sum ran through four temporaries of the output's size
+        # (5.7 times the output in all); in place it needs K alone.
+        rng = np.random.default_rng(6)
+        u = np.broadcast_to(unit_rows(rng, (7,)), (2000, 7, 3))
+        R, peak = traced_peak(minimal_rotation, u, unit_rows(rng, (2000, 7)))
+        assert peak < 3.5 * R.nbytes

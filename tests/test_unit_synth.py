@@ -598,6 +598,41 @@ def per_row_render_plan(plan: SynthesisPlan, clip: AnimationClip) -> AnimationCl
     )
 
 
+_STEPS = st.sampled_from(("next", "same", "any"))
+_ANY_DURATION = st.floats(0.005, 0.5)
+_BLEND_WINDOWS = st.sampled_from((0.0, 0.04, 10.0))
+
+
+@st.composite
+def drawn_plans(draw, db):
+    """Plans over `db`: units follow each other in the corpus, repeat, or
+    jump; durations keep, double or replace the unit's own; windows are
+    none, the default or longer than every unit."""
+    index = st.integers(0, len(db) - 1)
+    units = [db[draw(index)]]
+    for _ in range(draw(st.integers(0, 11))):
+        step = draw(_STEPS)
+        if step == "next" and units[-1].source_index + 1 < len(db):
+            units.append(db[units[-1].source_index + 1])
+        elif step == "same":
+            units.append(units[-1])
+        else:
+            units.append(db[draw(index)])
+    requested = tuple(
+        draw(st.one_of(st.just(u.duration), st.just(2.0 * u.duration), _ANY_DURATION))
+        for u in units
+    )
+    return SynthesisPlan(
+        units=tuple(units),
+        warp_factors=tuple(d / u.duration for u, d in zip(units, requested)),
+        requested=requested,
+        target_costs=(),
+        join_costs=(),
+        total=0.0,
+        blend_window=draw(_BLEND_WINDOWS),
+    )
+
+
 def assert_same_render(plan, clip):
     out, reference = render_plan(plan, clip), per_row_render_plan(plan, clip)
     for field in dataclasses.fields(AnimationClip):
@@ -626,40 +661,15 @@ class TestMatchesPerRowRender:
         ))
         assert_same_render(select_units(db, SynthesisRequest(items=items)), clip)
 
-    @settings(max_examples=300, deadline=None, database=None)
-    @given(data=st.data())
-    def test_drawn_plans(self, small_exported, data):
-        # Units follow each other in the corpus, repeat, or jump; durations
-        # keep, double or replace the unit's own; windows are none, the
-        # default or longer than every unit.
+    def test_drawn_plans(self, small_exported):
         clip, db = small_exported
-        units = [db[data.draw(st.integers(0, len(db) - 1))]]
-        for _ in range(data.draw(st.integers(0, 11))):
-            step = data.draw(st.sampled_from(("next", "same", "any")))
-            if step == "next" and units[-1].source_index + 1 < len(db):
-                units.append(db[units[-1].source_index + 1])
-            elif step == "same":
-                units.append(units[-1])
-            else:
-                units.append(db[data.draw(st.integers(0, len(db) - 1))])
-        requested = tuple(
-            data.draw(st.one_of(
-                st.just(u.duration),
-                st.just(2.0 * u.duration),
-                st.floats(0.005, 0.5),
-            ))
-            for u in units
-        )
-        plan = SynthesisPlan(
-            units=tuple(units),
-            warp_factors=tuple(d / u.duration for u, d in zip(units, requested)),
-            requested=requested,
-            target_costs=(),
-            join_costs=(),
-            total=0.0,
-            blend_window=data.draw(st.sampled_from((0.0, 0.04, 10.0))),
-        )
-        assert_same_render(plan, clip)
+
+        @settings(max_examples=300, deadline=None, database=None)
+        @given(plan=drawn_plans(db))
+        def check(plan):
+            assert_same_render(plan, clip)
+
+        check()
 
 
 class TestRenderPlan:
