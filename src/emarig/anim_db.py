@@ -30,8 +30,8 @@ class AnimationClip:
     """Dense keyframed bone poses on one timeline.
 
     All channels share the key time vector. `tails` is the realized
-    position of each bone's tracked point per key; `targets`, `residuals`,
-    `iterations` and `stop_reasons` (codes into ik_solver.STOP_REASONS) are
+    position of each bone's tracked point per key; `targets`, `residuals`
+    and `stop_reasons` (codes into ik_solver.STOP_REASONS) are
     solver metadata present on freshly baked clips but not carried through
     the exported model.
     """
@@ -47,7 +47,6 @@ class AnimationClip:
     jaw_translations: np.ndarray  # (n, 3)
     duration: float
     residuals: np.ndarray | None = None
-    iterations: np.ndarray | None = None
     stop_reasons: np.ndarray | None = None
     targets: np.ndarray | None = None
 
@@ -191,7 +190,6 @@ def bake(
         jaw_translations=jaw_trans,
         duration=offset,
         residuals=track.max_residual(),
-        iterations=track.iterations,
         stop_reasons=track.stop_reasons,
         targets=targets,
     )

@@ -16,6 +16,7 @@ import argparse
 import math
 import sys
 from collections import Counter
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,14 +26,9 @@ from .bundle import DUMP_KINDS, dump_trajectories, read_bundle, write_new_file
 from .collada_io import write_collada
 from .errors import EmarigError
 from .fixture import FixtureSpec, write_fixture
-from .pipeline import (
-    SynthesisDefaults,
-    build_bundle,
-    compile_model,
-    load_config,
-    validate_model,
-)
+from .pipeline import build_bundle, compile_model, load_config, validate_model
 from .unit_synth import (
+    SynthesisDefaults,
     SynthesisRequest,
     dp_slack,
     exhaustive_total,
@@ -73,10 +69,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--request-file", help="file holding the request syntax")
     p.add_argument("--out", required=True, help="output COLLADA file")
     p.add_argument("--config", help="pipeline config supplying [synthesis] defaults")
-    p.add_argument("--w-target", type=float, default=None)
-    p.add_argument("--w-join", type=float, default=None)
-    p.add_argument("--blend-window", type=float, default=None)
-    p.add_argument("--velocity-weight", type=float, default=None)
+    for f in fields(SynthesisDefaults):
+        p.add_argument("--" + f.name.replace("_", "-"), type=float, default=argparse.SUPPRESS)
     p.add_argument(
         "--exhaustive",
         action="store_true",
@@ -94,14 +88,22 @@ def _build_parser() -> _Parser:
     p.add_argument("--kind", required=True, choices=DUMP_KINDS)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("fixture", help="generate the synthetic test corpus")
+    p = sub.add_parser(
+        "fixture", help="generate the synthetic test corpus", argument_default=argparse.SUPPRESS
+    )
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--sweeps", type=int, default=2)
-    p.add_argument("--frames", type=int, default=600)
-    p.add_argument("--rate", type=float, default=200.0)
-    p.add_argument("--no-head-motion", action="store_true")
+    # Each flag, when given, sets the FixtureSpec field named by its dest.
+    p.add_argument("--sweeps", dest="n_sweeps", metavar="SWEEPS", type=int)
+    p.add_argument("--frames", dest="frames_per_sweep", metavar="FRAMES", type=int)
+    p.add_argument("--rate", dest="rate_hz", metavar="RATE", type=float)
+    p.add_argument("--no-head-motion", dest="head_motion", action="store_false")
 
     return parser
+
+
+def _given(args, cls) -> dict:
+    """The fields of dataclass `cls` that a flag on the command line sets."""
+    return {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
 
 
 def _cmd_compile(args) -> int:
@@ -124,17 +126,9 @@ def _cmd_synth(args) -> int:
     text = args.request or Path(args.request_file).read_text(encoding="utf-8")
     items = parse_request(text)
 
-    defaults = SynthesisDefaults()
-    if args.config:
-        defaults = load_config(args.config).synthesis
-    pick = lambda flag, conf: conf if flag is None else flag
-    request = SynthesisRequest(
-        items=items,
-        w_target=pick(args.w_target, defaults.w_target),
-        w_join=pick(args.w_join, defaults.w_join),
-        blend_window=pick(args.blend_window, defaults.blend_window),
-        velocity_weight=pick(args.velocity_weight, defaults.velocity_weight),
-    )
+    defaults = load_config(args.config).synthesis if args.config else SynthesisDefaults()
+    settings = replace(defaults, **_given(args, SynthesisDefaults))
+    request = SynthesisRequest(items=items, **asdict(settings))
 
     loaded = read_bundle(args.bundle)
     if loaded.tier is None or loaded.clip is None:
@@ -179,6 +173,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    if not args.threshold >= 0:
+        raise UsageError(f"--threshold must be >= 0, got {args.threshold!r}")
     config = load_config(args.config)
     loaded = read_bundle(args.bundle)
     report = validate_model(loaded, config)
@@ -208,12 +204,7 @@ def _cmd_dump(args) -> int:
 
 def _cmd_fixture(args) -> int:
     try:
-        spec = FixtureSpec(
-            n_sweeps=args.sweeps,
-            frames_per_sweep=args.frames,
-            rate_hz=args.rate,
-            head_motion=not args.no_head_motion,
-        )
+        spec = FixtureSpec(**_given(args, FixtureSpec))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     config_path = write_fixture(args.out, spec)

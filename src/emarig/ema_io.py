@@ -223,9 +223,7 @@ def angles_from_vector(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def parse_layout(text: str) -> PosLayout:
     """Parse the UTF-8 ``key = value`` sidecar that accompanies a .pos file."""
-    channels: tuple[str, ...] | None = None
-    rate_hz = 200.0
-    units = "mm_deg"
+    given: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -234,19 +232,19 @@ def parse_layout(text: str) -> PosLayout:
             raise BadLayout(f"layout line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key == "channels":
-            channels = tuple(name.strip() for name in value.split(",") if name.strip())
+            given[key] = tuple(name.strip() for name in value.split(",") if name.strip())
         elif key == "rate_hz":
             try:
-                rate_hz = float(value)
+                given[key] = float(value)
             except ValueError:
                 raise BadLayout(f"layout line {lineno}: bad rate_hz {value!r}") from None
         elif key == "units":
-            units = value
+            given[key] = value
         else:
             raise BadLayout(f"layout line {lineno}: unknown key {key!r}")
-    if channels is None:
+    if "channels" not in given:
         raise BadLayout("layout is missing the 'channels' key")
-    return PosLayout(channels=channels, rate_hz=rate_hz, units=units)
+    return PosLayout(**given)
 
 
 def format_rate(rate_hz: float) -> str:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import io
 import wave
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,9 +32,11 @@ from .ema_io import (
     format_layout,
     write_pos,
 )
+from .ik_solver import IkParams
 from .motion_prep import Similarity
 from .rig import MeshParams, default_seed_points
 from .rotations import axis_angle_matrix
+from .unit_synth import SynthesisDefaults
 
 TONGUE_COILS = ("TBackC", "TMidC", "TTipC", "TMidL", "TBladeL", "TMidR", "TBladeR")
 REFERENCE_COILS = ("REF_L", "REF_R", "REF_N")
@@ -270,6 +272,11 @@ def _token_wav() -> bytes:
     return buf.getvalue()
 
 
+def _setting_lines(settings) -> list[str]:
+    """One ``name = value`` config line per field of a settings dataclass."""
+    return [f"{f.name} = {getattr(settings, f.name)!r}" for f in fields(settings)]
+
+
 def _config_text(data: FixtureData, spec: FixtureSpec) -> str:
     # the largest odd smoothing window, up to 9 frames, that fits in a sweep
     window = min(9, (spec.frames_per_sweep - 1) | 1)
@@ -290,10 +297,7 @@ def _config_text(data: FixtureData, spec: FixtureSpec) -> str:
         f"window_frames = {window}",
         "",
         "[ik]",
-        "tolerance = 0.001",
-        "max_iterations = 50",
-        "s_min = 0.5",
-        "s_max = 2.0",
+        *_setting_lines(IkParams()),
         "",
         "[rig]",
         "root_offset = -1.0, 0.0, -1.0",
@@ -305,10 +309,7 @@ def _config_text(data: FixtureData, spec: FixtureSpec) -> str:
     lines += [
         "",
         "[synthesis]",
-        "w_target = 1.0",
-        "w_join = 1.0",
-        "blend_window = 0.04",
-        "velocity_weight = 0.01",
+        *_setting_lines(SynthesisDefaults()),
         "",
         "[mesh]",
         f"extents = {a!r}, {b!r}, {c!r}",

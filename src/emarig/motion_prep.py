@@ -49,13 +49,18 @@ class Similarity:
 
 @dataclass(frozen=True)
 class SmoothingSpec:
-    """Moving-average window against coil jitter; 1 frame switches it off."""
+    """Moving-average window against coil jitter; 1 frame switches it off.
+    Samples whose sensor-fit rms exceeds `rms_ceiling` count as dropouts
+    (see `detect_dropouts`); inf switches that off."""
 
     window_frames: int = 9
+    rms_ceiling: float = np.inf
 
     def __post_init__(self):
         if self.window_frames < 1 or self.window_frames % 2 == 0:
             raise ValueError("window_frames must be odd and >= 1")
+        if not self.rms_ceiling > 0:
+            raise ValueError(f"rms_ceiling must be > 0 (inf for none), got {self.rms_ceiling!r}")
 
 
 def _check_spread(points: np.ndarray, what: str) -> None:

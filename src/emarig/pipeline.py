@@ -8,7 +8,7 @@ its source recordings.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,14 +33,7 @@ from .rig import (
     register_first_frame,
     seed_vertices,
 )
-
-
-@dataclass(frozen=True)
-class SynthesisDefaults:
-    w_target: float = 1.0
-    w_join: float = 1.0
-    blend_window: float = 0.04
-    velocity_weight: float = 0.01
+from .unit_synth import SynthesisDefaults
 
 
 @dataclass(frozen=True)
@@ -48,34 +41,38 @@ class PipelineConfig:
     ema_paths: tuple[Path, ...]
     layout_path: Path
     rig_graph_path: Path
-    mesh_path: Path | None = None
-    segmentation_path: Path | None = None
-    audio_paths: tuple[Path, ...] = ()
-    reference: tuple[str, str, str] = ("REF_L", "REF_R", "REF_N")
-    jaw: tuple[str, ...] = ()
-    tongue: tuple[str, ...] = ()
-    smoothing: SmoothingSpec = SmoothingSpec()
-    rms_ceiling: float = np.inf
-    ik: IkParams = IkParams()
-    rig: RigConfig = field(default_factory=RigConfig)
-    synthesis: SynthesisDefaults = SynthesisDefaults()
-    mesh_params: MeshParams = MeshParams()
+    mesh_path: Path | None
+    segmentation_path: Path | None
+    audio_paths: tuple[Path, ...]
+    reference: tuple[str, str, str]
+    jaw: tuple[str, ...]
+    tongue: tuple[str, ...]
+    smoothing: SmoothingSpec
+    ik: IkParams
+    rig: RigConfig
+    synthesis: SynthesisDefaults
+    mesh_params: MeshParams
 
 
 def _split_list(value: str) -> tuple[str, ...]:
     return tuple(v.strip() for v in value.split(",") if v.strip())
 
 
-# The keys each config section takes; [rig] also takes seed.<Coil> and
+# The config sections that set one dataclass each: their keys are its
+# fields, and it holds their defaults and range checks.
+_SETTINGS = {
+    "smoothing": SmoothingSpec,
+    "ik": IkParams,
+    "synthesis": SynthesisDefaults,
+    "mesh": MeshParams,
+}
+
+# The keys of the other sections; [rig] also takes seed.<Coil> and
 # group.<Name> keys.
 _SECTION_KEYS = {
     "paths": ("ema", "layout", "rig_graph", "mesh", "segmentation", "audio"),
     "roles": ("reference", "jaw", "tongue"),
-    "smoothing": ("window_frames", "rms_ceiling"),
-    "ik": ("tolerance", "max_iterations", "s_min", "s_max"),
     "rig": ("root_offset",),
-    "synthesis": ("w_target", "w_join", "blend_window", "velocity_weight"),
-    "mesh": ("extents", "n_long", "n_lat"),
 }
 
 
@@ -87,6 +84,14 @@ def _floats3(value: str, what: str) -> np.ndarray:
         return np.array([float(p) for p in parts])
     except ValueError:
         raise ConfigError(f"bad number in {what}: {value!r}") from None
+
+
+# How a value is read, by the annotation of the field it sets.
+_READERS = {
+    "int": lambda value, key: int(value),
+    "float": lambda value, key: float(value),
+    "tuple[float, float, float]": lambda value, key: tuple(_floats3(value, key)),
+}
 
 
 def load_config(path: str | Path) -> PipelineConfig:
@@ -104,21 +109,29 @@ def load_config(path: str | Path) -> PipelineConfig:
         parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
+    section_keys = _SECTION_KEYS | {
+        section: tuple(f.name for f in fields(cls)) for section, cls in _SETTINGS.items()
+    }
     for section in parser.sections():
-        if section not in _SECTION_KEYS:
+        if section not in section_keys:
             raise ConfigError(f"unknown section [{section}]")
         for key in parser.options(section):
-            if key not in _SECTION_KEYS[section] and not (
+            if key not in section_keys[section] and not (
                 section == "rig" and key.startswith(("seed.", "group."))
             ):
                 raise ConfigError(f"unknown [{section}] key {key!r}")
 
     base = path.parent
 
-    def get(section, key, default=None):
-        if parser.has_option(section, key):
-            return parser.get(section, key)
-        return default
+    def get(section: str, key: str) -> str:
+        return parser.get(section, key, fallback="")
+
+    def settings(section: str):
+        """The section's dataclass, given only the keys that the file sets."""
+        cls = _SETTINGS[section]
+        types = {f.name: f.type for f in fields(cls)}
+        given = parser.items(section) if parser.has_section(section) else ()
+        return cls(**{key: _READERS[types[key]](value, key) for key, value in given})
 
     def resolve(p: str) -> Path:
         candidate = Path(p)
@@ -126,46 +139,22 @@ def load_config(path: str | Path) -> PipelineConfig:
 
     if not parser.has_section("paths"):
         raise ConfigError("config needs a [paths] section")
-    ema_value = get("paths", "ema")
-    if not ema_value:
-        raise ConfigError("[paths] ema is required")
-    ema_paths = tuple(resolve(p) for p in _split_list(ema_value))
-    layout_value = get("paths", "layout")
-    if not layout_value:
-        raise ConfigError("[paths] layout is required")
-    graph_value = get("paths", "rig_graph")
-    if not graph_value:
-        raise ConfigError("[paths] rig_graph is required")
-
-    mesh_value = get("paths", "mesh")
-    seg_value = get("paths", "segmentation")
-    audio_value = get("paths", "audio", "")
+    paths = {key: get("paths", key) for key in _SECTION_KEYS["paths"]}
+    for key in ("ema", "layout", "rig_graph"):
+        if not paths[key]:
+            raise ConfigError(f"[paths] {key} is required")
 
     if not parser.has_section("roles"):
         raise ConfigError("config needs a [roles] section")
-    reference = _split_list(get("roles", "reference", ""))
+    reference = _split_list(get("roles", "reference"))
     if len(reference) != 3:
         raise ConfigError("[roles] reference must name exactly 3 coils")
-    jaw = _split_list(get("roles", "jaw", ""))
-    tongue = _split_list(get("roles", "tongue", ""))
+    tongue = _split_list(get("roles", "tongue"))
     if not tongue:
         raise ConfigError("[roles] tongue must name at least one coil")
 
     try:
-        smoothing = SmoothingSpec(window_frames=int(get("smoothing", "window_frames", "9")))
-        rms_ceiling = float(get("smoothing", "rms_ceiling", "inf"))
-        ik = IkParams(
-            tolerance=float(get("ik", "tolerance", "1e-3")),
-            max_iterations=int(get("ik", "max_iterations", "50")),
-            s_min=float(get("ik", "s_min", "0.5")),
-            s_max=float(get("ik", "s_max", "2.0")),
-        )
-        synthesis = SynthesisDefaults(
-            w_target=float(get("synthesis", "w_target", "1.0")),
-            w_join=float(get("synthesis", "w_join", "1.0")),
-            blend_window=float(get("synthesis", "blend_window", "0.04")),
-            velocity_weight=float(get("synthesis", "velocity_weight", "0.01")),
-        )
+        smoothing, ik, synthesis = map(settings, ("smoothing", "ik", "synthesis"))
 
         seeds: dict[str, np.ndarray] = {}
         group_map: dict[str, str] = {}
@@ -182,29 +171,21 @@ def load_config(path: str | Path) -> PipelineConfig:
             rig_kwargs["group_map"] = group_map
         rig_config = RigConfig(seeds=seeds, **rig_kwargs)
 
-        mesh_kwargs: dict = {}
-        if parser.has_section("mesh"):
-            for key, value in parser.items("mesh"):
-                if key == "extents":
-                    mesh_kwargs["extents"] = tuple(_floats3(value, key))
-                else:
-                    mesh_kwargs[key] = int(value)
-        mesh_params = MeshParams(**mesh_kwargs)
+        mesh_params = settings("mesh")
     except ValueError as exc:
         raise ConfigError(f"bad value in config: {exc}") from None
 
     return PipelineConfig(
-        ema_paths=ema_paths,
-        layout_path=resolve(layout_value),
-        rig_graph_path=resolve(graph_value),
-        mesh_path=resolve(mesh_value) if mesh_value else None,
-        segmentation_path=resolve(seg_value) if seg_value else None,
-        audio_paths=tuple(resolve(p) for p in _split_list(audio_value)),
-        reference=tuple(reference),
-        jaw=jaw,
+        ema_paths=tuple(resolve(p) for p in _split_list(paths["ema"])),
+        layout_path=resolve(paths["layout"]),
+        rig_graph_path=resolve(paths["rig_graph"]),
+        mesh_path=resolve(paths["mesh"]) if paths["mesh"] else None,
+        segmentation_path=resolve(paths["segmentation"]) if paths["segmentation"] else None,
+        audio_paths=tuple(resolve(p) for p in _split_list(paths["audio"])),
+        reference=reference,
+        jaw=_split_list(get("roles", "jaw")),
         tongue=tongue,
         smoothing=smoothing,
-        rms_ceiling=rms_ceiling,
         ik=ik,
         rig=rig_config,
         synthesis=synthesis,
@@ -274,7 +255,7 @@ def prepare_sweeps(
     reference_frame = None
     ref_idx = [layout.channels.index(n) for n in roles.reference]
     for sweep in raw:
-        filled = fill_dropouts(sweep, config.rms_ceiling)
+        filled = fill_dropouts(sweep, config.smoothing.rms_ceiling)
         if reference_frame is None:
             if filled.n_frames == 0:
                 raise NoValidReferenceFrame(f"first sweep {sweep.sweep_id!r} has no frames")

@@ -15,7 +15,7 @@ need it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,14 +24,27 @@ from .errors import BadRequest, NoCandidate
 
 
 @dataclass(frozen=True)
-class SynthesisRequest:
-    """Label/duration sequence to synthesize, plus cost weighting."""
+class SynthesisDefaults:
+    """Cost weighting of a synthesis request: the `[synthesis]` config
+    section and the `synth` flags of the same names."""
 
-    items: tuple[tuple[str, float], ...]
     w_target: float = 1.0
     w_join: float = 1.0
     blend_window: float = 0.04   # seconds of cross-fade at each junction
     velocity_weight: float = 0.01  # seconds; converts cm/s mismatch to cm
+
+    def __post_init__(self):
+        for f in fields(SynthesisDefaults):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value >= 0):
+                raise BadRequest(f"{f.name} must be finite and >= 0, got {value!r}")
+
+
+@dataclass(frozen=True, kw_only=True)
+class SynthesisRequest(SynthesisDefaults):
+    """Label/duration sequence to synthesize, plus cost weighting."""
+
+    items: tuple[tuple[str, float], ...]
 
     def __post_init__(self):
         if not self.items:
@@ -39,10 +52,7 @@ class SynthesisRequest:
         for label, d in self.items:
             if not (math.isfinite(d) and d > 0):
                 raise BadRequest(f"duration of {label!r} must be finite and > 0, got {d!r}")
-        for name in ("w_target", "w_join", "blend_window", "velocity_weight"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise BadRequest(f"{name} must be finite and >= 0, got {value!r}")
+        super().__post_init__()
 
 
 def parse_request(text: str) -> tuple[tuple[str, float], ...]:

@@ -2,7 +2,7 @@ import hashlib
 import os
 import re
 import shutil
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,9 +11,10 @@ from emarig.bundle import read_bundle
 from emarig.cli import main
 from emarig.ema_io import parse_layout, read_pos, write_pos
 from emarig.fixture import FixtureSpec, write_fixture
-from emarig.ik_solver import skin_trajectories
-from emarig.pipeline import compile_model, load_config, validate_model
-from emarig.rig import load_mesh
+from emarig.ik_solver import IkParams, skin_trajectories
+from emarig.motion_prep import SmoothingSpec
+from emarig.pipeline import SynthesisDefaults, compile_model, load_config, validate_model
+from emarig.rig import MeshParams, RigConfig, load_mesh
 
 # sha256 of model.dae compiled from `emarig fixture` with its defaults.
 GOLDEN_MODEL_SHA256 = "b2ddbb5343aaecfb65678f3d3cf3a1e87078f5154e050b20865ff9c93d3f4ee5"
@@ -84,6 +85,24 @@ class TestConfig:
         assert config.smoothing.window_frames == 9
         assert "TTipC" in config.rig.seeds
 
+    def test_dataclasses_supply_the_defaults(self, fixture_dir, tmp_path):
+        # a config with only [paths] and [roles] loads every other section
+        # as its dataclass's defaults
+        text = (fixture_dir / "config.cfg").read_text()
+        cfg = tmp_path / "minimal.cfg"
+        cfg.write_text(text[: text.index("[smoothing]")])
+        config = load_config(cfg)
+        assert config.smoothing == SmoothingSpec()
+        assert config.ik == IkParams()
+        assert config.synthesis == SynthesisDefaults()
+        assert config.mesh_params == MeshParams()
+        rig = RigConfig()
+        for f in fields(RigConfig):
+            if f.name == "root_offset":
+                assert np.array_equal(config.rig.root_offset, rig.root_offset)
+            else:
+                assert getattr(config.rig, f.name) == getattr(rig, f.name)
+
     def test_missing_file(self, tmp_path):
         from emarig.errors import ConfigError
 
@@ -122,12 +141,18 @@ class TestConfig:
             ("seed.TTipC = [^\n]*", "seed.TTipC = nan, 0, 1", "bad value in config:"),
             ("extents = [^\n]*", "extents = nan, 1.0, 1.0", "bad value in config:"),
             ("extents = [^\n]*", "extents = 3.0, inf, 1.8", "bad value in config:"),
+            # these used to pass the config check: the first failed only in
+            # `synth --config`, the second switched the ceiling off and the
+            # third failed as an all-invalid channel
+            ("w_join = [^\n]*", "w_join = -1", "bad value in config:"),
+            ("\\[smoothing\\]\n", "[smoothing]\nrms_ceiling = nan\n", "bad value in config:"),
+            ("\\[smoothing\\]\n", "[smoothing]\nrms_ceiling = -1\n", "bad value in config:"),
         ],
         ids=[
             "rig_bad_number", "mesh_bad_value", "influence_cap_0", "influence_cap_-1",
             "influence_cap_5", "distance_floor_0", "distance_floor_inf",
             "weight_exponent_nan", "root_offset_nan", "seed_nan", "extents_nan",
-            "extents_inf",
+            "extents_inf", "w_join_-1", "rms_ceiling_nan", "rms_ceiling_-1",
         ],
     )
     def test_bad_rig_or_mesh_value_is_config_error(
@@ -523,27 +548,28 @@ class TestSynth:
         assert rc == 1
 
     def test_config_supplies_synthesis_defaults(self, fixture_dir, bundle_dir, tmp_path, capsys):
-        # zero join weight in the config makes any junction free
-        text = (fixture_dir / "config.cfg").read_text().replace(
-            "w_join = 1.0", "w_join = 0.0"
-        )
-        cfg = tmp_path / "wj0.cfg"
-        cfg.write_text(text)
-        rc = main([
-            "synth", "--bundle", str(bundle_dir), "--config", str(cfg),
-            "--request", "a 0.2; a 0.2", "--out", str(tmp_path / "c.dae"),
-        ])
-        assert rc == 0
-        out = capsys.readouterr().out
-        totals = [l for l in out.splitlines() if l.startswith("total cost")]
-        assert totals
-        # flags override the file
-        rc = main([
-            "synth", "--bundle", str(bundle_dir), "--config", str(cfg),
-            "--w-join", "5.0",
-            "--request", "a 0.2; a 0.2", "--out", str(tmp_path / "c2.dae"),
-        ])
-        assert rc == 0
+        # a flag overrides its own key of the config and no other: a zero
+        # join weight overridden by --w-join runs as the config that sets it
+        text = (fixture_dir / "config.cfg").read_text()
+        assert "w_join = 1.0" in text and "blend_window = 0.04" in text
+
+        def synth(name, w_join, *flags):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(text.replace("w_join = 1.0", f"w_join = {w_join}").replace(
+                "blend_window = 0.04", "blend_window = 0.01"
+            ))
+            out = tmp_path / f"{name}.dae"
+            assert main([
+                "synth", "--bundle", str(bundle_dir), "--config", str(cfg), *flags,
+                "--request", "a 0.2; t 0.1; a 0.2", "--out", str(out),
+            ]) == 0
+            totals = [l for l in capsys.readouterr().out.splitlines() if l.startswith("total cost")]
+            assert len(totals) == 1
+            return totals[0], out.read_bytes()
+
+        flagged = synth("flagged", "0.0", "--w-join", "5.0")
+        assert flagged == synth("config", "5.0")
+        assert flagged != synth("unflagged", "0.0")
 
 
 class TestValidate:
@@ -560,6 +586,18 @@ class TestValidate:
             "--config", str(fixture_dir / "config.cfg"),
         ])
         assert rc == 0
+
+    @pytest.mark.parametrize("threshold", ["nan", "-0.01"])
+    def test_bad_threshold_is_usage_error(self, fixture_dir, tmp_path, capsys, threshold):
+        # `max_rms > nan` is false, so NaN used to pass every bundle; the
+        # threshold is checked before the (here missing) bundle is read
+        rc = main([
+            "validate", "--bundle", str(tmp_path / "none"),
+            "--config", str(fixture_dir / "config.cfg"), "--threshold", threshold,
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:cli:usage: --threshold") and len(err.splitlines()) == 1
 
     def test_unrelated_ema_fails(self, fixture_dir, bundle_dir, tmp_path, capsys):
         # regenerate a corpus with different motion by scaling the fixture:
