@@ -64,4 +64,4 @@ print(f"\nskin_trajectories moved {np.count_nonzero(moved > 1e-9)} vertices; "
 
 seed = rig.seed_map["TTipC"]
 print("tongue-tip seed vertex sits at", np.round(deformed[seed], 4))
-print("tongue-tip IK target was     ", np.round(targets[0, arm.bone_index('TTipC')], 4))
+print("tongue-tip IK target was     ", np.round(targets[0, arm.bone_names.index('TTipC')], 4))

@@ -14,10 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from emarig import PosLayout, SmoothingSpec, compile_model, load_config, read_pos
-from emarig.bundle import dump_trajectories
-from emarig.fixture import FixtureSpec, write_fixture
-from emarig.pipeline import build_bundle, validate_model
 from emarig.bundle import read_bundle
+from emarig.fixture import FixtureSpec, write_fixture
+from emarig.pipeline import DUMP_KINDS, build_bundle, dump_trajectories, validate_model
 
 with tempfile.TemporaryDirectory(prefix="emarig-demo-") as tmp:
     workdir = Path(tmp)
@@ -25,16 +24,14 @@ with tempfile.TemporaryDirectory(prefix="emarig-demo-") as tmp:
     config = dataclasses.replace(load_config(config_path), smoothing=SmoothingSpec(window_frames=1))
     result = compile_model(config)
 
-    coils = dump_trajectories("coils", sweeps=result.sweeps_raw, layout=result.layout)
-    targets = dump_trajectories("ik_targets", clip=result.clip)
-    seeds = dump_trajectories("seed_vertices", rig=result.rig, clip=result.clip)
-    for name, data in [("coils", coils), ("ik_targets", targets), ("seed_vertices", seeds)]:
-        (workdir / f"{name}.pos").write_bytes(data)
-        print(f"{name}.pos: {len(data)} bytes")
+    dumps = {kind: dump_trajectories(kind, result) for kind in DUMP_KINDS}
+    for kind, data in dumps.items():
+        (workdir / f"{kind}.pos").write_bytes(data)
+        print(f"{kind}.pos: {len(data)} bytes")
 
     layout = PosLayout(channels=result.clip.bone_names, rate_hz=result.clip.rate_hz)
-    t = read_pos(targets, layout)
-    s = read_pos(seeds, layout)
+    t = read_pos(dumps["ik_targets"], layout)
+    s = read_pos(dumps["seed_vertices"], layout)
     gap = np.linalg.norm(s.positions - t.positions, axis=2)
     print(f"\nseed vertices vs IK targets: max {gap.max():.2e} cm "
           f"(solver tolerance is {config.ik.tolerance:g} cm)")

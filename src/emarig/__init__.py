@@ -69,7 +69,6 @@ from .collada_io import read_collada, write_collada
 from .bundle import (
     Bundle,
     LoadedBundle,
-    dump_trajectories,
     read_bundle,
     verify_bundle,
     write_bundle,
@@ -81,6 +80,7 @@ from .pipeline import (
     ValidationReport,
     build_bundle,
     compile_model,
+    dump_trajectories,
     load_config,
     validate_model,
 )

@@ -1,10 +1,9 @@
-"""Self-contained model bundles and trajectory dumps.
+"""Self-contained model bundles.
 
 A bundle is a directory (or zip archive) holding the COLLADA model, the
 segmentation, the EMA layout sidecar, optional audio copied verbatim, and
 a manifest listing format metadata plus the SHA-256 of every file, so any
-corruption is detectable. Trajectory dumps re-encode pipeline signals as
-``.pos`` streams for external comparison against the source recordings.
+corruption is detectable.
 """
 
 from __future__ import annotations
@@ -17,14 +16,11 @@ from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
 from typing import Sequence
 
-import numpy as np
-
 from .anim_db import AnimationClip, SegmentTier, parse_segmentation
 from .collada_io import read_collada
-from .ema_io import EmaSweep, PosLayout, format_rate, parse_layout, write_pos
-from .errors import BundleError, UnknownKind
-from .ik_solver import skin_trajectories
-from .rig import Armature, CompiledRig, SkinnedMesh
+from .ema_io import PosLayout, format_rate, parse_layout
+from .errors import BundleError
+from .rig import Armature, SkinnedMesh
 
 FORMAT_VERSION = 1
 
@@ -260,7 +256,7 @@ class LoadedBundle:
     bundle: Bundle
     mesh: SkinnedMesh
     armature: Armature
-    clip: AnimationClip | None
+    clip: AnimationClip
     tier: SegmentTier | None
     layout: PosLayout | None
 
@@ -287,68 +283,3 @@ def read_bundle(path: str | Path) -> LoadedBundle:
         bundle=bundle, mesh=mesh, armature=armature, clip=clip, tier=tier, layout=layout
     )
 
-
-# --- trajectory dumps -----------------------------------------------------------
-
-DUMP_KINDS = ("coils", "ik_targets", "seed_vertices")
-
-
-def _tracks_to_pos(tracks: np.ndarray, names: Sequence[str], rate_hz: float) -> bytes:
-    """Re-encode (frames, channels, 3) cm trajectories as a .pos stream
-    with zeroed angles and residuals."""
-    F, C, _ = tracks.shape
-    layout = PosLayout(channels=tuple(names), rate_hz=rate_hz)
-    zeros = np.zeros((F, C))
-    sweep = EmaSweep(
-        rate_hz=rate_hz,
-        channels=tuple(names),
-        positions=np.ascontiguousarray(tracks),
-        phi=zeros,
-        theta=zeros.copy(),
-        rms=zeros.astype(np.float32),
-        extra=zeros.astype(np.float32),
-    )
-    return write_pos(sweep, layout)
-
-
-def dump_trajectories(
-    kind: str,
-    *,
-    sweeps: Sequence[EmaSweep] | None = None,
-    layout: PosLayout | None = None,
-    rig: CompiledRig | None = None,
-    clip: AnimationClip | None = None,
-) -> bytes:
-    """Dump pipeline trajectories of the requested kind as .pos bytes.
-
-    ``coils`` re-encodes the given sweeps verbatim (byte-identical to
-    write_pos for a single unmodified sweep); ``ik_targets`` dumps the
-    registered coil positions fed to the solver; ``seed_vertices`` dumps
-    the skinned positions of the seed vertices, the tracked-point check
-    used to validate the animation against its source.
-    """
-    if kind == "coils":
-        if not sweeps or layout is None:
-            raise ValueError("coils dump needs sweeps and their layout")
-        return b"".join(write_pos(s, layout) for s in sweeps)
-
-    if kind == "ik_targets":
-        if clip is None or clip.targets is None:
-            raise ValueError("ik_targets dump needs a freshly baked clip")
-        return _tracks_to_pos(clip.targets, clip.bone_names, clip.rate_hz)
-
-    if kind == "seed_vertices":
-        if rig is None or clip is None:
-            raise ValueError("seed_vertices dump needs the compiled rig and clip")
-        idx = np.array([rig.seed_map[n] for n in rig.armature.bone_names])
-        tracks = skin_trajectories(
-            rig.mesh,
-            rig.armature,
-            clip.quats,
-            clip.heads,
-            clip.stretches,
-            idx,
-        )
-        return _tracks_to_pos(tracks, rig.armature.bone_names, clip.rate_hz)
-
-    raise UnknownKind(f"unknown dump kind {kind!r}; expected one of {DUMP_KINDS}")

@@ -22,11 +22,18 @@ from pathlib import Path
 import numpy as np
 
 from .anim_db import build_unit_db
-from .bundle import DUMP_KINDS, dump_trajectories, read_bundle, write_new_file
+from .bundle import read_bundle, write_new_file
 from .collada_io import write_collada
 from .errors import EmarigError
 from .fixture import FixtureSpec, write_fixture
-from .pipeline import build_bundle, compile_model, load_config, validate_model
+from .pipeline import (
+    DUMP_KINDS,
+    build_bundle,
+    compile_model,
+    dump_trajectories,
+    load_config,
+    validate_model,
+)
 from .unit_synth import (
     SynthesisDefaults,
     SynthesisRequest,
@@ -131,10 +138,8 @@ def _cmd_synth(args) -> int:
     request = SynthesisRequest(items=items, **asdict(settings))
 
     loaded = read_bundle(args.bundle)
-    if loaded.tier is None or loaded.clip is None:
-        raise EmarigError(
-            "bundle has no segmentation/animation to synthesize from", module="cli"
-        )
+    if loaded.tier is None:
+        raise EmarigError("bundle has no segmentation to synthesize from", module="cli")
     db = build_unit_db(loaded.clip, loaded.tier)
     if args.exhaustive:
         per_label = Counter(u.label for u in db)
@@ -188,15 +193,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_dump(args) -> int:
-    result = compile_model(load_config(args.config))
-    if args.kind == "coils":
-        data = dump_trajectories(
-            "coils", sweeps=result.sweeps_raw, layout=result.layout
-        )
-    elif args.kind == "ik_targets":
-        data = dump_trajectories("ik_targets", clip=result.clip)
-    else:
-        data = dump_trajectories("seed_vertices", rig=result.rig, clip=result.clip)
+    data = dump_trajectories(args.kind, compile_model(load_config(args.config)))
     write_new_file(args.out, data)
     print(f"wrote {len(data)} bytes -> {args.out}")
     return 0

@@ -250,16 +250,14 @@ def _name_source(parent: Element, sid: str, text: str, count: int, param_name: s
     SubElement(acc, "param", name=param_name, type="name")
 
 
-def write_collada(
-    mesh: SkinnedMesh, armature: Armature, clip: AnimationClip | None
-) -> str:
-    """Serialize mesh, armature and (optionally) a baked clip to document text."""
+def write_collada(mesh: SkinnedMesh, armature: Armature, clip: AnimationClip) -> str:
+    """Serialize mesh, armature and a baked clip to document text."""
     K = armature.n_bones
     if (mesh.weight_bones >= K).any():
         raise InconsistentRig("skin weights reference bones outside the armature")
     if len(set(armature.bone_names)) != K:
         raise InconsistentRig("bone names must be unique")
-    if clip is not None and tuple(clip.bone_names) != tuple(armature.bone_names):
+    if tuple(clip.bone_names) != tuple(armature.bone_names):
         raise InconsistentRig("clip channels do not match the armature bones")
 
     bone_sids = [_sanitize(n) for n in armature.bone_names]
@@ -330,35 +328,34 @@ def write_collada(
     SubElement(vw, "v").text = _fmt_ints(np.column_stack([pair_joints, weight_index[used]]))
 
     # animations -----------------------------------------------------------
-    if clip is not None:
-        la = SubElement(root, "library_animations")
+    la = SubElement(root, "library_animations")
 
-        # Every animation shares the clip's time source and interpolation names.
-        times_text = _fmt_array(clip.times)
-        interp_text = " ".join(["LINEAR"] * clip.n_keys)
+    # Every animation shares the clip's time source and interpolation names.
+    times_text = _fmt_array(clip.times)
+    interp_text = " ".join(["LINEAR"] * clip.n_keys)
 
-        def emit_animation(node_sid: str, rows: np.ndarray):
-            aid = f"anim-{node_sid}"
-            anim = SubElement(la, "animation", id=aid)
-            _float_source(anim, f"{aid}-input", times_text, clip.n_keys, [("TIME", "float")])
-            _float_source(anim, f"{aid}-output", _fmt_matrices(rows), clip.n_keys, _TRANSFORM)
-            _name_source(anim, f"{aid}-interp", interp_text, clip.n_keys, "INTERPOLATION")
-            sampler = SubElement(anim, "sampler", id=f"anim-{node_sid}-sampler")
-            SubElement(sampler, "input", semantic="INPUT", source=f"#anim-{node_sid}-input")
-            SubElement(sampler, "input", semantic="OUTPUT", source=f"#anim-{node_sid}-output")
-            SubElement(
-                sampler, "input", semantic="INTERPOLATION", source=f"#anim-{node_sid}-interp"
-            )
-            SubElement(
-                anim,
-                "channel",
-                source=f"#anim-{node_sid}-sampler",
-                target=f"node-{node_sid}/transform",
-            )
+    def emit_animation(node_sid: str, rows: np.ndarray):
+        aid = f"anim-{node_sid}"
+        anim = SubElement(la, "animation", id=aid)
+        _float_source(anim, f"{aid}-input", times_text, clip.n_keys, [("TIME", "float")])
+        _float_source(anim, f"{aid}-output", _fmt_matrices(rows), clip.n_keys, _TRANSFORM)
+        _name_source(anim, f"{aid}-interp", interp_text, clip.n_keys, "INTERPOLATION")
+        sampler = SubElement(anim, "sampler", id=f"anim-{node_sid}-sampler")
+        SubElement(sampler, "input", semantic="INPUT", source=f"#anim-{node_sid}-input")
+        SubElement(sampler, "input", semantic="OUTPUT", source=f"#anim-{node_sid}-output")
+        SubElement(
+            sampler, "input", semantic="INTERPOLATION", source=f"#anim-{node_sid}-interp"
+        )
+        SubElement(
+            anim,
+            "channel",
+            source=f"#anim-{node_sid}-sampler",
+            target=f"node-{node_sid}/transform",
+        )
 
-        for k, sid in enumerate(bone_sids):
-            emit_animation(sid, _local_rows(armature, clip, k))
-        emit_animation(jaw_sid, _affine_rows(quat_to_mat(clip.jaw_quats), clip.jaw_translations))
+    for k, sid in enumerate(bone_sids):
+        emit_animation(sid, _local_rows(armature, clip, k))
+    emit_animation(jaw_sid, _affine_rows(quat_to_mat(clip.jaw_quats), clip.jaw_translations))
 
     # visual scene -----------------------------------------------------------
     lvs = SubElement(root, "library_visual_scenes")
@@ -396,9 +393,8 @@ def write_collada(
 
     s_extra = SubElement(scene, "extra")
     s_tech = SubElement(s_extra, "technique", profile=PROFILE)
-    if clip is not None:
-        SubElement(s_tech, "rate_hz").text = _fmt_array(clip.rate_hz)
-        SubElement(s_tech, "duration").text = repr(float(clip.duration))
+    SubElement(s_tech, "rate_hz").text = _fmt_array(clip.rate_hz)
+    SubElement(s_tech, "duration").text = repr(float(clip.duration))
 
     sc = SubElement(root, "scene")
     SubElement(sc, "instance_visual_scene", url="#Scene")
@@ -589,13 +585,13 @@ _KNOWN_LIBRARIES = {
 }
 
 
-def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip | None]:
+def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip]:
     """Parse a document produced by write_collada (subset only).
 
-    Raises ParseError on malformed XML or a missing required element (an
-    animated model needs the clip's rate_hz and duration and exactly one
-    jaw channel), and UnsupportedFeature on any element outside the
-    written subset.
+    Raises ParseError on malformed XML or a missing required element (the
+    animations, with exactly one jaw channel, and the clip's rate_hz and
+    duration among them), and UnsupportedFeature on any element outside
+    the written subset.
     """
     root = _parse_xml(document)
     if _local(root) != "COLLADA":
@@ -748,77 +744,75 @@ def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip | 
 
     # animation channels
     la = _children(root, "library_animations")
-    clip = None
-    if la:
-        channels: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        # The animations share one time-source text: parse it once.
-        time_numbers = functools.cache(_numbers)
-        for anim in _children(la[0], "animation"):
-            chan = _child(anim, "channel")
-            target = (chan.get("target") or "").split("/")[0]
-            times = None
-            mats = None
-            for s in _children(anim, "source"):
-                sid = s.get("id") or ""
-                fa = _children(s, "float_array")
-                na = _children(s, "Name_array")
-                if fa and sid.endswith("-input"):
-                    times = _source_rows(s, 1, time_numbers)[:, 0]
-                elif fa and sid.endswith("-output"):
-                    mats = _affine(_source_rows(s, 16).reshape(-1, 4, 4), f"source {sid!r}")
-                elif na and sid.endswith("-interp"):
-                    kinds = set((na[0].text or "").split())
-                    if kinds - {"LINEAR"}:
-                        raise UnsupportedFeature(
-                            f"unsupported interpolation {sorted(kinds - {'LINEAR'})}"
-                        )
-            if times is None or mats is None:
-                raise UnsupportedFeature("animation without matrix sampler")
-            if target in channels:
-                raise ParseError(f"two animations target {target!r}", module="export")
-            channels[target] = (times, mats)
-        if not channels:
-            raise ParseError("<library_animations> has no <animation>", module="export")
+    if not la:
+        raise ParseError("document has no <library_animations>", module="export")
+    channels: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    # The animations share one time-source text: parse it once.
+    time_numbers = functools.cache(_numbers)
+    for anim in _children(la[0], "animation"):
+        chan = _child(anim, "channel")
+        target = (chan.get("target") or "").split("/")[0]
+        times = None
+        mats = None
+        for s in _children(anim, "source"):
+            sid = s.get("id") or ""
+            fa = _children(s, "float_array")
+            na = _children(s, "Name_array")
+            if fa and sid.endswith("-input"):
+                times = _source_rows(s, 1, time_numbers)[:, 0]
+            elif fa and sid.endswith("-output"):
+                mats = _affine(_source_rows(s, 16).reshape(-1, 4, 4), f"source {sid!r}")
+            elif na and sid.endswith("-interp"):
+                kinds = set((na[0].text or "").split())
+                if kinds - {"LINEAR"}:
+                    raise UnsupportedFeature(
+                        f"unsupported interpolation {sorted(kinds - {'LINEAR'})}"
+                    )
+        if times is None or mats is None:
+            raise UnsupportedFeature("animation without matrix sampler")
+        if target in channels:
+            raise ParseError(f"two animations target {target!r}", module="export")
+        channels[target] = (times, mats)
+    if not channels:
+        raise ParseError("<library_animations> has no <animation>", module="export")
 
-        ref_times = next(iter(channels.values()))[0]
-        for times, _ in channels.values():
-            if len(times) != len(ref_times) or not np.array_equal(times, ref_times):
-                raise UnsupportedFeature("animations must share one time source")
+    ref_times = next(iter(channels.values()))[0]
+    for times, _ in channels.values():
+        if len(times) != len(ref_times) or not np.array_equal(times, ref_times):
+            raise UnsupportedFeature("animations must share one time source")
 
-        locals_ = []
-        for sid in bone_names:
-            key = f"node-{sid}"
-            if key not in channels:
-                raise UnsupportedFeature(f"bone {sid!r} has no animation channel")
-            locals_.append(channels[key][1])
-        # The bones' matrices are in `locals_` now; what is left is the jaw's.
-        for sid in bone_names:
-            channels.pop(f"node-{sid}", None)
-        if len(channels) != 1:
-            raise ParseError(f"expected one jaw animation, found {len(channels)}", module="export")
-        jaw_m = channels.popitem()[1][1]
-        # A copy, so the clip does not keep `jaw_m` alive.
-        jaw_quats = mat_to_quat(jaw_m[:, :3, :3])
-        jaw_trans = np.ascontiguousarray(jaw_m[:, :3, 3])
-        del jaw_m
-        heads_t, quats, stretches, tails_t = _bone_channels(locals_, armature)
+    locals_ = []
+    for sid in bone_names:
+        key = f"node-{sid}"
+        if key not in channels:
+            raise UnsupportedFeature(f"bone {sid!r} has no animation channel")
+        locals_.append(channels[key][1])
+    # The bones' matrices are in `locals_` now; what is left is the jaw's.
+    for sid in bone_names:
+        channels.pop(f"node-{sid}", None)
+    if len(channels) != 1:
+        raise ParseError(f"expected one jaw animation, found {len(channels)}", module="export")
+    jaw_m = channels.popitem()[1][1]
+    # A copy, so the clip does not keep `jaw_m` alive.
+    jaw_quats = mat_to_quat(jaw_m[:, :3, :3])
+    jaw_trans = np.ascontiguousarray(jaw_m[:, :3, 3])
+    del jaw_m
+    heads_t, quats, stretches, tails_t = _bone_channels(locals_, armature)
 
-        rate = float(_values(_annotation(vscene, "rate_hz"), 1)[0])
-        duration = float(_values(_annotation(vscene, "duration"), 1)[0])
-        if not (rate > 0 and duration > 0):
-            raise ParseError("clip rate and duration must be > 0", module="export")
+    rate = float(_values(_annotation(vscene, "rate_hz"), 1)[0])
+    duration = float(_values(_annotation(vscene, "duration"), 1)[0])
+    if not (rate > 0 and duration > 0):
+        raise ParseError("clip rate and duration must be > 0", module="export")
 
-        clip = AnimationClip(
-            rate_hz=rate,
-            bone_names=tuple(bone_names),
-            times=ref_times,
-            quats=quats,
-            heads=heads_t,
-            stretches=stretches,
-            tails=tails_t,
-            jaw_quats=jaw_quats,
-            jaw_translations=jaw_trans,
-            duration=duration,
-        )
-
-    return mesh, armature, clip
+    return mesh, armature, AnimationClip(
+        rate_hz=rate,
+        bone_names=tuple(bone_names),
+        times=ref_times,
+        quats=quats,
+        heads=heads_t,
+        stretches=stretches,
+        tails=tails_t,
+        jaw_quats=jaw_quats,
+        jaw_translations=jaw_trans,
+        duration=duration,
+    )

@@ -85,10 +85,6 @@ class EmaSweep:
     def n_frames(self) -> int:
         return self.positions.shape[0]
 
-    @property
-    def duration_s(self) -> float:
-        return self.n_frames / self.rate_hz
-
     def channel_index(self, name: str) -> int:
         try:
             return self.channels.index(name)

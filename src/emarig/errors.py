@@ -157,11 +157,6 @@ class UnsupportedFeature(EmarigError):
     code = "unsupported_feature"
 
 
-class UnknownKind(EmarigError):
-    module = "export"
-    code = "unknown_kind"
-
-
 class BundleError(EmarigError):
     module = "export"
     code = "bundle"

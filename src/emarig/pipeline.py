@@ -1,8 +1,8 @@
 """End-to-end pipeline: config parsing, model compilation, validation.
 
 This is the glue the CLI drives: read sweeps, prepare them, compile the
-rig, bake the clip, bundle the result, and check a finished bundle against
-its source recordings.
+rig, bake the clip, bundle the result, dump its trajectories, and check a
+finished bundle against its source recordings.
 """
 
 from __future__ import annotations
@@ -13,10 +13,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .anim_db import AnimationClip, SegmentTier, bake, parse_segmentation
+from .anim_db import AnimationClip, bake, parse_segmentation
 from .bundle import Bundle, LoadedBundle, write_bundle
 from .collada_io import write_collada
-from .ema_io import CoilRoles, EmaSweep, PosLayout, parse_layout, read_pos
+from .ema_io import CoilRoles, EmaSweep, PosLayout, parse_layout, read_pos, write_pos
 from .errors import ConfigError, IncompatibleBundle, NoValidReferenceFrame
 from .ik_solver import IkParams, skin_trajectories, stop_counts
 from .motion_prep import SmoothingSpec, fill_dropouts, normalize_head, smooth
@@ -103,7 +103,9 @@ def load_config(path: str | Path) -> PipelineConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(interpolation=None)
+    # No section name can be empty, so no section of the file is the
+    # defaults section: [DEFAULT] is an unknown section like any other.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     parser.optionxform = str  # seed.<CoilName> keys are case-sensitive
     try:
         parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
@@ -219,12 +221,8 @@ class CompileReport:
 class PipelineResult:
     config: PipelineConfig
     layout: PosLayout
-    roles: CoilRoles
-    sweeps_raw: list[EmaSweep]
-    sweeps: list[EmaSweep]          # prepared (filled, normalized, smoothed)
     rig: CompiledRig
     clip: AnimationClip
-    tier: SegmentTier | None
     report: CompileReport
 
 
@@ -234,27 +232,32 @@ def _read_text(path: Path, what: str) -> str:
     return path.read_text(encoding="utf-8")
 
 
-def prepare_sweeps(
-    config: PipelineConfig,
-    layout: PosLayout,
-    roles: CoilRoles,
-) -> tuple[list[EmaSweep], list[EmaSweep]]:
-    """Load and prepare all configured sweeps.
-
-    Head normalization uses the first sweep's first valid reference frame
-    as the common head frame for the whole session.
-    """
-    raw = []
+def _read_sweeps(config: PipelineConfig, layout: PosLayout) -> list[EmaSweep]:
+    """The configured sweeps as recorded, each named by its file's stem."""
+    sweeps = []
     for p in config.ema_paths:
         if not p.exists():
             raise ConfigError(f"EMA file not found: {p}")
         sweep = read_pos(p.read_bytes(), layout)
-        raw.append(replace(sweep, sweep_id=p.stem))
+        sweeps.append(replace(sweep, sweep_id=p.stem))
+    return sweeps
 
+
+def prepare_sweeps(
+    config: PipelineConfig,
+    layout: PosLayout,
+    roles: CoilRoles,
+) -> list[EmaSweep]:
+    """Load all configured sweeps and prepare them: fill dropouts,
+    normalize the head, smooth.
+
+    Head normalization uses the first sweep's first valid reference frame
+    as the common head frame for the whole session.
+    """
     prepared = []
     reference_frame = None
     ref_idx = [layout.channels.index(n) for n in roles.reference]
-    for sweep in raw:
+    for sweep in _read_sweeps(config, layout):
         filled = fill_dropouts(sweep, config.smoothing.rms_ceiling)
         if reference_frame is None:
             if filled.n_frames == 0:
@@ -262,7 +265,7 @@ def prepare_sweeps(
             reference_frame = np.array(filled.positions[0, ref_idx, :])
         normalized = normalize_head(filled, roles, reference_frame)
         prepared.append(smooth(normalized, config.smoothing))
-    return raw, prepared
+    return prepared
 
 
 def _mesh_seeds(config: PipelineConfig) -> dict[str, np.ndarray]:
@@ -302,11 +305,10 @@ def compile_model(config: PipelineConfig) -> PipelineResult:
     graph = parse_rig_graph(_read_text(config.rig_graph_path, "rig graph"))
     mesh, rig_config = build_mesh(config)
 
-    raw, prepared = prepare_sweeps(config, layout, roles)
+    prepared = prepare_sweeps(config, layout, roles)
     rig = compile_rig(graph, prepared[0], roles, mesh, rig_config)
     clip = bake(prepared, rig, roles, config.ik)
 
-    tier = None
     if config.segmentation_path is not None:
         tier = parse_segmentation(_read_text(config.segmentation_path, "segmentation"))
         if tier.end > clip.duration + 1e-9:
@@ -325,17 +327,7 @@ def compile_model(config: PipelineConfig) -> PipelineResult:
         stop_counts=stop_counts(clip.stop_reasons),
     )
 
-    return PipelineResult(
-        config=config,
-        layout=layout,
-        roles=roles,
-        sweeps_raw=raw,
-        sweeps=prepared,
-        rig=rig,
-        clip=clip,
-        tier=tier,
-        report=report,
-    )
+    return PipelineResult(config=config, layout=layout, rig=rig, clip=clip, report=report)
 
 
 def build_bundle(result: PipelineResult, out_path: str | Path) -> Bundle:
@@ -384,8 +376,6 @@ def validate_model(loaded: LoadedBundle, config: PipelineConfig) -> ValidationRe
     measured per coil as the RMS distance to the corresponding skinned
     seed-vertex trajectory.
     """
-    if loaded.clip is None:
-        raise IncompatibleBundle("bundle carries no animation to validate")
     clip = loaded.clip
     armature = loaded.armature
 
@@ -396,7 +386,7 @@ def validate_model(loaded: LoadedBundle, config: PipelineConfig) -> ValidationRe
             f"bundle bones have no tongue channel in this config: {', '.join(missing)}"
         )
 
-    _, prepared = prepare_sweeps(config, layout, roles)
+    prepared = prepare_sweeps(config, layout, roles)
     total = sum(s.n_frames for s in prepared)
     if total != clip.n_keys:
         raise IncompatibleBundle(
@@ -429,3 +419,49 @@ def validate_model(loaded: LoadedBundle, config: PipelineConfig) -> ValidationRe
         for k, name in enumerate(armature.bone_names)
     }
     return ValidationReport(per_coil_rms=per_coil, n_frames=clip.n_keys)
+
+
+# --- trajectory dumps -----------------------------------------------------------
+
+DUMP_KINDS = ("coils", "ik_targets", "seed_vertices")
+
+
+def _tracks_to_pos(tracks: np.ndarray, names: tuple[str, ...], rate_hz: float) -> bytes:
+    """Re-encode (frames, channels, 3) cm trajectories as a .pos stream
+    with zeroed angles and residuals."""
+    zeros = np.zeros(tracks.shape[:2])
+    sweep = EmaSweep(
+        rate_hz=rate_hz,
+        channels=names,
+        positions=np.ascontiguousarray(tracks),
+        phi=zeros,
+        theta=zeros.copy(),
+        rms=zeros.astype(np.float32),
+        extra=zeros.astype(np.float32),
+    )
+    return write_pos(sweep, PosLayout(channels=names, rate_hz=rate_hz))
+
+
+def dump_trajectories(kind: str, result: PipelineResult) -> bytes:
+    """A compiled model's trajectories of one of DUMP_KINDS as .pos bytes.
+
+    ``coils`` re-encodes the source sweeps as read, which gives back the
+    source files' bytes, concatenated; ``ik_targets`` dumps the registered
+    coil positions fed to the solver; ``seed_vertices`` dumps the skinned
+    positions of the seed vertices, the tracked-point check used to
+    validate the animation against its source.
+    """
+    if kind == "coils":
+        sweeps = _read_sweeps(result.config, result.layout)
+        return b"".join(write_pos(s, result.layout) for s in sweeps)
+    rig, clip = result.rig, result.clip
+    if kind == "ik_targets":
+        tracks = clip.targets
+    elif kind == "seed_vertices":
+        seeds = np.array([rig.seed_map[n] for n in clip.bone_names])
+        tracks = skin_trajectories(
+            rig.mesh, rig.armature, clip.quats, clip.heads, clip.stretches, seeds
+        )
+    else:
+        raise ValueError(f"unknown dump kind {kind!r}; expected one of {DUMP_KINDS}")
+    return _tracks_to_pos(tracks, clip.bone_names, clip.rate_hz)

@@ -382,10 +382,6 @@ class MeshParams:
         if self.n_long < 8 or self.n_lat < 4:
             raise ValueError("resolution too coarse")
 
-    @property
-    def dome_vertex_count(self) -> int:
-        return self.n_long * self.n_lat + 2
-
 
 def _half_ellipsoid(a: float, b: float, c: float, n_long: int, n_lat: int):
     phis = 2.0 * np.pi * np.arange(n_long) / n_long
@@ -546,12 +542,6 @@ class Armature:
     def n_bones(self) -> int:
         return len(self.bone_names)
 
-    def bone_index(self, name: str) -> int:
-        try:
-            return self.bone_names.index(name)
-        except ValueError:
-            raise KeyError(f"armature has no bone {name!r}") from None
-
     def children_of(self, k: int) -> np.ndarray:
         return np.flatnonzero(self.parents == k)
 
@@ -560,7 +550,6 @@ class Armature:
 class CompiledRig:
     """Everything the baking and export stages need, in mesh space."""
 
-    graph: RigGraph
     armature: Armature
     mesh: SkinnedMesh
     seed_map: dict[str, int]
@@ -737,7 +726,6 @@ def compile_rig(
         jaw_rest_axis = registration.rotate(axis)
 
     return CompiledRig(
-        graph=graph,
         armature=armature,
         mesh=skinned,
         seed_map=seed_map,

@@ -7,7 +7,6 @@ import pytest
 
 from emarig.bundle import (
     SLICE_CHARS,
-    dump_trajectories,
     open_bundle,
     read_bundle,
     verify_bundle,
@@ -15,8 +14,16 @@ from emarig.bundle import (
     write_new_file,
 )
 from emarig.collada_io import write_collada
-from emarig.ema_io import read_pos, write_pos
-from emarig.errors import BundleError, UnknownKind
+from emarig.ema_io import PosLayout, read_pos
+from emarig.errors import BundleError
+from emarig.fixture import FixtureSpec, write_fixture
+from emarig.pipeline import (
+    _layout_and_roles,
+    compile_model,
+    dump_trajectories,
+    load_config,
+    prepare_sweeps,
+)
 
 from conftest import traced_peak
 
@@ -316,42 +323,37 @@ class TestReadBundle:
         assert loaded.layout == small_fixture.layout
 
 
+@pytest.fixture(scope="module")
+def pipeline_result(tmp_path_factory):
+    """A model compiled from a 2x300-frame fixture corpus."""
+    corpus = tmp_path_factory.mktemp("corpus")
+    config = write_fixture(corpus, FixtureSpec(n_sweeps=2, frames_per_sweep=300))
+    return compile_model(load_config(config))
+
+
 class TestDumps:
-    def test_coils_identity(self, small_fixture):
-        data = small_fixture
-        sweep = data.sweeps[0]
-        dumped = dump_trajectories("coils", sweeps=[sweep], layout=data.layout)
-        assert dumped == write_pos(sweep, data.layout)
+    def test_coils_identity(self, pipeline_result):
+        dumped = dump_trajectories("coils", pipeline_result)
+        assert dumped == b"".join(p.read_bytes() for p in pipeline_result.config.ema_paths)
 
-    def test_ik_targets_equal_registered_coils(self, compiled_model, small_fixture):
-        from emarig.ema_io import PosLayout
-
-        rig, clip, prepared = compiled_model
-        dumped = dump_trajectories("ik_targets", clip=clip)
-        layout_names = clip.bone_names
-        sweep = read_pos(
-            dumped, PosLayout(channels=tuple(layout_names), rate_hz=clip.rate_hz)
-        )
+    def test_ik_targets_equal_registered_coils(self, pipeline_result):
+        config, rig, clip = pipeline_result.config, pipeline_result.rig, pipeline_result.clip
+        dumped = dump_trajectories("ik_targets", pipeline_result)
+        sweep = read_pos(dumped, PosLayout(channels=clip.bone_names, rate_hz=clip.rate_hz))
         # registered = similarity applied to the prepared (head-normalized) coils
-        idx = [prepared[0].channels.index(n) for n in layout_names]
-        registered = np.concatenate(
-            [rig.registration.apply(s.positions[:, idx, :]) for s in prepared]
-        )
+        layout, roles = _layout_and_roles(config)
+        idx = [layout.channels.index(n) for n in clip.bone_names]
+        registered = np.concatenate([
+            rig.registration.apply(s.positions[:, idx, :])
+            for s in prepare_sweeps(config, layout, roles)
+        ])
         # .pos stores float32 mm, so equality holds to quantization
         assert np.abs(sweep.positions - registered).max() < 1e-5
 
-    def test_seed_vertices_close_to_targets(self, compiled_model):
-        rig, clip, _ = compiled_model
-        dumped = dump_trajectories("seed_vertices", rig=rig, clip=clip)
-        from emarig.ema_io import PosLayout
-
+    def test_seed_vertices_close_to_targets(self, pipeline_result):
+        clip = pipeline_result.clip
         layout = PosLayout(channels=clip.bone_names, rate_hz=clip.rate_hz)
-        sweep = read_pos(dumped, layout)
-        targets = dump_trajectories("ik_targets", clip=clip)
-        tsweep = read_pos(targets, layout)
+        sweep = read_pos(dump_trajectories("seed_vertices", pipeline_result), layout)
+        tsweep = read_pos(dump_trajectories("ik_targets", pipeline_result), layout)
         err = np.linalg.norm(sweep.positions - tsweep.positions, axis=2)
         assert err.max() <= 1e-3 + 1e-4  # solver tolerance + registration residual
-
-    def test_unknown_kind(self):
-        with pytest.raises(UnknownKind):
-            dump_trajectories("verts")

@@ -525,7 +525,7 @@ class TestSkinCodec:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         arm = random_tree_armature(rng, n_bones)
         mesh = data.draw(skinned_meshes(n_bones))
-        doc = write_collada(mesh, arm, None)
+        doc = write_collada(mesh, arm, random_clip(rng, arm, 2))
 
         vcounts, pairs, weights = loop_encode_weights(mesh, n_bones)
         joint_names, vcount_text, v_text, weights_text = skin_texts(doc)
@@ -562,13 +562,6 @@ class TestWriter:
         joints = troot.findall(".//c:node[@type='JOINT']", ns)
         assert len(joints) == 7
 
-    def test_empty_clip_no_animation_library(self, compiled_model):
-        rig, _, _ = compiled_model
-        doc = write_collada(rig.mesh, rig.armature, None)
-        assert "<library_animations>" not in doc
-        assert "<library_geometries>" in doc
-        assert "<library_controllers>" in doc
-
     def test_deterministic(self, compiled_model):
         rig, clip, _ = compiled_model
         assert write_collada(rig.mesh, rig.armature, clip) == write_collada(
@@ -580,11 +573,11 @@ class TestWriter:
         arm = make_chain_armature([[0, 0, 0], [1, 0, 0]])
         mesh = random_mesh(rng, n_bones=5)  # references bones beyond the armature
         with pytest.raises(InconsistentRig):
-            write_collada(mesh, arm, None)
+            write_collada(mesh, arm, random_clip(rng, arm, 2))
 
     def test_units_and_up_axis(self, compiled_model):
-        rig, _, _ = compiled_model
-        doc = write_collada(rig.mesh, rig.armature, None)
+        rig, clip, _ = compiled_model
+        doc = write_collada(rig.mesh, rig.armature, clip)
         assert '<unit meter="0.01" name="centimeter" />' in doc
         assert "<up_axis>Z_UP</up_axis>" in doc
 
@@ -658,14 +651,6 @@ class TestRoundTrip:
             assert abs(c2.duration - clip.duration) < 1e-9
             assert c2.rate_hz == clip.rate_hz
 
-    def test_no_clip_round_trip(self, compiled_model):
-        rig, _, _ = compiled_model
-        doc = write_collada(rig.mesh, rig.armature, None)
-        m2, a2, c2 = read_collada(doc)
-        assert c2 is None
-        assert a2.bone_names == rig.armature.bone_names
-
-
     def test_ungrouped_triangles_kept(self):
         # A face outside the three groups is written as a <triangles> batch
         # with no material and read back into no group.
@@ -674,7 +659,8 @@ class TestRoundTrip:
             "o Tongue\nf 1 2 3\nf 1 3 4\no Palate\nf 5 2 3\n"
         )
         mesh = load_mesh(obj)
-        doc = write_collada(mesh, make_chain_armature([[0, 0, 0], [1, 0, 0]]), None)
+        arm = make_chain_armature([[0, 0, 0], [1, 0, 0]])
+        doc = write_collada(mesh, arm, random_clip(np.random.default_rng(0), arm, 2))
         assert '<triangles count="1">' in doc
         m2, _, _ = read_collada(doc)
         assert np.array_equal(m2.triangles, [[0, 1, 2], [0, 2, 3], [4, 1, 2]])
@@ -788,8 +774,8 @@ class TestReaderErrors:
             read_collada("<model/>")
 
     def test_unknown_library(self, compiled_model):
-        rig, _, _ = compiled_model
-        doc = write_collada(rig.mesh, rig.armature, None)
+        rig, clip, _ = compiled_model
+        doc = write_collada(rig.mesh, rig.armature, clip)
         doc = doc.replace(
             "<library_geometries>",
             "<library_lights><light/></library_lights><library_geometries>",
@@ -798,8 +784,8 @@ class TestReaderErrors:
             read_collada(doc)
 
     def test_unsupported_primitive(self, compiled_model):
-        rig, _, _ = compiled_model
-        doc = write_collada(rig.mesh, rig.armature, None)
+        rig, clip, _ = compiled_model
+        doc = write_collada(rig.mesh, rig.armature, clip)
         doc = doc.replace("<triangles", "<polylist", 1).replace(
             "</triangles>", "</polylist>", 1
         )
@@ -838,7 +824,9 @@ class TestReaderErrors:
                 r'(id="node-TRoot"[^>]*>\s*<matrix sid="transform">)1 0 0 (\S+) 0 1 0 ',
                 r"\g<1>0 -1 0 \2 1 0 0 ",
             ),
-            # no animation at all, the jaw's twice, or a second non-bone one
+            # no animation library, no animation in it, the jaw's twice, or
+            # a second non-bone one
+            (r"(?s)<library_animations>.*</library_animations>", ""),
             (r"(?s)<library_animations>.*</library_animations>", "<library_animations />"),
             (r'(?s)<animation id="anim-Jaw">.*?</animation>', r"\g<0>\g<0>"),
             (
@@ -854,7 +842,8 @@ class TestReaderErrors:
             "float_token", "int_token", "triangle_index", "negative_triangle",
             "triangle_count", "vcount_count", "positions_count",
             "bone_key_last_row", "jaw_key_last_row", "node_last_row", "node_scaled",
-            "node_sheared", "root_rotated", "no_animations", "jaw_animation_twice",
+            "node_sheared", "root_rotated", "no_animation_library", "no_animations",
+            "jaw_animation_twice",
             "second_non_bone_animation", "no_clip_technique",
         ],
     )

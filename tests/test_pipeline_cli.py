@@ -13,7 +13,14 @@ from emarig.ema_io import parse_layout, read_pos, write_pos
 from emarig.fixture import FixtureSpec, write_fixture
 from emarig.ik_solver import IkParams, skin_trajectories
 from emarig.motion_prep import SmoothingSpec
-from emarig.pipeline import SynthesisDefaults, compile_model, load_config, validate_model
+from emarig.pipeline import (
+    SynthesisDefaults,
+    _layout_and_roles,
+    compile_model,
+    load_config,
+    prepare_sweeps,
+    validate_model,
+)
 from emarig.rig import MeshParams, RigConfig, load_mesh
 
 # sha256 of model.dae compiled from `emarig fixture` with its defaults.
@@ -190,10 +197,17 @@ class TestConfig:
         )
 
     def test_unknown_section_is_config_error(self, fixture_dir, tmp_path, capsys):
-        self.compile_fails_as(
-            fixture_dir, tmp_path, capsys, "\\[synthesis\\]", "[synthesys]",
-            "error:cli:config: unknown section [synthesys]\n",
-        )
+        for old, new, section in [
+            ("\\[synthesis\\]", "[synthesys]", "synthesys"),
+            # configparser's defaults section would copy its keys into every
+            # section, and an empty one would pass unseen
+            ("\\[paths\\]\n", "[DEFAULT]\nw_join = 2.0\n\n[paths]\n", "DEFAULT"),
+            ("\\[paths\\]\n", "[DEFAULT]\n[paths]\n", "DEFAULT"),
+        ]:
+            self.compile_fails_as(
+                fixture_dir, tmp_path, capsys, old, new,
+                f"error:cli:config: unknown section [{section}]\n",
+            )
 
     def test_missing_reference_coil_fails_before_processing(self, fixture_dir, tmp_path):
         text = (fixture_dir / "config.cfg").read_text()
@@ -702,10 +716,12 @@ class TestValidate:
         tracks = skin_trajectories(
             rig.mesh, rig.armature, clip.quats, clip.heads, clip.stretches, seeds
         )
-        idx = [result.layout.channels.index(n) for n in names]
-        source = np.concatenate(
-            [rig.registration.apply(s.positions[:, idx, :]) for s in result.sweeps]
-        )
+        layout, roles = _layout_and_roles(config)
+        idx = [layout.channels.index(n) for n in names]
+        source = np.concatenate([
+            rig.registration.apply(s.positions[:, idx, :])
+            for s in prepare_sweeps(config, layout, roles)
+        ])
         rms = np.sqrt(np.mean(np.sum((tracks - source) ** 2, axis=2), axis=0))
 
         report = validate_model(read_bundle(tmp_path / "b"), config)
@@ -749,6 +765,7 @@ class TestCliBasics:
         assert main(["--bogus"]) == 1
         # [smoothing] window_frames = 1 is the one way to switch smoothing off
         assert main(["compile", "--config", "c", "--out", "o", "--no-smoothing"]) == 1
+        assert main(["dump", "--config", "c", "--kind", "verts", "--out", "o"]) == 1
 
     def test_fixture_command(self, tmp_path):
         rc = main(["fixture", "--out", str(tmp_path / "f"), "--frames", "120", "--sweeps", "1"])

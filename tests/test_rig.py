@@ -148,7 +148,7 @@ class TestDefaultMesh:
     def test_vertex_count_formula(self):
         params = MeshParams()
         mesh = generate_default_mesh(params)
-        expected = params.dome_vertex_count + 2 * 4 * (ARCH_SEGMENTS + 1)
+        expected = params.n_long * params.n_lat + 2 + 2 * 4 * (ARCH_SEGMENTS + 1)
         assert mesh.n_vertices == expected
         assert mesh.n_vertices >= 5000
 
