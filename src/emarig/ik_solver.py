@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import for_blocks
 from .rig import Armature, SkinnedMesh, GROUP_MANDIBLE
 from .rotations import minimal_rotation, mat_to_quat, quat_to_mat, norm
 
@@ -192,27 +193,49 @@ def solve_track(
             rows, t, j, best = rows[keep], t[keep], j[keep], best[keep]
     joints[rows] = j
 
-    heads = joints[:, parent_joint]
-    tails = joints[:, 1:]
-    deltas = tails - heads
-    lengths = norm(deltas)
-    stretches = np.clip(lengths / armature.rest_lengths, params.s_min, params.s_max)
-    cross_scales = 1.0 / np.sqrt(stretches)
-    dirs = deltas / np.where(lengths > 0.0, lengths, 1.0)[..., None]
-    R = minimal_rotation(np.broadcast_to(armature.rest_dirs, dirs.shape), dirs)
-    quats = mat_to_quat(R)
-
     return PoseTrack(
         bone_names=armature.bone_names,
-        quats=quats,
-        heads=heads,
-        tails=tails,
-        stretches=stretches,
-        cross_scales=cross_scales,
-        residuals=norm(tails - targets),
+        tails=joints[:, 1:],
         iterations=iterations,
         stop_reasons=stop_reasons,
+        **_solved_poses(armature, joints, targets, params),
     )
+
+
+def _solved_poses(
+    armature: Armature, joints: np.ndarray, targets: np.ndarray, params: IkParams
+) -> dict[str, np.ndarray]:
+    """The `PoseTrack` quats, heads, stretches, cross_scales and residuals
+    of solved (F, K + 1, 3) joints (the root point, then each bone's tail).
+
+    Computed in blocks of frames on two cores (`for_blocks`), with the
+    bits of the whole batch at once."""
+    F, K = len(joints), armature.n_bones
+    parent_joint = np.where(armature.parents < 0, 0, armature.parents + 1)
+    out = {
+        "quats": np.empty((F, K, 4)),
+        "heads": np.empty((F, K, 3)),
+        "stretches": np.empty((F, K)),
+        "cross_scales": np.empty((F, K)),
+        "residuals": np.empty((F, K)),
+    }
+
+    def pose_rows(rows: slice) -> None:
+        heads = out["heads"][rows]
+        heads[:] = joints[rows][:, parent_joint]
+        tails = joints[rows, 1:]
+        deltas = tails - heads
+        lengths = norm(deltas)
+        stretches = out["stretches"][rows]
+        np.clip(lengths / armature.rest_lengths, params.s_min, params.s_max, out=stretches)
+        out["cross_scales"][rows] = 1.0 / np.sqrt(stretches)
+        dirs = deltas / np.where(lengths > 0.0, lengths, 1.0)[..., None]
+        R = minimal_rotation(np.broadcast_to(armature.rest_dirs, dirs.shape), dirs)
+        out["quats"][rows] = mat_to_quat(R)
+        out["residuals"][rows] = norm(tails - targets[rows])
+
+    for_blocks(F, pose_rows)
+    return out
 
 
 # --- skinning -----------------------------------------------------------------
@@ -259,7 +282,8 @@ def skin_trajectories(
     Tongue vertices blend their (up to four) bone transforms; mandible
     vertices move rigidly with the jaw transforms when given; everything
     else (maxilla) stays put. A single frame is F = 1, and the whole mesh
-    is `vertex_indices = np.arange(mesh.n_vertices)`.
+    is `vertex_indices = np.arange(mesh.n_vertices)`. Frames are skinned in
+    blocks on two cores (`for_blocks`), with the bits of the whole batch.
     """
     idx = np.asarray(vertex_indices)
     verts = mesh.vertices[idx]
@@ -267,29 +291,33 @@ def skin_trajectories(
     weights = mesh.weight_values[idx]
     F = quats.shape[0]
 
-    A, b = _pose_affines(armature, quats, heads, stretches)  # (F, K, 3, 3), (F, K, 3)
-
     out = np.broadcast_to(verts, (F,) + verts.shape).copy()
     skinned = (bones >= 0).any(axis=1)
-    if skinned.any():
-        vb = bones[skinned].clip(min=0)                       # (n, 4)
-        vw = np.where(bones[skinned] >= 0, weights[skinned], 0.0)
-        vv = verts[skinned]
-        # One influence slot at a time, with (F, n, 3, 3) temporaries; the
-        # weighted moves are summed from zero in slot order, the order of a
-        # contraction over all four slots, so the bits are the same.
-        blend = np.zeros((F, len(vv), 3))
-        for s in range(vb.shape[1]):
-            moved = np.einsum("fnij,nj->fni", A[:, vb[:, s]], vv)
-            moved += b[:, vb[:, s]]
-            moved *= vw[:, s, None]
-            blend += moved
-        out[:, skinned] = blend
-
+    vb = bones[skinned].clip(min=0)                       # (n, 4)
+    vw = np.where(bones[skinned] >= 0, weights[skinned], 0.0)
+    vv = verts[skinned]
     mand = np.zeros(mesh.n_vertices, dtype=bool)
     mand[mesh.group_indices(GROUP_MANDIBLE)] = True
     jaw_rows = mand[idx] & ~skinned
-    if jaw_rows.any() and jaw_rotations is not None:
-        moved = np.einsum("fij,nj->fni", jaw_rotations, verts[jaw_rows])
-        out[:, jaw_rows] = moved + jaw_translations[:, None, :]
+    move_jaw = jaw_rows.any() and jaw_rotations is not None
+
+    def skin_rows(rows: slice) -> None:
+        if skinned.any():
+            A, b = _pose_affines(armature, quats[rows], heads[rows], stretches[rows])
+            # One influence slot at a time, with (frames, n, 3, 3)
+            # temporaries; the weighted moves are summed from zero in slot
+            # order, the order of a contraction over all four slots, so the
+            # bits are the same.
+            blend = np.zeros((len(A), len(vv), 3))
+            for s in range(vb.shape[1]):
+                moved = np.einsum("fnij,nj->fni", A[:, vb[:, s]], vv)
+                moved += b[:, vb[:, s]]
+                moved *= vw[:, s, None]
+                blend += moved
+            out[rows, skinned] = blend
+        if move_jaw:
+            moved = np.einsum("fij,nj->fni", jaw_rotations[rows], verts[jaw_rows])
+            out[rows, jaw_rows] = moved + jaw_translations[rows, None, :]
+
+    for_blocks(F, skin_rows)
     return out

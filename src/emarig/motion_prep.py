@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import for_blocks
 from .ema_io import EmaSweep, CoilRoles, angles_from_vector, orientation_vector
 from .errors import (
     AllInvalidChannel,
@@ -63,15 +64,16 @@ class SmoothingSpec:
             raise ValueError(f"rms_ceiling must be > 0 (inf for none), got {self.rms_ceiling!r}")
 
 
-def _check_spread(points: np.ndarray, what: str) -> None:
+def _check_spread(points: np.ndarray, what: str, first_frame: int = 0) -> None:
     """Raise unless each (n, 3) point set of `points` (..., n, 3) spans a
-    plane; for a stack of sets, the message names the first bad frame."""
+    plane; for a stack of sets, the message names the first bad frame,
+    counting the stack's first set as frame `first_frame`."""
     centered = points - points.mean(axis=-2, keepdims=True)
     s = np.linalg.svd(centered, compute_uv=False)
     bad = (s[..., 0] == 0.0) | (s[..., 1] <= _DEGENERACY_RTOL * s[..., 0])
     if bad.any():
         k = int(np.flatnonzero(bad)[0])
-        at = f" at frame {k}" if bad.ndim else ""
+        at = f" at frame {first_frame + k}" if bad.ndim else ""
         raise DegenerateConfiguration(
             f"{what} points are collinear or coincident{at} "
             f"(singular values {s.reshape(-1, s.shape[-1])[k]})"
@@ -127,7 +129,11 @@ def rigid_align(moving: np.ndarray, fixed: np.ndarray) -> tuple[np.ndarray, np.n
     if fixed.shape[0] < 3:
         raise ValueError("need at least 3 point pairs")
     _check_spread(moving, "moving")
+    return _kabsch(moving, fixed)
 
+
+def _kabsch(moving: np.ndarray, fixed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The fit of `rigid_align`, for inputs it has checked."""
     F = moving.shape[0]
     cm = moving.mean(axis=1, keepdims=True)
     cf = fixed.mean(axis=0)
@@ -156,7 +162,9 @@ def normalize_head(
     three reference coils are valid; alternatively, three supplied points in
     the order of `roles.reference`). Positions and coil-axis vectors of all
     channels are transformed; angles are re-derived from the rotated axis
-    vectors because Euler angles do not compose under rotation.
+    vectors because Euler angles do not compose under rotation. Frames are
+    fitted and moved in blocks on two cores (`for_blocks`), with the bits of
+    one whole-batch `rigid_align`.
     """
     roles.validate_against(sweep.channels)
     ref_idx = [sweep.channel_index(n) for n in roles.reference]
@@ -180,12 +188,20 @@ def normalize_head(
         )
     _check_spread(fixed, "reference-frame")
 
-    R, t = rigid_align(ref_pos, fixed)
+    positions = np.empty(sweep.positions.shape)
+    phi = np.empty(sweep.phi.shape)
+    theta = np.empty(sweep.theta.shape)
 
-    positions = np.einsum("fij,fcj->fci", R, sweep.positions) + t[:, None, :]
-    axes = orientation_vector(sweep.phi, sweep.theta)
-    axes = np.einsum("fij,fcj->fci", R, axes)
-    phi, theta = angles_from_vector(axes)
+    def normalize_rows(rows: slice) -> None:
+        moving = ref_pos[rows]
+        _check_spread(moving, "moving", first_frame=rows.start)
+        R, t = _kabsch(moving, fixed)
+        positions[rows] = np.einsum("fij,fcj->fci", R, sweep.positions[rows]) + t[:, None, :]
+        axes = orientation_vector(sweep.phi[rows], sweep.theta[rows])
+        axes = np.einsum("fij,fcj->fci", R, axes)
+        phi[rows], theta[rows] = angles_from_vector(axes)
+
+    for_blocks(sweep.n_frames, normalize_rows)
     return sweep.with_arrays(positions=positions, phi=phi, theta=theta)
 
 

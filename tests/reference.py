@@ -12,9 +12,13 @@ import itertools
 import numpy as np
 
 from emarig.anim_db import AnimationUnit
+from emarig.ema_io import CoilRoles, EmaSweep, angles_from_vector, orientation_vector
+from emarig.errors import DegenerateConfiguration, NoValidReferenceFrame
 from emarig.fixture import _JAW_AXIS_REST, _JAW_FREQ, _JAW_HINGE, _JAW_MAX_OPEN, _JAW_REST
-from emarig.ik_solver import _pose_affines, stretch_matrices
+from emarig.ik_solver import IkParams, _pose_affines, stretch_matrices
+from emarig.motion_prep import _DEGENERACY_RTOL
 from emarig.rig import GROUP_MANDIBLE
+from emarig import rotations
 from emarig.rotations import mat_to_quat, norm
 from emarig.unit_synth import SynthesisRequest, slot_costs
 
@@ -228,3 +232,154 @@ def compose_bone_channels(locals_: list, armature) -> tuple:
         stretches[:, bone] = s
         tails[:, bone] = worlds[:, bone, :3, 3] + np.einsum("fkij,kj->fki", A, offsets[bone])
     return heads_t, quats, stretches, tails
+
+
+# --- emarig.motion_prep and emarig.ik_solver at feb670e ------------------------
+# The whole-batch computations that now run in blocks of frames on two cores.
+
+
+def whole_batch_check_spread(points: np.ndarray, what: str) -> None:
+    """Raise unless each (n, 3) point set of `points` (..., n, 3) spans a
+    plane; for a stack of sets, the message names the first bad frame."""
+    centered = points - points.mean(axis=-2, keepdims=True)
+    s = np.linalg.svd(centered, compute_uv=False)
+    bad = (s[..., 0] == 0.0) | (s[..., 1] <= _DEGENERACY_RTOL * s[..., 0])
+    if bad.any():
+        k = int(np.flatnonzero(bad)[0])
+        at = f" at frame {k}" if bad.ndim else ""
+        raise DegenerateConfiguration(
+            f"{what} points are collinear or coincident{at} "
+            f"(singular values {s.reshape(-1, s.shape[-1])[k]})"
+        )
+
+
+def whole_batch_rigid_align(moving: np.ndarray, fixed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares rigid fit (Kabsch) of each frame of `moving` (F, n, 3)
+    onto one `fixed` (n, 3); a single point set is the stack with F = 1."""
+    moving = np.asarray(moving, dtype=np.float64)
+    fixed = np.asarray(fixed, dtype=np.float64)
+    if moving.ndim != 3 or moving.shape[1:] != fixed.shape or fixed.shape[1:] != (3,):
+        raise ValueError("point sets must have shapes (F, n, 3) and (n, 3)")
+    if fixed.shape[0] < 3:
+        raise ValueError("need at least 3 point pairs")
+    whole_batch_check_spread(moving, "moving")
+
+    F = moving.shape[0]
+    cm = moving.mean(axis=1, keepdims=True)
+    cf = fixed.mean(axis=0)
+    mc = moving - cm
+    fc = fixed - cf
+    H = np.einsum("fni,nj->fij", mc, fc)
+    U, _, Vt = np.linalg.svd(H)
+    V = np.swapaxes(Vt, 1, 2)
+    d = np.sign(np.linalg.det(V @ np.swapaxes(U, 1, 2)))
+    D = np.repeat(np.eye(3)[None, :, :], F, axis=0).copy()
+    D[:, 2, 2] = d
+    R = V @ D @ np.swapaxes(U, 1, 2)
+    t = cf - np.einsum("fij,fj->fi", R, cm[:, 0, :])
+    return R, t
+
+
+def whole_batch_normalize_head(
+    sweep: EmaSweep,
+    roles: CoilRoles,
+    reference_frame: np.ndarray | None = None,
+) -> EmaSweep:
+    """Remove per-frame head pose using the three reference coils."""
+    roles.validate_against(sweep.channels)
+    ref_idx = [sweep.channel_index(n) for n in roles.reference]
+    ref_pos = sweep.positions[:, ref_idx, :]
+
+    if reference_frame is None:
+        valid = sweep.valid_mask()[:, ref_idx].all(axis=1)
+        if not valid.any():
+            raise NoValidReferenceFrame(
+                "no frame has all three reference coils valid"
+            )
+        fixed = ref_pos[int(np.argmax(valid))]
+    else:
+        fixed = np.asarray(reference_frame, dtype=np.float64)
+        if fixed.shape != (3, 3):
+            raise ValueError("reference_frame must be three 3-vectors")
+
+    if not np.isfinite(ref_pos).all():
+        raise DegenerateConfiguration(
+            "reference coils contain invalid samples; fill dropouts first"
+        )
+    whole_batch_check_spread(fixed, "reference-frame")
+
+    R, t = whole_batch_rigid_align(ref_pos, fixed)
+
+    positions = np.einsum("fij,fcj->fci", R, sweep.positions) + t[:, None, :]
+    axes = orientation_vector(sweep.phi, sweep.theta)
+    axes = np.einsum("fij,fcj->fci", R, axes)
+    phi, theta = angles_from_vector(axes)
+    return sweep.with_arrays(positions=positions, phi=phi, theta=theta)
+
+
+def whole_batch_solved_poses(
+    armature, joints: np.ndarray, targets: np.ndarray, params: IkParams
+) -> dict[str, np.ndarray]:
+    """The epilogue of `solve_track`: the pose fields of solved joints."""
+    parent_joint = np.where(armature.parents < 0, 0, armature.parents + 1)
+    heads = joints[:, parent_joint]
+    tails = joints[:, 1:]
+    deltas = tails - heads
+    lengths = norm(deltas)
+    stretches = np.clip(lengths / armature.rest_lengths, params.s_min, params.s_max)
+    cross_scales = 1.0 / np.sqrt(stretches)
+    dirs = deltas / np.where(lengths > 0.0, lengths, 1.0)[..., None]
+    R = rotations.minimal_rotation(np.broadcast_to(armature.rest_dirs, dirs.shape), dirs)
+    quats = mat_to_quat(R)
+    return {
+        "quats": quats,
+        "heads": heads,
+        "stretches": stretches,
+        "cross_scales": cross_scales,
+        "residuals": norm(tails - targets),
+    }
+
+
+def whole_batch_skin_trajectories(
+    mesh,
+    armature,
+    quats: np.ndarray,
+    heads: np.ndarray,
+    stretches: np.ndarray,
+    vertex_indices: np.ndarray,
+    jaw_rotations: np.ndarray | None = None,
+    jaw_translations: np.ndarray | None = None,
+) -> np.ndarray:
+    """Deform mesh vertices by linear blend skinning: (F, n, 3)."""
+    idx = np.asarray(vertex_indices)
+    verts = mesh.vertices[idx]
+    bones = mesh.weight_bones[idx]
+    weights = mesh.weight_values[idx]
+    F = quats.shape[0]
+
+    A, b = _pose_affines(armature, quats, heads, stretches)  # (F, K, 3, 3), (F, K, 3)
+
+    out = np.broadcast_to(verts, (F,) + verts.shape).copy()
+    skinned = (bones >= 0).any(axis=1)
+    if skinned.any():
+        vb = bones[skinned].clip(min=0)                       # (n, 4)
+        vw = np.where(bones[skinned] >= 0, weights[skinned], 0.0)
+        vv = verts[skinned]
+        # One influence slot at a time, with (F, n, 3, 3) temporaries; the
+        # weighted moves are summed from zero in slot order, the order of a
+        # contraction over all four slots, so the bits are the same.
+        blend = np.zeros((F, len(vv), 3))
+        for s in range(vb.shape[1]):
+            moved = np.einsum("fnij,nj->fni", A[:, vb[:, s]], vv)
+            moved += b[:, vb[:, s]]
+            moved *= vw[:, s, None]
+            blend += moved
+        out[:, skinned] = blend
+
+    mand = np.zeros(mesh.n_vertices, dtype=bool)
+    mand[mesh.group_indices(GROUP_MANDIBLE)] = True
+    jaw_rows = mand[idx] & ~skinned
+    if jaw_rows.any() and jaw_rotations is not None:
+        moved = np.einsum("fij,nj->fni", jaw_rotations, verts[jaw_rows])
+        out[:, jaw_rows] = moved + jaw_translations[:, None, :]
+    return out
