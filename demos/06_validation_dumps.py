@@ -24,7 +24,8 @@ with tempfile.TemporaryDirectory(prefix="emarig-demo-") as tmp:
     config = dataclasses.replace(load_config(config_path), smoothing=SmoothingSpec(window_frames=1))
     result = compile_model(config)
 
-    dumps = {kind: dump_trajectories(kind, result) for kind in DUMP_KINDS}
+    # `coils` reads only the sweeps; the other two kinds compile the model
+    dumps = {kind: dump_trajectories(kind, config) for kind in DUMP_KINDS}
     for kind, data in dumps.items():
         (workdir / f"{kind}.pos").write_bytes(data)
         print(f"{kind}.pos: {len(data)} bytes")

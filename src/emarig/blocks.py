@@ -32,14 +32,14 @@ def for_blocks(n_frames: int, work: Callable[[slice], None]) -> None:
     raising block is re-raised, as the whole-batch call would have raised
     it first.
     """
-    starts = iter(range(0, n_frames, BLOCK_FRAMES))
     if n_frames <= BLOCK_FRAMES:
-        for start in starts:
-            work(slice(start, n_frames))
+        if n_frames:
+            work(slice(0, n_frames))
         return
 
+    starts = iter(range(0, n_frames, BLOCK_FRAMES))
     lock = threading.Lock()
-    errors: dict[int, BaseException] = {}
+    errors: dict[int, Exception] = {}
 
     def take_blocks() -> None:
         while True:
@@ -49,7 +49,7 @@ def for_blocks(n_frames: int, work: Callable[[slice], None]) -> None:
                 return
             try:
                 work(slice(start, min(start + BLOCK_FRAMES, n_frames)))
-            except BaseException as exc:  # re-raised on the calling thread
+            except Exception as exc:  # re-raised on the calling thread
                 errors[start] = exc
 
     worker = threading.Thread(target=take_blocks, name="emarig-blocks")

@@ -37,6 +37,7 @@ from .pipeline import (
 from .unit_synth import (
     SynthesisDefaults,
     SynthesisRequest,
+    check_timeline,
     dp_slack,
     exhaustive_total,
     parse_request,
@@ -140,6 +141,7 @@ def _cmd_synth(args) -> int:
     loaded = read_bundle(args.bundle)
     if loaded.tier is None:
         raise EmarigError("bundle has no segmentation to synthesize from", module="cli")
+    check_timeline(request.items, loaded.clip.rate_hz)
     db = build_unit_db(loaded.clip, loaded.tier)
     if args.exhaustive:
         per_label = Counter(u.label for u in db)
@@ -193,7 +195,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_dump(args) -> int:
-    data = dump_trajectories(args.kind, compile_model(load_config(args.config)))
+    data = dump_trajectories(args.kind, load_config(args.config))
     write_new_file(args.out, data)
     print(f"wrote {len(data)} bytes -> {args.out}")
     return 0

@@ -442,26 +442,28 @@ def _tracks_to_pos(tracks: np.ndarray, names: tuple[str, ...], rate_hz: float) -
     return write_pos(sweep, PosLayout(channels=names, rate_hz=rate_hz))
 
 
-def dump_trajectories(kind: str, result: PipelineResult) -> bytes:
-    """A compiled model's trajectories of one of DUMP_KINDS as .pos bytes.
+def dump_trajectories(kind: str, config: PipelineConfig) -> bytes:
+    """The configured model's trajectories of one of DUMP_KINDS as .pos bytes.
 
     ``coils`` re-encodes the source sweeps as read, which gives back the
-    source files' bytes, concatenated; ``ik_targets`` dumps the registered
-    coil positions fed to the solver; ``seed_vertices`` dumps the skinned
-    positions of the seed vertices, the tracked-point check used to
-    validate the animation against its source.
+    source files' bytes, concatenated; it reads the layout and the sweeps
+    and nothing else. ``ik_targets`` dumps the registered coil positions fed
+    to the solver, and ``seed_vertices`` the skinned positions of the seed
+    vertices, the tracked-point check used to validate the animation
+    against its source; both compile the model (`compile_model`).
     """
+    if kind not in DUMP_KINDS:
+        raise ValueError(f"unknown dump kind {kind!r}; expected one of {DUMP_KINDS}")
     if kind == "coils":
-        sweeps = _read_sweeps(result.config, result.layout)
-        return b"".join(write_pos(s, result.layout) for s in sweeps)
+        layout = parse_layout(_read_text(config.layout_path, "layout"))
+        return b"".join(write_pos(s, layout) for s in _read_sweeps(config, layout))
+    result = compile_model(config)
     rig, clip = result.rig, result.clip
     if kind == "ik_targets":
         tracks = clip.targets
-    elif kind == "seed_vertices":
+    else:
         seeds = np.array([rig.seed_map[n] for n in clip.bone_names])
         tracks = skin_trajectories(
             rig.mesh, rig.armature, clip.quats, clip.heads, clip.stretches, seeds
         )
-    else:
-        raise ValueError(f"unknown dump kind {kind!r}; expected one of {DUMP_KINDS}")
     return _tracks_to_pos(tracks, clip.bone_names, clip.rate_hz)

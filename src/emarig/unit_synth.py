@@ -74,6 +74,29 @@ def parse_request(text: str) -> tuple[tuple[str, float], ...]:
     return tuple(items)
 
 
+# `collada_io` prints key times with 9 significant digits ("%.9g"): a time in
+# [10**e, 10**(e + 1)) prints to a step of 10**(e - 8).
+_KEY_TIME_DIGITS = 9
+
+
+def check_timeline(items: tuple[tuple[str, float], ...], rate_hz: float) -> None:
+    """Raise BadRequest unless a clip of the request's length can print its
+    key times apart: at the request's total duration, the printed step must
+    be finer than one frame of the source clip (1 / rate_hz), the spacing
+    of keys rendered at their source pace."""
+    total = sum(d for _, d in items)
+    step = math.inf
+    if math.isfinite(total):
+        exponent = int(f"{total:.{_KEY_TIME_DIGITS - 1}e}".split("e")[1])
+        step = 10.0 ** (exponent + 1 - _KEY_TIME_DIGITS)
+    if not step < 1.0 / rate_hz:
+        raise BadRequest(
+            f"request lasts {total:g} s, where key times print to a {step:g} s step "
+            f"({_KEY_TIME_DIGITS} significant digits), not finer than one frame of "
+            f"the {rate_hz:g} Hz source"
+        )
+
+
 def target_cost(unit: AnimationUnit, requested: float) -> float:
     """Duration mismatch cost |log(unit duration / requested)|.
 

@@ -3,6 +3,7 @@ bits of its whole-batch version (frozen in reference.py) at sizes on both
 sides of the block boundaries, and errors name the frame the whole batch
 names."""
 
+import sys
 import threading
 from dataclasses import replace
 
@@ -63,6 +64,25 @@ def test_blocks_cover_each_frame_once(n):
     assert BLOCK_FRAMES % 64 == 0
     assert all(start % BLOCK_FRAMES == 0 for start in starts)
     assert threading.active_count() == threads  # no thread outlives the call
+
+
+def test_blocks_taken_once_under_fast_switching():
+    # the threads switch every microsecond: a block taken twice, or lost,
+    # between them shows in the counts
+    n_blocks = 400
+    done = np.zeros(n_blocks, dtype=int)
+
+    def work(rows):
+        done[rows.start // BLOCK_FRAMES] += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            for_blocks(n_blocks * BLOCK_FRAMES - 1, work)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (done == 5).all()
 
 
 def test_earliest_block_error_is_raised():

@@ -333,12 +333,12 @@ def pipeline_result(tmp_path_factory):
 
 class TestDumps:
     def test_coils_identity(self, pipeline_result):
-        dumped = dump_trajectories("coils", pipeline_result)
+        dumped = dump_trajectories("coils", pipeline_result.config)
         assert dumped == b"".join(p.read_bytes() for p in pipeline_result.config.ema_paths)
 
     def test_ik_targets_equal_registered_coils(self, pipeline_result):
         config, rig, clip = pipeline_result.config, pipeline_result.rig, pipeline_result.clip
-        dumped = dump_trajectories("ik_targets", pipeline_result)
+        dumped = dump_trajectories("ik_targets", pipeline_result.config)
         sweep = read_pos(dumped, PosLayout(channels=clip.bone_names, rate_hz=clip.rate_hz))
         # registered = similarity applied to the prepared (head-normalized) coils
         layout, roles = _layout_and_roles(config)
@@ -353,7 +353,7 @@ class TestDumps:
     def test_seed_vertices_close_to_targets(self, pipeline_result):
         clip = pipeline_result.clip
         layout = PosLayout(channels=clip.bone_names, rate_hz=clip.rate_hz)
-        sweep = read_pos(dump_trajectories("seed_vertices", pipeline_result), layout)
-        tsweep = read_pos(dump_trajectories("ik_targets", pipeline_result), layout)
+        sweep = read_pos(dump_trajectories("seed_vertices", pipeline_result.config), layout)
+        tsweep = read_pos(dump_trajectories("ik_targets", pipeline_result.config), layout)
         err = np.linalg.norm(sweep.positions - tsweep.positions, axis=2)
         assert err.max() <= 1e-3 + 1e-4  # solver tolerance + registration residual

@@ -7,8 +7,10 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from emarig.anim_db import build_unit_db
 from emarig.bundle import read_bundle
 from emarig.cli import main
+from emarig.collada_io import read_collada
 from emarig.ema_io import parse_layout, read_pos, write_pos
 from emarig.fixture import FixtureSpec, write_fixture
 from emarig.ik_solver import IkParams, skin_trajectories
@@ -22,6 +24,7 @@ from emarig.pipeline import (
     validate_model,
 )
 from emarig.rig import MeshParams, RigConfig, load_mesh
+from emarig.unit_synth import SynthesisRequest, render_plan, select_units
 
 # sha256 of model.dae compiled from `emarig fixture` with its defaults.
 GOLDEN_MODEL_SHA256 = "b2ddbb5343aaecfb65678f3d3cf3a1e87078f5154e050b20865ff9c93d3f4ee5"
@@ -349,6 +352,35 @@ class TestSynth:
         assert "match" in out
         assert (tmp_path / "clip.dae").exists()
 
+    @pytest.mark.parametrize("request_text", ["a 1e6; t 0.1", "a 1e16; t 0.1"])
+    def test_request_no_clip_can_hold_fails_tagged(
+        self, bundle_dir, tmp_path, capsys, request_text
+    ):
+        # Both used to exit 0: the first with a clip whose key times print
+        # alike, which read_collada rejects, the second with the t slot's
+        # keys dropped. Now both fail before any unit is selected.
+        out = tmp_path / "clip.dae"
+        rc = main(["synth", "--bundle", str(bundle_dir), "--request", request_text,
+                   "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error:unit_synth:bad_request: request lasts ")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_long_request_reads_back(self, bundle_dir, tmp_path):
+        out = tmp_path / "clip.dae"
+        assert main(["synth", "--bundle", str(bundle_dir), "--request", "a 1e5; t 0.1",
+                     "--out", str(out)]) == 0
+        loaded = read_bundle(bundle_dir)
+        request = SynthesisRequest(items=(("a", 1e5), ("t", 0.1)))
+        plan = select_units(build_unit_db(loaded.clip, loaded.tier), request)
+        rendered = render_plan(plan, loaded.clip)
+        _, _, clip = read_collada(out.read_text(encoding="utf-8"))
+        assert clip.n_keys == rendered.n_keys
+        assert np.allclose(clip.times, rendered.times, rtol=1e-8, atol=0.0)
+
     def test_golden_synth_digest(self, tmp_path):
         # The bundle is read back and the rendered clip written out again,
         # so this pins the COLLADA read -> write path byte for byte.
@@ -667,12 +699,12 @@ class TestValidate:
     @pytest.mark.parametrize("command", ["compile", "dump"])
     def test_no_coil_rig(self, fixture_dir, tmp_path, capsys, command):
         # A graph of the root alone has no bones: a tagged parse error, with
-        # no traceback and no output.
+        # no traceback and no output. (The coils dump reads no rig graph.)
         corpus = tmp_path / "corpus"
         shutil.copytree(fixture_dir, corpus)
         (corpus / "tongue.dot").write_text("digraph tongue { TRoot; }\n")
         out = tmp_path / "out"
-        args = {"compile": [], "dump": ["--kind", "coils"]}[command]
+        args = {"compile": [], "dump": ["--kind", "ik_targets"]}[command]
         rc = main([command, "--config", str(corpus / "config.cfg"), *args, "--out", str(out)])
         captured = capsys.readouterr()
         assert rc == 2
@@ -741,6 +773,18 @@ class TestDump:
             fixture_dir / "sweep_02.pos"
         ).read_bytes()
         assert (tmp_path / "coils.pos").read_bytes() == expected
+
+    def test_coils_dump_reads_only_the_sweeps(self, fixture_dir, tmp_path):
+        # With a rig graph of no bones and an empty second sweep, nothing
+        # compiles; the coils dump still re-encodes the sweeps as read.
+        corpus = tmp_path / "corpus"
+        shutil.copytree(fixture_dir, corpus)
+        (corpus / "tongue.dot").write_text("digraph tongue { TRoot; }\n")
+        (corpus / "sweep_02.pos").write_bytes(b"")
+        out = tmp_path / "coils.pos"
+        cfg = str(corpus / "config.cfg")
+        assert main(["dump", "--config", cfg, "--kind", "coils", "--out", str(out)]) == 0
+        assert out.read_bytes() == (fixture_dir / "sweep_01.pos").read_bytes()
 
     def test_out_file_replaced(self, fixture_dir, tmp_path):
         out = tmp_path / "coils.pos"
@@ -831,7 +875,8 @@ class TestCliBasics:
         args = {
             "compile": ["--out", str(out)],
             "validate": ["--bundle", str(bundle_dir)],
-            "dump": ["--kind", "coils", "--out", str(out)],
+            # the coils dump prepares no sweep, so it takes one that compiles
+            "dump": ["--kind", "ik_targets", "--out", str(out)],
         }[command]
         rc = main([command, "--config", str(corpus / "config.cfg"), *args])
         err = capsys.readouterr().err

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from emarig.anim_db import AnimationClip, AnimationUnit, bake, build_unit_db
 from emarig.collada_io import read_collada, write_collada
-from emarig.errors import NoCandidate
+from emarig.errors import BadRequest, NoCandidate
 from emarig.fixture import RIG_GRAPH_DOT, FixtureSpec, synthetic_motion
 from emarig.ik_solver import IkParams
 from emarig.rig import RigConfig, compile_rig, generate_default_mesh, parse_rig_graph
@@ -17,6 +17,7 @@ from emarig.rotations import slerp
 from emarig.unit_synth import (
     SynthesisPlan,
     SynthesisRequest,
+    check_timeline,
     dp_slack,
     exhaustive_total,
     join_cost,
@@ -754,3 +755,36 @@ class TestParseRequest:
             SynthesisRequest(items=())
         with pytest.raises(ValueError):
             SynthesisRequest(items=(("a", -0.1),))
+
+
+class TestCheckTimeline:
+    # A total in [10**e, 10**(e + 1)) prints to a step of 10**(e - 8), which
+    # must stay below the frame period: the bound is the decade where it
+    # reaches it, not a fixed number of seconds.
+    @pytest.mark.parametrize(
+        "rate_hz, longest, refused",
+        [(200.0, 999999.99, 1e6), (1000.0, 99999.999, 1e5), (50.0, 9999999.9, 1e7)],
+    )
+    def test_bound_is_the_printed_step(self, rate_hz, longest, refused):
+        check_timeline((("a", longest),), rate_hz)
+        check_timeline((("a", longest - 0.1), ("t", 0.1)), rate_hz)
+        for items in ((("a", refused),), (("a", refused - 0.1), ("t", 0.2))):
+            with pytest.raises(BadRequest, match="key times print"):
+                check_timeline(items, rate_hz)
+
+    def test_overflowing_total_is_refused(self):
+        with pytest.raises(BadRequest):
+            check_timeline((("a", 1e308), ("t", 1e308)), 200.0)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        rate_hz=st.floats(1.0, 1e4),
+        total=st.floats(1e-3, 1e12),
+    )
+    def test_accepted_totals_print_frames_apart(self, rate_hz, total):
+        # the last key and the key a frame before it print apart
+        try:
+            check_timeline((("a", total),), rate_hz)
+        except BadRequest:
+            return
+        assert "%.9g" % total != "%.9g" % (total - 1.0 / rate_hz)
