@@ -1,18 +1,13 @@
 """Per-frame work on two cores, in fixed blocks of frames.
 
 The per-frame kernels of head normalization, skinning and the IK pose
-epilogue (batched 3 x 3 SVDs, einsums, elementwise maths) run in numpy
-loops that release the GIL, so a second thread can run them beside the
-first. `for_blocks` cuts a frame range into blocks of BLOCK_FRAMES frames;
-the calling thread and one worker thread take the blocks in turn, and each
-block writes its rows of arrays the caller preallocated.
-
-Frames are independent in every kernel run this way, and every block
-starts at a multiple of BLOCK_FRAMES, itself a multiple of 64, so numpy's
-vector loops split each block's rows as they split the whole batch: the
-output is bit-identical to one whole-batch call, on any number of cores.
-Blocks rather than halves keep the temporaries near a megabyte: the
-worker's freed memory stays in its own allocator arena.
+epilogue run in numpy and LAPACK loops that release the GIL, so a second
+thread can run them beside the first. Frames are independent in each, and
+every block starts at a multiple of BLOCK_FRAMES (itself a multiple of 64,
+so numpy's vector loops split a block's rows as they split the whole
+batch): the output is bit-identical to one whole-batch call, on any
+number of cores. Blocks rather than halves keep each thread's temporaries
+near a megabyte, since memory a thread frees stays in its allocator arena.
 """
 
 from __future__ import annotations
