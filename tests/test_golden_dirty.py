@@ -59,15 +59,16 @@ def dirty_run(tmp_path_factory):
     compiled and synthesized through the CLI."""
     tmp = tmp_path_factory.mktemp("dirty")
     corpus = tmp / "corpus"
-    config = write_fixture(corpus, FixtureSpec(n_sweeps=2, frames_per_sweep=600))
-    names = [p.name for p in load_config(config).ema_paths]
-    _dirty_corpus()(corpus, names, DIRTY_SEED)
+    config_path = write_fixture(corpus, FixtureSpec(n_sweeps=2, frames_per_sweep=600))
+    config = load_config(config_path)
+    _dirty_corpus()(corpus, [p.name for p in config.ema_paths], DIRTY_SEED)
 
     capture = {}
     bundle, report, clip = tmp / "b", tmp / "resid.txt", tmp / "clip.dae"
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert main([
-            "compile", "--config", str(config), "--out", str(bundle), "--report", str(report),
+            "compile", "--config", str(config_path), "--out", str(bundle),
+            "--report", str(report),
         ]) == 0
     lines = out.getvalue().splitlines(keepends=True)
     capture["stdout"] = "".join(line for line in lines if not line.startswith("bundle ")).encode()
@@ -79,14 +80,14 @@ def dirty_run(tmp_path_factory):
     capture["model.dae"] = (bundle / "model.dae").read_bytes()
     capture["report"] = report.read_bytes()
     capture["synth"] = clip.read_bytes()
-    result = compile_model(load_config(config))
+    result = compile_model(config)
     capture["clip"] = b"".join(
         np.ascontiguousarray(getattr(result.clip, f.name)).tobytes()
         for f in dataclasses.fields(result.clip)
         if isinstance(getattr(result.clip, f.name), np.ndarray)
     )
     digests = {name: hashlib.sha256(data).hexdigest() for name, data in capture.items()}
-    return load_config(config), result, digests
+    return config, result, digests
 
 
 def test_golden_dirty_digests(dirty_run):
