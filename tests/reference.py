@@ -15,9 +15,18 @@ from emarig.anim_db import AnimationUnit
 from emarig.ema_io import CoilRoles, EmaSweep, angles_from_vector, orientation_vector
 from emarig.errors import DegenerateConfiguration, NoValidReferenceFrame
 from emarig.fixture import _JAW_AXIS_REST, _JAW_FREQ, _JAW_HINGE, _JAW_MAX_OPEN, _JAW_REST
-from emarig.ik_solver import IkParams, _pose_affines, stretch_matrices
+from emarig.ik_solver import (
+    STOP_BUDGET,
+    STOP_CONVERGED,
+    STOP_STALLED,
+    IkParams,
+    PoseTrack,
+    _pose_affines,
+    _solved_poses,
+    stretch_matrices,
+)
 from emarig.motion_prep import _DEGENERACY_RTOL
-from emarig.rig import GROUP_MANDIBLE
+from emarig.rig import Armature, GROUP_MANDIBLE
 from emarig import rotations
 from emarig.rotations import mat_to_quat, norm
 from emarig.unit_synth import SynthesisRequest, slot_costs
@@ -383,3 +392,231 @@ def whole_batch_skin_trajectories(
         moved = np.einsum("fij,nj->fni", jaw_rotations, verts[jaw_rows])
         out[:, jaw_rows] = moved + jaw_translations[:, None, :]
     return out
+
+
+# --- emarig.ik_solver at cdab398 -----------------------------------------------
+# The active-batch loop that one whole-batch pass replaced, and the
+# full-batch loop that tests/test_ik_solver.py has kept as its reference
+# since 9914d83 (its `minimal_rotation` is the package's, spelled
+# `rotations.minimal_rotation` here because this module freezes an older one).
+
+
+def active_batch_solve_track(
+    armature: Armature,
+    targets: np.ndarray,
+    params: IkParams = IkParams(),
+) -> PoseTrack:
+    """Solve every frame of a (frames, bones, 3) target array.
+
+    Each iteration runs one backward/forward pass over the active frames
+    only: their targets and joints are gathered into a compact batch, and
+    the iterate is accepted where it does not raise the worst per-target
+    residual. A frame leaves the batch when that residual drops to the
+    tolerance (converged), when an iterate would raise it (stalled: the
+    iterate is rolled back), or when the iteration budget runs out, and
+    its reason is recorded in `stop_reasons`. Frames are independent and
+    the per-frame arithmetic does not depend on which other frames share
+    the batch, so the result is the same as iterating the whole batch. A
+    frame is never left in a worse state than a previous iterate, so the
+    reported residual is non-increasing in the iteration count.
+    """
+    targets = np.asarray(targets, dtype=np.float64)
+    F, K = targets.shape[0], armature.n_bones
+    if targets.shape != (F, K, 3):
+        raise ValueError("targets must have shape (frames, n_bones, 3)")
+
+    # Branch proposals are averaged, weighted by the number of bones (and so
+    # of targets) in each child's subtree.
+    children = [armature.children_of(k) for k in range(K)]
+    subtree_w = np.zeros(K)
+    for k in reversed(range(K)):
+        subtree_w[k] = 1.0 + sum(subtree_w[c] for c in children[k])
+
+    lo = params.s_min * armature.rest_lengths
+    hi = params.s_max * armature.rest_lengths
+    parent_joint = np.where(armature.parents < 0, 0, armature.parents + 1)
+
+    # Joint 0 is the anchored root point; joint k+1 is the tail of bone k.
+    joints = np.empty((F, K + 1, 3))
+    joints[:, 0] = armature.root_point
+    joints[:, 1:] = armature.tails
+
+    def residual_of(j, t):
+        return norm(j[:, 1:] - t).max(axis=1)
+
+    def pull(anchor, toward, lo_k, hi_k, fallback_dir):
+        """Point at clamped distance from `anchor` in the direction of `toward`.
+
+        Returns `toward` bitwise when its distance is already within bounds
+        (this keeps already-solved configurations exactly fixed).
+        """
+        d = toward - anchor
+        dist = norm(d)
+        clamped = np.clip(dist, lo_k, hi_k)
+        safe = np.where(dist > 0.0, dist, 1.0)
+        scaled = anchor + d * (clamped / safe)[..., None]
+        scaled = np.where(
+            (dist > 0.0)[..., None], scaled, anchor + fallback_dir * clamped[..., None]
+        )
+        return np.where((clamped == dist)[..., None], toward, scaled)
+
+    def iterate(t, j):
+        """One backward/forward pass over a batch of frames."""
+        # Backward pass: each bone proposes a tail position for itself: its
+        # own target, averaged with that target projected into the reach
+        # annulus of every child's proposal.
+        n = len(t)
+        prop = np.empty((n, K, 3))
+        for k in reversed(range(K)):
+            contribs = [t[:, k]]
+            weights = [1.0]
+            for c in children[k]:
+                p = pull(prop[:, c], t[:, k], lo[c], hi[c], -armature.rest_dirs[c])
+                contribs.append(p)
+                weights.append(subtree_w[c])
+            if len(contribs) == 1:
+                prop[:, k] = contribs[0]
+            else:
+                stacked = np.stack(contribs, axis=1)
+                wv = np.asarray(weights, dtype=np.float64)
+                avg = np.einsum("m,fmi->fi", wv, stacked) / wv.sum()
+                same = (stacked == stacked[:, :1]).all(axis=(1, 2))
+                prop[:, k] = np.where(same[:, None], stacked[:, 0], avg)
+
+        # Forward pass: re-anchor at the root and restore bone lengths
+        # (within the stretch bounds) down the tree.
+        new_j = np.empty_like(j)
+        new_j[:, 0] = armature.root_point
+        for k in range(K):
+            head = new_j[:, parent_joint[k]]
+            new_j[:, k + 1] = pull(head, prop[:, k], lo[k], hi[k], armature.rest_dirs[k])
+        return new_j
+
+    iterations = np.zeros(F, dtype=np.int64)
+    stop_reasons = np.full(F, STOP_BUDGET, dtype=np.int8)
+
+    # The active batch: frame indices with their gathered targets, joints
+    # and best residuals. Leaving frames are scattered back into `joints`.
+    rows = np.arange(F)
+    t, j = targets, joints.copy()
+    best = residual_of(j, t)
+    for it in range(1, params.max_iterations + 1):
+        if not len(rows):
+            break
+        new_j = iterate(t, j)
+        res = residual_of(new_j, t)
+        accept = res <= best
+        j[accept] = new_j[accept]
+        best[accept] = res[accept]
+        iterations[rows] = it
+
+        converged = best <= params.tolerance
+        leave = converged | ~accept
+        if leave.any():
+            out = rows[leave]
+            joints[out] = j[leave]
+            stop_reasons[out] = np.where(converged[leave], STOP_CONVERGED, STOP_STALLED)
+            keep = ~leave
+            rows, t, j, best = rows[keep], t[keep], j[keep], best[keep]
+    joints[rows] = j
+
+    return PoseTrack(
+        bone_names=armature.bone_names,
+        tails=joints[:, 1:],
+        iterations=iterations,
+        stop_reasons=stop_reasons,
+        **_solved_poses(armature, joints, targets, params),
+    )
+
+
+def full_batch_solve_track(armature, targets, params):
+    """Reference solver: every iteration runs the passes over all frames and
+    masks acceptance afterwards. Stop reasons are derived after the loop from
+    the final residual and whether the frame ever rolled an iterate back."""
+    F, K = targets.shape[0], armature.n_bones
+    children = [armature.children_of(k) for k in range(K)]
+    subtree_w = np.zeros(K)
+    for k in reversed(range(K)):
+        subtree_w[k] = 1.0 + sum(subtree_w[c] for c in children[k])
+    lo = params.s_min * armature.rest_lengths
+    hi = params.s_max * armature.rest_lengths
+    parent_joint = np.where(armature.parents < 0, 0, armature.parents + 1)
+
+    joints = np.empty((F, K + 1, 3))
+    joints[:, 0] = armature.root_point
+    joints[:, 1:] = armature.tails
+
+    def residual_of(j):
+        return norm(j[:, 1:] - targets).max(axis=1)
+
+    def pull(anchor, toward, lo_k, hi_k, fallback_dir):
+        d = toward - anchor
+        dist = norm(d)
+        clamped = np.clip(dist, lo_k, hi_k)
+        safe = np.where(dist > 0.0, dist, 1.0)
+        scaled = anchor + d * (clamped / safe)[..., None]
+        scaled = np.where(
+            (dist > 0.0)[..., None], scaled, anchor + fallback_dir * clamped[..., None]
+        )
+        return np.where((clamped == dist)[..., None], toward, scaled)
+
+    best_res = residual_of(joints)
+    iterations = np.zeros(F, dtype=np.int64)
+    active = np.ones(F, dtype=bool)
+    rolled_back = np.zeros(F, dtype=bool)
+    for it in range(1, params.max_iterations + 1):
+        if not active.any():
+            break
+        prop = np.empty((F, K, 3))
+        for k in reversed(range(K)):
+            contribs, weights = [targets[:, k]], [1.0]
+            for c in children[k]:
+                p = pull(prop[:, c], targets[:, k], lo[c], hi[c], -armature.rest_dirs[c])
+                contribs.append(p)
+                weights.append(subtree_w[c])
+            if len(contribs) == 1:
+                prop[:, k] = contribs[0]
+            else:
+                stacked = np.stack(contribs, axis=1)
+                wv = np.asarray(weights, dtype=np.float64)
+                avg = np.einsum("m,fmi->fi", wv, stacked) / wv.sum()
+                same = (stacked == stacked[:, :1]).all(axis=(1, 2))
+                prop[:, k] = np.where(same[:, None], stacked[:, 0], avg)
+        new_joints = np.empty_like(joints)
+        new_joints[:, 0] = armature.root_point
+        for k in range(K):
+            head = new_joints[:, parent_joint[k]]
+            new_joints[:, k + 1] = pull(head, prop[:, k], lo[k], hi[k], armature.rest_dirs[k])
+        res = residual_of(new_joints)
+        accept = active & (res <= best_res)
+        reject = active & ~accept
+        joints[accept] = new_joints[accept]
+        best_res[accept] = res[accept]
+        iterations[active] = it
+        rolled_back |= reject
+        active &= ~reject
+        active &= best_res > params.tolerance
+
+    stop_reasons = np.where(
+        best_res <= params.tolerance,
+        STOP_CONVERGED,
+        np.where(rolled_back, STOP_STALLED, STOP_BUDGET),
+    ).astype(np.int8)
+    heads = joints[:, parent_joint]
+    tails = joints[:, 1:]
+    deltas = tails - heads
+    lengths = norm(deltas)
+    stretches = np.clip(lengths / armature.rest_lengths, params.s_min, params.s_max)
+    dirs = deltas / np.where(lengths > 0.0, lengths, 1.0)[..., None]
+    R = rotations.minimal_rotation(np.broadcast_to(armature.rest_dirs, dirs.shape), dirs)
+    return PoseTrack(
+        bone_names=armature.bone_names,
+        quats=mat_to_quat(R),
+        heads=heads,
+        tails=tails,
+        stretches=stretches,
+        cross_scales=1.0 / np.sqrt(stretches),
+        residuals=norm(tails - targets),
+        iterations=iterations,
+        stop_reasons=stop_reasons,
+    )

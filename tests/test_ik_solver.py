@@ -4,9 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emarig.ik_solver import (
-    STOP_BUDGET,
-    STOP_CONVERGED,
-    STOP_STALLED,
     IkParams,
     PoseTrack,
     skin_trajectories,
@@ -14,7 +11,7 @@ from emarig.ik_solver import (
     stop_counts,
 )
 from emarig.rig import SkinnedMesh
-from emarig.rotations import axis_angle_matrix, mat_to_quat, minimal_rotation, norm, quat_to_mat
+from emarig.rotations import axis_angle_matrix, norm, quat_to_mat
 
 import reference
 from conftest import make_chain_armature, traced_peak
@@ -112,99 +109,6 @@ def branched_armature():
     )
 
 
-def full_batch_solve_track(armature, targets, params):
-    """Reference solver: every iteration runs the passes over all frames and
-    masks acceptance afterwards. Stop reasons are derived after the loop from
-    the final residual and whether the frame ever rolled an iterate back."""
-    F, K = targets.shape[0], armature.n_bones
-    children = [armature.children_of(k) for k in range(K)]
-    subtree_w = np.zeros(K)
-    for k in reversed(range(K)):
-        subtree_w[k] = 1.0 + sum(subtree_w[c] for c in children[k])
-    lo = params.s_min * armature.rest_lengths
-    hi = params.s_max * armature.rest_lengths
-    parent_joint = np.where(armature.parents < 0, 0, armature.parents + 1)
-
-    joints = np.empty((F, K + 1, 3))
-    joints[:, 0] = armature.root_point
-    joints[:, 1:] = armature.tails
-
-    def residual_of(j):
-        return norm(j[:, 1:] - targets).max(axis=1)
-
-    def pull(anchor, toward, lo_k, hi_k, fallback_dir):
-        d = toward - anchor
-        dist = norm(d)
-        clamped = np.clip(dist, lo_k, hi_k)
-        safe = np.where(dist > 0.0, dist, 1.0)
-        scaled = anchor + d * (clamped / safe)[..., None]
-        scaled = np.where(
-            (dist > 0.0)[..., None], scaled, anchor + fallback_dir * clamped[..., None]
-        )
-        return np.where((clamped == dist)[..., None], toward, scaled)
-
-    best_res = residual_of(joints)
-    iterations = np.zeros(F, dtype=np.int64)
-    active = np.ones(F, dtype=bool)
-    rolled_back = np.zeros(F, dtype=bool)
-    for it in range(1, params.max_iterations + 1):
-        if not active.any():
-            break
-        prop = np.empty((F, K, 3))
-        for k in reversed(range(K)):
-            contribs, weights = [targets[:, k]], [1.0]
-            for c in children[k]:
-                p = pull(prop[:, c], targets[:, k], lo[c], hi[c], -armature.rest_dirs[c])
-                contribs.append(p)
-                weights.append(subtree_w[c])
-            if len(contribs) == 1:
-                prop[:, k] = contribs[0]
-            else:
-                stacked = np.stack(contribs, axis=1)
-                wv = np.asarray(weights, dtype=np.float64)
-                avg = np.einsum("m,fmi->fi", wv, stacked) / wv.sum()
-                same = (stacked == stacked[:, :1]).all(axis=(1, 2))
-                prop[:, k] = np.where(same[:, None], stacked[:, 0], avg)
-        new_joints = np.empty_like(joints)
-        new_joints[:, 0] = armature.root_point
-        for k in range(K):
-            head = new_joints[:, parent_joint[k]]
-            new_joints[:, k + 1] = pull(head, prop[:, k], lo[k], hi[k], armature.rest_dirs[k])
-        res = residual_of(new_joints)
-        accept = active & (res <= best_res)
-        reject = active & ~accept
-        joints[accept] = new_joints[accept]
-        best_res[accept] = res[accept]
-        iterations[active] = it
-        rolled_back |= reject
-        active &= ~reject
-        active &= best_res > params.tolerance
-
-    stop_reasons = np.where(
-        best_res <= params.tolerance,
-        STOP_CONVERGED,
-        np.where(rolled_back, STOP_STALLED, STOP_BUDGET),
-    ).astype(np.int8)
-    heads = joints[:, parent_joint]
-    tails = joints[:, 1:]
-    deltas = tails - heads
-    lengths = norm(deltas)
-    stretches = np.clip(lengths / armature.rest_lengths, params.s_min, params.s_max)
-    dirs = deltas / np.where(lengths > 0.0, lengths, 1.0)[..., None]
-    R = minimal_rotation(np.broadcast_to(armature.rest_dirs, dirs.shape), dirs)
-    return PoseTrack(
-        bone_names=armature.bone_names,
-        quats=mat_to_quat(R),
-        heads=heads,
-        tails=tails,
-        stretches=stretches,
-        cross_scales=1.0 / np.sqrt(stretches),
-        residuals=norm(tails - targets),
-        iterations=iterations,
-        stop_reasons=stop_reasons,
-    )
-
-
 class TestSolveTrack:
     def test_active_rows_match_full_batch_reference(self):
         # Per-frame noise of three sizes, and one branch or the whole tree
@@ -228,7 +132,7 @@ class TestSolveTrack:
         params = IkParams()
 
         track = solve_track(arm, targets, params)
-        ref = full_batch_solve_track(arm, targets, params)
+        ref = reference.full_batch_solve_track(arm, targets, params)
 
         counts = stop_counts(track.stop_reasons)
         assert min(counts.values()) > 0, counts
@@ -306,6 +210,66 @@ class TestSolveTrack:
             tails[:, k] = head + (s * arm.rest_lengths[k])[:, None] * d
         track = solve_track(arm, tails, params)
         assert track.max_residual().max() <= params.tolerance
+
+
+def drawn_targets(armature, n, seed):
+    """(n, K, 3) targets; each frame is near the rest pose (at it exactly
+    for some), out of reach, a tug of war (the first bone's target far out
+    on one side and every other target far out on the other), or a near
+    frame with NaN in one target or in all of them."""
+    rng = np.random.default_rng(seed)
+    K = armature.n_bones
+    kind = rng.choice(5, n, p=[0.4, 0.2, 0.2, 0.1, 0.1])
+    sigma = rng.choice([0.0, 1e-6, 0.01, 0.3, 1.0], (n, 1, 1))
+    targets = armature.tails + rng.normal(0, 1, (n, K, 3)) * sigma
+    far = kind == 1
+    reach = rng.uniform(2.5, 5.0, (far.sum(), 1, 1))
+    targets[far] = armature.root_point + reach * (armature.tails - armature.root_point)
+    tug = kind == 2
+    u = rng.normal(0, 1, (tug.sum(), 1, 3))
+    u /= norm(u)[..., None]
+    side = np.full((K, 1), -20.0)
+    side[0] = 30.0
+    targets[tug] = armature.root_point + u * side + rng.normal(0, 3, (tug.sum(), K, 3))
+    one = np.flatnonzero(kind == 3)
+    targets[one, rng.integers(0, K, len(one))] = np.nan
+    targets[kind == 4] = np.nan
+    return targets
+
+
+IK_PARAMS = st.builds(
+    IkParams,
+    tolerance=st.sampled_from([1e-9, 1e-3, 0.05]) | st.floats(1e-12, 10.0),
+    max_iterations=st.integers(1, 100),
+    s_min=st.floats(0.05, 1.0),
+    s_max=st.floats(1.0, 4.0),
+)
+
+
+class TestMatchesActiveBatchLoop:
+    """`solve_track` gives the bits of the active-batch loop frozen at
+    cdab398, its iteration counts and stop reasons included."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        rig=st.sampled_from(["branched", "fixture"]),
+        n=st.sampled_from([0, 1, 63, 64, 1025]) | st.integers(0, 200),
+        seed=st.integers(0, 2**32 - 1),
+        params=IK_PARAMS,
+    )
+    def test_drawn(self, compiled_model, rig, n, seed, params):
+        arm = branched_armature() if rig == "branched" else compiled_model[0].armature
+        targets = drawn_targets(arm, n, seed)
+        got = solve_track(arm, targets, params)
+        want = reference.active_batch_solve_track(arm, targets, params)
+        for name in PoseTrack.__dataclass_fields__:
+            a, b = getattr(got, name), getattr(want, name)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype, name
+                assert np.array_equal(a, b, equal_nan=True), name
+                assert a.tobytes() == b.tobytes(), name  # signed zeros and NaN bits too
+            else:
+                assert a == b, name
 
 
 def single_influence_mesh(position, bone_count=1):
