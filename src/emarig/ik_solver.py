@@ -1,10 +1,10 @@
 """Per-frame pose solving and linear blend skinning.
 
-The bone tree tracks one target per bone tail using an iterative
-backward/forward positional solve (a FABRIK variant extended with per-bone
-stretch clamping and weighted averaging at branch points). Volume
-preservation is enforced analytically: a bone stretched by s scales its
-cross section by 1/sqrt(s), so its cylinder-equivalent volume is constant.
+The bone tree tracks one target per bone tail using one backward/forward
+positional pass (a FABRIK variant extended with per-bone stretch clamping
+and weighted averaging at branch points). Volume preservation is enforced
+analytically: a bone stretched by s scales its cross section by
+1/sqrt(s), so its cylinder-equivalent volume is constant.
 
 `solve_track` is the one entry point. Every bone tracks its own target.
 Frames are independent, so a single frame is the (1, bones, 3) slice of a
@@ -25,7 +25,7 @@ from .rotations import minimal_rotation, mat_to_quat, quat_to_mat, norm
 @dataclass(frozen=True)
 class IkParams:
     tolerance: float = 1e-3          # cm, max per-target residual
-    max_iterations: int = 50
+    max_iterations: int = 50         # reported for budget frames only
     s_min: float = 0.5               # stretch ratio bounds
     s_max: float = 2.0
 
@@ -39,8 +39,9 @@ class IkParams:
 
 
 # Why a frame left the solve, indexed by the codes in PoseTrack.stop_reasons:
-# its residual is within tolerance, an iterate made it worse and was rolled
-# back, or the iteration budget ran out.
+# its residual is within tolerance, the pass made it worse and was rolled
+# back, or its target is out of reach (an iterative solve would run out of
+# its budget of passes on it).
 STOP_REASONS = ("converged", "stalled", "budget")
 STOP_CONVERGED, STOP_STALLED, STOP_BUDGET = range(len(STOP_REASONS))
 
@@ -81,17 +82,17 @@ def solve_track(
 ) -> PoseTrack:
     """Solve every frame of a (frames, bones, 3) target array.
 
-    Each iteration runs one backward/forward pass over the active frames
-    only: their targets and joints are gathered into a compact batch, and
-    the iterate is accepted where it does not raise the worst per-target
-    residual. A frame leaves the batch when that residual drops to the
-    tolerance (converged), when an iterate would raise it (stalled: the
-    iterate is rolled back), or when the iteration budget runs out, and
-    its reason is recorded in `stop_reasons`. Frames are independent and
-    the per-frame arithmetic does not depend on which other frames share
-    the batch, so the result is the same as iterating the whole batch. A
-    frame is never left in a worse state than a previous iterate, so the
-    reported residual is non-increasing in the iteration count.
+    One backward/forward pass runs over all frames. It builds each bone's
+    proposal from the targets alone and re-anchors at the root, so it never
+    reads the pose it starts from: a second pass would repeat the first bit
+    for bit. The pass is kept where it does not raise the worst per-target
+    residual of the rest pose, and rolled back to the rest pose where it
+    does. `stop_reasons` records why each frame stopped: converged (the
+    kept pose is within the tolerance), stalled (rolled back) or budget
+    (the target is out of reach; more passes would not move the pose).
+    `iterations` is 1, except for budget frames, which report
+    `params.max_iterations`: the passes an iterative solve would run on
+    them.
     """
     targets = np.asarray(targets, dtype=np.float64)
     F, K = targets.shape[0], armature.n_bones
@@ -109,14 +110,6 @@ def solve_track(
     hi = params.s_max * armature.rest_lengths
     parent_joint = np.where(armature.parents < 0, 0, armature.parents + 1)
 
-    # Joint 0 is the anchored root point; joint k+1 is the tail of bone k.
-    joints = np.empty((F, K + 1, 3))
-    joints[:, 0] = armature.root_point
-    joints[:, 1:] = armature.tails
-
-    def residual_of(j, t):
-        return norm(j[:, 1:] - t).max(axis=1)
-
     def pull(anchor, toward, lo_k, hi_k, fallback_dir):
         """Point at clamped distance from `anchor` in the direction of `toward`.
 
@@ -133,70 +126,48 @@ def solve_track(
         )
         return np.where((clamped == dist)[..., None], toward, scaled)
 
-    def iterate(t, j):
-        """One backward/forward pass over a batch of frames."""
-        # Backward pass: each bone proposes a tail position for itself: its
-        # own target, averaged with that target projected into the reach
-        # annulus of every child's proposal.
-        n = len(t)
-        prop = np.empty((n, K, 3))
-        for k in reversed(range(K)):
-            contribs = [t[:, k]]
-            weights = [1.0]
-            for c in children[k]:
-                p = pull(prop[:, c], t[:, k], lo[c], hi[c], -armature.rest_dirs[c])
-                contribs.append(p)
-                weights.append(subtree_w[c])
-            if len(contribs) == 1:
-                prop[:, k] = contribs[0]
-            else:
-                stacked = np.stack(contribs, axis=1)
-                wv = np.asarray(weights, dtype=np.float64)
-                avg = np.einsum("m,fmi->fi", wv, stacked) / wv.sum()
-                same = (stacked == stacked[:, :1]).all(axis=(1, 2))
-                prop[:, k] = np.where(same[:, None], stacked[:, 0], avg)
+    # Backward pass: each bone proposes a tail position for itself: its own
+    # target, averaged with that target projected into the reach annulus of
+    # every child's proposal.
+    prop = np.empty((F, K, 3))
+    for k in reversed(range(K)):
+        contribs = [targets[:, k]]
+        weights = [1.0]
+        for c in children[k]:
+            p = pull(prop[:, c], targets[:, k], lo[c], hi[c], -armature.rest_dirs[c])
+            contribs.append(p)
+            weights.append(subtree_w[c])
+        if len(contribs) == 1:
+            prop[:, k] = contribs[0]
+        else:
+            stacked = np.stack(contribs, axis=1)
+            wv = np.asarray(weights, dtype=np.float64)
+            avg = np.einsum("m,fmi->fi", wv, stacked) / wv.sum()
+            same = (stacked == stacked[:, :1]).all(axis=(1, 2))
+            prop[:, k] = np.where(same[:, None], stacked[:, 0], avg)
 
-        # Forward pass: re-anchor at the root and restore bone lengths
-        # (within the stretch bounds) down the tree.
-        new_j = np.empty_like(j)
-        new_j[:, 0] = armature.root_point
-        for k in range(K):
-            head = new_j[:, parent_joint[k]]
-            new_j[:, k + 1] = pull(head, prop[:, k], lo[k], hi[k], armature.rest_dirs[k])
-        return new_j
+    # Forward pass: re-anchor at the root and restore bone lengths (within
+    # the stretch bounds) down the tree. Joint 0 is the anchored root point;
+    # joint k+1 is the tail of bone k.
+    joints = np.empty((F, K + 1, 3))
+    joints[:, 0] = armature.root_point
+    for k in range(K):
+        head = joints[:, parent_joint[k]]
+        joints[:, k + 1] = pull(head, prop[:, k], lo[k], hi[k], armature.rest_dirs[k])
 
-    iterations = np.zeros(F, dtype=np.int64)
-    stop_reasons = np.full(F, STOP_BUDGET, dtype=np.int8)
-
-    # The active batch: frame indices with their gathered targets, joints
-    # and best residuals. Leaving frames are scattered back into `joints`.
-    rows = np.arange(F)
-    t, j = targets, joints.copy()
-    best = residual_of(j, t)
-    for it in range(1, params.max_iterations + 1):
-        if not len(rows):
-            break
-        new_j = iterate(t, j)
-        res = residual_of(new_j, t)
-        accept = res <= best
-        j[accept] = new_j[accept]
-        best[accept] = res[accept]
-        iterations[rows] = it
-
-        converged = best <= params.tolerance
-        leave = converged | ~accept
-        if leave.any():
-            out = rows[leave]
-            joints[out] = j[leave]
-            stop_reasons[out] = np.where(converged[leave], STOP_CONVERGED, STOP_STALLED)
-            keep = ~leave
-            rows, t, j, best = rows[keep], t[keep], j[keep], best[keep]
-    joints[rows] = j
+    rest_res = norm(armature.tails - targets).max(axis=1)
+    res = norm(joints[:, 1:] - targets).max(axis=1)
+    accept = res <= rest_res
+    joints[~accept, 1:] = armature.tails
+    converged = np.where(accept, res, rest_res) <= params.tolerance
+    stop_reasons = np.where(
+        converged, STOP_CONVERGED, np.where(accept, STOP_BUDGET, STOP_STALLED)
+    ).astype(np.int8)
 
     return PoseTrack(
         bone_names=armature.bone_names,
         tails=joints[:, 1:],
-        iterations=iterations,
+        iterations=np.where(stop_reasons == STOP_BUDGET, params.max_iterations, 1),
         stop_reasons=stop_reasons,
         **_solved_poses(armature, joints, targets, params),
     )
