@@ -122,7 +122,7 @@ def _cmd_compile(args) -> int:
     print(f"bundle            {bundle.path}")
     if args.report:
         rows = "".join(
-            f"{i}\t{r!r}\n" for i, r in enumerate(result.report.residuals)
+            f"{i}\t{float(r)!r}\n" for i, r in enumerate(result.report.residuals)
         )
         write_new_file(args.report, "frame\tmax_residual_cm\n" + rows)
     return 0

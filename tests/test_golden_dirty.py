@@ -38,7 +38,7 @@ GOLDEN_DIRTY_SHA256 = {
     "clip": "62d7cb307c02e6d4139e0c152c03eaf01dfbe280a7e139c37e5c9dd4ea35b3ed",
     "model.dae": "8532eae33cdceb5df7dfb71084f30238a0758dc5fa4391ca725f2d6797f27a5e",
     "stdout": "59beed3ff08c6c2610a48d78b172bfdf1f16bb0d7231e66f61dca760c4180b4d",
-    "report": "171b5cba092adaed50462fb90455d3e36a600b7c2df1ad428acc9a944e88fd20",
+    "report": "f6c3875acdfacf2b34e0364b88b9b31a7b47222d157f9aee38a072b63d1b4caa",
     "synth": "d9fc4cd5c9f491ad103ed7b60287cd6ccb38a0a41d6ba39ac6d9abe6aeeafa53",
 }
 

@@ -277,6 +277,8 @@ class TestCompile:
         lines = (tmp_path / "resid.txt").read_text().splitlines()
         assert lines[0] == "frame\tmax_residual_cm"
         assert len(lines) == 601
+        # plain Python float reprs, which parse back (not `np.float64(0.0)`)
+        assert all(float(line.split("\t")[1]) >= 0.0 for line in lines[1:])
 
     def test_report_file_replaced(self, fixture_dir, tmp_path):
         report = tmp_path / "resid.txt"
