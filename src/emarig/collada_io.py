@@ -26,7 +26,7 @@ from xml.etree.ElementTree import Element, SubElement
 import numpy as np
 
 from .anim_db import AnimationClip
-from .errors import InconsistentRig, ParseError, UnsupportedFeature
+from .errors import InconsistentRig, NonMonotonic, ParseError, UnsupportedFeature
 from .ik_solver import stretch_matrices
 from .rig import GROUP_MANDIBLE, GROUP_MAXILLA, Armature, SkinnedMesh, groups_from_triangles
 from .rotations import mat_to_quat, quat_to_mat, norm
@@ -251,7 +251,16 @@ def _name_source(parent: Element, sid: str, text: str, count: int, param_name: s
 
 
 def write_collada(mesh: SkinnedMesh, armature: Armature, clip: AnimationClip) -> str:
-    """Serialize mesh, armature and a baked clip to document text."""
+    """Serialize mesh, armature and a baked clip to document text.
+
+    Refuses (NonMonotonic) key times that print alike at 9 significant
+    digits, since read_collada would reject the document."""
+    times_text = _fmt_array(clip.times)
+    if (np.diff(_numbers(times_text)) <= 0).any():
+        raise NonMonotonic(
+            "key times do not stay strictly increasing at 9 significant digits",
+            module="export",
+        )
     K = armature.n_bones
     if (mesh.weight_bones >= K).any():
         raise InconsistentRig("skin weights reference bones outside the armature")
@@ -331,7 +340,6 @@ def write_collada(mesh: SkinnedMesh, armature: Armature, clip: AnimationClip) ->
     la = SubElement(root, "library_animations")
 
     # Every animation shares the clip's time source and interpolation names.
-    times_text = _fmt_array(clip.times)
     interp_text = " ".join(["LINEAR"] * clip.n_keys)
 
     def emit_animation(node_sid: str, rows: np.ndarray):
@@ -588,9 +596,10 @@ _KNOWN_LIBRARIES = {
 def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip]:
     """Parse a document produced by write_collada (subset only).
 
-    Raises ParseError on malformed XML or a missing required element (the
+    Raises ParseError on malformed XML, a missing required element (the
     animations, with exactly one jaw channel, and the clip's rate_hz and
-    duration among them), and UnsupportedFeature on any element outside
+    duration among them) or a clip that AnimationClip rejects (key times
+    not strictly increasing), and UnsupportedFeature on any element outside
     the written subset.
     """
     root = _parse_xml(document)
@@ -804,15 +813,19 @@ def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip]:
     if not (rate > 0 and duration > 0):
         raise ParseError("clip rate and duration must be > 0", module="export")
 
-    return mesh, armature, AnimationClip(
-        rate_hz=rate,
-        bone_names=tuple(bone_names),
-        times=ref_times,
-        quats=quats,
-        heads=heads_t,
-        stretches=stretches,
-        tails=tails_t,
-        jaw_quats=jaw_quats,
-        jaw_translations=jaw_trans,
-        duration=duration,
-    )
+    try:
+        clip = AnimationClip(
+            rate_hz=rate,
+            bone_names=tuple(bone_names),
+            times=ref_times,
+            quats=quats,
+            heads=heads_t,
+            stretches=stretches,
+            tails=tails_t,
+            jaw_quats=jaw_quats,
+            jaw_translations=jaw_trans,
+            duration=duration,
+        )
+    except ValueError as exc:
+        raise ParseError(str(exc), module="export") from None
+    return mesh, armature, clip

@@ -383,6 +383,19 @@ class TestSynth:
         assert clip.n_keys == rendered.n_keys
         assert np.allclose(clip.times, rendered.times, rtol=1e-8, atol=0.0)
 
+    def test_unprintable_key_times_fail_tagged(self, bundle_dir, tmp_path, capsys):
+        # The t slot, warped to 0.01 s after 1e5 s, has keys that print
+        # alike at 9 significant digits. This used to exit 0 with a clip
+        # that read_collada rejects; now the writer refuses it.
+        out = tmp_path / "clip.dae"
+        rc = main(["synth", "--bundle", str(bundle_dir), "--request", "a 1e5; t 0.01",
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:export:non_monotonic: key times")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_golden_synth_digest(self, tmp_path):
         # The bundle is read back and the rendered clip written out again,
         # so this pins the COLLADA read -> write path byte for byte.
@@ -502,6 +515,19 @@ class TestSynth:
         assert new != old
         rewrite_rehashed(bundle, "model.dae", new)
         synth_fails_tagged(bundle, tmp_path, capsys, "error:export:parse_error:")
+
+    def test_equal_key_times_are_tagged(self, bundle_dir, tmp_path, capsys):
+        # The second key time of every animation's (shared) time source set
+        # to the first's, with the manifest re-hashed.
+        bundle = tmp_path / "b"
+        shutil.copytree(bundle_dir, bundle)
+        old = (bundle / "model.dae").read_bytes()
+        new, n = re.subn(rb'(-input-array" count="\d+">\S+ )\S+', rb"\g<1>0", old)
+        assert n > 1
+        rewrite_rehashed(bundle, "model.dae", new)
+        synth_fails_tagged(
+            bundle, tmp_path, capsys, "error:export:parse_error: key times must be strictly increasing"
+        )
 
     @pytest.mark.parametrize("token", [b"nan", b"inf", b"1e999"])
     @pytest.mark.parametrize("array", [b"mesh-positions", b"anim-TBackC-output"])
