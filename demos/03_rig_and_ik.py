@@ -20,6 +20,7 @@ from emarig import (
     solve_track,
 )
 from emarig.fixture import RIG_GRAPH_DOT, FixtureSpec, synthetic_motion
+from emarig.ik_solver import STOP_REASONS
 from emarig.motion_prep import fill_dropouts, normalize_head
 
 print("rig graph:")
@@ -44,7 +45,7 @@ print(f"registration rms: {rig.registration_rms:.2e} cm")
 idx = [sweep.channels.index(n) for n in arm.bone_names]
 targets = rig.registration.apply(sweep.positions[120:121, idx, :])
 pose = solve_track(arm, targets, IkParams())
-print(f"\nframe 120 solved in {pose.iterations[0]} iteration(s), "
+print(f"\nframe 120 solved in one pass, stop reason {STOP_REASONS[pose.stop_reasons[0]]}, "
       f"max residual {pose.max_residual()[0]:.2e} cm")
 for k, name in enumerate(arm.bone_names):
     s = pose.stretches[0, k]

@@ -1,6 +1,6 @@
 """Golden digests on dirty input: the path where dropout fill, smoothing
-over filled runs, multi-iteration IK, stretch clamps and budget stops do
-real work (the clean goldens converge every frame in one iteration).
+over filled runs, out-of-reach IK targets, stretch clamps and budget stops
+do real work (the clean goldens converge every frame with residual 0).
 
 The corpus is the default fixture at 2 x 600 frames, damaged in place by
 the benchmark's own `bench/dirty.py` transform with seed 7: 28 dropped
