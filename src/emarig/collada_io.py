@@ -452,16 +452,44 @@ _INT64 = np.iinfo(np.int64)
 # A sign that no digit follows, which ``np.fromstring`` reads as 0 or joins
 # to the next number.
 _LONE_SIGN = re.compile(r"[+-](?![0-9])")
+# Characters per ``np.loadtxt`` call: it holds 6-7 bytes per character.
+_FLOAT_SLICE = 1 << 16
+# Whitespace to ``np.loadtxt`` (as to ``str.isspace``), but not to C's isspace.
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+
+def _floats(text: str) -> np.ndarray:
+    """The float64 numbers of `text` as ``np.fromstring(text, sep=" ")``
+    reads them, bit for bit, decoded by ``np.loadtxt`` in slices cut at a
+    space, each slice one row.
+
+    ``np.loadtxt`` takes non-ASCII spaces and ``_SEPARATORS`` for
+    whitespace, so text holding them raises ValueError; it ends a row at CR
+    and LF, so they become spaces; and it warns on a row with no number, so
+    a slice of whitespace only is skipped."""
+    if not text.isascii() or any(c in text for c in _SEPARATORS):
+        raise ValueError
+    pieces = []
+    lo = 0
+    while lo < len(text):
+        cut = text.find(" ", lo + _FLOAT_SLICE)
+        cut = len(text) if cut < 0 else cut
+        piece = text[lo:cut].replace("\n", " ").replace("\r", " ")
+        if not piece.isspace():
+            pieces.append(np.loadtxt([piece], dtype=np.float64, comments=None, ndmin=1))
+        lo = cut
+    return np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
 
 
 def _numbers(text: str | None, dtype=np.float64) -> np.ndarray:
     """The numbers of `text`, separated by ASCII whitespace.
 
     Floats must be finite; integers are ASCII digits with an optional sign,
-    inside int64. ``np.fromstring`` gives ``[-1.]`` for blank text, and
-    raises (numpy 2) or warns and returns a prefix (numpy 1) on text it
-    cannot read to the end. It saturates integers past int64 in both
-    directions to the int64 maximum, so both int64 limits are refused.
+    inside int64. Floats are decoded by ``_floats`` and integers by
+    ``np.fromstring``, which gives ``[-1.]`` for blank text, and raises
+    (numpy 2) or warns and returns a prefix (numpy 1) on text it cannot
+    read to the end. It saturates integers past int64 in both directions to
+    the int64 maximum, so both int64 limits are refused.
     """
     if not text or text.isspace():
         return np.empty(0, dtype)
@@ -469,7 +497,7 @@ def _numbers(text: str | None, dtype=np.float64) -> np.ndarray:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             if dtype is np.float64:
-                values = np.fromstring(text, sep=" ")
+                values = _floats(text)
             else:
                 values = np.fromstring(text, dtype=np.int64, sep=" ")
     except (ValueError, DeprecationWarning):

@@ -8,12 +8,13 @@ the package; a test asserts that the replacement gives the same bits.
 from __future__ import annotations
 
 import itertools
+import warnings
 
 import numpy as np
 
 from emarig.anim_db import AnimationUnit
 from emarig.ema_io import CoilRoles, EmaSweep, angles_from_vector, orientation_vector
-from emarig.errors import DegenerateConfiguration, NoValidReferenceFrame
+from emarig.errors import DegenerateConfiguration, NoValidReferenceFrame, ParseError
 from emarig.fixture import _JAW_AXIS_REST, _JAW_FREQ, _JAW_HINGE, _JAW_MAX_OPEN, _JAW_REST
 from emarig.ik_solver import (
     STOP_BUDGET,
@@ -620,3 +621,23 @@ def full_batch_solve_track(armature, targets, params):
         iterations=iterations,
         stop_reasons=stop_reasons,
     )
+
+
+# --- emarig.collada_io at 94aef48 -----------------------------------------------
+# The float branch of `_numbers`, which decoded with one `np.fromstring` call
+# before `np.loadtxt` in slices replaced it.
+
+
+def fromstring_floats(text: str | None) -> np.ndarray:
+    """The numbers of `text`, separated by ASCII whitespace; they must be finite."""
+    if not text or text.isspace():
+        return np.empty(0, np.float64)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            values = np.fromstring(text, sep=" ")
+    except (ValueError, DeprecationWarning):
+        raise ParseError(f"bad {np.dtype(np.float64)} in array text", module="export") from None
+    if not np.isfinite(values).all():
+        raise ParseError("non-finite number in array text", module="export")
+    return values

@@ -301,6 +301,26 @@ any_float = st.one_of(
 finite_float = any_float.filter(np.isfinite)
 
 
+# Digits, signs, points, exponents, every ASCII control character and DEL,
+# non-ASCII whitespace and digits, and junk.
+_SHORT_TEXT_ALPHABET = (
+    list("0123456789+-.eE ") + [chr(c) for c in range(32)] + ["\x7f"]
+    + ["\xa0", "\x85", "\u2028", "\u3000", "\u0661"]
+    + ["x", ",", "_", "#", "0x", "inf", "nan", "infinity", "1e999"]
+)
+# Whitespace runs longer than a decoder slice; the last ones hold no space.
+_LONG_RUNS = [" " * 65536, " " * 65537, " " * 70001, " \n" * 33000, "\t" * 65537, "\n" * 70000]
+
+
+def decoded(decoder, text):
+    """The dtype and bytes that `decoder` gives for `text`, or its diagnostic."""
+    try:
+        values = decoder(text)
+    except ParseError as err:
+        return err.diagnostic()
+    return values.dtype.str, values.tobytes()
+
+
 class TestNumberCodec:
     @settings(max_examples=500, deadline=None, database=None)
     @given(st.lists(any_float, max_size=40))
@@ -369,7 +389,11 @@ class TestNumberCodec:
 
     @pytest.mark.parametrize(
         "text",
-        ["1 2 x", "1,2", "0x10", "1_0", "\u0661", "1\xa02", "nan", "1 inf", "-inf 2", "1e999"],
+        [
+            "1 2 x", "1,2", "0x10", "1_0", "\u0661", "1\xa02", "nan", "1 inf", "-inf 2", "1e999",
+            # Whitespace to str.isspace, but not to C's isspace.
+            "1\x1c2", "1\x1f", "1\x852",
+        ],
     )
     def test_bad_float_text_fails(self, text):
         with pytest.raises(ParseError) as err:
@@ -379,15 +403,49 @@ class TestNumberCodec:
     def test_numpy_1_prefix_with_warning_fails(self, monkeypatch):
         # numpy 1.x only warns on text it cannot read to the end and
         # returns the numbers before it; the caller's filter must not matter.
-        def fromstring_1x(text, sep):
+        def fromstring_1x(text, dtype, sep):
             warnings.warn("string or file could not be read to its end", DeprecationWarning)
-            return np.array([1.0, 2.0])
+            return np.array([1, 2], dtype)
 
         monkeypatch.setattr(np, "fromstring", fromstring_1x)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(ParseError):
-                _numbers("1 2 x")
+                _numbers("1 2 x", np.int64)
+
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(
+        st.lists(
+            st.sampled_from(list("0123456789+-.e  ")) | st.sampled_from(_SHORT_TEXT_ALPHABET),
+            max_size=24,
+        ).map("".join)
+    )
+    def test_matches_fromstring_on_short_texts(self, text):
+        assert decoded(_numbers, text) == decoded(reference.fromstring_floats, text)
+
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 30000),
+        st.sampled_from(["%.9g", "%r"]),
+        st.lists(st.tuples(st.floats(0, 1), st.sampled_from(_LONG_RUNS)), max_size=3),
+        st.none() | st.sampled_from(["nan", "-inf", "1e999", "x", "1,2", "\x1c", "\xa0", "\u0661"]),
+    )
+    def test_matches_fromstring_on_long_texts(self, seed, n, template, runs, bad):
+        # Thousands of tokens, some of them past the slice length, with runs
+        # of whitespace longer than a slice, and maybe one bad token.
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
+        values = np.where(np.isfinite(bits) & (rng.random(n) < 0.5), bits, rng.normal(0, 3, n))
+        words = [template % x for x in values.tolist()]
+        gaps = rng.choice([" ", " ", " ", "  ", "\t", "\n", " \r\n "], n + 1).tolist()
+        gaps[0], gaps[-1] = gaps[0].strip(" "), gaps[-1].strip(" \t")
+        for where, run in runs:
+            gaps[int(where * n)] += run
+        if bad is not None:
+            words[rng.integers(n)] = bad
+        text = "".join(g + w for g, w in zip(gaps, words)) + gaps[-1]
+        assert decoded(_numbers, text) == decoded(reference.fromstring_floats, text)
 
     @pytest.mark.parametrize(
         "text",
@@ -933,6 +991,13 @@ def default_model(tmp_path_factory):
 def test_read_peak_memory(default_model):
     _, peak = traced_peak(read_collada, default_model)
     assert peak < READ_PEAK_PER_CHAR * len(default_model)
+
+
+def test_float_decode_peak_memory():
+    # 2.3 MB of text; one np.loadtxt call on all of it peaks near 15 MB.
+    text = _fmt_array(np.random.default_rng(0).normal(0, 3, 192000))
+    _, peak = traced_peak(_numbers, text)
+    assert peak <= 4_000_000
 
 
 def test_write_peak_memory(default_model):
