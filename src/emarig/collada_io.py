@@ -26,7 +26,7 @@ from xml.etree.ElementTree import Element, SubElement
 import numpy as np
 
 from .anim_db import AnimationClip
-from .errors import InconsistentRig, NonMonotonic, ParseError, UnsupportedFeature
+from .errors import BadNumber, InconsistentRig, NonMonotonic, ParseError, UnsupportedFeature
 from .ik_solver import stretch_matrices
 from .rig import GROUP_MANDIBLE, GROUP_MAXILLA, Armature, SkinnedMesh, groups_from_triangles
 from .rotations import mat_to_quat, quat_to_mat, norm
@@ -193,6 +193,14 @@ def _fmt_matrices(rows: np.ndarray) -> str:
     return _fmt_array(rows, 12)
 
 
+def _finite(values, what: str):
+    """`values`, which must be finite, since read_collada rejects nan and
+    infinities: otherwise BadNumber."""
+    if not np.isfinite(values).all():
+        raise BadNumber(f"{what} is not finite", module="export")
+    return values
+
+
 def _sanitize(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.\-]", "_", name)
 
@@ -253,9 +261,10 @@ def _name_source(parent: Element, sid: str, text: str, count: int, param_name: s
 def write_collada(mesh: SkinnedMesh, armature: Armature, clip: AnimationClip) -> str:
     """Serialize mesh, armature and a baked clip to document text.
 
-    Refuses (NonMonotonic) key times that print alike at 9 significant
-    digits, since read_collada would reject the document."""
-    times_text = _fmt_array(clip.times)
+    Refuses a value that is not finite (BadNumber) and key times that print
+    alike at 9 significant digits (NonMonotonic), since read_collada would
+    reject the document."""
+    times_text = _fmt_array(_finite(clip.times, "a key time"))
     if (np.diff(_numbers(times_text)) <= 0).any():
         raise NonMonotonic(
             "key times do not stay strictly increasing at 9 significant digits",
@@ -293,7 +302,8 @@ def write_collada(mesh: SkinnedMesh, armature: Armature, clip: AnimationClip) ->
     geom = SubElement(lg, "geometry", id="mesh", name="mesh")
     m = SubElement(geom, "mesh")
     xyz = [("X", "float"), ("Y", "float"), ("Z", "float")]
-    _float_source(m, "mesh-positions", _fmt_array(mesh.vertices), mesh.n_vertices, xyz)
+    positions = _fmt_array(_finite(mesh.vertices, "a mesh vertex"))
+    _float_source(m, "mesh-positions", positions, mesh.n_vertices, xyz)
     verts = SubElement(m, "vertices", id="mesh-vertices")
     SubElement(verts, "input", semantic="POSITION", source="#mesh-positions")
 
@@ -312,7 +322,8 @@ def write_collada(mesh: SkinnedMesh, armature: Armature, clip: AnimationClip) ->
 
     inv_binds = np.tile(np.eye(3, 4), (K + 2, 1, 1))
     inv_binds[:K, :, 3] = -armature.heads
-    _float_source(skin, "skin-bind-poses", _fmt_matrices(inv_binds), K + 2, _TRANSFORM)
+    inv_binds_text = _fmt_matrices(_finite(inv_binds, "a bone head"))
+    _float_source(skin, "skin-bind-poses", inv_binds_text, K + 2, _TRANSFORM)
 
     # Per vertex, (joint, weight index) pairs: its bone influences, whose
     # weights get indices 1.. in vertex then slot order, or else its Jaw
@@ -326,7 +337,8 @@ def write_collada(mesh: SkinnedMesh, armature: Armature, clip: AnimationClip) ->
     weight_index[:, :4][active] = np.arange(1, active.sum() + 1)
     pair_joints = np.column_stack([mesh.weight_bones, anchor])[used]
     weights = np.concatenate([[1.0], mesh.weight_values[active]])
-    _float_source(skin, "skin-weights", _fmt_array(weights), len(weights), [("WEIGHT", "float")])
+    weights_text = _fmt_array(_finite(weights, "a skin weight"))
+    _float_source(skin, "skin-weights", weights_text, len(weights), [("WEIGHT", "float")])
     joints = SubElement(skin, "joints")
     SubElement(joints, "input", semantic="JOINT", source="#skin-joints")
     SubElement(joints, "input", semantic="INV_BIND_MATRIX", source="#skin-bind-poses")
@@ -346,7 +358,8 @@ def write_collada(mesh: SkinnedMesh, armature: Armature, clip: AnimationClip) ->
         aid = f"anim-{node_sid}"
         anim = SubElement(la, "animation", id=aid)
         _float_source(anim, f"{aid}-input", times_text, clip.n_keys, [("TIME", "float")])
-        _float_source(anim, f"{aid}-output", _fmt_matrices(rows), clip.n_keys, _TRANSFORM)
+        rows_text = _fmt_matrices(_finite(rows, f"a {node_sid} key matrix"))
+        _float_source(anim, f"{aid}-output", rows_text, clip.n_keys, _TRANSFORM)
         _name_source(anim, f"{aid}-interp", interp_text, clip.n_keys, "INTERPOLATION")
         sampler = SubElement(anim, "sampler", id=f"anim-{node_sid}-sampler")
         SubElement(sampler, "input", semantic="INPUT", source=f"#anim-{node_sid}-input")
@@ -361,9 +374,11 @@ def write_collada(mesh: SkinnedMesh, armature: Armature, clip: AnimationClip) ->
             target=f"node-{node_sid}/transform",
         )
 
-    for k, sid in enumerate(bone_sids):
-        emit_animation(sid, _local_rows(armature, clip, k))
-    emit_animation(jaw_sid, _affine_rows(quat_to_mat(clip.jaw_quats), clip.jaw_translations))
+    # A matrix that is not finite is refused, with no warning on the way.
+    with np.errstate(all="ignore"):
+        for k, sid in enumerate(bone_sids):
+            emit_animation(sid, _local_rows(armature, clip, k))
+        emit_animation(jaw_sid, _affine_rows(quat_to_mat(clip.jaw_quats), clip.jaw_translations))
 
     # visual scene -----------------------------------------------------------
     lvs = SubElement(root, "library_visual_scenes")
@@ -373,7 +388,7 @@ def write_collada(mesh: SkinnedMesh, armature: Armature, clip: AnimationClip) ->
         scene, "node", id=f"node-{root_sid}", name=root_sid, sid=root_sid, type="JOINT"
     )
     mat = SubElement(root_node, "matrix", sid="transform")
-    mat.text = _fmt_matrices(_affine_rows(np.eye(3), armature.root_point))
+    mat.text = _fmt_matrices(_finite(_affine_rows(np.eye(3), armature.root_point), "the root"))
 
     node_elems = {-1: root_node}
     for k, sid in enumerate(bone_sids):
@@ -384,11 +399,13 @@ def write_collada(mesh: SkinnedMesh, armature: Armature, clip: AnimationClip) ->
         m_el = SubElement(node, "matrix", sid="transform")
         p = int(armature.parents[k])
         parent_head = armature.root_point if p < 0 else armature.heads[p]
-        m_el.text = _fmt_matrices(_affine_rows(np.eye(3), armature.heads[k] - parent_head))
+        offset = _affine_rows(np.eye(3), armature.heads[k] - parent_head)
+        m_el.text = _fmt_matrices(_finite(offset, f"bone {sid}'s offset"))
         extra = SubElement(node, "extra")
         tech = SubElement(extra, "technique", profile=PROFILE)
-        SubElement(tech, "tail").text = _fmt_array(armature.tails[k])
-        SubElement(tech, "rest_length").text = _fmt_array(armature.rest_lengths[k])
+        SubElement(tech, "tail").text = _fmt_array(_finite(armature.tails[k], f"bone {sid}'s tail"))
+        length = _finite(armature.rest_lengths[k], f"bone {sid}'s rest length")
+        SubElement(tech, "rest_length").text = _fmt_array(length)
         node_elems[k] = node
 
     for sid in (jaw_sid, skull_sid):
@@ -401,8 +418,8 @@ def write_collada(mesh: SkinnedMesh, armature: Armature, clip: AnimationClip) ->
 
     s_extra = SubElement(scene, "extra")
     s_tech = SubElement(s_extra, "technique", profile=PROFILE)
-    SubElement(s_tech, "rate_hz").text = _fmt_array(clip.rate_hz)
-    SubElement(s_tech, "duration").text = repr(float(clip.duration))
+    SubElement(s_tech, "rate_hz").text = _fmt_array(_finite(clip.rate_hz, "the clip rate"))
+    SubElement(s_tech, "duration").text = repr(float(_finite(clip.duration, "the clip duration")))
 
     sc = SubElement(root, "scene")
     SubElement(sc, "instance_visual_scene", url="#Scene")

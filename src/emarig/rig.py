@@ -9,6 +9,7 @@ assigned by inverse-square distance to the bone segments.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -308,9 +309,12 @@ def load_mesh(obj_text: str, group_map: dict[str, str] | None = None) -> Skinned
             if len(parts) < 4:
                 raise ParseError(f"OBJ line {lineno}: vertex needs 3 coordinates")
             try:
-                vertices.append([float(x) for x in parts[1:4]])
+                vertex = [float(x) for x in parts[1:4]]
             except ValueError:
                 raise ParseError(f"OBJ line {lineno}: bad vertex number") from None
+            if not all(map(math.isfinite, vertex)):
+                raise ParseError(f"OBJ line {lineno}: non-finite vertex number")
+            vertices.append(vertex)
         elif tag in ("o", "g"):
             current = _canonical_group(parts[1], group_map) if len(parts) > 1 else None
         elif tag == "f":

@@ -29,7 +29,7 @@ from emarig.collada_io import (
     read_collada,
     write_collada,
 )
-from emarig.errors import InconsistentRig, ParseError, UnsupportedFeature
+from emarig.errors import BadNumber, InconsistentRig, ParseError, UnsupportedFeature
 from emarig.rig import Armature, SkinnedMesh, load_mesh
 from emarig.ik_solver import _pose_affines, stretch_matrices
 from emarig.rotations import axis_angle_matrix, mat_to_quat, norm, quat_to_mat
@@ -632,6 +632,39 @@ class TestWriter:
         mesh = random_mesh(rng, n_bones=5)  # references bones beyond the armature
         with pytest.raises(InconsistentRig):
             write_collada(mesh, arm, random_clip(rng, arm, 2))
+
+    @pytest.mark.parametrize(
+        "part, field, index, bad",
+        [
+            (part, field, index, bad)
+            for part, field, index in [
+                ("mesh", "vertices", (5, 1)),
+                ("mesh", "weight_values", (np.s_[:], 0)),
+                ("armature", "tails", (2, 0)),
+                ("armature", "root_point", 2),
+                ("clip", "quats", (7, 1, 0)),
+                ("clip", "stretches", (0, 0)),
+                ("clip", "jaw_quats", (9, 3)),
+                ("clip", "jaw_translations", (3, 2)),
+                ("clip", "rate_hz", ()),
+                ("clip", "duration", ()),
+            ]
+            for bad in [np.nan, np.inf, -np.inf]
+            if field != "duration" or bad == np.inf  # AnimationClip refuses the others
+        ],
+    )
+    def test_non_finite_value_is_refused(self, compiled_model, part, field, index, bad):
+        # read_collada rejects nan and infinities, so the writer must not print them.
+        rig, clip, _ = compiled_model
+        parts = {"mesh": rig.mesh, "armature": rig.armature, "clip": clip}
+        value = np.array(getattr(parts[part], field), dtype=np.float64)
+        value[index] = bad
+        if value.ndim == 0:
+            value = float(value)
+        parts[part] = dataclasses.replace(parts[part], **{field: value})
+        with pytest.raises(BadNumber) as err:
+            write_collada(parts["mesh"], parts["armature"], parts["clip"])
+        assert err.value.diagnostic().startswith("error:export:bad_number:")
 
     def test_units_and_up_axis(self, compiled_model):
         rig, clip, _ = compiled_model

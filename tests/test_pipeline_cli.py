@@ -23,7 +23,7 @@ from emarig.pipeline import (
     prepare_sweeps,
     validate_model,
 )
-from emarig.rig import MeshParams, RigConfig, load_mesh
+from emarig.rig import MeshParams, RigConfig, generate_default_mesh, load_mesh, save_obj
 from emarig.unit_synth import SynthesisRequest, render_plan, select_units
 
 # sha256 of model.dae compiled from `emarig fixture` with its defaults.
@@ -307,6 +307,25 @@ class TestCompile:
         assert rc == 2
         assert err.startswith("error:motion_prep:degenerate_configuration:")
         assert re.search(r"at frame 50\b", err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("number", ["inf", "nan", "-1e999"])
+    def test_non_finite_mesh_vertex_is_tagged(self, fixture_dir, tmp_path, capsys, number):
+        # The default mesh as an OBJ file, with one more vertex that no face
+        # uses: compile must refuse it rather than write a model that
+        # read_collada rejects.
+        corpus = tmp_path / "corpus"
+        shutil.copytree(fixture_dir, corpus)
+        obj = save_obj(generate_default_mesh()) + f"v {number} 0 0\n"
+        (corpus / "mesh.obj").write_text(obj)
+        config = corpus / "config.cfg"
+        config.write_text(config.read_text().replace("[paths]\n", "[paths]\nmesh = mesh.obj\n"))
+        out = tmp_path / "b"
+        rc = main(["compile", "--config", str(config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        line = len(obj.splitlines())
+        assert err == f"error:rig:parse_error: OBJ line {line}: non-finite vertex number\n"
         assert not out.exists()
 
     def test_ik_stop_counts(self, fixture_dir, tmp_path, capsys):

@@ -133,6 +133,17 @@ class TestObjMesh:
         with pytest.raises(ParseError):
             load_mesh("v 0 0 0\nf 1 2 x\n")
 
+    @pytest.mark.parametrize("number", ["inf", "-inf", "nan", "1e999"])
+    def test_non_finite_vertex_fails(self, number):
+        text = CUBE_OBJ.replace("v 1 1 0", f"v 1 {number} 0")
+        assert text != CUBE_OBJ
+        with pytest.raises(ParseError) as err:
+            load_mesh(text)
+        line = CUBE_OBJ.splitlines().index("v 1 1 0") + 1
+        assert err.value.diagnostic() == (
+            f"error:rig:parse_error: OBJ line {line}: non-finite vertex number"
+        )
+
     def test_save_load_round_trip(self):
         mesh = generate_default_mesh()
         again = load_mesh(save_obj(mesh))
