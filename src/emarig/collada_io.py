@@ -495,7 +495,7 @@ def _floats(text: str) -> np.ndarray:
         if not piece.isspace():
             pieces.append(np.loadtxt([piece], dtype=np.float64, comments=None, ndmin=1))
         lo = cut
-    return np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
+    return np.concatenate(pieces)
 
 
 def _numbers(text: str | None, dtype=np.float64) -> np.ndarray:
