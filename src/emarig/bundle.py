@@ -9,7 +9,6 @@ corruption is detectable.
 from __future__ import annotations
 
 import hashlib
-import io
 import math
 import zipfile
 from dataclasses import dataclass
@@ -51,12 +50,8 @@ def _sha256(data: bytes) -> str:
 SLICE_CHARS = 1 << 20
 
 
-def write_new_file(path: str | Path, data: bytes | str, digest=None) -> None:
-    """Write `data` to `path` as a newly created file.
-
-    A str is written as UTF-8, SLICE_CHARS characters at a time, so no
-    bytes copy of the whole text is built. `digest`, a hashlib object, is
-    updated with every byte written.
+def _new_file(path: Path):
+    """`path` opened for writing as a newly created file.
 
     An existing file is unlinked first, not truncated and rewritten: a
     reader that has the old file open keeps reading its complete old
@@ -66,8 +61,14 @@ def write_new_file(path: str | Path, data: bytes | str, digest=None) -> None:
     from an in-place write: a symlink at `path` is replaced by a regular
     file, not written through.
     """
-    path = Path(path)
     path.unlink(missing_ok=True)
+    return open(path, "xb")
+
+
+def _write_slices(f, data: bytes | str, digest=None) -> None:
+    """Write `data` to the binary file `f`; a str as UTF-8, SLICE_CHARS
+    characters at a time, so no bytes copy of the whole text is built.
+    `digest`, a hashlib object, is updated with every byte written."""
     if isinstance(data, str):
         chunks = (
             data[lo : lo + SLICE_CHARS].encode("utf-8")
@@ -75,11 +76,16 @@ def write_new_file(path: str | Path, data: bytes | str, digest=None) -> None:
         )
     else:
         chunks = (data,)
-    with open(path, "xb") as f:
-        for chunk in chunks:
-            if digest is not None:
-                digest.update(chunk)
-            f.write(chunk)
+    for chunk in chunks:
+        if digest is not None:
+            digest.update(chunk)
+        f.write(chunk)
+
+
+def write_new_file(path: str | Path, data: bytes | str) -> None:
+    """Write `data` to `path` as a new file in slices, see _new_file and _write_slices."""
+    with _new_file(Path(path)) as f:
+        _write_slices(f, data)
 
 
 def _format_manifest(
@@ -154,7 +160,8 @@ def write_bundle(
     Layout is fixed: model.dae, optional segmentation.txt / layout.cfg,
     audio copied byte-for-byte under audio/, and manifest.txt with content
     hashes. Writing is deterministic for identical inputs. Each file (or
-    the archive) is written as a new file, see write_new_file.
+    the archive, whose entries are stored uncompressed) is written as a new
+    file in slices, see _new_file and _write_slices.
     """
     path = Path(path)
     files: dict[str, bytes | str] = {MODEL_NAME: model_text}
@@ -165,27 +172,26 @@ def write_bundle(
     for name, data in (audio or {}).items():
         files[f"{AUDIO_DIR}/{Path(name).name}"] = data
 
+    entries: dict[str, str] = {}
+
+    def write_files(new_entry) -> None:
+        """Each file, then the manifest, through `new_entry(name)`."""
+        for name in sorted(files):
+            digest = hashlib.sha256()
+            with new_entry(name) as out:
+                _write_slices(out, files[name], digest)
+            entries[name] = digest.hexdigest()
+        with new_entry(MANIFEST_NAME) as out:
+            _write_slices(out, _format_manifest(channels, rate_hz, entries))
+
     if path.suffix == ".zip":
         path.parent.mkdir(parents=True, exist_ok=True)
-        files = {n: d.encode("utf-8") if isinstance(d, str) else d for n, d in files.items()}
-        entries = {name: _sha256(data) for name, data in files.items()}
-        manifest = _format_manifest(channels, rate_hz, entries)
-        archive = io.BytesIO()
-        with zipfile.ZipFile(archive, "w", zipfile.ZIP_DEFLATED) as zf:
-            for name in sorted(files) + [MANIFEST_NAME]:
-                data = manifest.encode("utf-8") if name == MANIFEST_NAME else files[name]
-                zf.writestr(zipfile.ZipInfo(name, date_time=_ZIP_EPOCH), data)
-        write_new_file(path, archive.getvalue())
+        with _new_file(path) as f, zipfile.ZipFile(f, "w") as zf:
+            write_files(lambda name: zf.open(zipfile.ZipInfo(name, date_time=_ZIP_EPOCH), "w"))
     else:
-        path.mkdir(parents=True, exist_ok=True)
-        entries = {}
-        for name, data in files.items():
-            target = path / name
-            target.parent.mkdir(parents=True, exist_ok=True)
-            digest = hashlib.sha256()
-            write_new_file(target, data, digest)
-            entries[name] = digest.hexdigest()
-        write_new_file(path / MANIFEST_NAME, _format_manifest(channels, rate_hz, entries))
+        for name in files:
+            (path / name).parent.mkdir(parents=True, exist_ok=True)
+        write_files(lambda name: _new_file(path / name))
 
     return Bundle(
         path=path,

@@ -466,65 +466,49 @@ def _annotation(elem: Element, name: str) -> Element:
 
 
 _INT64 = np.iinfo(np.int64)
-# A sign that no digit follows, which ``np.fromstring`` reads as 0 or joins
-# to the next number.
-_LONE_SIGN = re.compile(r"[+-](?![0-9])")
 # Characters per ``np.loadtxt`` call: it holds 6-7 bytes per character.
 _FLOAT_SLICE = 1 << 16
 # Whitespace to ``np.loadtxt`` (as to ``str.isspace``), but not to C's isspace.
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
 
 
-def _floats(text: str) -> np.ndarray:
-    """The float64 numbers of `text` as ``np.fromstring(text, sep=" ")``
-    reads them, bit for bit, decoded by ``np.loadtxt`` in slices cut at a
-    space, each slice one row.
-
-    ``np.loadtxt`` takes non-ASCII spaces and ``_SEPARATORS`` for
-    whitespace, so text holding them raises ValueError; it ends a row at CR
-    and LF, so they become spaces; and it warns on a row with no number, so
-    a slice of whitespace only is skipped."""
-    if not text.isascii() or any(c in text for c in _SEPARATORS):
-        raise ValueError
-    pieces = []
-    lo = 0
-    while lo < len(text):
-        cut = text.find(" ", lo + _FLOAT_SLICE)
-        cut = len(text) if cut < 0 else cut
-        piece = text[lo:cut].replace("\n", " ").replace("\r", " ")
-        if not piece.isspace():
-            pieces.append(np.loadtxt([piece], dtype=np.float64, comments=None, ndmin=1))
-        lo = cut
-    return np.concatenate(pieces)
-
-
 def _numbers(text: str | None, dtype=np.float64) -> np.ndarray:
-    """The numbers of `text`, separated by ASCII whitespace.
+    """The numbers of `text`, separated by ASCII whitespace, as
+    ``np.fromstring(text, dtype, sep=" ")`` read them, bit for bit; blank
+    text is empty. Floats must be finite; integers are ASCII digits with an
+    optional sign, strictly inside int64 (``np.fromstring`` saturated both
+    ways to the int64 maximum).
 
-    Floats must be finite; integers are ASCII digits with an optional sign,
-    inside int64. Floats are decoded by ``_floats`` and integers by
-    ``np.fromstring``, which gives ``[-1.]`` for blank text, and raises
-    (numpy 2) or warns and returns a prefix (numpy 1) on text it cannot
-    read to the end. It saturates integers past int64 in both directions to
-    the int64 maximum, so both int64 limits are refused.
+    ``np.loadtxt`` decodes the text in slices cut at a space, each one row.
+    It takes non-ASCII spaces and ``_SEPARATORS`` for whitespace, so text
+    holding them is refused, blank or not; it ends a row at CR and LF, so
+    they become spaces; it warns on a row with no number, so a blank slice
+    is skipped; and numpy 1.x reads an integer token it cannot parse
+    through a float and warns DeprecationWarning, a refusal here.
     """
-    if not text or text.isspace():
-        return np.empty(0, dtype)
+    text = text or ""
+    pieces = [np.empty(0, dtype)]
     try:
+        if not text.isascii() or any(c in text for c in _SEPARATORS):
+            raise ValueError
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            if dtype is np.float64:
-                values = _floats(text)
-            else:
-                values = np.fromstring(text, dtype=np.int64, sep=" ")
+            lo = 0
+            while lo < len(text):
+                cut = text.find(" ", lo + _FLOAT_SLICE)
+                cut = len(text) if cut < 0 else cut
+                piece = text[lo:cut].replace("\n", " ").replace("\r", " ")
+                if not piece.isspace():
+                    pieces.append(np.loadtxt([piece], dtype=dtype, comments=None, ndmin=1))
+                lo = cut
     except (ValueError, DeprecationWarning):
         raise ParseError(f"bad {np.dtype(dtype)} in array text", module="export") from None
+    values = np.concatenate(pieces)
+    del pieces  # before the checks' temporaries
     if dtype is np.float64:
         if not np.isfinite(values).all():
             raise ParseError("non-finite number in array text", module="export")
-    elif (
-        ("-" in text or "+" in text) and _LONE_SIGN.search(text)
-    ) or ((values == _INT64.max) | (values == _INT64.min)).any():
+    elif ((values == _INT64.max) | (values == _INT64.min)).any():
         raise ParseError("bad int64 in array text", module="export")
     return values
 
@@ -544,20 +528,28 @@ def _values(elem: Element, n: int) -> np.ndarray:
     return values
 
 
-def _rows(values: np.ndarray, elem: Element, width: int) -> np.ndarray:
-    """`values` as (count, width) rows, count being the ``count`` of `elem`."""
+def _counted(values, elem: Element, width: int = 1):
+    """`values`, which must number `width` times the ``count`` of `elem`."""
     count = _numbers(elem.get("count"), np.int64)
     if count.shape != (1,) or len(values) != count[0] * width:
         raise ParseError(f"<{_local(elem)}> count does not match its array", module="export")
-    return values.reshape(-1, width)
+    return values
+
+
+def _names(elem: Element) -> list[str]:
+    """The names of a <Name_array>, which must number its ``count``."""
+    return _counted((_take_text(elem) or "").split(), elem)
 
 
 def _source_rows(src: Element, width: int, numbers=_numbers) -> np.ndarray:
-    """A <source>'s float_array as rows, checked against its accessor."""
+    """A <source>'s float_array as rows, checked against its own count and
+    its accessor's."""
     accessor = _child(_child(src, "technique_common"), "accessor")
     if accessor.get("stride") != str(width):
         raise ParseError(f"source {src.get('id')!r} needs stride {width}", module="export")
-    return _rows(numbers(_take_text(_child(src, "float_array"))), accessor, width)
+    array = _child(src, "float_array")
+    values = _counted(numbers(_take_text(array)), array)
+    return _counted(values, accessor, width).reshape(-1, width)
 
 
 def _affine(matrices: np.ndarray, what: str) -> np.ndarray:
@@ -673,7 +665,8 @@ def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip]:
         inputs = _children(tri_el, "input")
         if len(inputs) != 1 or inputs[0].get("semantic") != "VERTEX":
             raise UnsupportedFeature("triangles must carry a single VERTEX input")
-        batches.append(_rows(_numbers(_take_text(_child(tri_el, "p")), np.int64), tri_el, 3))
+        p = _numbers(_take_text(_child(tri_el, "p")), np.int64)
+        batches.append(_counted(p, tri_el, 3).reshape(-1, 3))
         materials.append(tri_el.get("material"))
     tris = np.concatenate([np.empty((0, 3), np.int64)] + batches)
     if ((tris < 0) | (tris >= len(positions))).any():
@@ -693,12 +686,12 @@ def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip]:
     for s in _children(skin, "source"):
         name_arr = _children(s, "Name_array")
         if name_arr and "joints" in (s.get("id") or ""):
-            joint_names = (name_arr[0].text or "").split()
+            joint_names = _names(name_arr[0])
         if _children(s, "float_array") and "weights" in (s.get("id") or ""):
             weights_arr = _source_rows(s, 1)[:, 0]
 
     vw = _child(skin, "vertex_weights")
-    vcount = _rows(_numbers(_take_text(_child(vw, "vcount")), np.int64), vw, 1)[:, 0]
+    vcount = _counted(_numbers(_take_text(_child(vw, "vcount")), np.int64), vw)
     if len(vcount) != len(positions):
         raise ParseError("<vertex_weights> count is not the vertex count", module="export")
     v = _numbers(_take_text(_child(vw, "v")), np.int64)
@@ -806,8 +799,7 @@ def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip]:
     for anim in _children(la[0], "animation"):
         chan = _child(anim, "channel")
         target = (chan.get("target") or "").split("/")[0]
-        times = None
-        mats = None
+        times = mats = interps = None
         for s in _children(anim, "source"):
             sid = s.get("id") or ""
             fa = _children(s, "float_array")
@@ -817,13 +809,14 @@ def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip]:
             elif fa and sid.endswith("-output"):
                 mats = _affine(_source_rows(s, 16).reshape(-1, 4, 4), f"source {sid!r}")
             elif na and sid.endswith("-interp"):
-                kinds = set((na[0].text or "").split())
-                if kinds - {"LINEAR"}:
-                    raise UnsupportedFeature(
-                        f"unsupported interpolation {sorted(kinds - {'LINEAR'})}"
-                    )
+                interps = _names(na[0])
+                kinds = set(interps) - {"LINEAR"}
+                if kinds:
+                    raise UnsupportedFeature(f"unsupported interpolation {sorted(kinds)}")
         if times is None or mats is None:
             raise UnsupportedFeature("animation without matrix sampler")
+        if interps is not None and len(interps) != len(times):
+            raise ParseError(f"{target!r} needs one interpolation per key", module="export")
         if target in channels:
             raise ParseError(f"two animations target {target!r}", module="export")
         channels[target] = (times, mats)

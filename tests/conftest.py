@@ -111,6 +111,19 @@ def prepare(data, smoothing=None):
 
 
 @pytest.fixture(scope="session")
+def default_bundle(tmp_path_factory):
+    """The bundle directory that `emarig compile` writes from the `emarig
+    fixture` default corpus (2 x 600 frames)."""
+    from emarig.cli import main
+
+    tmp = tmp_path_factory.mktemp("default")
+    assert main(["fixture", "--out", str(tmp / "f")]) == 0
+    config = str(tmp / "f" / "config.cfg")
+    assert main(["compile", "--config", config, "--out", str(tmp / "b")]) == 0
+    return tmp / "b"
+
+
+@pytest.fixture(scope="session")
 def small_fixture():
     return synthetic_motion(FixtureSpec(n_sweeps=2, frames_per_sweep=300))
 

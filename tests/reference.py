@@ -7,12 +7,27 @@ the package; a test asserts that the replacement gives the same bits.
 
 from __future__ import annotations
 
+import io
 import itertools
+import re
 import warnings
+import zipfile
+from pathlib import Path
 
 import numpy as np
 
 from emarig.anim_db import AnimationUnit
+from emarig.bundle import (
+    AUDIO_DIR,
+    LAYOUT_NAME,
+    MANIFEST_NAME,
+    MODEL_NAME,
+    SEGMENTATION_NAME,
+    _ZIP_EPOCH,
+    _format_manifest,
+    _sha256,
+    write_new_file,
+)
 from emarig.ema_io import CoilRoles, EmaSweep, angles_from_vector, orientation_vector
 from emarig.errors import DegenerateConfiguration, NoValidReferenceFrame, ParseError
 from emarig.fixture import _JAW_AXIS_REST, _JAW_FREQ, _JAW_HINGE, _JAW_MAX_OPEN, _JAW_REST
@@ -641,3 +656,61 @@ def fromstring_floats(text: str | None) -> np.ndarray:
     if not np.isfinite(values).all():
         raise ParseError("non-finite number in array text", module="export")
     return values
+
+
+# --- emarig.collada_io and emarig.bundle at 6f4583d -------------------------------
+# The int branch of `_numbers`, which decoded with one `np.fromstring` call
+# before the sliced `np.loadtxt` reader of floats took ints too, and the
+# `.zip` branch of `write_bundle`, which built the archive in memory before
+# each entry was written and hashed in slices.
+
+_INT64 = np.iinfo(np.int64)
+# A sign that no digit follows, which ``np.fromstring`` reads as 0 or joins
+# to the next number.
+_LONE_SIGN = re.compile(r"[+-](?![0-9])")
+
+
+def fromstring_ints(text: str | None) -> np.ndarray:
+    """The numbers of `text`, separated by ASCII whitespace: ASCII digits
+    with an optional sign, inside int64. ``np.fromstring`` saturates
+    integers past int64 in both directions to the int64 maximum, so both
+    int64 limits are refused."""
+    if not text or text.isspace():
+        return np.empty(0, np.int64)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            values = np.fromstring(text, dtype=np.int64, sep=" ")
+    except (ValueError, DeprecationWarning):
+        raise ParseError(f"bad {np.dtype(np.int64)} in array text", module="export") from None
+    if (
+        ("-" in text or "+" in text) and _LONE_SIGN.search(text)
+    ) or ((values == _INT64.max) | (values == _INT64.min)).any():
+        raise ParseError("bad int64 in array text", module="export")
+    return values
+
+
+def in_memory_zip_bundle(
+    path, model_text, *, channels, rate_hz, segmentation_text=None, layout_text=None, audio=None
+) -> dict[str, str]:
+    """Write a ``.zip`` bundle; returns its entries' digests."""
+    path = Path(path)
+    files: dict[str, bytes | str] = {MODEL_NAME: model_text}
+    if segmentation_text is not None:
+        files[SEGMENTATION_NAME] = segmentation_text
+    if layout_text is not None:
+        files[LAYOUT_NAME] = layout_text
+    for name, data in (audio or {}).items():
+        files[f"{AUDIO_DIR}/{Path(name).name}"] = data
+
+    path.parent.mkdir(parents=True, exist_ok=True)
+    files = {n: d.encode("utf-8") if isinstance(d, str) else d for n, d in files.items()}
+    entries = {name: _sha256(data) for name, data in files.items()}
+    manifest = _format_manifest(channels, rate_hz, entries)
+    archive = io.BytesIO()
+    with zipfile.ZipFile(archive, "w", zipfile.ZIP_DEFLATED) as zf:
+        for name in sorted(files) + [MANIFEST_NAME]:
+            data = manifest.encode("utf-8") if name == MANIFEST_NAME else files[name]
+            zf.writestr(zipfile.ZipInfo(name, date_time=_ZIP_EPOCH), data)
+    write_new_file(path, archive.getvalue())
+    return entries

@@ -7,6 +7,7 @@ import pytest
 
 from emarig.bundle import (
     SLICE_CHARS,
+    _write_slices,
     open_bundle,
     read_bundle,
     verify_bundle,
@@ -25,6 +26,7 @@ from emarig.pipeline import (
     prepare_sweeps,
 )
 
+import reference
 from conftest import traced_peak
 
 
@@ -280,8 +282,11 @@ class TestSlicedWrite:
         # Two-byte characters on both sides of a slice boundary.
         text = "a" * (SLICE_CHARS - 1) + "é" * 3 + "z" * (SLICE_CHARS + 7)
         digest = hashlib.sha256()
-        write_new_file(tmp_path / "t", text, digest)
+        with open(tmp_path / "t", "wb") as f:
+            _write_slices(f, text, digest)
         assert (tmp_path / "t").read_bytes() == text.encode("utf-8")
+        write_new_file(tmp_path / "u", text)
+        assert (tmp_path / "u").read_bytes() == text.encode("utf-8")
         assert digest.hexdigest() == hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     def test_directory_bundle_peak_memory(self, tmp_path):
@@ -300,6 +305,40 @@ class TestSlicedWrite:
         assert (tmp_path / "b" / "model.dae").read_bytes() == text.encode("utf-8")
         assert bundle.entries["model.dae"] == hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert verify_bundle(tmp_path / "b") == []
+
+    def test_zip_write_peak_memory(self, tmp_path):
+        # Each archive entry is encoded, hashed and written a slice at a time
+        # as well. Building the archive in memory peaked at 2.13 times the text.
+        text = "<float_array>0.123456789 -1.5e-07</float_array>\n" * 340_000
+        path = tmp_path / "b.zip"
+        bundle, peak = traced_peak(write_bundle, path, text, channels=("A",), rate_hz=200.0)
+        assert len(text) > 16_000_000
+        assert peak <= 4_000_000
+        with zipfile.ZipFile(path) as zf:
+            assert zf.read("model.dae") == text.encode("utf-8")
+        assert bundle.entries["model.dae"] == hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert verify_bundle(path) == []
+
+    @pytest.mark.parametrize("corpus", ["small", "default_with_audio"])
+    def test_zip_matches_in_memory_archive(self, request, tmp_path, model_text, corpus):
+        if corpus == "small":
+            files = dict(segmentation_text="0.0 0.5 a\n", layout_text="channels = A\n")
+        else:
+            default = request.getfixturevalue("default_bundle")
+            model_text = (default / "model.dae").read_text(encoding="utf-8")
+            files = dict(
+                segmentation_text=(default / "segmentation.txt").read_text(encoding="utf-8"),
+                layout_text=(default / "layout.cfg").read_text(encoding="utf-8"),
+                audio={"take1.wav": bytes(range(256)) * 11, "empty.wav": b""},
+            )
+        bundle = write_bundle(
+            tmp_path / "b.zip", model_text, channels=("A",), rate_hz=200.0, **files
+        )
+        entries = reference.in_memory_zip_bundle(
+            tmp_path / "ref.zip", model_text, channels=("A",), rate_hz=200.0, **files
+        )
+        assert (tmp_path / "b.zip").read_bytes() == (tmp_path / "ref.zip").read_bytes()
+        assert bundle.entries == entries
 
 
 class TestReadBundle:

@@ -310,6 +310,29 @@ _SHORT_TEXT_ALPHABET = (
 )
 # Whitespace runs longer than a decoder slice; the last ones hold no space.
 _LONG_RUNS = [" " * 65536, " " * 65537, " " * 70001, " \n" * 33000, "\t" * 65537, "\n" * 70000]
+# Digits, signs, points, exponents, separators, every ASCII control
+# character and DEL, non-ASCII whitespace and digits, and tokens past int64,
+# at its limits and zero-padded (after a space, so that most stand alone).
+_INT_TEXT_ALPHABET = (
+    list("0123456789+-.e_, ") + [chr(c) for c in range(32)] + ["\x7f"]
+    + ["\xa0", "\x85", "\u3000", "\u0661"]
+    + [" 9223372036854775807", " -9223372036854775808", " 9223372036854775808"]
+    + [" -9223372036854775809", " 18446744073709551616", " 0009223372036854775806", " -0042"]
+)
+
+
+def spaced(rng, words, runs, bad):
+    """`words` with random ASCII whitespace between and around them, each
+    (where, run) of `runs` added to the gap at `where` (0-1), and one word
+    replaced by `bad` unless it is None."""
+    n = len(words)
+    gaps = rng.choice([" ", " ", " ", "  ", "\t", "\n", " \r\n "], n + 1).tolist()
+    gaps[0], gaps[-1] = gaps[0].strip(" "), gaps[-1].strip(" \t")
+    for where, run in runs:
+        gaps[int(where * n)] += run
+    if bad is not None:
+        words[rng.integers(n)] = bad
+    return "".join(g + w for g, w in zip(gaps, words)) + gaps[-1]
 
 
 def decoded(decoder, text):
@@ -319,6 +342,23 @@ def decoded(decoder, text):
     except ParseError as err:
         return err.diagnostic()
     return values.dtype.str, values.tobytes()
+
+
+def one_blank_rule(reference_decoder, dtype):
+    """`reference_decoder`, except that text which ``str.isspace`` calls
+    blank, but which holds more than C's ASCII whitespace, is refused, as
+    the same characters are next to a number."""
+
+    def decode(text):
+        if text and text.isspace() and text.strip(" \t\n\v\f\r"):
+            raise ParseError(f"bad {np.dtype(dtype)} in array text", module="export")
+        return reference_decoder(text)
+
+    return decode
+
+
+fromstring_floats = one_blank_rule(reference.fromstring_floats, np.float64)
+fromstring_ints = one_blank_rule(reference.fromstring_ints, np.int64)
 
 
 class TestNumberCodec:
@@ -391,8 +431,9 @@ class TestNumberCodec:
         "text",
         [
             "1 2 x", "1,2", "0x10", "1_0", "\u0661", "1\xa02", "nan", "1 inf", "-inf 2", "1e999",
-            # Whitespace to str.isspace, but not to C's isspace.
-            "1\x1c2", "1\x1f", "1\x852",
+            # Whitespace to str.isspace, but not to C's isspace, with a number
+            # or alone.
+            "1\x1c2", "1\x1f", "1\x852", "\x1c", "\x1f \x1e", "\u3000", "\xa0", " \x85\n",
         ],
     )
     def test_bad_float_text_fails(self, text):
@@ -401,17 +442,18 @@ class TestNumberCodec:
         assert err.value.diagnostic().startswith("error:export:parse_error:")
 
     def test_numpy_1_prefix_with_warning_fails(self, monkeypatch):
-        # numpy 1.x only warns on text it cannot read to the end and
-        # returns the numbers before it; the caller's filter must not matter.
-        def fromstring_1x(text, dtype, sep):
-            warnings.warn("string or file could not be read to its end", DeprecationWarning)
+        # numpy 1.x np.loadtxt reads an integer token it cannot parse
+        # through a float, warns and returns the truncated number; the
+        # caller's filter must not matter.
+        def loadtxt_1x(rows, dtype, comments, ndmin):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
             return np.array([1, 2], dtype)
 
-        monkeypatch.setattr(np, "fromstring", fromstring_1x)
+        monkeypatch.setattr(np, "loadtxt", loadtxt_1x)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(ParseError):
-                _numbers("1 2 x", np.int64)
+                _numbers("1 2.5", np.int64)
 
     @settings(max_examples=400, deadline=None, database=None)
     @given(
@@ -421,7 +463,7 @@ class TestNumberCodec:
         ).map("".join)
     )
     def test_matches_fromstring_on_short_texts(self, text):
-        assert decoded(_numbers, text) == decoded(reference.fromstring_floats, text)
+        assert decoded(_numbers, text) == decoded(fromstring_floats, text)
 
     @settings(max_examples=20, deadline=None, database=None)
     @given(
@@ -437,15 +479,8 @@ class TestNumberCodec:
         rng = np.random.default_rng(seed)
         bits = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
         values = np.where(np.isfinite(bits) & (rng.random(n) < 0.5), bits, rng.normal(0, 3, n))
-        words = [template % x for x in values.tolist()]
-        gaps = rng.choice([" ", " ", " ", "  ", "\t", "\n", " \r\n "], n + 1).tolist()
-        gaps[0], gaps[-1] = gaps[0].strip(" "), gaps[-1].strip(" \t")
-        for where, run in runs:
-            gaps[int(where * n)] += run
-        if bad is not None:
-            words[rng.integers(n)] = bad
-        text = "".join(g + w for g, w in zip(gaps, words)) + gaps[-1]
-        assert decoded(_numbers, text) == decoded(reference.fromstring_floats, text)
+        text = spaced(rng, [template % x for x in values.tolist()], runs, bad)
+        assert decoded(_numbers, text) == decoded(fromstring_floats, text)
 
     @pytest.mark.parametrize(
         "text",
@@ -456,12 +491,44 @@ class TestNumberCodec:
             "1_0", "\u0660", "\u0661 2", "1e3", "0x10", "1 2 x", "1,2", "1\xa02",
             # A sign with no digit after it reads as 0 or joins the next number.
             "-", "+", "1 -", "- 1", "1 + 2",
+            # Whitespace to str.isspace, but not to C's isspace, alone.
+            "\u3000", "\x1c", "\n\x85 ",
         ],
     )
     def test_bad_int_text_fails(self, text):
         with pytest.raises(ParseError) as err:
             _numbers(text, np.int64)
         assert err.value.diagnostic().startswith("error:export:parse_error:")
+
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(
+        st.lists(
+            st.sampled_from(list("0123456789+-  ")) | st.sampled_from(_INT_TEXT_ALPHABET),
+            max_size=24,
+        ).map("".join)
+    )
+    def test_ints_match_fromstring_on_short_texts(self, text):
+        assert decoded(lambda t: _numbers(t, np.int64), text) == decoded(fromstring_ints, text)
+
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 30000),
+        st.sampled_from(["%d", "%+d", "%05d"]),
+        st.lists(st.tuples(st.floats(0, 1), st.sampled_from(_LONG_RUNS)), max_size=3),
+        st.none() | st.sampled_from(
+            ["9223372036854775807", "-9223372036854775808", "-9223372036854775809", "1.5", "1e3",
+             "-", "x", "\x1c", "\xa0"]
+        ),
+    )
+    def test_ints_match_fromstring_on_long_texts(self, seed, n, template, runs, bad):
+        # Thousands of tokens, the longest 20 characters, with runs of
+        # whitespace longer than a slice, and maybe one bad token.
+        rng = np.random.default_rng(seed)
+        big = rng.integers(-(2**63) + 1, 2**63 - 1, n)
+        values = np.where(rng.random(n) < 0.5, big, rng.integers(-999, 1000, n))
+        text = spaced(rng, [template % x for x in values.tolist()], runs, bad)
+        assert decoded(lambda t: _numbers(t, np.int64), text) == decoded(fromstring_ints, text)
 
 
 # --- the array float printer against the per-float format -------------------
@@ -903,6 +970,13 @@ class TestReaderErrors:
             (r"<p>\d+ ", "<p>"),
             (r"<vcount>", "<vcount>1 "),
             (r'(id="mesh-positions-array" count="\d+">)', r"\g<1>1 "),
+            # float and name arrays whose own count disagrees with their size,
+            # and an interpolation array of one name in a clip of many keys
+            (r'(id="mesh-positions-array" count=")\d+', r"\g<1>{n_positions_plus_7}"),
+            (r'(id="skin-joints-array" count=")\d+', r"\g<1>{n_joints_plus_3}"),
+            (r'(id="anim-TMidC-interp-array" count=")\d+(">)LINEAR[^<]*', r"\g<1>1\g<2>LINEAR"),
+            # an empty triangle batch whose <p> holds a non-ASCII space only
+            (r'(<triangles[^>]*count=")\d+("[^>]*>\s*<input[^>]*>\s*<p>)[^<]*', "\\g<1>0\\g<2>\u3000"),
             # a bone's or the jaw's first animation key ending in 0 0 0 2
             (r'(id="anim-TMidC-output-array" count="\d+">(?:\S+ ){15})1 ', r"\g<1>2 "),
             (r'(id="anim-Jaw-output-array" count="\d+">(?:\S+ ){15})1 ', r"\g<1>2 "),
@@ -932,6 +1006,8 @@ class TestReaderErrors:
             "weight_index", "odd_v", "joint_index", "negative_joint",
             "float_token", "int_token", "triangle_index", "negative_triangle",
             "triangle_count", "vcount_count", "positions_count",
+            "positions_array_count", "joints_array_count", "one_interpolation",
+            "blank_non_ascii_triangles",
             "bone_key_last_row", "jaw_key_last_row", "node_last_row", "node_scaled",
             "node_sheared", "root_rotated", "no_animation_library", "no_animations",
             "jaw_animation_twice",
@@ -941,10 +1017,14 @@ class TestReaderErrors:
     def test_tampered_arrays_are_tagged(self, compiled_model, pattern, repl):
         rig, clip, _ = compiled_model
         doc = write_collada(rig.mesh, rig.armature, clip)
+        n_joints = int(re.search(r'"skin-joints-array" count="(\d+)"', doc)[1])
+        n_positions = int(re.search(r'"mesh-positions-array" count="(\d+)"', doc)[1])
         sizes = {
             "n_weights": re.search(r'"skin-weights-array" count="(\d+)"', doc)[1],
-            "n_joints": re.search(r'"skin-joints-array" count="(\d+)"', doc)[1],
+            "n_joints": str(n_joints),
             "n_vertices": str(rig.mesh.n_vertices),
+            "n_positions_plus_7": str(n_positions + 7),
+            "n_joints_plus_3": str(n_joints + 3),
         }
         doc, n = re.subn(pattern, repl.format(**sizes), doc, count=1)
         assert n == 1
@@ -1012,13 +1092,9 @@ WRITE_PEAK_PER_CHAR = 3.0
 
 
 @pytest.fixture(scope="module")
-def default_model(tmp_path_factory):
+def default_model(default_bundle):
     """The text of the `emarig fixture` default (2 x 600 frames) model.dae."""
-    tmp = tmp_path_factory.mktemp("default")
-    assert main(["fixture", "--out", str(tmp / "f")]) == 0
-    config = str(tmp / "f" / "config.cfg")
-    assert main(["compile", "--config", config, "--out", str(tmp / "b")]) == 0
-    return (tmp / "b" / "model.dae").read_text(encoding="utf-8")
+    return (default_bundle / "model.dae").read_text(encoding="utf-8")
 
 
 def test_read_peak_memory(default_model):
