@@ -13,9 +13,7 @@ Exit codes: 0 success, 1 usage error, 2 data/processing error,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from collections import Counter
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -38,16 +36,10 @@ from .unit_synth import (
     SynthesisDefaults,
     SynthesisRequest,
     check_timeline,
-    dp_slack,
-    exhaustive_total,
     parse_request,
     render_plan,
     select_units,
 )
-
-# The most candidate sequences `synth --exhaustive` enumerates.
-EXHAUSTIVE_LIMIT = 5**5
-
 
 class UsageError(Exception):
     pass
@@ -79,12 +71,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", help="pipeline config supplying [synthesis] defaults")
     for f in fields(SynthesisDefaults):
         p.add_argument("--" + f.name.replace("_", "-"), type=float, default=argparse.SUPPRESS)
-    p.add_argument(
-        "--exhaustive",
-        action="store_true",
-        help="cross-check the plan against the minimum over every candidate "
-        f"sequence (requests of up to {EXHAUSTIVE_LIMIT} sequences)",
-    )
 
     p = sub.add_parser("validate", help="compare a bundle against source EMA")
     p.add_argument("--bundle", required=True)
@@ -143,14 +129,6 @@ def _cmd_synth(args) -> int:
         raise EmarigError("bundle has no segmentation to synthesize from", module="cli")
     check_timeline(request.items, loaded.clip.rate_hz)
     db = build_unit_db(loaded.clip, loaded.tier)
-    if args.exhaustive:
-        per_label = Counter(u.label for u in db)
-        n_sequences = math.prod(per_label[label] for label, _ in request.items)
-        if n_sequences > EXHAUSTIVE_LIMIT:
-            raise UsageError(
-                f"--exhaustive is limited to {EXHAUSTIVE_LIMIT} candidate sequences; "
-                f"this request has {n_sequences}"
-            )
     plan = select_units(db, request)
 
     print(f"{'slot':>4}  {'label':<8}{'source':>6}  {'warp':>8}  {'target':>10}")
@@ -161,17 +139,6 @@ def _cmd_synth(args) -> int:
     for j, jc in enumerate(plan.join_costs):
         print(f"join {j}->{j + 1}: {jc:.6g}")
     print(f"total cost {plan.total:.6g}")
-
-    if args.exhaustive:
-        best, seq = exhaustive_total(db, request)
-        match = best <= plan.total <= best * (1 + dp_slack(len(request.items)))
-        print(f"exhaustive minimum {best:.6g} ({'match' if match else 'MISMATCH'})")
-        if not match:
-            raise EmarigError(
-                f"plan cost {plan.total!r} differs from exhaustive minimum {best!r} "
-                f"(sequence {seq})",
-                module="unit_synth",
-            )
 
     rendered = render_plan(plan, loaded.clip)
     write_new_file(args.out, write_collada(loaded.mesh, loaded.armature, rendered))

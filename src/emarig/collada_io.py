@@ -536,17 +536,26 @@ def _counted(values, elem: Element, width: int = 1):
     return values
 
 
-def _names(elem: Element) -> list[str]:
-    """The names of a <Name_array>, which must number its ``count``."""
-    return _counted((_take_text(elem) or "").split(), elem)
+def _accessor(src: Element, width: int) -> Element:
+    """A <source>'s accessor, which must read rows of `width` values."""
+    accessor = _child(_child(src, "technique_common"), "accessor")
+    if accessor.get("stride") != str(width):
+        raise ParseError(f"source {src.get('id')!r} needs stride {width}", module="export")
+    return accessor
+
+
+def _names(src: Element) -> list[str]:
+    """A <source>'s Name_array, checked against its own count and its
+    accessor's."""
+    accessor = _accessor(src, 1)
+    array = _child(src, "Name_array")
+    return _counted(_counted((_take_text(array) or "").split(), array), accessor)
 
 
 def _source_rows(src: Element, width: int, numbers=_numbers) -> np.ndarray:
     """A <source>'s float_array as rows, checked against its own count and
     its accessor's."""
-    accessor = _child(_child(src, "technique_common"), "accessor")
-    if accessor.get("stride") != str(width):
-        raise ParseError(f"source {src.get('id')!r} needs stride {width}", module="export")
+    accessor = _accessor(src, width)
     array = _child(src, "float_array")
     values = _counted(numbers(_take_text(array)), array)
     return _counted(values, accessor, width).reshape(-1, width)
@@ -684,13 +693,18 @@ def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip]:
     joint_names: list[str] = []
     weights_arr = np.empty(0)
     for s in _children(skin, "source"):
-        name_arr = _children(s, "Name_array")
-        if name_arr and "joints" in (s.get("id") or ""):
-            joint_names = _names(name_arr[0])
+        if _children(s, "Name_array") and "joints" in (s.get("id") or ""):
+            joint_names = _names(s)
         if _children(s, "float_array") and "weights" in (s.get("id") or ""):
             weights_arr = _source_rows(s, 1)[:, 0]
 
     vw = _child(skin, "vertex_weights")
+    inputs = sorted((i.get("semantic", ""), i.get("offset", "")) for i in _children(vw, "input"))
+    if inputs != [("JOINT", "0"), ("WEIGHT", "1")]:
+        raise ParseError(
+            "<vertex_weights> inputs must be JOINT at offset 0 and WEIGHT at offset 1",
+            module="export",
+        )
     vcount = _counted(_numbers(_take_text(_child(vw, "vcount")), np.int64), vw)
     if len(vcount) != len(positions):
         raise ParseError("<vertex_weights> count is not the vertex count", module="export")
@@ -809,7 +823,7 @@ def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip]:
             elif fa and sid.endswith("-output"):
                 mats = _affine(_source_rows(s, 16).reshape(-1, 4, 4), f"source {sid!r}")
             elif na and sid.endswith("-interp"):
-                interps = _names(na[0])
+                interps = _names(s)
                 kinds = set(interps) - {"LINEAR"}
                 if kinds:
                     raise UnsupportedFeature(f"unsupported interpolation {sorted(kinds)}")

@@ -145,6 +145,11 @@ def load_config(path: str | Path) -> PipelineConfig:
     for key in ("ema", "layout", "rig_graph"):
         if not paths[key]:
             raise ConfigError(f"[paths] {key} is required")
+    audio_paths = tuple(resolve(p) for p in _split_list(paths["audio"]))
+    bundled: dict[str, Path] = {}  # the bundle keeps audio by file name
+    for p in audio_paths:
+        if bundled.setdefault(p.name, p) != p:
+            raise ConfigError(f"audio files {bundled[p.name]} and {p} share the name {p.name!r}")
 
     if not parser.has_section("roles"):
         raise ConfigError("config needs a [roles] section")
@@ -183,7 +188,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         rig_graph_path=resolve(paths["rig_graph"]),
         mesh_path=resolve(paths["mesh"]) if paths["mesh"] else None,
         segmentation_path=resolve(paths["segmentation"]) if paths["segmentation"] else None,
-        audio_paths=tuple(resolve(p) for p in _split_list(paths["audio"])),
+        audio_paths=audio_paths,
         reference=reference,
         jaw=_split_list(get("roles", "jaw")),
         tongue=tongue,

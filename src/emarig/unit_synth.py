@@ -2,10 +2,11 @@
 
 Candidates matching each requested label are scored by how much they must
 be time-warped (target cost) and how badly their boundaries clash with
-their neighbors (join cost), all computed once by `slot_costs`; a Viterbi
-pass (`select_units`) and its unpruned grid (`exhaustive_total`) add up
-the same costs, slot by slot, to pick the globally cheapest sequence. The
-winning units are then linearly time-warped and cross-faded into a new clip.
+their neighbors (join cost), all computed once by `slot_costs`; one Viterbi
+pass (`select_units`) adds them up slot by slot to pick the cheapest
+sequence, to within a relative (n + 3)**2 * 2**-53 of the minimum total
+for n slots. The winning units are then linearly time-warped and
+cross-faded into a new clip.
 
 Costs are deliberately simple and fully parameterized; candidate pruning
 would sit between `slot_costs` and the DP, but desk-scale databases never
@@ -170,9 +171,10 @@ def select_units(db: list[AnimationUnit], request: SynthesisRequest) -> Synthesi
     ties going to the lexicographically smallest source-index prefix, so
     the selection is deterministic. The partial totals are rounded, so a
     path pruned at one slot can end up tied with, or a few units in the
-    last place cheaper than, the path kept: the plan's total exceeds the
-    brute-force minimum of `exhaustive_total` by at most `dp_slack` of it,
-    and when another sequence lies that close, the plan may be that one.
+    last place cheaper than, the path kept: over n slots the plan's total
+    exceeds the minimum over every assignment by at most (n + 3)**2 * 2**-53
+    of it, and when another sequence lies that close, the plan may be that
+    one.
     """
     cands, targets, joins = slot_costs(db, request)
     wt, wj = request.w_target, request.w_join
@@ -209,35 +211,6 @@ def select_units(db: list[AnimationUnit], request: SynthesisRequest) -> Synthesi
         total=float(wt * sum_t[picks[-1]] + wj * sum_j[picks[-1]]),
         blend_window=request.blend_window,
     )
-
-
-def dp_slack(n_slots: int) -> float:
-    """Relative bound on how far `select_units`' total over `n_slots` slots
-    can exceed the minimum: (n + 3)**2 units of 2**-53.
-
-    Costs and weights are >= 0, so the total of i slots is within
-    (i + 1) * 2**-53 of its exact value, relative. A choice between two such
-    totals can cost twice that; the choices at slots 2..n and the rounding
-    of the final total add up to (n**2 + 5 n - 2) * 2**-53, to first order.
-    """
-    return (n_slots + 3) ** 2 * 2.0**-53
-
-
-def exhaustive_total(db: list[AnimationUnit], request: SynthesisRequest):
-    """Minimum (total, source-index sequence) over every assignment: the
-    accumulation of `select_units` without its pruning, over the grid of
-    all sequences, ties going to the lexicographically smallest sequence
-    (C order, since each slot's candidates are sorted by source index).
-    `select_units` comes within `dp_slack` of this total, and picks this
-    sequence unless another one is as close."""
-    cands, targets, joins = slot_costs(db, request)
-    grid_t, grid_j = targets[0], np.zeros(len(targets[0]))
-    for target, join in zip(targets[1:], joins[1:]):
-        grid_t = grid_t[..., None] + target
-        grid_j = grid_j[..., None] + join
-    total = request.w_target * grid_t + request.w_join * grid_j
-    picks = np.unravel_index(np.argmin(total), total.shape)
-    return float(total[picks]), tuple(c[k].source_index for c, k in zip(cands, picks))
 
 
 def render_plan(plan: SynthesisPlan, clip: AnimationClip) -> AnimationClip:

@@ -7,7 +7,6 @@ from emarig.anim_db import bake
 from emarig.fixture import FixtureSpec, synthetic_motion, RIG_GRAPH_DOT
 from emarig.ik_solver import IkParams
 from emarig.motion_prep import fill_dropouts, normalize_head
-from emarig.rotations import slerp
 from emarig.rig import (
     Armature,
     RigConfig,
@@ -38,44 +37,6 @@ def make_chain_armature(points, names=None) -> Armature:
         rest_lengths=lengths,
         rest_dirs=deltas / lengths[:, None],
         root_point=points[0],
-    )
-
-
-def scalar_sample(self, t: float):
-    """The scalar `AnimationClip.sample` that the array sampler replaced,
-    kept verbatim (as a function of the clip) as its reference.
-
-    Channel values at time t: (quats, heads, stretches, tails, jaw_q, jaw_t).
-
-    Exact key times return the stored rows bit-for-bit; in between,
-    positions and stretches interpolate linearly and rotations
-    spherically. Times outside the key range clamp to the end keys.
-    """
-    times = self.times
-    k = int(np.searchsorted(times, t))
-    if k < len(times) and times[k] == t:
-        return (
-            self.quats[k],
-            self.heads[k],
-            self.stretches[k],
-            self.tails[k],
-            self.jaw_quats[k],
-            self.jaw_translations[k],
-        )
-    if k == 0:
-        k = 1
-    if k >= len(times):
-        k = len(times) - 1
-    t0, t1 = times[k - 1], times[k]
-    a = float(np.clip((t - t0) / (t1 - t0), 0.0, 1.0))
-    lerp = lambda x: (1.0 - a) * x[k - 1] + a * x[k]
-    return (
-        slerp(self.quats[k - 1], self.quats[k], a),
-        lerp(self.heads),
-        lerp(self.stretches),
-        lerp(self.tails),
-        slerp(self.jaw_quats[k - 1], self.jaw_quats[k], a),
-        lerp(self.jaw_translations),
     )
 
 

@@ -1,8 +1,10 @@
 """Frozen reference implementations that the tests compare against.
 
 Each function is a verbatim copy of code that a faster or simpler version
-replaced, named with the commit it was lifted from. They are not used by
-the package; a test asserts that the replacement gives the same bits.
+replaced, or that the package no longer ships, named with the commit it
+was lifted from. They are not used by the package; a test asserts that
+the replacement gives the same bits, or that it stays within a stated
+bound of the copy.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from emarig.anim_db import AnimationUnit
+from emarig.anim_db import AnimationClip, AnimationUnit, _tail_velocities
 from emarig.bundle import (
     AUDIO_DIR,
     LAYOUT_NAME,
@@ -29,7 +31,14 @@ from emarig.bundle import (
     write_new_file,
 )
 from emarig.ema_io import CoilRoles, EmaSweep, angles_from_vector, orientation_vector
-from emarig.errors import DegenerateConfiguration, NoValidReferenceFrame, ParseError
+from emarig.collada_io import _affine_rows
+from emarig.errors import (
+    DegenerateConfiguration,
+    NoCandidate,
+    NoValidReferenceFrame,
+    ParseError,
+    UnsupportedFeature,
+)
 from emarig.fixture import _JAW_AXIS_REST, _JAW_FREQ, _JAW_HINGE, _JAW_MAX_OPEN, _JAW_REST
 from emarig.ik_solver import (
     STOP_BUDGET,
@@ -44,8 +53,512 @@ from emarig.ik_solver import (
 from emarig.motion_prep import _DEGENERACY_RTOL
 from emarig.rig import Armature, GROUP_MANDIBLE
 from emarig import rotations
-from emarig.rotations import mat_to_quat, norm
-from emarig.unit_synth import SynthesisRequest, slot_costs
+from emarig.rotations import mat_to_quat, norm, quat_to_mat, slerp
+from emarig.unit_synth import SynthesisPlan, SynthesisRequest, slot_costs, target_cost
+
+# --- emarig.unit_synth at addaa15 ---------------------------------------------
+# The tuple-state DP that `select_units` replaced, verbatim but with the
+# per-pair join formula it called then; its `_plan_total` is below.
+
+
+def scalar_join_cost(left, right, velocity_weight):
+    """The per-pair join formula that `join_costs` replaced."""
+    if right.source_index == left.source_index + 1:
+        return 0.0
+    dp = right.first_positions - left.last_positions
+    dv = right.first_velocities - left.last_velocities
+    return float(
+        np.sqrt(np.sum(dp * dp)) + velocity_weight * np.sqrt(np.sum(dv * dv))
+    )
+
+
+def tuple_state_select_units(
+    db: list[AnimationUnit], request: SynthesisRequest
+) -> SynthesisPlan:
+    """The tuple-state DP that `select_units` replaced, kept as its reference
+    (verbatim, but with the per-pair join formula it called then).
+
+    Minimum-cost unit sequence via dynamic programming over slots.
+
+    Minimizes w_target * sum(target costs) + w_join * sum(join costs) over
+    every candidate assignment; exact ties are broken by the
+    lexicographically smallest source-index sequence, which makes the
+    selection deterministic.
+    """
+    candidates: list[list[AnimationUnit]] = []
+    for label, _ in request.items:
+        cands = [u for u in db if u.label == label]
+        if not cands:
+            raise NoCandidate(label)
+        cands.sort(key=lambda u: u.source_index)
+        candidates.append(cands)
+
+    wt, wj = request.w_target, request.w_join
+    tcosts = [
+        [target_cost(u, dur) for u in cands]
+        for cands, (_, dur) in zip(candidates, request.items)
+    ]
+
+    # State per candidate: (target-cost list, join-cost list, index sequence).
+    # Totals are recomputed from the lists with one fixed expression so the
+    # comparison (and the reported plan total) is reproducible exactly.
+    states = [
+        ((tcosts[0][c],), (), (u.source_index,)) for c, u in enumerate(candidates[0])
+    ]
+
+    for i in range(1, len(candidates)):
+        new_states = []
+        for c, unit in enumerate(candidates[i]):
+            best = None
+            best_key = None
+            for p, prev_unit in enumerate(candidates[i - 1]):
+                st, sj, seq = states[p]
+                cand = (
+                    st + (tcosts[i][c],),
+                    sj + (scalar_join_cost(prev_unit, unit, request.velocity_weight),),
+                    seq + (unit.source_index,),
+                )
+                key = (_plan_total(wt, wj, cand[0], cand[1]), cand[2])
+                if best_key is None or key < best_key:
+                    best, best_key = cand, key
+            new_states.append(best)
+        states = new_states
+
+    final = min(
+        range(len(states)),
+        key=lambda c: (_plan_total(wt, wj, states[c][0], states[c][1]), states[c][2]),
+    )
+    tlist, jlist, seq = states[final]
+
+    by_index = {u.source_index: u for cands in candidates for u in cands}
+    units = tuple(by_index[s] for s in seq)
+    requested = tuple(d for _, d in request.items)
+    warps = tuple(d / u.duration for u, d in zip(units, requested))
+    return SynthesisPlan(
+        units=units,
+        warp_factors=warps,
+        requested=requested,
+        target_costs=tlist,
+        join_costs=jlist,
+        total=_plan_total(wt, wj, tlist, jlist),
+        blend_window=request.blend_window,
+    )
+
+
+# --- emarig.collada_io at 4b8e244 ---------------------------------------------
+# The per-vertex skin-weight loops that the whole-array codec replaced.
+
+
+_GROUP_ORDER = ("tongue", "mandible", "maxilla")
+
+
+def loop_encode_weights(mesh, K):
+    """(vcounts, pairs, weights) as lists, one vertex at a time."""
+    vertex_group = np.full(mesh.n_vertices, -1, dtype=np.int64)
+    for gi, gname in enumerate(_GROUP_ORDER):
+        vertex_group[mesh.group_indices(gname)] = gi
+    weights: list[float] = [1.0]
+    vcounts: list[int] = []
+    pairs: list[int] = []
+    for v in range(mesh.n_vertices):
+        bones = mesh.weight_bones[v]
+        active = bones >= 0
+        if active.any():
+            idxs = bones[active]
+            vals = mesh.weight_values[v][active]
+            vcounts.append(len(idxs))
+            for bi, wv in zip(idxs, vals):
+                pairs.extend([int(bi), len(weights)])
+                weights.append(float(wv))
+        elif vertex_group[v] == 1:
+            vcounts.append(1)
+            pairs.extend([K, 0])
+        elif vertex_group[v] == 2:
+            vcounts.append(1)
+            pairs.extend([K + 1, 0])
+        else:
+            vcounts.append(0)
+    return vcounts, pairs, weights
+
+
+def loop_decode_weights(vcount, v, joint_names, bone_names, weights_arr, n_vertices):
+    """(weight_bones, weight_values), one vertex at a time."""
+    joint_to_bone = {}
+    for j, name in enumerate(joint_names):
+        if name in bone_names:
+            joint_to_bone[j] = bone_names.index(name)
+    weight_bones = np.full((n_vertices, 4), -1, dtype=np.int32)
+    weight_values = np.zeros((n_vertices, 4))
+    cursor = 0
+    for vi, cnt in enumerate(vcount):
+        slot = 0
+        for _ in range(cnt):
+            j, wi = int(v[cursor]), int(v[cursor + 1])
+            cursor += 2
+            if j in joint_to_bone:
+                if slot >= 4:
+                    raise UnsupportedFeature("more than 4 bone influences per vertex")
+                weight_bones[vi, slot] = joint_to_bone[j]
+                weight_values[vi, slot] = weights_arr[wi]
+                slot += 1
+        if slot:
+            weight_values[vi, :slot] /= weight_values[vi, :slot].sum()
+    return weight_bones, weight_values
+
+
+# --- emarig.anim_db and emarig.unit_synth at 366d617 --------------------------
+# The scalar `AnimationClip.sample`, as a function of the clip, and the
+# per-row `render_plan` that sampled with it, which the array sampler and
+# the array render replaced.
+
+
+def scalar_sample(self, t: float):
+    """The scalar `AnimationClip.sample` that the array sampler replaced,
+    kept verbatim (as a function of the clip) as its reference.
+
+    Channel values at time t: (quats, heads, stretches, tails, jaw_q, jaw_t).
+
+    Exact key times return the stored rows bit-for-bit; in between,
+    positions and stretches interpolate linearly and rotations
+    spherically. Times outside the key range clamp to the end keys.
+    """
+    times = self.times
+    k = int(np.searchsorted(times, t))
+    if k < len(times) and times[k] == t:
+        return (
+            self.quats[k],
+            self.heads[k],
+            self.stretches[k],
+            self.tails[k],
+            self.jaw_quats[k],
+            self.jaw_translations[k],
+        )
+    if k == 0:
+        k = 1
+    if k >= len(times):
+        k = len(times) - 1
+    t0, t1 = times[k - 1], times[k]
+    a = float(np.clip((t - t0) / (t1 - t0), 0.0, 1.0))
+    lerp = lambda x: (1.0 - a) * x[k - 1] + a * x[k]
+    return (
+        slerp(self.quats[k - 1], self.quats[k], a),
+        lerp(self.heads),
+        lerp(self.stretches),
+        lerp(self.tails),
+        slerp(self.jaw_quats[k - 1], self.jaw_quats[k], a),
+        lerp(self.jaw_translations),
+    )
+
+
+def per_row_render_plan(plan: SynthesisPlan, clip: AnimationClip) -> AnimationClip:
+    """The per-row `render_plan` that the array render replaced, kept as its
+    reference (verbatim, but sampling with the scalar `scalar_sample`).
+
+    Concatenate the planned units into a new clip.
+
+    Each unit's keys are linearly time-warped by its warp factor; at every
+    junction the two neighbors are cross-faded over
+    min(blend window, half of either unit's output duration), with linear
+    interpolation of positions/stretch and spherical interpolation of
+    rotations. Keys that fall outside a unit's span evaluate to its held
+    boundary pose.
+    """
+    n_units = len(plan.units)
+    offs = [0.0]
+    for d in plan.requested:
+        offs.append(offs[-1] + d)
+
+    fades = []
+    for j in range(n_units - 1):
+        w = min(plan.blend_window, plan.requested[j] / 2.0, plan.requested[j + 1] / 2.0)
+        fades.append(w)
+
+    # Output rows: (time, owning unit, exact source time when on a native key).
+    rows: list[tuple[float, int, float]] = []
+    for i, (unit, warp) in enumerate(zip(plan.units, plan.warp_factors)):
+        inner = np.flatnonzero((clip.times > unit.start) & (clip.times < unit.end))
+        rows.append((offs[i], i, unit.start))
+        for k in inner:
+            t_out = offs[i] + (clip.times[k] - unit.start) * warp
+            if offs[i] < t_out < offs[i + 1]:
+                rows.append((float(t_out), i, float(clip.times[k])))
+        rows.append((offs[i + 1], i, unit.end))
+
+    rows.sort(key=lambda r: r[0])
+    dedup: list[tuple[float, int, float]] = []
+    for r in rows:
+        if dedup and r[0] <= dedup[-1][0]:
+            continue
+        dedup.append(r)
+
+    def eval_unit(i: int, t_out: float, tau: float | None = None):
+        unit, warp = plan.units[i], plan.warp_factors[i]
+        if tau is None:
+            tau = unit.start + (t_out - offs[i]) / warp
+            tau = min(max(tau, unit.start), unit.end)
+        return scalar_sample(clip, tau)
+
+    n = len(dedup)
+    B = len(clip.bone_names)
+    times = np.empty(n)
+    quats = np.empty((n, B, 4))
+    heads = np.empty((n, B, 3))
+    stretches = np.empty((n, B))
+    tails = np.empty((n, B, 3))
+    jaw_q = np.empty((n, 4))
+    jaw_t = np.empty((n, 3))
+
+    for r, (t_out, i, tau) in enumerate(dedup):
+        junction = None
+        if i > 0 and fades[i - 1] > 0 and t_out <= offs[i] + fades[i - 1] / 2.0:
+            junction = i - 1
+        elif i < n_units - 1 and fades[i] > 0 and t_out >= offs[i + 1] - fades[i] / 2.0:
+            junction = i
+
+        if junction is None:
+            vals = eval_unit(i, t_out, tau)
+        else:
+            w = fades[junction]
+            a = float(np.clip((t_out - (offs[junction + 1] - w / 2.0)) / w, 0.0, 1.0))
+            left = eval_unit(junction, t_out, tau if i == junction else None)
+            right = eval_unit(junction + 1, t_out, tau if i == junction + 1 else None)
+            vals = (
+                slerp(left[0], right[0], a),
+                (1 - a) * left[1] + a * right[1],
+                (1 - a) * left[2] + a * right[2],
+                (1 - a) * left[3] + a * right[3],
+                slerp(left[4], right[4], a),
+                (1 - a) * left[5] + a * right[5],
+            )
+        times[r] = t_out
+        quats[r], heads[r], stretches[r], tails[r], jaw_q[r], jaw_t[r] = vals
+
+    return AnimationClip(
+        rate_hz=clip.rate_hz,
+        bone_names=clip.bone_names,
+        times=times,
+        quats=quats,
+        heads=heads,
+        stretches=stretches,
+        tails=tails,
+        jaw_quats=jaw_q,
+        jaw_translations=jaw_t,
+        duration=offs[-1],
+    )
+
+
+# --- emarig.motion_prep at bb6e0b5 --------------------------------------------
+# The two Kabsch fits that the batched `rigid_align` replaced. Verbatim
+# but for two names: the single-frame fit returns (R, t) where it returned
+# a RigidTransform, and its spread check is the old 2-D one.
+# `_DEGENERACY_RTOL` is the package's, whose value (1e-9) has not changed.
+
+
+def old_check_spread(points: np.ndarray, what: str) -> None:
+    centered = points - points.mean(axis=0)
+    s = np.linalg.svd(centered, compute_uv=False)
+    if s[0] == 0.0 or s[1] <= _DEGENERACY_RTOL * s[0]:
+        raise DegenerateConfiguration(
+            f"{what} points are collinear or coincident (singular values {s})"
+        )
+
+
+def old_rigid_align(moving: np.ndarray, fixed: np.ndarray):
+    """Least-squares rigid transform mapping `moving` onto `fixed` (Kabsch).
+
+    Requires >= 3 non-collinear point pairs; reflections are never returned.
+    """
+    moving = np.asarray(moving, dtype=np.float64)
+    fixed = np.asarray(fixed, dtype=np.float64)
+    if moving.shape != fixed.shape or moving.ndim != 2 or moving.shape[1] != 3:
+        raise ValueError("point sets must both have shape (n, 3)")
+    if moving.shape[0] < 3:
+        raise ValueError("need at least 3 point pairs")
+    old_check_spread(moving, "moving")
+    old_check_spread(fixed, "fixed")
+
+    cm = moving.mean(axis=0)
+    cf = fixed.mean(axis=0)
+    H = (moving - cm).T @ (fixed - cf)
+    U, _, Vt = np.linalg.svd(H)
+    V = Vt.T
+    d = np.sign(np.linalg.det(V @ U.T))
+    R = V @ np.diag([1.0, 1.0, d]) @ U.T
+    t = cf - R @ cm
+    return R, t
+
+
+def old_batched_rigid_align(moving: np.ndarray, fixed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-frame Kabsch: moving (F, n, 3) onto a single fixed (n, 3).
+
+    Returns (rotations (F, 3, 3), translations (F, 3)). Raises on any
+    degenerate frame.
+    """
+    F = moving.shape[0]
+    cm = moving.mean(axis=1, keepdims=True)
+    cf = fixed.mean(axis=0)
+    mc = moving - cm
+    fc = fixed - cf
+    H = np.einsum("fni,nj->fij", mc, fc)
+    U, S, Vt = np.linalg.svd(H)
+
+    sm = np.linalg.svd(mc, compute_uv=False)
+    bad = (sm[:, 0] == 0.0) | (sm[:, 1] <= _DEGENERACY_RTOL * sm[:, 0])
+    if np.any(bad):
+        frame = int(np.argmax(bad))
+        raise DegenerateConfiguration(
+            f"reference coils are collinear or coincident at frame {frame}"
+        )
+
+    V = np.swapaxes(Vt, 1, 2)
+    d = np.sign(np.linalg.det(V @ np.swapaxes(U, 1, 2)))
+    D = np.repeat(np.eye(3)[None, :, :], F, axis=0).copy()
+    D[:, 2, 2] = d
+    R = V @ D @ np.swapaxes(U, 1, 2)
+    t = cf - np.einsum("fij,fj->fi", R, cm[:, 0, :])
+    return R, t
+
+
+# --- emarig.collada_io at fd6f737 ---------------------------------------------
+# The per-float number printer (with `_fmt` inlined) and the 4x4 matrix
+# packing that the whole-array codec replaced.
+
+
+def loop_fmt_array(values):
+    return " ".join(format(float(v), ".9g") for v in np.asarray(values).ravel())
+
+
+def loop_affine_to_matrix16(A, t):
+    M = np.zeros(A.shape[:-2] + (4, 4))
+    M[..., :3, :3] = A
+    M[..., :3, 3] = t
+    M[..., 3, 3] = 1.0
+    return M.reshape(A.shape[:-2] + (16,))
+
+
+# --- emarig.anim_db, emarig.rotations and emarig.collada_io at 9f01378 --------
+# The per-segment unit DB loop (with `AnimationClip.frame_index` as a
+# function), the four-branch `mat_to_quat`, and the reader's bone-channel
+# math on the strided 3x3 view of the world matrices.
+
+
+def scalar_frame_index(clip, t: float) -> int:
+    """Nearest dense-bake frame for a time on this clip's grid."""
+    return int(np.clip(round(t * clip.rate_hz), 0, clip.n_keys - 1))
+
+
+def loop_build_unit_db(clip, tier):
+    vel = _tail_velocities(clip)
+    units = []
+    for i, seg in enumerate(tier):
+        a = scalar_frame_index(clip, seg.start)
+        b = scalar_frame_index(clip, seg.end)
+        units.append(
+            AnimationUnit(
+                label=seg.label,
+                start=seg.start,
+                end=seg.end,
+                source_index=i,
+                first_positions=clip.tails[a].copy(),
+                first_velocities=vel[a].copy(),
+                last_positions=clip.tails[b].copy(),
+                last_velocities=vel[b].copy(),
+            )
+        )
+    return units
+
+
+def four_branch_mat_to_quat(R):
+    """The `mat_to_quat` that evaluated all four Shepperd branches on every
+    matrix and then picked one, kept verbatim as the reference."""
+    R = np.asarray(R, dtype=np.float64)
+    batch = R.shape[:-2]
+    q = np.empty(batch + (4,), dtype=np.float64)
+    m00, m11, m22 = R[..., 0, 0], R[..., 1, 1], R[..., 2, 2]
+    trace = m00 + m11 + m22
+
+    # Shepperd's method, branch chosen per element for numerical safety.
+    q0 = np.empty(batch + (4,))
+    s = np.sqrt(np.maximum(trace + 1.0, 0.0)) * 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q0[..., 0] = 0.25 * s
+        q0[..., 1] = (R[..., 2, 1] - R[..., 1, 2]) / s
+        q0[..., 2] = (R[..., 0, 2] - R[..., 2, 0]) / s
+        q0[..., 3] = (R[..., 1, 0] - R[..., 0, 1]) / s
+
+        q1 = np.empty(batch + (4,))
+        s1 = np.sqrt(np.maximum(1.0 + m00 - m11 - m22, 0.0)) * 2.0
+        q1[..., 0] = (R[..., 2, 1] - R[..., 1, 2]) / s1
+        q1[..., 1] = 0.25 * s1
+        q1[..., 2] = (R[..., 0, 1] + R[..., 1, 0]) / s1
+        q1[..., 3] = (R[..., 0, 2] + R[..., 2, 0]) / s1
+
+        q2 = np.empty(batch + (4,))
+        s2 = np.sqrt(np.maximum(1.0 - m00 + m11 - m22, 0.0)) * 2.0
+        q2[..., 0] = (R[..., 0, 2] - R[..., 2, 0]) / s2
+        q2[..., 1] = (R[..., 0, 1] + R[..., 1, 0]) / s2
+        q2[..., 2] = 0.25 * s2
+        q2[..., 3] = (R[..., 1, 2] + R[..., 2, 1]) / s2
+
+        q3 = np.empty(batch + (4,))
+        s3 = np.sqrt(np.maximum(1.0 - m00 - m11 + m22, 0.0)) * 2.0
+        q3[..., 0] = (R[..., 1, 0] - R[..., 0, 1]) / s3
+        q3[..., 1] = (R[..., 0, 2] + R[..., 2, 0]) / s3
+        q3[..., 2] = (R[..., 1, 2] + R[..., 2, 1]) / s3
+        q3[..., 3] = 0.25 * s3
+
+    choice = np.argmax(
+        np.stack([trace, m00, m11, m22], axis=-1), axis=-1
+    )
+    stacked = np.stack([q0, q1, q2, q3], axis=-2)
+    q = np.take_along_axis(stacked, choice[..., None, None], axis=-2)[..., 0, :]
+    q /= norm(q)[..., None]
+    neg = q[..., 0] < 0
+    q[neg] = -q[neg]
+    return q
+
+
+def strided_bone_channels(worlds, armature):
+    """The reader's bone-channel math as it ran on the strided 3x3 view of
+    the world matrices, kept verbatim as the reference."""
+    heads_t = worlds[:, :, :3, 3]
+    A = worlds[:, :, :3, :3]
+    stretches = norm(np.einsum("fkij,kj->fki", A, armature.rest_dirs))
+    R = A @ stretch_matrices(armature.rest_dirs, 1.0 / stretches, np.sqrt(stretches))
+    quats = four_branch_mat_to_quat(R)
+    tails_t = heads_t + np.einsum(
+        "fkij,kj->fki", A, armature.tails - armature.heads
+    )
+    return quats, stretches, tails_t
+
+
+# --- emarig.collada_io at 09e8b7f ---------------------------------------------
+# The node matrices of every bone at once, before the writer computed
+# them bone by bone.
+
+
+def batched_local_rows(armature, clip):
+    """The node matrices (n_keys, K, 3, 4) as `write_collada` computed them
+    for all bones at once up to 09e8b7f, kept verbatim as the reference."""
+    K = armature.n_bones
+    A, b = _pose_affines(armature, clip.quats, clip.heads, clip.stretches)
+    locals_ = np.empty((clip.n_keys, K, 3, 4))
+    S_inv = stretch_matrices(
+        armature.rest_dirs, 1.0 / clip.stretches, np.sqrt(clip.stretches)
+    )
+    R = quat_to_mat(clip.quats)
+    A_inv = S_inv @ np.swapaxes(R, -1, -2)
+    for k in range(K):
+        p = armature.parents[k]
+        if p < 0:
+            locals_[:, k] = _affine_rows(A[:, k], clip.heads[:, k] - armature.root_point)
+        else:
+            rel = clip.heads[:, k] - clip.heads[:, p]
+            A_inv_p = np.ascontiguousarray(A_inv[:, p])
+            locals_[:, k, :, :3] = A_inv_p @ A[:, k]
+            locals_[:, k, :, 3] = np.einsum("fij,fj->fi", A_inv_p, rel)
+    return locals_
+
 
 # --- emarig.rotations and emarig.fixture at 391fce3 ---------------------------
 
@@ -127,6 +640,40 @@ def loop_exhaustive_total(db: list[AnimationUnit], request: SynthesisRequest):
         key = (_plan_total(request.w_target, request.w_join, tlist, jlist), seq)
         best = key if best is None else min(best, key)
     return best
+
+
+# --- emarig.unit_synth at a408885 ---------------------------------------------
+# The brute-force minimum that `synth --exhaustive` printed, and the bound
+# on how far the DP's total may exceed it.
+
+
+def dp_slack(n_slots: int) -> float:
+    """Relative bound on how far `select_units`' total over `n_slots` slots
+    can exceed the minimum: (n + 3)**2 units of 2**-53.
+
+    Costs and weights are >= 0, so the total of i slots is within
+    (i + 1) * 2**-53 of its exact value, relative. A choice between two such
+    totals can cost twice that; the choices at slots 2..n and the rounding
+    of the final total add up to (n**2 + 5 n - 2) * 2**-53, to first order.
+    """
+    return (n_slots + 3) ** 2 * 2.0**-53
+
+
+def exhaustive_total(db: list[AnimationUnit], request: SynthesisRequest):
+    """Minimum (total, source-index sequence) over every assignment: the
+    accumulation of `select_units` without its pruning, over the grid of
+    all sequences, ties going to the lexicographically smallest sequence
+    (C order, since each slot's candidates are sorted by source index).
+    `select_units` comes within `dp_slack` of this total, and picks this
+    sequence unless another one is as close."""
+    cands, targets, joins = slot_costs(db, request)
+    grid_t, grid_j = targets[0], np.zeros(len(targets[0]))
+    for target, join in zip(targets[1:], joins[1:]):
+        grid_t = grid_t[..., None] + target
+        grid_j = grid_j[..., None] + join
+    total = request.w_target * grid_t + request.w_join * grid_j
+    picks = np.unravel_index(np.argmin(total), total.shape)
+    return float(total[picks]), tuple(c[k].source_index for c, k in zip(cands, picks))
 
 
 # --- emarig.rotations, emarig.ik_solver and emarig.collada_io at 9f05ce2 -------

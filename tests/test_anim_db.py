@@ -10,7 +10,6 @@ from emarig.anim_db import (
     AnimationUnit,
     Segment,
     SegmentTier,
-    _tail_velocities,
     bake,
     build_unit_db,
     format_segmentation,
@@ -27,7 +26,8 @@ from emarig.fixture import FixtureSpec, synthetic_motion
 from emarig.rig import RigConfig, compile_rig, generate_default_mesh, parse_rig_graph
 from emarig.fixture import RIG_GRAPH_DOT
 
-from conftest import prepare, scalar_sample
+from conftest import prepare
+from reference import loop_build_unit_db, scalar_frame_index, scalar_sample
 
 
 class TestBake:
@@ -251,35 +251,6 @@ class TestUnitDb:
         tier = SegmentTier(segments=(Segment(0.0, clip.duration + 1.0, "x"),))
         with pytest.raises(IncompatibleBundle, match="tier ends at"):
             build_unit_db(clip, tier)
-
-
-# --- the per-segment unit DB loop, kept as the reference ----------------------
-
-
-def scalar_frame_index(clip, t: float) -> int:
-    """Nearest dense-bake frame for a time on this clip's grid."""
-    return int(np.clip(round(t * clip.rate_hz), 0, clip.n_keys - 1))
-
-
-def loop_build_unit_db(clip, tier):
-    vel = _tail_velocities(clip)
-    units = []
-    for i, seg in enumerate(tier):
-        a = scalar_frame_index(clip, seg.start)
-        b = scalar_frame_index(clip, seg.end)
-        units.append(
-            AnimationUnit(
-                label=seg.label,
-                start=seg.start,
-                end=seg.end,
-                source_index=i,
-                first_positions=clip.tails[a].copy(),
-                first_velocities=vel[a].copy(),
-                last_positions=clip.tails[b].copy(),
-                last_velocities=vel[b].copy(),
-            )
-        )
-    return units
 
 
 @st.composite

@@ -30,14 +30,21 @@ from emarig.collada_io import (
     write_collada,
 )
 from emarig.errors import BadNumber, InconsistentRig, ParseError, UnsupportedFeature
-from emarig.rig import Armature, SkinnedMesh, load_mesh
+from emarig.rig import GROUPS, Armature, SkinnedMesh, load_mesh
 from emarig.ik_solver import _pose_affines, stretch_matrices
 from emarig.rotations import axis_angle_matrix, mat_to_quat, norm, quat_to_mat
 
 import reference
 from conftest import make_chain_armature, traced_peak
+from reference import (
+    batched_local_rows,
+    loop_affine_to_matrix16,
+    loop_decode_weights,
+    loop_encode_weights,
+    loop_fmt_array,
+    strided_bone_channels,
+)
 from test_pipeline_cli import GOLDEN_SYNTH_REQUEST
-from test_rotations import four_branch_mat_to_quat
 
 
 def quat_close(a, b, atol):
@@ -160,65 +167,6 @@ def random_clip(rng, armature, n_keys):
     )
 
 
-# --- the per-vertex skin-weight loops, kept as the codec's reference ----------
-
-_GROUP_ORDER = ("tongue", "mandible", "maxilla")
-
-
-def loop_encode_weights(mesh, K):
-    """(vcounts, pairs, weights) as lists, one vertex at a time."""
-    vertex_group = np.full(mesh.n_vertices, -1, dtype=np.int64)
-    for gi, gname in enumerate(_GROUP_ORDER):
-        vertex_group[mesh.group_indices(gname)] = gi
-    weights: list[float] = [1.0]
-    vcounts: list[int] = []
-    pairs: list[int] = []
-    for v in range(mesh.n_vertices):
-        bones = mesh.weight_bones[v]
-        active = bones >= 0
-        if active.any():
-            idxs = bones[active]
-            vals = mesh.weight_values[v][active]
-            vcounts.append(len(idxs))
-            for bi, wv in zip(idxs, vals):
-                pairs.extend([int(bi), len(weights)])
-                weights.append(float(wv))
-        elif vertex_group[v] == 1:
-            vcounts.append(1)
-            pairs.extend([K, 0])
-        elif vertex_group[v] == 2:
-            vcounts.append(1)
-            pairs.extend([K + 1, 0])
-        else:
-            vcounts.append(0)
-    return vcounts, pairs, weights
-
-
-def loop_decode_weights(vcount, v, joint_names, bone_names, weights_arr, n_vertices):
-    """(weight_bones, weight_values), one vertex at a time."""
-    joint_to_bone = {}
-    for j, name in enumerate(joint_names):
-        if name in bone_names:
-            joint_to_bone[j] = bone_names.index(name)
-    weight_bones = np.full((n_vertices, 4), -1, dtype=np.int32)
-    weight_values = np.zeros((n_vertices, 4))
-    cursor = 0
-    for vi, cnt in enumerate(vcount):
-        slot = 0
-        for _ in range(cnt):
-            j, wi = int(v[cursor]), int(v[cursor + 1])
-            cursor += 2
-            if j in joint_to_bone:
-                if slot >= 4:
-                    raise UnsupportedFeature("more than 4 bone influences per vertex")
-                weight_bones[vi, slot] = joint_to_bone[j]
-                weight_values[vi, slot] = weights_arr[wi]
-                slot += 1
-        if slot:
-            weight_values[vi, :slot] /= weight_values[vi, :slot].sum()
-    return weight_bones, weight_values
-
-
 def skin_texts(doc):
     """The joint names and the <vcount>, <v> and skin-weights texts."""
     root = ET.fromstring(doc)
@@ -243,7 +191,7 @@ def skinned_meshes(draw, n_bones):
     n = sum(sizes) + draw(st.integers(0, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     tris, groups, base = [], {}, 0
-    for name, size in zip(_GROUP_ORDER + (None,), sizes):
+    for name, size in zip(GROUPS + (None,), sizes):
         block = np.arange(base, base + size)
         base += size
         block_tris = [rng.choice(block, 3) for _ in range(draw(st.integers(0, 4)) if size else 0)]
@@ -266,21 +214,6 @@ def skinned_meshes(draw, n_bones):
         weight_bones=weight_bones,
         weight_values=weight_values,
     )
-
-
-# --- the per-float number codec, kept as the reference ----------------------
-
-
-def loop_fmt_array(values):
-    return " ".join(format(float(v), ".9g") for v in np.asarray(values).ravel())
-
-
-def loop_affine_to_matrix16(A, t):
-    M = np.zeros(A.shape[:-2] + (4, 4))
-    M[..., :3, :3] = A
-    M[..., :3, 3] = t
-    M[..., 3, 3] = 1.0
-    return M.reshape(A.shape[:-2] + (16,))
 
 
 # Every float64 bit pattern (subnormals, +-0.0, inf and nan among them),
@@ -740,29 +673,6 @@ class TestWriter:
         assert "<up_axis>Z_UP</up_axis>" in doc
 
 
-def batched_local_rows(armature, clip):
-    """The node matrices (n_keys, K, 3, 4) as `write_collada` computed them
-    for all bones at once up to 09e8b7f, kept verbatim as the reference."""
-    K = armature.n_bones
-    A, b = _pose_affines(armature, clip.quats, clip.heads, clip.stretches)
-    locals_ = np.empty((clip.n_keys, K, 3, 4))
-    S_inv = stretch_matrices(
-        armature.rest_dirs, 1.0 / clip.stretches, np.sqrt(clip.stretches)
-    )
-    R = quat_to_mat(clip.quats)
-    A_inv = S_inv @ np.swapaxes(R, -1, -2)
-    for k in range(K):
-        p = armature.parents[k]
-        if p < 0:
-            locals_[:, k] = _affine_rows(A[:, k], clip.heads[:, k] - armature.root_point)
-        else:
-            rel = clip.heads[:, k] - clip.heads[:, p]
-            A_inv_p = np.ascontiguousarray(A_inv[:, p])
-            locals_[:, k, :, :3] = A_inv_p @ A[:, k]
-            locals_[:, k, :, 3] = np.einsum("fij,fj->fi", A_inv_p, rel)
-    return locals_
-
-
 class TestLocalRows:
     @settings(max_examples=100, deadline=None, database=None)
     @given(st.integers(1, 7), st.integers(1, 30), st.integers(0, 2**32 - 1))
@@ -824,20 +734,6 @@ class TestRoundTrip:
         assert np.array_equal(m2.triangles, [[0, 1, 2], [0, 2, 3], [4, 1, 2]])
         assert set(m2.groups) == {"tongue"}
         assert np.array_equal(m2.group_indices("tongue"), [0, 1, 2, 3])
-
-
-def strided_bone_channels(worlds, armature):
-    """The reader's bone-channel math as it ran on the strided 3x3 view of
-    the world matrices, kept verbatim as the reference."""
-    heads_t = worlds[:, :, :3, 3]
-    A = worlds[:, :, :3, :3]
-    stretches = norm(np.einsum("fkij,kj->fki", A, armature.rest_dirs))
-    R = A @ stretch_matrices(armature.rest_dirs, 1.0 / stretches, np.sqrt(stretches))
-    quats = four_branch_mat_to_quat(R)
-    tails_t = heads_t + np.einsum(
-        "fkij,kj->fki", A, armature.tails - armature.heads
-    )
-    return quats, stretches, tails_t
 
 
 class TestBoneChannels:
@@ -1001,6 +897,12 @@ class TestReaderErrors:
             ),
             # the clip's rate and duration under another technique profile
             (r'<technique profile="emarig">(\s*<rate_hz>)', r'<technique profile="other">\1'),
+            # name-array accessors whose count or stride disagrees with the
+            # array, and the weight index read from another offset of <v>
+            (r'(<accessor source="#skin-joints-array" count=")\d+', r"\g<1>{n_joints_plus_3}"),
+            (r'(<accessor source="#anim-TMidC-interp-array" count=")\d+', r"\g<1>{n_keys_plus_5}"),
+            (r'(<accessor source="#anim-TMidC-interp-array" count="\d+" stride=")1', r"\g<1>2"),
+            (r'(<input semantic="WEIGHT" source="#skin-weights" offset=")1', r"\g<1>5"),
         ],
         ids=[
             "weight_index", "odd_v", "joint_index", "negative_joint",
@@ -1012,6 +914,8 @@ class TestReaderErrors:
             "node_sheared", "root_rotated", "no_animation_library", "no_animations",
             "jaw_animation_twice",
             "second_non_bone_animation", "no_clip_technique",
+            "joints_accessor_count", "interpolation_accessor_count",
+            "interpolation_accessor_stride", "weight_offset",
         ],
     )
     def test_tampered_arrays_are_tagged(self, compiled_model, pattern, repl):
@@ -1025,6 +929,7 @@ class TestReaderErrors:
             "n_vertices": str(rig.mesh.n_vertices),
             "n_positions_plus_7": str(n_positions + 7),
             "n_joints_plus_3": str(n_joints + 3),
+            "n_keys_plus_5": str(clip.n_keys + 5),
         }
         doc, n = re.subn(pattern, repl.format(**sizes), doc, count=1)
         assert n == 1

@@ -23,6 +23,7 @@ from emarig.motion_prep import (
 from emarig.rotations import axis_angle_matrix
 
 from conftest import prepare
+from reference import old_batched_rigid_align, old_rigid_align
 
 
 def make_sweep(positions, rate=200.0, phi=None, theta=None):
@@ -168,79 +169,6 @@ class TestRigidAlign:
             rigid_align(self.POINTS, self.POINTS)  # not a stack
         with pytest.raises(ValueError):
             rigid_align(self.POINTS[None, :2], self.POINTS[:2])  # 2 points
-
-
-# --- the two Kabsch fits that rigid_align replaced, kept as its references ---
-#
-# Verbatim but for two names: the single-frame fit returns (R, t) where it
-# returned a RigidTransform, and its spread check is the old 2-D one.
-
-_DEGENERACY_RTOL = 1e-9
-
-
-def old_check_spread(points: np.ndarray, what: str) -> None:
-    centered = points - points.mean(axis=0)
-    s = np.linalg.svd(centered, compute_uv=False)
-    if s[0] == 0.0 or s[1] <= _DEGENERACY_RTOL * s[0]:
-        raise DegenerateConfiguration(
-            f"{what} points are collinear or coincident (singular values {s})"
-        )
-
-
-def old_rigid_align(moving: np.ndarray, fixed: np.ndarray):
-    """Least-squares rigid transform mapping `moving` onto `fixed` (Kabsch).
-
-    Requires >= 3 non-collinear point pairs; reflections are never returned.
-    """
-    moving = np.asarray(moving, dtype=np.float64)
-    fixed = np.asarray(fixed, dtype=np.float64)
-    if moving.shape != fixed.shape or moving.ndim != 2 or moving.shape[1] != 3:
-        raise ValueError("point sets must both have shape (n, 3)")
-    if moving.shape[0] < 3:
-        raise ValueError("need at least 3 point pairs")
-    old_check_spread(moving, "moving")
-    old_check_spread(fixed, "fixed")
-
-    cm = moving.mean(axis=0)
-    cf = fixed.mean(axis=0)
-    H = (moving - cm).T @ (fixed - cf)
-    U, _, Vt = np.linalg.svd(H)
-    V = Vt.T
-    d = np.sign(np.linalg.det(V @ U.T))
-    R = V @ np.diag([1.0, 1.0, d]) @ U.T
-    t = cf - R @ cm
-    return R, t
-
-
-def old_batched_rigid_align(moving: np.ndarray, fixed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frame Kabsch: moving (F, n, 3) onto a single fixed (n, 3).
-
-    Returns (rotations (F, 3, 3), translations (F, 3)). Raises on any
-    degenerate frame.
-    """
-    F = moving.shape[0]
-    cm = moving.mean(axis=1, keepdims=True)
-    cf = fixed.mean(axis=0)
-    mc = moving - cm
-    fc = fixed - cf
-    H = np.einsum("fni,nj->fij", mc, fc)
-    U, S, Vt = np.linalg.svd(H)
-
-    sm = np.linalg.svd(mc, compute_uv=False)
-    bad = (sm[:, 0] == 0.0) | (sm[:, 1] <= _DEGENERACY_RTOL * sm[:, 0])
-    if np.any(bad):
-        frame = int(np.argmax(bad))
-        raise DegenerateConfiguration(
-            f"reference coils are collinear or coincident at frame {frame}"
-        )
-
-    V = np.swapaxes(Vt, 1, 2)
-    d = np.sign(np.linalg.det(V @ np.swapaxes(U, 1, 2)))
-    D = np.repeat(np.eye(3)[None, :, :], F, axis=0).copy()
-    D[:, 2, 2] = d
-    R = V @ D @ np.swapaxes(U, 1, 2)
-    t = cf - np.einsum("fij,fj->fi", R, cm[:, 0, :])
-    return R, t
 
 
 def rejected_frame(align, moving, fixed):

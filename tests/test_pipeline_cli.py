@@ -26,6 +26,8 @@ from emarig.pipeline import (
 from emarig.rig import MeshParams, RigConfig, generate_default_mesh, load_mesh, save_obj
 from emarig.unit_synth import SynthesisRequest, render_plan, select_units
 
+from reference import exhaustive_total
+
 # sha256 of model.dae compiled from `emarig fixture` with its defaults.
 GOLDEN_MODEL_SHA256 = "b2ddbb5343aaecfb65678f3d3cf3a1e87078f5154e050b20865ff9c93d3f4ee5"
 # sha256 of `synth --out` for GOLDEN_SYNTH_REQUEST against that bundle.
@@ -241,6 +243,27 @@ class TestCompile:
         dst = (bundle_dir / "audio" / "utt_01.wav").read_bytes()
         assert src == dst
 
+    def test_audio_files_sharing_a_name_are_refused(self, fixture_dir, tmp_path, capsys):
+        # The bundle keeps audio by file name: the second file used to
+        # replace the first, and compile exited 0.
+        corpus = tmp_path / "corpus"
+        shutil.copytree(fixture_dir, corpus)
+        (corpus / "other").mkdir()
+        (corpus / "other" / "utt_01.wav").write_bytes(b"another take")
+        cfg = corpus / "config.cfg"
+        text = cfg.read_text()
+        assert "audio = audio/utt_01.wav\n" in text
+        cfg.write_text(text.replace(
+            "audio = audio/utt_01.wav\n", "audio = audio/utt_01.wav, other/utt_01.wav\n"
+        ))
+        rc = main(["compile", "--config", str(cfg), "--out", str(tmp_path / "b")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:cli:config: audio files ") and len(err.splitlines()) == 1
+        assert str(corpus / "audio" / "utt_01.wav") in err
+        assert str(corpus / "other" / "utt_01.wav") in err
+        assert not (tmp_path / "b").exists()
+
     def test_reproducible_manifests(self, fixture_dir, tmp_path):
         cfg = str(fixture_dir / "config.cfg")
         for name in ("r1", "r2"):
@@ -362,15 +385,21 @@ class TestCompile:
 class TestSynth:
     def test_corpus_reconstruction_zero_cost(self, fixture_dir, bundle_dir, tmp_path, capsys):
         loaded = read_bundle(bundle_dir)
-        request = "; ".join(f"{s.label} {s.duration!r}" for s in loaded.tier.segments[:5])
+        items = tuple((s.label, s.duration) for s in loaded.tier.segments[:5])
+        request = "; ".join(f"{label} {duration!r}" for label, duration in items)
         rc = main([
             "synth", "--bundle", str(bundle_dir), "--request", request,
-            "--out", str(tmp_path / "clip.dae"), "--exhaustive",
+            "--out", str(tmp_path / "clip.dae"),
         ])
         out = capsys.readouterr().out
         assert rc == 0
         assert "total cost 0" in out
-        assert "match" in out
+        # The printed plan is the brute-force minimum over every sequence.
+        db = build_unit_db(loaded.clip, loaded.tier)
+        best, seq = exhaustive_total(db, SynthesisRequest(items=items))
+        rows = out.splitlines()[1 : 1 + len(items)]
+        assert tuple(int(row.split()[2]) for row in rows) == seq
+        assert f"total cost {best:.6g}\n" in out
         assert (tmp_path / "clip.dae").exists()
 
     @pytest.mark.parametrize("request_text", ["a 1e6; t 0.1", "a 1e16; t 0.1"])
@@ -431,33 +460,19 @@ class TestSynth:
         ]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SYNTH_SHA256
 
-    def test_exhaustive_limit_checked_before_selecting(self, tmp_path, capsys):
-        corpus = tmp_path / "corpus"
-        write_fixture(corpus, FixtureSpec(n_sweeps=2, frames_per_sweep=1500))
-        assert main(["compile", "--config", str(corpus / "config.cfg"),
-                     "--out", str(tmp_path / "b")]) == 0
-        capsys.readouterr()
-        labels = [s.label for s in read_bundle(tmp_path / "b").tier.segments]
-        assert labels.count("a") > 5
+    def test_exhaustive_flag_is_gone(self, bundle_dir, tmp_path, capsys):
+        # The brute-force cross-check left the package for the tests.
         out = tmp_path / "clip.dae"
-        # at least 6**5 = 7776 sequences, over the cap of 5**5
         rc = main([
-            "synth", "--bundle", str(tmp_path / "b"), "--request", "a 0.2; " * 5,
+            "synth", "--bundle", str(bundle_dir), "--request", "a 0.2; a 0.2",
             "--out", str(out), "--exhaustive",
         ])
         captured = capsys.readouterr()
         assert rc == 1
-        assert captured.err.startswith("error:cli:usage: --exhaustive is limited")
+        assert captured.err.startswith("error:cli:usage: ")
+        assert len(captured.err.splitlines()) == 1
         assert captured.out == ""
         assert not out.exists()
-        # The cap counts sequences, not slots or candidates: two slots of
-        # more than 5 candidates each used to be refused.
-        assert labels.count("a") ** 2 <= 5**5
-        assert main([
-            "synth", "--bundle", str(tmp_path / "b"), "--request", "a 0.2; a 0.2",
-            "--out", str(out), "--exhaustive",
-        ]) == 0
-        assert "(match)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("args", [
         ["--request", "a nan"],

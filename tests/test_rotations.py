@@ -6,56 +6,7 @@ from emarig.rotations import axis_angle_matrix, mat_to_quat, minimal_rotation, n
 
 import reference
 from conftest import traced_peak
-
-
-def four_branch_mat_to_quat(R):
-    """The `mat_to_quat` that evaluated all four Shepperd branches on every
-    matrix and then picked one, kept verbatim as the reference."""
-    R = np.asarray(R, dtype=np.float64)
-    batch = R.shape[:-2]
-    q = np.empty(batch + (4,), dtype=np.float64)
-    m00, m11, m22 = R[..., 0, 0], R[..., 1, 1], R[..., 2, 2]
-    trace = m00 + m11 + m22
-
-    # Shepperd's method, branch chosen per element for numerical safety.
-    q0 = np.empty(batch + (4,))
-    s = np.sqrt(np.maximum(trace + 1.0, 0.0)) * 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q0[..., 0] = 0.25 * s
-        q0[..., 1] = (R[..., 2, 1] - R[..., 1, 2]) / s
-        q0[..., 2] = (R[..., 0, 2] - R[..., 2, 0]) / s
-        q0[..., 3] = (R[..., 1, 0] - R[..., 0, 1]) / s
-
-        q1 = np.empty(batch + (4,))
-        s1 = np.sqrt(np.maximum(1.0 + m00 - m11 - m22, 0.0)) * 2.0
-        q1[..., 0] = (R[..., 2, 1] - R[..., 1, 2]) / s1
-        q1[..., 1] = 0.25 * s1
-        q1[..., 2] = (R[..., 0, 1] + R[..., 1, 0]) / s1
-        q1[..., 3] = (R[..., 0, 2] + R[..., 2, 0]) / s1
-
-        q2 = np.empty(batch + (4,))
-        s2 = np.sqrt(np.maximum(1.0 - m00 + m11 - m22, 0.0)) * 2.0
-        q2[..., 0] = (R[..., 0, 2] - R[..., 2, 0]) / s2
-        q2[..., 1] = (R[..., 0, 1] + R[..., 1, 0]) / s2
-        q2[..., 2] = 0.25 * s2
-        q2[..., 3] = (R[..., 1, 2] + R[..., 2, 1]) / s2
-
-        q3 = np.empty(batch + (4,))
-        s3 = np.sqrt(np.maximum(1.0 - m00 - m11 + m22, 0.0)) * 2.0
-        q3[..., 0] = (R[..., 1, 0] - R[..., 0, 1]) / s3
-        q3[..., 1] = (R[..., 0, 2] + R[..., 2, 0]) / s3
-        q3[..., 2] = (R[..., 1, 2] + R[..., 2, 1]) / s3
-        q3[..., 3] = 0.25 * s3
-
-    choice = np.argmax(
-        np.stack([trace, m00, m11, m22], axis=-1), axis=-1
-    )
-    stacked = np.stack([q0, q1, q2, q3], axis=-2)
-    q = np.take_along_axis(stacked, choice[..., None, None], axis=-2)[..., 0, :]
-    q /= norm(q)[..., None]
-    neg = q[..., 0] < 0
-    q[neg] = -q[neg]
-    return q
+from reference import four_branch_mat_to_quat
 
 
 unit = st.floats(-1.0, 1.0, allow_nan=False)

@@ -13,13 +13,10 @@ from emarig.errors import BadRequest, NoCandidate
 from emarig.fixture import RIG_GRAPH_DOT, FixtureSpec, synthetic_motion
 from emarig.ik_solver import IkParams
 from emarig.rig import RigConfig, compile_rig, generate_default_mesh, parse_rig_graph
-from emarig.rotations import slerp
 from emarig.unit_synth import (
     SynthesisPlan,
     SynthesisRequest,
     check_timeline,
-    dp_slack,
-    exhaustive_total,
     join_cost,
     join_costs,
     parse_request,
@@ -28,8 +25,15 @@ from emarig.unit_synth import (
     target_cost,
 )
 
-from conftest import prepare, scalar_sample
-from reference import _plan_total, loop_exhaustive_total
+from conftest import prepare
+from reference import (
+    dp_slack,
+    exhaustive_total,
+    loop_exhaustive_total,
+    per_row_render_plan,
+    scalar_join_cost,
+    tuple_state_select_units,
+)
 
 
 def make_unit(label, duration, source_index, first=None, last=None, fv=None, lv=None):
@@ -82,90 +86,6 @@ def brute_force(db, request):
         if best is None or (total, seq) < (best, best_seq):
             best, best_seq = total, seq
     return best, best_seq
-
-
-def scalar_join_cost(left, right, velocity_weight):
-    """The per-pair join formula that `join_costs` replaced."""
-    if right.source_index == left.source_index + 1:
-        return 0.0
-    dp = right.first_positions - left.last_positions
-    dv = right.first_velocities - left.last_velocities
-    return float(
-        np.sqrt(np.sum(dp * dp)) + velocity_weight * np.sqrt(np.sum(dv * dv))
-    )
-
-
-def tuple_state_select_units(
-    db: list[AnimationUnit], request: SynthesisRequest
-) -> SynthesisPlan:
-    """The tuple-state DP that `select_units` replaced, kept as its reference
-    (verbatim, but with the per-pair join formula it called then).
-
-    Minimum-cost unit sequence via dynamic programming over slots.
-
-    Minimizes w_target * sum(target costs) + w_join * sum(join costs) over
-    every candidate assignment; exact ties are broken by the
-    lexicographically smallest source-index sequence, which makes the
-    selection deterministic.
-    """
-    candidates: list[list[AnimationUnit]] = []
-    for label, _ in request.items:
-        cands = [u for u in db if u.label == label]
-        if not cands:
-            raise NoCandidate(label)
-        cands.sort(key=lambda u: u.source_index)
-        candidates.append(cands)
-
-    wt, wj = request.w_target, request.w_join
-    tcosts = [
-        [target_cost(u, dur) for u in cands]
-        for cands, (_, dur) in zip(candidates, request.items)
-    ]
-
-    # State per candidate: (target-cost list, join-cost list, index sequence).
-    # Totals are recomputed from the lists with one fixed expression so the
-    # comparison (and the reported plan total) is reproducible exactly.
-    states = [
-        ((tcosts[0][c],), (), (u.source_index,)) for c, u in enumerate(candidates[0])
-    ]
-
-    for i in range(1, len(candidates)):
-        new_states = []
-        for c, unit in enumerate(candidates[i]):
-            best = None
-            best_key = None
-            for p, prev_unit in enumerate(candidates[i - 1]):
-                st, sj, seq = states[p]
-                cand = (
-                    st + (tcosts[i][c],),
-                    sj + (scalar_join_cost(prev_unit, unit, request.velocity_weight),),
-                    seq + (unit.source_index,),
-                )
-                key = (_plan_total(wt, wj, cand[0], cand[1]), cand[2])
-                if best_key is None or key < best_key:
-                    best, best_key = cand, key
-            new_states.append(best)
-        states = new_states
-
-    final = min(
-        range(len(states)),
-        key=lambda c: (_plan_total(wt, wj, states[c][0], states[c][1]), states[c][2]),
-    )
-    tlist, jlist, seq = states[final]
-
-    by_index = {u.source_index: u for cands in candidates for u in cands}
-    units = tuple(by_index[s] for s in seq)
-    requested = tuple(d for _, d in request.items)
-    warps = tuple(d / u.duration for u, d in zip(units, requested))
-    return SynthesisPlan(
-        units=units,
-        warp_factors=warps,
-        requested=requested,
-        target_costs=tlist,
-        join_costs=jlist,
-        total=_plan_total(wt, wj, tlist, jlist),
-        blend_window=request.blend_window,
-    )
 
 
 @pytest.fixture(scope="module")
@@ -467,8 +387,9 @@ class TestMatchesTupleStateDp:
 
     def test_total_an_ulp_above_minimum(self):
         # With weights that do not scale exactly, the sequence the DP pruned
-        # sums to an ulp less than the plan: a case for `dp_slack` (and for
-        # `synth --exhaustive`, which reported it as a mismatch before).
+        # sums to an ulp less than the plan: a case for `dp_slack` (the
+        # `synth --exhaustive` cross-check, since removed, once reported it
+        # as a mismatch).
         features = [
             ([0, 0, 0], [1, 0, 0], [0, 0, 0], [1, 1, 0]),
             ([0, 1, 1], [1, 0, 0], [1, 1, 1], [1, 0, 1]),
@@ -500,103 +421,6 @@ class TestMatchesLoopBruteForce:
     def test_forced_ties(self, case):
         db, request = case
         assert exhaustive_total(db, request) == loop_exhaustive_total(db, request)
-
-
-def per_row_render_plan(plan: SynthesisPlan, clip: AnimationClip) -> AnimationClip:
-    """The per-row `render_plan` that the array render replaced, kept as its
-    reference (verbatim, but sampling with the scalar `scalar_sample`).
-
-    Concatenate the planned units into a new clip.
-
-    Each unit's keys are linearly time-warped by its warp factor; at every
-    junction the two neighbors are cross-faded over
-    min(blend window, half of either unit's output duration), with linear
-    interpolation of positions/stretch and spherical interpolation of
-    rotations. Keys that fall outside a unit's span evaluate to its held
-    boundary pose.
-    """
-    n_units = len(plan.units)
-    offs = [0.0]
-    for d in plan.requested:
-        offs.append(offs[-1] + d)
-
-    fades = []
-    for j in range(n_units - 1):
-        w = min(plan.blend_window, plan.requested[j] / 2.0, plan.requested[j + 1] / 2.0)
-        fades.append(w)
-
-    # Output rows: (time, owning unit, exact source time when on a native key).
-    rows: list[tuple[float, int, float]] = []
-    for i, (unit, warp) in enumerate(zip(plan.units, plan.warp_factors)):
-        inner = np.flatnonzero((clip.times > unit.start) & (clip.times < unit.end))
-        rows.append((offs[i], i, unit.start))
-        for k in inner:
-            t_out = offs[i] + (clip.times[k] - unit.start) * warp
-            if offs[i] < t_out < offs[i + 1]:
-                rows.append((float(t_out), i, float(clip.times[k])))
-        rows.append((offs[i + 1], i, unit.end))
-
-    rows.sort(key=lambda r: r[0])
-    dedup: list[tuple[float, int, float]] = []
-    for r in rows:
-        if dedup and r[0] <= dedup[-1][0]:
-            continue
-        dedup.append(r)
-
-    def eval_unit(i: int, t_out: float, tau: float | None = None):
-        unit, warp = plan.units[i], plan.warp_factors[i]
-        if tau is None:
-            tau = unit.start + (t_out - offs[i]) / warp
-            tau = min(max(tau, unit.start), unit.end)
-        return scalar_sample(clip, tau)
-
-    n = len(dedup)
-    B = len(clip.bone_names)
-    times = np.empty(n)
-    quats = np.empty((n, B, 4))
-    heads = np.empty((n, B, 3))
-    stretches = np.empty((n, B))
-    tails = np.empty((n, B, 3))
-    jaw_q = np.empty((n, 4))
-    jaw_t = np.empty((n, 3))
-
-    for r, (t_out, i, tau) in enumerate(dedup):
-        junction = None
-        if i > 0 and fades[i - 1] > 0 and t_out <= offs[i] + fades[i - 1] / 2.0:
-            junction = i - 1
-        elif i < n_units - 1 and fades[i] > 0 and t_out >= offs[i + 1] - fades[i] / 2.0:
-            junction = i
-
-        if junction is None:
-            vals = eval_unit(i, t_out, tau)
-        else:
-            w = fades[junction]
-            a = float(np.clip((t_out - (offs[junction + 1] - w / 2.0)) / w, 0.0, 1.0))
-            left = eval_unit(junction, t_out, tau if i == junction else None)
-            right = eval_unit(junction + 1, t_out, tau if i == junction + 1 else None)
-            vals = (
-                slerp(left[0], right[0], a),
-                (1 - a) * left[1] + a * right[1],
-                (1 - a) * left[2] + a * right[2],
-                (1 - a) * left[3] + a * right[3],
-                slerp(left[4], right[4], a),
-                (1 - a) * left[5] + a * right[5],
-            )
-        times[r] = t_out
-        quats[r], heads[r], stretches[r], tails[r], jaw_q[r], jaw_t[r] = vals
-
-    return AnimationClip(
-        rate_hz=clip.rate_hz,
-        bone_names=clip.bone_names,
-        times=times,
-        quats=quats,
-        heads=heads,
-        stretches=stretches,
-        tails=tails,
-        jaw_quats=jaw_q,
-        jaw_translations=jaw_t,
-        duration=offs[-1],
-    )
 
 
 _STEPS = st.sampled_from(("next", "same", "any"))
