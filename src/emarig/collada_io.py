@@ -472,32 +472,34 @@ _FLOAT_SLICE = 1 << 16
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
 
 
-def _numbers(text: str | None, dtype=np.float64) -> np.ndarray:
-    """The numbers of `text`, separated by ASCII whitespace, as
-    ``np.fromstring(text, dtype, sep=" ")`` read them, bit for bit; blank
-    text is empty. Floats must be finite; integers are ASCII digits with an
-    optional sign, strictly inside int64 (``np.fromstring`` saturated both
-    ways to the int64 maximum).
+def _numbers(text: str | None, dtype=np.float64, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """The numbers of ``text[lo:hi]``, separated by ASCII whitespace, as
+    ``np.fromstring(text[lo:hi], dtype, sep=" ")`` read them, bit for bit;
+    blank text is empty. Floats must be finite; integers are ASCII digits
+    with an optional sign, strictly inside int64 (``np.fromstring``
+    saturated both ways to the int64 maximum).
 
-    ``np.loadtxt`` decodes the text in slices cut at a space, each one row.
-    It takes non-ASCII spaces and ``_SEPARATORS`` for whitespace, so text
-    holding them is refused, blank or not; it ends a row at CR and LF, so
-    they become spaces; it warns on a row with no number, so a blank slice
-    is skipped; and numpy 1.x reads an integer token it cannot parse
-    through a float and warns DeprecationWarning, a refusal here.
+    ``np.loadtxt`` decodes the text in slices cut at a space, each one row,
+    so the text is never copied whole. It takes non-ASCII spaces and
+    ``_SEPARATORS`` for whitespace, so a slice holding them is refused,
+    blank or not; it ends a row at CR and LF, so they become spaces; it
+    warns on a row with no number, so a blank slice is skipped; and numpy
+    1.x reads an integer token it cannot parse through a float and warns
+    DeprecationWarning, a refusal here.
     """
     text = text or ""
+    hi = len(text) if hi is None else hi
     pieces = [np.empty(0, dtype)]
     try:
-        if not text.isascii() or any(c in text for c in _SEPARATORS):
-            raise ValueError
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            lo = 0
-            while lo < len(text):
-                cut = text.find(" ", lo + _FLOAT_SLICE)
-                cut = len(text) if cut < 0 else cut
-                piece = text[lo:cut].replace("\n", " ").replace("\r", " ")
+            while lo < hi:
+                cut = text.find(" ", lo + _FLOAT_SLICE, hi)
+                cut = hi if cut < 0 else cut
+                piece = text[lo:cut]
+                if not piece.isascii() or any(c in piece for c in _SEPARATORS):
+                    raise ValueError
+                piece = piece.replace("\n", " ").replace("\r", " ")
                 if not piece.isspace():
                     pieces.append(np.loadtxt([piece], dtype=dtype, comments=None, ndmin=1))
                 lo = cut
@@ -518,6 +520,37 @@ def _take_text(elem: Element) -> str | None:
     array text once, so the tree's text shrinks as the arrays grow."""
     text, elem.text = elem.text, None
     return text
+
+
+class _ArrayTexts:
+    """Where the reader takes each number array's text from: the tree, or,
+    for an array whose text ``_cut_arrays`` left out of the markup, the
+    span of `document` that its placeholder text names in `spans` (as
+    ``_cut_arrays`` returns them). Each text is taken once, and the spans
+    never taken are left in ``spans``."""
+
+    def __init__(self, document: str = "", spans: dict | None = None):
+        self.document = document
+        self.spans = {} if spans is None else spans
+
+    def take(self, elem: Element) -> tuple[str, int, int]:
+        """`elem`'s text as ``text[lo:hi]`` of the returned (text, lo, hi)."""
+        text = _take_text(elem)
+        if text in self.spans:
+            _, lo, hi = self.spans.pop(text)
+            return self.document, lo, hi
+        text = text or ""
+        return text, 0, len(text)
+
+    def numbers(self, elem: Element, dtype=np.float64) -> np.ndarray:
+        """The numbers of `elem`'s text, decoded where it lies."""
+        text, lo, hi = self.take(elem)
+        return _numbers(text, dtype, lo, hi)
+
+    def text(self, elem: Element) -> str:
+        """`elem`'s text as a string of its own."""
+        text, lo, hi = self.take(elem)
+        return text[lo:hi]
 
 
 def _values(elem: Element, n: int) -> np.ndarray:
@@ -544,21 +577,35 @@ def _accessor(src: Element, width: int) -> Element:
     return accessor
 
 
-def _names(src: Element) -> list[str]:
-    """A <source>'s Name_array, checked against its own count and its
-    accessor's."""
+def _names(src: Element, split=str.split):
+    """A <source>'s Name_array, split by `split`, checked against its own
+    count and its accessor's."""
     accessor = _accessor(src, 1)
     array = _child(src, "Name_array")
-    return _counted(_counted((_take_text(array) or "").split(), array), accessor)
+    return _counted(_counted(split(_take_text(array) or ""), array), accessor)
 
 
-def _source_rows(src: Element, width: int, numbers=_numbers) -> np.ndarray:
-    """A <source>'s float_array as rows, checked against its own count and
-    its accessor's."""
+def _source_rows(src: Element, width: int, numbers) -> np.ndarray:
+    """A <source>'s float_array, decoded by `numbers`, as rows, checked
+    against its own count and its accessor's."""
     accessor = _accessor(src, width)
     array = _child(src, "float_array")
-    values = _counted(numbers(_take_text(array)), array)
+    values = _counted(numbers(array), array)
     return _counted(values, accessor, width).reshape(-1, width)
+
+
+def _ref(elem: Element | None) -> str | None:
+    """The ``#id`` by which an <input> or <channel> names `elem`, if it can."""
+    return None if elem is None or elem.get("id") is None else "#" + elem.get("id")
+
+
+def _inputs(parent: Element) -> list[tuple[str, str, str]]:
+    """`parent`'s <input>s as sorted (semantic, source, offset), with ""
+    for a missing attribute."""
+    return sorted(
+        (i.get("semantic", ""), i.get("source", ""), i.get("offset", ""))
+        for i in _children(parent, "input")
+    )
 
 
 def _affine(matrices: np.ndarray, what: str) -> np.ndarray:
@@ -628,6 +675,89 @@ def _parse_xml(document: str) -> Element:
         raise ParseError(f"malformed XML: {exc}", module="export") from None
 
 
+# --- the markup path ---------------------------------------------------------
+#
+# Most of a model's text is number arrays (94 % on the 2x6000-frame benchmark
+# model). `_cut_arrays` cuts the text of each out of the document and leaves a
+# placeholder, so expat parses only the markup, and the reader decodes each
+# text where it lies in the document.
+# Without entity or character references, an element's text is its raw
+# characters, with CR LF and CR read as LF, which the decoder reads as
+# spaces anyway. So the result is the whole-document parse's, provided each
+# placeholder comes back as the whole text of an element of its tag (which
+# proves that the cut text was that element's content) and each cut text is
+# XML text: `np.loadtxt` refuses every character XML forbids in it, except
+# \x0b and \x0c, and expat checks the texts that the reader never decodes.
+
+# A number array's start tag; its text runs to the next "<".
+_ARRAY_TAG = re.compile(r"<(float_array|p|vcount|v)(?:\s[^<>]*)?>")
+# Placeholders are this private-use character and a number, so a document
+# must not hold it; an ASCII document cannot, which `in` finds at once.
+_PLACEHOLDER = "\ue000"
+# A reference, the whitespace that np.loadtxt reads and XML forbids, and the
+# placeholder character: the markup path does not read such a document.
+_NOT_CUT = "&\x0b\x0c" + _PLACEHOLDER
+
+
+def _cut_arrays(document: str) -> tuple[str, dict[str, tuple[str, int, int]]]:
+    """`document` with the text of each number array that its end tag
+    directly follows replaced by a placeholder, and per placeholder the
+    array's tag and the span of its text in `document`."""
+    pieces, cuts, copied, pos = [], {}, 0, 0
+    while (m := _ARRAY_TAG.search(document, pos)) is not None:
+        lo = pos = m.end()
+        hi = document.find("<", lo)
+        if hi >= 0 and document.startswith(f"</{m[1]}>", hi):
+            placeholder = f"{_PLACEHOLDER}{len(cuts)}"
+            pieces += [document[copied:lo], placeholder]
+            cuts[placeholder] = (m[1], lo, hi)
+            copied = pos = hi
+    pieces.append(document[copied:])
+    return "".join(pieces), cuts
+
+
+def _read_markup(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip]:
+    """`read_collada`'s result from the markup of `document`, each number
+    array decoded from its span of `document`. Raises where that result
+    cannot be proven to be the whole-document parse's."""
+    if any(c in document for c in _NOT_CUT):
+        raise ValueError("the document holds a reference or a character the cut cannot prove")
+    markup, cuts = _cut_arrays(document)
+    root = _parse_xml(markup)
+    del markup
+    placed = sorted((e.text, _local(e)) for e in root.iter() if e.text in cuts)
+    if placed != sorted((p, tag) for p, (tag, _, _) in cuts.items()):
+        raise ValueError("a placeholder is not the whole text of one element of its tag")
+    arrays = _ArrayTexts(document, cuts)
+    result = _read_tree(root, arrays)
+    for _, lo, hi in arrays.spans.values():  # the texts the reader skipped
+        ET.fromstring(f"<_>{document[lo:hi]}</_>")  # raises unless XML text
+    return result
+
+
+def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip]:
+    """Parse a document produced by write_collada (subset only).
+
+    Raises ParseError on malformed XML, a missing required element (the
+    animations, with exactly one jaw channel, and the clip's rate_hz and
+    duration among them), an <input> or <channel> that does not name the
+    source or sampler read, or a clip that AnimationClip rejects (key times
+    not strictly increasing), and UnsupportedFeature on any element outside
+    the written subset.
+
+    expat parses only the markup where the result is provably the same
+    (`_read_markup`); otherwise, or if that raises, the whole document is
+    parsed, which gives the result or the refusal.
+    """
+    try:
+        return _read_markup(document)
+    except Exception:
+        # Whatever the markup path raised, the whole-document parse is the
+        # reference: it gives the result or the refusal.
+        pass
+    return _read_tree(_parse_xml(document), _ArrayTexts())
+
+
 _KNOWN_LIBRARIES = {
     "asset",
     "library_geometries",
@@ -639,16 +769,9 @@ _KNOWN_LIBRARIES = {
 }
 
 
-def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip]:
-    """Parse a document produced by write_collada (subset only).
-
-    Raises ParseError on malformed XML, a missing required element (the
-    animations, with exactly one jaw channel, and the clip's rate_hz and
-    duration among them) or a clip that AnimationClip rejects (key times
-    not strictly increasing), and UnsupportedFeature on any element outside
-    the written subset.
-    """
-    root = _parse_xml(document)
+def _read_tree(root: Element, arrays: _ArrayTexts) -> tuple[SkinnedMesh, Armature, AnimationClip]:
+    """`read_collada`'s result from the element tree `root`, with the
+    number arrays' texts taken from `arrays`."""
     if _local(root) != "COLLADA":
         raise ParseError("not a COLLADA document", module="export")
     for child in root:
@@ -666,7 +789,13 @@ def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip]:
     for child in mesh_el:
         if _local(child) not in ("source", "vertices", "triangles"):
             raise UnsupportedFeature(f"unsupported geometry element <{_local(child)}>")
-    positions = _source_rows(_child(mesh_el, "source"), 3)
+    positions_src = _child(mesh_el, "source")
+    positions = _source_rows(positions_src, 3, arrays.numbers)
+    vertices = _child(mesh_el, "vertices")
+    if _inputs(vertices) != [("POSITION", _ref(positions_src), "")]:
+        raise ParseError(
+            "<vertices> must hold one POSITION input naming the positions", module="export"
+        )
 
     batches = []
     materials = []
@@ -674,7 +803,9 @@ def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip]:
         inputs = _children(tri_el, "input")
         if len(inputs) != 1 or inputs[0].get("semantic") != "VERTEX":
             raise UnsupportedFeature("triangles must carry a single VERTEX input")
-        p = _numbers(_take_text(_child(tri_el, "p")), np.int64)
+        if _inputs(tri_el) != [("VERTEX", _ref(vertices), "0")]:
+            raise ParseError("a VERTEX input must name <vertices> at offset 0", module="export")
+        p = arrays.numbers(_child(tri_el, "p"), np.int64)
         batches.append(_counted(p, tri_el, 3).reshape(-1, 3))
         materials.append(tri_el.get("material"))
     tris = np.concatenate([np.empty((0, 3), np.int64)] + batches)
@@ -692,23 +823,27 @@ def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip]:
     skin = _child(_child(lc[0], "controller"), "skin")
     joint_names: list[str] = []
     weights_arr = np.empty(0)
+    joints_src = weights_src = None
     for s in _children(skin, "source"):
         if _children(s, "Name_array") and "joints" in (s.get("id") or ""):
-            joint_names = _names(s)
+            joints_src, joint_names = s, _names(s)
         if _children(s, "float_array") and "weights" in (s.get("id") or ""):
-            weights_arr = _source_rows(s, 1)[:, 0]
+            weights_src, weights_arr = s, _source_rows(s, 1, arrays.numbers)[:, 0]
 
+    joint_inputs = [i for i in _inputs(_child(skin, "joints")) if i[0] == "JOINT"]
+    if joint_inputs != [("JOINT", _ref(joints_src), "")]:
+        raise ParseError("<joints> must hold one JOINT input naming the joints", module="export")
     vw = _child(skin, "vertex_weights")
-    inputs = sorted((i.get("semantic", ""), i.get("offset", "")) for i in _children(vw, "input"))
-    if inputs != [("JOINT", "0"), ("WEIGHT", "1")]:
+    if _inputs(vw) != [("JOINT", _ref(joints_src), "0"), ("WEIGHT", _ref(weights_src), "1")]:
         raise ParseError(
-            "<vertex_weights> inputs must be JOINT at offset 0 and WEIGHT at offset 1",
+            "<vertex_weights> inputs must be JOINT at offset 0 and WEIGHT at offset 1, naming"
+            " the joints and the weights",
             module="export",
         )
-    vcount = _counted(_numbers(_take_text(_child(vw, "vcount")), np.int64), vw)
+    vcount = _counted(arrays.numbers(_child(vw, "vcount"), np.int64), vw)
     if len(vcount) != len(positions):
         raise ParseError("<vertex_weights> count is not the vertex count", module="export")
-    v = _numbers(_take_text(_child(vw, "v")), np.int64)
+    v = arrays.numbers(_child(vw, "v"), np.int64)
 
     # scene hierarchy
     lvs = _children(root, "library_visual_scenes")
@@ -808,27 +943,40 @@ def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip]:
     if not la:
         raise ParseError("document has no <library_animations>", module="export")
     channels: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    # The animations share one time-source text: parse it once.
+    # The animations share one time-source text and one interpolation text:
+    # each is decoded, or split and checked, once.
     time_numbers = functools.cache(_numbers)
+    split_names = functools.cache(lambda text: tuple(text.split()))
+    unsupported = functools.cache(lambda names: sorted(set(names) - {"LINEAR"}))
     for anim in _children(la[0], "animation"):
         chan = _child(anim, "channel")
         target = (chan.get("target") or "").split("/")[0]
         times = mats = interps = None
+        read = {}  # the source read per sampler semantic
         for s in _children(anim, "source"):
             sid = s.get("id") or ""
             fa = _children(s, "float_array")
             na = _children(s, "Name_array")
             if fa and sid.endswith("-input"):
-                times = _source_rows(s, 1, time_numbers)[:, 0]
+                read["INPUT"] = s
+                times = _source_rows(s, 1, lambda a: time_numbers(arrays.text(a)))[:, 0]
             elif fa and sid.endswith("-output"):
-                mats = _affine(_source_rows(s, 16).reshape(-1, 4, 4), f"source {sid!r}")
+                read["OUTPUT"] = s
+                mats = _source_rows(s, 16, arrays.numbers).reshape(-1, 4, 4)
+                mats = _affine(mats, f"source {sid!r}")
             elif na and sid.endswith("-interp"):
-                interps = _names(s)
-                kinds = set(interps) - {"LINEAR"}
+                read["INTERPOLATION"] = s
+                interps = _names(s, split_names)
+                kinds = unsupported(interps)
                 if kinds:
-                    raise UnsupportedFeature(f"unsupported interpolation {sorted(kinds)}")
+                    raise UnsupportedFeature(f"unsupported interpolation {kinds}")
         if times is None or mats is None:
             raise UnsupportedFeature("animation without matrix sampler")
+        samplers = [s for s in _children(anim, "sampler") if _ref(s) == chan.get("source", "")]
+        if len(samplers) != 1:
+            raise ParseError(f"{target!r} channel must name one <sampler>", module="export")
+        if _inputs(samplers[0]) != sorted((k, _ref(s), "") for k, s in read.items()):
+            raise ParseError(f"{target!r} sampler inputs must name its sources", module="export")
         if interps is not None and len(interps) != len(times):
             raise ParseError(f"{target!r} needs one interpolation per key", module="export")
         if target in channels:

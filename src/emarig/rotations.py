@@ -77,20 +77,18 @@ def mat_to_quat(R: np.ndarray) -> np.ndarray:
     m00, m11, m22 = R[..., 0, 0], R[..., 1, 1], R[..., 2, 2]
     trace = m00 + m11 + m22
 
-    # Shepperd's method, branch chosen per element for numerical safety;
-    # each branch is evaluated on its own rows only.
+    # Shepperd's method, branch chosen per element for numerical safety.
+    # The trace branch, which rotations near the rest pose pick, is
+    # evaluated on every row through strided views; each other branch on
+    # its own rows only, which then overwrite the trace branch's.
     choice = np.argmax(np.stack([trace, m00, m11, m22], axis=-1), axis=-1)
     q = np.empty(R.shape[:-2] + (4,), dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
-        sel = choice == 0
-        r = R[sel]
-        s = np.sqrt(np.maximum(trace[sel] + 1.0, 0.0)) * 2.0
-        q[sel] = np.stack([
-            0.25 * s,
-            (r[:, 2, 1] - r[:, 1, 2]) / s,
-            (r[:, 0, 2] - r[:, 2, 0]) / s,
-            (r[:, 1, 0] - r[:, 0, 1]) / s,
-        ], axis=-1)
+        s = np.sqrt(np.maximum(trace + 1.0, 0.0)) * 2.0
+        q[..., 0] = 0.25 * s
+        q[..., 1] = (R[..., 2, 1] - R[..., 1, 2]) / s
+        q[..., 2] = (R[..., 0, 2] - R[..., 2, 0]) / s
+        q[..., 3] = (R[..., 1, 0] - R[..., 0, 1]) / s
 
         sel = choice == 1
         r = R[sel]

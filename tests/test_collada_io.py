@@ -14,12 +14,15 @@ from hypothesis import strategies as st
 
 from emarig.anim_db import AnimationClip
 from emarig.cli import main
+import emarig.collada_io
 from emarig.collada_io import (
     _CHUNK,
     _E_MAX,
     _E_MIN,
+    _PLACEHOLDER,
     _affine_rows,
     _bone_channels,
+    _cut_arrays,
     _decimal,
     _decompose_world,
     _fmt_array,
@@ -463,6 +466,37 @@ class TestNumberCodec:
         text = spaced(rng, [template % x for x in values.tolist()], runs, bad)
         assert decoded(lambda t: _numbers(t, np.int64), text) == decoded(fromstring_ints, text)
 
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        st.lists(st.sampled_from(_SHORT_TEXT_ALPHABET + _INT_TEXT_ALPHABET), max_size=24).map("".join),
+        st.integers(0, 30),
+        st.integers(0, 30),
+        st.sampled_from([np.float64, np.int64]),
+    )
+    def test_decodes_a_span_in_place(self, text, lo, length, dtype):
+        lo = min(lo, len(text))
+        hi = min(lo + length, len(text))
+        in_place = decoded(lambda t: _numbers(t, dtype, lo, hi), text)
+        assert in_place == decoded(lambda t: _numbers(t, dtype), text[lo:hi])
+
+    @settings(max_examples=6, deadline=None, database=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.tuples(st.floats(0, 1), st.sampled_from(_LONG_RUNS)), max_size=2),
+        st.none() | st.sampled_from(["nan", "x", "\x1c", "\xa0", "\u0661"]),
+        st.floats(0, 1),
+        st.floats(0, 1),
+    )
+    def test_decodes_a_long_span_in_place(self, seed, runs, bad, start, end):
+        # Spans over several decoder slices, inside a text with numbers,
+        # and maybe a bad token, on both sides of them.
+        rng = np.random.default_rng(seed)
+        words = ["%.9g" % x for x in rng.normal(0, 3, 30000).tolist()]
+        text = spaced(rng, words, runs, bad)
+        lo, hi = sorted(int(f * len(text)) for f in (start, end))
+        in_place = decoded(lambda t: _numbers(t, np.float64, lo, hi), text)
+        assert in_place == decoded(_numbers, text[lo:hi])
+
 
 # --- the array float printer against the per-float format -------------------
 
@@ -903,6 +937,14 @@ class TestReaderErrors:
             (r'(<accessor source="#anim-TMidC-interp-array" count=")\d+', r"\g<1>{n_keys_plus_5}"),
             (r'(<accessor source="#anim-TMidC-interp-array" count="\d+" stride=")1', r"\g<1>2"),
             (r'(<input semantic="WEIGHT" source="#skin-weights" offset=")1', r"\g<1>5"),
+            # inputs and a channel that name another element than the one
+            # read: another bone's keys, the weights as joints, the bind
+            # poses as weights, and the triangles' vertices at another offset
+            (r'(<input semantic="OUTPUT" source="#anim-)TMidC(-output")', r"\g<1>TMidL\g<2>"),
+            (r'(<channel source="#anim-)TMidC(-sampler")', r"\g<1>TMidL\g<2>"),
+            (r'(<joints>\s*<input semantic="JOINT" source=")#skin-joints', r"\g<1>#skin-weights"),
+            (r'(<input semantic="WEIGHT" source=")#skin-weights', r"\g<1>#skin-bind-poses"),
+            (r'(<input semantic="VERTEX" source="#mesh-vertices" offset=")0', r"\g<1>1"),
         ],
         ids=[
             "weight_index", "odd_v", "joint_index", "negative_joint",
@@ -916,6 +958,8 @@ class TestReaderErrors:
             "second_non_bone_animation", "no_clip_technique",
             "joints_accessor_count", "interpolation_accessor_count",
             "interpolation_accessor_stride", "weight_offset",
+            "sampler_output_of_other_bone", "channel_of_other_bone", "joints_input_weights",
+            "weight_input_bind_poses", "vertex_offset",
         ],
     )
     def test_tampered_arrays_are_tagged(self, compiled_model, pattern, repl):
@@ -936,6 +980,145 @@ class TestReaderErrors:
         with pytest.raises(ParseError) as err:
             read_collada(doc)
         assert err.value.diagnostic().startswith("error:export:parse_error:")
+
+
+# --- the markup path --------------------------------------------------------
+
+_NUMBER_ARRAY = re.compile(r"<(?:float_array|p|vcount|v)[ >]")
+
+
+def outcome(document):
+    """The digest of every field `read_collada` returns for `document`, or
+    the type and message of what it raises."""
+    try:
+        parts = read_collada(document)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    h = hashlib.sha256()
+    for part in parts:
+        _hash_fields(h, part)
+    return h.hexdigest()
+
+
+def whole_document_outcome(document):
+    """`outcome` of the whole-document parse: the markup path raises."""
+
+    def refuse(document):
+        raise ValueError("markup path off")
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(emarig.collada_io, "_read_markup", refuse)
+        return outcome(document)
+
+
+@pytest.fixture(scope="module")
+def small_model(tmp_path_factory):
+    """The text of the model.dae that `emarig compile` writes from a 1 x 60
+    frame fixture corpus."""
+    tmp = tmp_path_factory.mktemp("small")
+    assert main(["fixture", "--out", str(tmp / "f"), "--frames", "60", "--sweeps", "1"]) == 0
+    assert main(["compile", "--config", str(tmp / "f" / "config.cfg"), "--out", str(tmp / "b")]) == 0
+    return (tmp / "b" / "model.dae").read_text(encoding="utf-8")
+
+
+# Each is put into or around a number array's text, or, for the attributes,
+# into its start tag.
+_INJECTIONS = {
+    "char_ref": "&#32;",
+    "entity_ref": "&amp;",
+    "undefined_entity": "&e;",
+    "comment": "<!-- c -->",
+    "cdata": "<![CDATA[ ]]>",
+    "crlf": "\r\n",
+    "cr": "\r",
+    "vertical_tab": "\x0b",
+    "control": "\x01",
+    "cdata_end": "]]>",
+    "commented_array": "<!-- <float_array>1 2</float_array> -->",
+}
+_ATTRIBUTES = {"gt_attribute": ' note="a>b"', "tag_attribute": ' note="<float_array>"'}
+_SITES = ["start", "inside", "end", "before", "after"]
+
+
+@st.composite
+def injections(draw, document):
+    """`document` with 1-3 injections at drawn sites of drawn arrays."""
+    cuts = list(_cut_arrays(document)[1].values())
+    edits = []
+    for _ in range(draw(st.integers(1, 3))):
+        tag, lo, hi = draw(st.sampled_from(cuts))
+        kind = draw(st.sampled_from(sorted(_INJECTIONS) + sorted(_ATTRIBUTES)))
+        if kind in _ATTRIBUTES:
+            edits.append((lo - 1, _ATTRIBUTES[kind]))
+            continue
+        site = draw(st.sampled_from(_SITES))
+        at = {
+            "start": lo,
+            "inside": document.find(" ", draw(st.integers(lo, hi)), hi),
+            "end": hi,
+            "before": document.rfind("<", 0, lo),
+            "after": hi + len(f"</{tag}>"),
+        }[site]
+        pad = draw(st.sampled_from(["", " "]))
+        edits.append((hi if at < 0 else at, pad + _INJECTIONS[kind] + pad))
+    for at, text in sorted(edits, reverse=True):
+        document = document[:at] + text + document[at:]
+    return document
+
+
+class TestMarkupPath:
+    def test_writer_documents_are_cut_whole(self, monkeypatch, default_bundle, tmp_path):
+        # expat sees the markup only, with every number array's text cut,
+        # on the default model and a synth clip.
+        clip = tmp_path / "clip.dae"
+        assert main([
+            "synth", "--bundle", str(default_bundle), "--request", GOLDEN_SYNTH_REQUEST,
+            "--out", str(clip),
+        ]) == 0
+        parsed = []
+        parse_xml = emarig.collada_io._parse_xml
+
+        def spy(text):
+            parsed.append(text)
+            return parse_xml(text)
+
+        monkeypatch.setattr(emarig.collada_io, "_parse_xml", spy)
+        for path in (default_bundle / "model.dae", clip):
+            document = path.read_text(encoding="utf-8")
+            parsed.clear()
+            read_collada(document)
+            [markup] = parsed
+            texts = re.findall(r"<(?:float_array|p|vcount|v)(?: [^>]*)?>([^<]*)<", markup)
+            assert len(texts) == len(_NUMBER_ARRAY.findall(document)) >= 24
+            assert all(t.startswith(_PLACEHOLDER) and t[1:].isdigit() for t in texts)
+            assert len(markup) < 0.2 * len(document)
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(data=st.data())
+    def test_matches_whole_document_parse(self, small_model, data):
+        document = data.draw(injections(small_model))
+        assert outcome(document) == whole_document_outcome(document)
+
+    def test_cut_in_a_comment(self, small_model):
+        # The "<p>" in a comment of an ignored <p> starts a cut that the
+        # comment's end falls into, so in the markup that comment runs on to
+        # the "-->" of a later ignored <p> and hides the first triangle batch.
+        vertices = '<input semantic="POSITION" source="#mesh-positions" />'
+        document = small_model.replace(vertices, vertices + "<p> <!-- <p> --> </p>", 1)
+        document = document.replace("</triangles>", "</triangles><vertices><p><?x?> --> </p></vertices>", 1)
+        assert isinstance(outcome(document), str)
+        assert outcome(document) == whole_document_outcome(document)
+
+    @pytest.mark.parametrize(
+        "array, text",
+        [("skin-bind-poses", t) for t in ["\x01", "\x0b", "]]>", "&e;", "\ufffe", "\ud800", " \r\n"]]
+        + [("skin-weights", t) for t in ["\x0b", "\x0c", "\x01", "&#32;"]],
+    )
+    def test_characters_xml_forbids(self, small_model, array, text):
+        # In a text the reader skips (the bind poses) or decodes.
+        document, n = re.subn(f'(id="{array}-array"[^>]*>\\S+ )', lambda m: m[1] + text, small_model)
+        assert n == 1
+        assert outcome(document) == whole_document_outcome(document)
 
 
 # --- golden read-back ---------------------------------------------------------
@@ -987,11 +1170,12 @@ def test_golden_read_digest(tmp_path):
 # --- memory -------------------------------------------------------------------
 
 # Peak traced allocations per character of the default model.dae. Reading
-# holds the element tree's text, which shrinks as the arrays are decoded,
-# plus the arrays; writing holds the tree's text plus the joined document.
-# The codec that parsed the whole text at once, kept every array text and
-# concatenated the serialized document twice measured 4.6 (read) and 4.8
-# (write) on this model.
+# holds the markup (the document with its number arrays' texts cut out),
+# its element tree and the decoded arrays; the arrays are decoded in place
+# from the document, in slices. Writing holds the tree's text plus the
+# joined document. The codec that parsed the whole text at once, kept every
+# array text and concatenated the serialized document twice measured 4.6
+# (read) and 4.8 (write) on this model.
 READ_PEAK_PER_CHAR = 3.0
 WRITE_PEAK_PER_CHAR = 3.0
 
