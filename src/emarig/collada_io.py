@@ -523,34 +523,30 @@ def _take_text(elem: Element) -> str | None:
 
 
 class _ArrayTexts:
-    """Where the reader takes each number array's text from: the tree, or,
-    for an array whose text ``_cut_arrays`` left out of the markup, the
-    span of `document` that its placeholder text names in `spans` (as
-    ``_cut_arrays`` returns them). Each text is taken once, and the spans
-    never taken are left in ``spans``."""
+    """Each number array's text, taken once as the span of `document` that
+    its placeholder text names in `spans` (as ``_cut_arrays`` returns them);
+    the spans never taken are left in ``spans``."""
 
-    def __init__(self, document: str = "", spans: dict | None = None):
+    def __init__(self, document: str, spans: dict):
         self.document = document
-        self.spans = {} if spans is None else spans
+        self.spans = spans
 
-    def take(self, elem: Element) -> tuple[str, int, int]:
-        """`elem`'s text as ``text[lo:hi]`` of the returned (text, lo, hi)."""
+    def take(self, elem: Element) -> tuple[int, int]:
+        """The span (lo, hi) of `document` that is `elem`'s text."""
         text = _take_text(elem)
-        if text in self.spans:
-            _, lo, hi = self.spans.pop(text)
-            return self.document, lo, hi
-        text = text or ""
-        return text, 0, len(text)
+        if text is not None and text not in self.spans:  # a comment, CDATA or PI split it
+            raise ParseError(f"<{_local(elem)}> text is not plain characters", module="export")
+        _, lo, hi = self.spans.pop(text, ("", 0, 0))  # no text: an empty element, like <p />
+        return lo, hi
 
     def numbers(self, elem: Element, dtype=np.float64) -> np.ndarray:
         """The numbers of `elem`'s text, decoded where it lies."""
-        text, lo, hi = self.take(elem)
-        return _numbers(text, dtype, lo, hi)
+        return _numbers(self.document, dtype, *self.take(elem))
 
     def text(self, elem: Element) -> str:
         """`elem`'s text as a string of its own."""
-        text, lo, hi = self.take(elem)
-        return text[lo:hi]
+        lo, hi = self.take(elem)
+        return self.document[lo:hi]
 
 
 def _values(elem: Element, n: int) -> np.ndarray:
@@ -671,7 +667,7 @@ def _parse_xml(document: str) -> Element:
         for lo in range(0, len(document), _SLICE):
             parser.feed(document[lo : lo + _SLICE])
         return parser.close()
-    except ET.ParseError as exc:
+    except (ET.ParseError, UnicodeEncodeError) as exc:  # a lone surrogate is no XML
         raise ParseError(f"malformed XML: {exc}", module="export") from None
 
 
@@ -680,14 +676,15 @@ def _parse_xml(document: str) -> Element:
 # Most of a model's text is number arrays (94 % on the 2x6000-frame benchmark
 # model). `_cut_arrays` cuts the text of each out of the document and leaves a
 # placeholder, so expat parses only the markup, and the reader decodes each
-# text where it lies in the document.
-# Without entity or character references, an element's text is its raw
-# characters, with CR LF and CR read as LF, which the decoder reads as
-# spaces anyway. So the result is the whole-document parse's, provided each
-# placeholder comes back as the whole text of an element of its tag (which
-# proves that the cut text was that element's content) and each cut text is
-# XML text: `np.loadtxt` refuses every character XML forbids in it, except
-# \x0b and \x0c, and expat checks the texts that the reader never decodes.
+# text where it lies in the document. In the lexical subset the writer emits
+# (no entity or character reference, and number-array texts of plain
+# characters), an element's text is its raw characters, with CR LF and CR
+# read as LF, which the decoder reads as spaces anyway. So the result is the
+# whole-document parse's, provided each placeholder comes back as the whole
+# text of an element of its tag (which proves that the cut text was that
+# element's content) and each cut text is XML text: `np.loadtxt` refuses
+# every character XML forbids in it, except \x0b and \x0c, and expat checks
+# the texts that the reader never decodes.
 
 # A number array's start tag; its text runs to the next "<".
 _ARRAY_TAG = re.compile(r"<(float_array|p|vcount|v)(?:\s[^<>]*)?>")
@@ -695,7 +692,7 @@ _ARRAY_TAG = re.compile(r"<(float_array|p|vcount|v)(?:\s[^<>]*)?>")
 # must not hold it; an ASCII document cannot, which `in` finds at once.
 _PLACEHOLDER = "\ue000"
 # A reference, the whitespace that np.loadtxt reads and XML forbids, and the
-# placeholder character: the markup path does not read such a document.
+# placeholder character: outside the subset.
 _NOT_CUT = "&\x0b\x0c" + _PLACEHOLDER
 
 
@@ -716,46 +713,34 @@ def _cut_arrays(document: str) -> tuple[str, dict[str, tuple[str, int, int]]]:
     return "".join(pieces), cuts
 
 
-def _read_markup(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip]:
-    """`read_collada`'s result from the markup of `document`, each number
-    array decoded from its span of `document`. Raises where that result
-    cannot be proven to be the whole-document parse's."""
+def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip]:
+    """Parse a document produced by write_collada (subset only).
+
+    Raises ParseError on malformed XML, text outside the lexical subset (an
+    entity or character reference, \\x0b, \\x0c or U+E000, or a comment,
+    CDATA section or PI in a number array read), a missing required element
+    (the animations, with exactly one jaw channel, and the clip's rate_hz
+    and duration among them), an <input> or <channel> that does not name
+    the source or sampler read, or a clip that AnimationClip rejects (key
+    times not strictly increasing), and UnsupportedFeature on any element
+    outside the written subset.
+    """
     if any(c in document for c in _NOT_CUT):
-        raise ValueError("the document holds a reference or a character the cut cannot prove")
+        raise ParseError("the document holds '&', '\\x0b', '\\x0c' or U+E000", module="export")
     markup, cuts = _cut_arrays(document)
     root = _parse_xml(markup)
     del markup
     placed = sorted((e.text, _local(e)) for e in root.iter() if e.text in cuts)
     if placed != sorted((p, tag) for p, (tag, _, _) in cuts.items()):
-        raise ValueError("a placeholder is not the whole text of one element of its tag")
+        raise ParseError("a number array's text is not its element's whole text", module="export")
     arrays = _ArrayTexts(document, cuts)
     result = _read_tree(root, arrays)
-    for _, lo, hi in arrays.spans.values():  # the texts the reader skipped
-        ET.fromstring(f"<_>{document[lo:hi]}</_>")  # raises unless XML text
-    return result
-
-
-def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip]:
-    """Parse a document produced by write_collada (subset only).
-
-    Raises ParseError on malformed XML, a missing required element (the
-    animations, with exactly one jaw channel, and the clip's rate_hz and
-    duration among them), an <input> or <channel> that does not name the
-    source or sampler read, or a clip that AnimationClip rejects (key times
-    not strictly increasing), and UnsupportedFeature on any element outside
-    the written subset.
-
-    expat parses only the markup where the result is provably the same
-    (`_read_markup`); otherwise, or if that raises, the whole document is
-    parsed, which gives the result or the refusal.
-    """
     try:
-        return _read_markup(document)
-    except Exception:
-        # Whatever the markup path raised, the whole-document parse is the
-        # reference: it gives the result or the refusal.
-        pass
-    return _read_tree(_parse_xml(document), _ArrayTexts())
+        for _, lo, hi in arrays.spans.values():  # the texts the reader skipped
+            ET.fromstring(f"<_>{document[lo:hi]}</_>")  # raises unless XML text
+    except (ET.ParseError, UnicodeEncodeError) as exc:
+        raise ParseError(f"malformed XML in an array text: {exc}", module="export") from None
+    return result
 
 
 _KNOWN_LIBRARIES = {
@@ -875,19 +860,18 @@ def _read_tree(root: Element, arrays: _ArrayTexts) -> tuple[SkinnedMesh, Armatur
     offsets: list[np.ndarray] = []
     tails: list[np.ndarray] = []
 
-    def walk(elem: Element, parent_idx: int):
-        for child in _children(elem, "node"):
-            if child.get("type") != "JOINT":
-                continue
-            sid = child.get("sid") or child.get("name")
-            k = len(bone_names)
-            bone_names.append(sid)
-            parents.append(parent_idx)
-            offsets.append(_translation(_child(child, "matrix")))
-            tails.append(_values(_annotation(child, "tail"), 3))
-            walk(child, k)
-
-    walk(root_node, -1)
+    # The joint nodes in preorder, with a stack, so no depth is too deep.
+    stack = [(child, -1) for child in reversed(_children(root_node, "node"))]
+    while stack:
+        child, parent_idx = stack.pop()
+        if child.get("type") != "JOINT":
+            continue
+        k = len(bone_names)
+        bone_names.append(child.get("sid") or child.get("name"))
+        parents.append(parent_idx)
+        offsets.append(_translation(_child(child, "matrix")))
+        tails.append(_values(_annotation(child, "tail"), 3))
+        stack += [(grandchild, k) for grandchild in reversed(_children(child, "node"))]
     K = len(bone_names)
     if K == 0:
         raise UnsupportedFeature("skeleton has no bone joints")

@@ -31,7 +31,7 @@ from emarig.bundle import (
     write_new_file,
 )
 from emarig.ema_io import CoilRoles, EmaSweep, angles_from_vector, orientation_vector
-from emarig.collada_io import _affine_rows
+from emarig.collada_io import _affine_rows, _numbers, _parse_xml, _read_tree, _take_text
 from emarig.errors import (
     DegenerateConfiguration,
     NoCandidate,
@@ -1261,3 +1261,24 @@ def in_memory_zip_bundle(
             zf.writestr(zipfile.ZipInfo(name, date_time=_ZIP_EPOCH), data)
     write_new_file(path, archive.getvalue())
     return entries
+
+
+# --- emarig.collada_io at 8a41a6b -----------------------------------------------
+# The whole-document parse that `read_collada` fell back on where its markup
+# path raised, with the tree-text branch of its `_ArrayTexts`.
+
+
+class TreeTexts:
+    """Each number array's text taken once from the element tree."""
+
+    def numbers(self, elem, dtype=np.float64):
+        return _numbers(_take_text(elem), dtype)
+
+    def text(self, elem):
+        return _take_text(elem) or ""
+
+
+def whole_document_read(document):
+    """`read_collada`'s result or refusal, with expat parsing the whole
+    document and every array text read from the tree."""
+    return _read_tree(_parse_xml(document), TreeTexts())

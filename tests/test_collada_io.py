@@ -32,7 +32,7 @@ from emarig.collada_io import (
     read_collada,
     write_collada,
 )
-from emarig.errors import BadNumber, InconsistentRig, ParseError, UnsupportedFeature
+from emarig.errors import BadNumber, EmarigError, InconsistentRig, ParseError, UnsupportedFeature
 from emarig.rig import GROUPS, Armature, SkinnedMesh, load_mesh
 from emarig.ik_solver import _pose_affines, stretch_matrices
 from emarig.rotations import axis_angle_matrix, mat_to_quat, norm, quat_to_mat
@@ -46,6 +46,7 @@ from reference import (
     loop_encode_weights,
     loop_fmt_array,
     strided_bone_channels,
+    whole_document_read,
 )
 from test_pipeline_cli import GOLDEN_SYNTH_REQUEST
 
@@ -987,28 +988,22 @@ class TestReaderErrors:
 _NUMBER_ARRAY = re.compile(r"<(?:float_array|p|vcount|v)[ >]")
 
 
-def outcome(document):
-    """The digest of every field `read_collada` returns for `document`, or
-    the type and message of what it raises."""
+def outcome(read, document):
+    """The digest of every field `read` returns for `document`, or the
+    exception it raises."""
     try:
-        parts = read_collada(document)
+        parts = read(document)
     except Exception as exc:
-        return type(exc).__name__, str(exc)
+        return exc
     h = hashlib.sha256()
     for part in parts:
         _hash_fields(h, part)
     return h.hexdigest()
 
 
-def whole_document_outcome(document):
-    """`outcome` of the whole-document parse: the markup path raises."""
-
-    def refuse(document):
-        raise ValueError("markup path off")
-
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(emarig.collada_io, "_read_markup", refuse)
-        return outcome(document)
+def message(result):
+    """An `outcome`, with an exception as its type and message."""
+    return (type(result).__name__, str(result)) if isinstance(result, Exception) else result
 
 
 @pytest.fixture(scope="module")
@@ -1037,33 +1032,77 @@ _INJECTIONS = {
     "commented_array": "<!-- <float_array>1 2</float_array> -->",
 }
 _ATTRIBUTES = {"gt_attribute": ' note="a>b"', "tag_attribute": ' note="<float_array>"'}
+_KINDS = sorted(_INJECTIONS) + sorted(_ATTRIBUTES)
 _SITES = ["start", "inside", "end", "before", "after"]
+# The kinds that take a document out of the lexical subset that the reader
+# takes, though the whole-document parse may read it.
+_OUTSIDE_SUBSET = {
+    "char_ref", "entity_ref", "comment", "cdata", "commented_array", "gt_attribute",
+    "tag_attribute",
+}
 
 
-@st.composite
-def injections(draw, document):
-    """`document` with 1-3 injections at drawn sites of drawn arrays."""
-    cuts = list(_cut_arrays(document)[1].values())
-    edits = []
-    for _ in range(draw(st.integers(1, 3))):
-        tag, lo, hi = draw(st.sampled_from(cuts))
-        kind = draw(st.sampled_from(sorted(_INJECTIONS) + sorted(_ATTRIBUTES)))
-        if kind in _ATTRIBUTES:
-            edits.append((lo - 1, _ATTRIBUTES[kind]))
-            continue
-        site = draw(st.sampled_from(_SITES))
+def injected(document, edits):
+    """`document` with the `edit`s applied."""
+    for at, text in sorted(edits, reverse=True):
+        document = document[:at] + text + document[at:]
+    return document
+
+
+def edit(document, cut, kind, site, pad=""):
+    """(position, text) that puts `kind` at `site` of the number array whose
+    `_cut_arrays` entry is `cut`: a named site, or, for a position in its
+    text, the first space at or after it. Attributes go into the start tag."""
+    tag, lo, hi = cut
+    if kind in _ATTRIBUTES:
+        return lo - 1, _ATTRIBUTES[kind]
+    if isinstance(site, int):
+        at = document.find(" ", site, hi)
+    else:
         at = {
             "start": lo,
-            "inside": document.find(" ", draw(st.integers(lo, hi)), hi),
             "end": hi,
             "before": document.rfind("<", 0, lo),
             "after": hi + len(f"</{tag}>"),
         }[site]
-        pad = draw(st.sampled_from(["", " "]))
-        edits.append((hi if at < 0 else at, pad + _INJECTIONS[kind] + pad))
-    for at, text in sorted(edits, reverse=True):
-        document = document[:at] + text + document[at:]
-    return document
+    return hi if at < 0 else at, pad + _INJECTIONS[kind] + pad
+
+
+@st.composite
+def injections(draw, document):
+    """`document` with 1-3 injections at drawn sites of drawn arrays, and
+    the set of their kinds."""
+    cuts = list(_cut_arrays(document)[1].values())
+    edits, kinds = [], set()
+    for _ in range(draw(st.integers(1, 3))):
+        cut = draw(st.sampled_from(cuts))
+        kind = draw(st.sampled_from(_KINDS))
+        site = draw(st.sampled_from(_SITES))
+        if site == "inside":
+            site = draw(st.integers(cut[1], cut[2]))
+        edits.append(edit(document, cut, kind, site, draw(st.sampled_from(["", " "]))))
+        kinds.add(kind)
+    return injected(document, edits), kinds
+
+
+def check_against_reference(document, kinds):
+    """The reader's contract with the whole-document parse on `document`,
+    which injections of `kinds` made; returns both outcomes."""
+    got, want = outcome(read_collada, document), outcome(whole_document_read, document)
+    if isinstance(got, str):  # accepted: the reference's fields, bit for bit
+        assert got == want
+    elif isinstance(want, str):  # refused, though the reference reads it
+        assert isinstance(got, ParseError) and kinds & _OUTSIDE_SUBSET, (kinds, got)
+    else:
+        assert isinstance(got, EmarigError) and got.diagnostic().startswith("error:export:"), got
+    if kinds <= {"crlf", "cr"}:  # inside the subset: the same outcome, message for message
+        assert message(got) == message(want)
+    return got, want
+
+
+def refused_tagged(result):
+    """Whether an `outcome` is a refusal tagged ``error:export:parse_error``."""
+    return isinstance(result, ParseError) and result.diagnostic().startswith("error:export:parse_error:")
 
 
 class TestMarkupPath:
@@ -1096,18 +1135,36 @@ class TestMarkupPath:
     @settings(max_examples=30, deadline=None, database=None)
     @given(data=st.data())
     def test_matches_whole_document_parse(self, small_model, data):
-        document = data.draw(injections(small_model))
-        assert outcome(document) == whole_document_outcome(document)
+        check_against_reference(*data.draw(injections(small_model)))
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_each_injection_kind(self, small_model, kind):
+        # One injection in the middle of the skin weights' text (an attribute:
+        # in its start tag), so that each rule of the contract is met on
+        # every run: the whole-document parse reads what XML allows there,
+        # and the reader refuses whatever is outside the subset.
+        lo = small_model.index(">", small_model.index('id="skin-weights-array"')) + 1
+        hi = small_model.index("<", lo)
+        at_middle = edit(small_model, ("float_array", lo, hi), kind, (lo + hi) // 2, " ")
+        document = injected(small_model, [at_middle])
+        got, want = check_against_reference(document, {kind})
+        assert isinstance(got, str) if kind in ("crlf", "cr") else refused_tagged(got)
+        if kind in ("comment", "cdata"):  # the decoded text is split, so it was not cut
+            assert str(got) == "<float_array> text is not plain characters"
+        xml_allows = {"crlf", "cr", "char_ref", "comment", "cdata", "commented_array", "gt_attribute"}
+        assert isinstance(want, str) == (kind in xml_allows)
 
     def test_cut_in_a_comment(self, small_model):
         # The "<p>" in a comment of an ignored <p> starts a cut that the
         # comment's end falls into, so in the markup that comment runs on to
         # the "-->" of a later ignored <p> and hides the first triangle batch.
+        # The whole-document parse reads the document; the reader finds that
+        # cut in no element's text and refuses it.
         vertices = '<input semantic="POSITION" source="#mesh-positions" />'
         document = small_model.replace(vertices, vertices + "<p> <!-- <p> --> </p>", 1)
         document = document.replace("</triangles>", "</triangles><vertices><p><?x?> --> </p></vertices>", 1)
-        assert isinstance(outcome(document), str)
-        assert outcome(document) == whole_document_outcome(document)
+        assert isinstance(outcome(whole_document_read, document), str)
+        assert refused_tagged(outcome(read_collada, document))
 
     @pytest.mark.parametrize(
         "array, text",
@@ -1115,10 +1172,18 @@ class TestMarkupPath:
         + [("skin-weights", t) for t in ["\x0b", "\x0c", "\x01", "&#32;"]],
     )
     def test_characters_xml_forbids(self, small_model, array, text):
-        # In a text the reader skips (the bind poses) or decodes.
+        # In a text the reader skips (the bind poses) or decodes. Both readers
+        # refuse a character XML forbids; the reader refuses the character
+        # reference too, which the whole-document parse reads as a space, and
+        # both read the CR LF alike.
         document, n = re.subn(f'(id="{array}-array"[^>]*>\\S+ )', lambda m: m[1] + text, small_model)
         assert n == 1
-        assert outcome(document) == whole_document_outcome(document)
+        got, want = outcome(read_collada, document), outcome(whole_document_read, document)
+        if text == " \r\n":
+            assert isinstance(got, str) and got == want
+        else:
+            assert refused_tagged(got)
+            assert isinstance(want, str) if text == "&#32;" else refused_tagged(want)
 
 
 # --- golden read-back ---------------------------------------------------------

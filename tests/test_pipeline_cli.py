@@ -64,6 +64,13 @@ def check_output_replaced(path, run):
     assert path.read_bytes() == first
 
 
+_DEEP_CHAIN = b"".join(
+    b'<node sid="D%d" type="JOINT"><matrix sid="transform">1 0 0 0 0 1 0 0 0 0 1 0 0 0 0 1</matrix>'
+    b'<extra><technique profile="emarig"><tail>0 0 1</tail></technique></extra>' % i
+    for i in range(1199)
+) + b'<node sid="D1199" type="JOINT">' + b"</node>" * 1200
+
+
 def rewrite_rehashed(bundle, name, data):
     """Replace a bundle file and re-hash it in the manifest, so the bundle
     still verifies."""
@@ -529,6 +536,14 @@ class TestSynth:
             (rb'(id="anim-TMidC-output-array" count="\d+">(?:\S+ ){15})1 ', rb"\g<1>2 "),
             (rb'(id="node-TMidC"[^>]*>\s*<matrix sid="transform">(?:\S+ ){15})1<', rb"\g<1>2<"),
             (rb'(id="node-TMidC"[^>]*>\s*<matrix sid="transform">)1 ', rb"\g<1>2 "),
+            # a character reference, a comment or a CDATA section in a
+            # number array, outside the lexical subset the reader takes
+            (rb'(id="skin-weights-array" count="\d+">\S+ )', rb"\g<1>&#32;"),
+            (rb"<p>\d+ ", rb"\g<0><!-- c --> "),
+            (rb"<v>\d+ ", rb"\g<0><![CDATA[ ]]>"),
+            # a chain of 1200 joint nodes under the skeleton root, deeper
+            # than Python's recursion limit, whose innermost has no <matrix>
+            (rb'<node id="node-TRoot"[^>]*>\s*<matrix[^>]*>[^<]*</matrix>', rb"\g<0>" + _DEEP_CHAIN),
         ],
         ids=[
             "weight_index", "no_p", "no_vcount", "no_accessor", "no_float_array",
@@ -537,6 +552,7 @@ class TestSynth:
             "rate_zero", "negative_duration", "no_rate", "no_duration",
             "no_jaw_animation", "p_underscore",
             "key_last_row", "node_last_row", "node_scaled",
+            "char_ref_in_weights", "comment_in_p", "cdata_in_v", "deep_joint_chain",
         ],
     )
     def test_tampered_model_is_tagged(self, bundle_dir, tmp_path, capsys, pattern, repl):
