@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import threading
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
@@ -215,12 +216,16 @@ def _read_file(path: Path, name: str) -> bytes:
     return target.read_bytes()
 
 
-def _read_text(path: Path, name: str) -> str:
-    """A bundle file decoded as UTF-8; other bytes are a BundleError."""
+def _decode(data: bytes, name: str) -> str:
+    """The bundle file `name`'s bytes decoded as UTF-8; other bytes are a BundleError."""
     try:
-        return _read_file(path, name).decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise BundleError(f"{name} is not UTF-8 text: {exc}") from None
+
+
+def _read_text(path: Path, name: str) -> str:
+    return _decode(_read_file(path, name), name)
 
 
 def open_bundle(path: str | Path) -> Bundle:
@@ -243,18 +248,28 @@ def open_bundle(path: str | Path) -> Bundle:
     )
 
 
-def verify_bundle(path: str | Path) -> list[str]:
-    """Re-hash every manifest entry; returns the mismatched paths (none = OK)."""
+def verify_bundle(path: str | Path, hashed: dict[str, str] | None = None) -> list[str]:
+    """Re-hash every manifest entry; returns the mismatched paths (none = OK).
+    `hashed` holds the SHA-256 hex digests of entries already read, which
+    are not read again."""
     bundle = open_bundle(path)
+    hashed = hashed or {}
     bad = []
     for name, digest in bundle.entries.items():
-        try:
-            actual = _sha256(_read_file(bundle.path, name))
-        except BundleError:
-            actual = "<missing>"
+        actual = hashed.get(name)
+        if actual is None:
+            try:
+                actual = _sha256(_read_file(bundle.path, name))
+            except BundleError:
+                actual = "<missing>"
         if actual != digest:
             bad.append(name)
     return bad
+
+
+def _check_verified(bad: list[str]) -> None:
+    if bad:
+        raise BundleError(f"bundle fails verification: {', '.join(bad)}")
 
 
 @dataclass(frozen=True)
@@ -268,12 +283,36 @@ class LoadedBundle:
 
 
 def read_bundle(path: str | Path) -> LoadedBundle:
-    """Open, verify and parse a bundle's model and companions."""
+    """Open, verify and parse a bundle's model and companions.
+
+    The model is read once: a second thread hashes its bytes (hashlib
+    releases the interpreter lock on large buffers) while this one decodes
+    and parses them. The bundle is verified before any parse error is
+    raised, so a tampered model fails as tampered even when it is also
+    malformed."""
     bundle = open_bundle(path)
-    bad = verify_bundle(path)
-    if bad:
-        raise BundleError(f"bundle fails verification: {', '.join(bad)}")
-    mesh, armature, clip = read_collada(_read_text(bundle.path, MODEL_NAME))
+    try:
+        data = _read_file(bundle.path, MODEL_NAME)
+    except BundleError:
+        _check_verified(verify_bundle(path))  # a missing model.dae that is listed fails it
+        raise
+    hashed: dict[str, str] = {}
+
+    def hash_model(data: bytes) -> None:
+        hashed[MODEL_NAME] = _sha256(data)
+
+    hasher = threading.Thread(target=hash_model, args=(data,), name="emarig-hash")
+    hasher.start()
+    try:
+        text = _decode(data, MODEL_NAME)
+        del data  # the hasher holds the bytes until it is done with them
+        mesh, armature, clip = read_collada(text)
+    except Exception:  # raised only once the bundle has verified
+        hasher.join()
+        _check_verified(verify_bundle(path, hashed))
+        raise
+    hasher.join()
+    _check_verified(verify_bundle(path, hashed))
     tier = None
     if SEGMENTATION_NAME in bundle.entries:
         tier = parse_segmentation(_read_text(bundle.path, SEGMENTATION_NAME))

@@ -210,27 +210,45 @@ def _affine_rows(A: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.concatenate([A, t[..., None]], axis=-1)
 
 
-def _bone_pose(armature: Armature, clip: AnimationClip, k: int, inverse: bool) -> np.ndarray:
-    """Bone k's pose map A = R S of ``_pose_affines`` over the clip, or with
-    `inverse` its inverse S^-1 R^T, as (n_keys, 3, 3)."""
+def _bone_pose(armature: Armature, clip: AnimationClip, k: int, inverse: bool) -> tuple:
+    """Bone k's pose map A = R S of ``_pose_affines`` over the clip and, with
+    `inverse`, its inverse S^-1 R^T (else None), each (n_keys, 3, 3), from
+    one rotation R."""
     bone = slice(k, k + 1)  # a bone axis of length 1: the all-bones arithmetic, bit for bit
     R = quat_to_mat(clip.quats[:, bone])
     s = clip.stretches[:, bone]
     dirs = armature.rest_dirs[bone]
-    if inverse:
-        return (stretch_matrices(dirs, 1.0 / s, np.sqrt(s)) @ np.swapaxes(R, -1, -2))[:, 0]
-    return (R @ stretch_matrices(dirs, s, 1.0 / np.sqrt(s)))[:, 0]
+    A = (R @ stretch_matrices(dirs, s, 1.0 / np.sqrt(s)))[:, 0]
+    if not inverse:
+        return A, None
+    return A, (stretch_matrices(dirs, 1.0 / s, np.sqrt(s)) @ np.swapaxes(R, -1, -2))[:, 0]
 
 
-def _local_rows(armature: Armature, clip: AnimationClip, k: int) -> np.ndarray:
+def _local_rows(
+    armature: Armature, clip: AnimationClip, k: int, inverses: dict | None = None
+) -> np.ndarray:
     """Bone k's node matrices over the clip, relative to its parent's pose,
     as top three rows (n_keys, 3, 4). One bone at a time, which bounds the
-    temporaries to one bone's."""
-    A = _bone_pose(armature, clip, k, inverse=False)
-    p = armature.parents[k]
+    temporaries to one bone's.
+
+    `inverses` carries inverse poses from bone to bone when the bones are
+    written in order: bone k's is kept in it until its last child is
+    written, so each is computed once. A parent's inverse pose that it
+    lacks is computed here."""
+    inverses = {} if inverses is None else inverses
+    parents = armature.parents.tolist()
+    last_child = {p: j for j, p in enumerate(parents)}
+    A, A_inv = _bone_pose(armature, clip, k, inverse=k in last_child)
+    if A_inv is not None:
+        inverses[k] = A_inv
+    p = parents[k]
     if p < 0:
         return _affine_rows(A, clip.heads[:, k] - armature.root_point)
-    A_inv_p = _bone_pose(armature, clip, p, inverse=True)
+    A_inv_p = inverses.get(p)
+    if A_inv_p is None:
+        A_inv_p = _bone_pose(armature, clip, p, inverse=True)[1]
+    if last_child[p] == k:
+        inverses.pop(p, None)
     rows = np.empty((clip.n_keys, 3, 4))
     rows[:, :, :3] = A_inv_p @ A
     rows[:, :, 3] = np.einsum("fij,fj->fi", A_inv_p, clip.heads[:, k] - clip.heads[:, p])
@@ -376,8 +394,9 @@ def write_collada(mesh: SkinnedMesh, armature: Armature, clip: AnimationClip) ->
 
     # A matrix that is not finite is refused, with no warning on the way.
     with np.errstate(all="ignore"):
+        inverses: dict = {}
         for k, sid in enumerate(bone_sids):
-            emit_animation(sid, _local_rows(armature, clip, k))
+            emit_animation(sid, _local_rows(armature, clip, k, inverses))
         emit_animation(jaw_sid, _affine_rows(quat_to_mat(clip.jaw_quats), clip.jaw_translations))
 
     # visual scene -----------------------------------------------------------
@@ -721,9 +740,11 @@ def read_collada(document: str) -> tuple[SkinnedMesh, Armature, AnimationClip]:
     CDATA section or PI in a number array read), a missing required element
     (the animations, with exactly one jaw channel, and the clip's rate_hz
     and duration among them), an <input> or <channel> that does not name
-    the source or sampler read, or a clip that AnimationClip rejects (key
-    times not strictly increasing), and UnsupportedFeature on any element
-    outside the written subset.
+    the source or sampler read, a bind shape other than the identity,
+    inverse bind poses that are not one 4x4 matrix ending in 0 0 0 1 per
+    joint, or a clip that AnimationClip rejects (key times not strictly
+    increasing), and UnsupportedFeature on any element outside the written
+    subset.
     """
     if any(c in document for c in _NOT_CUT):
         raise ParseError("the document holds '&', '\\x0b', '\\x0c' or U+E000", module="export")
@@ -815,9 +836,25 @@ def _read_tree(root: Element, arrays: _ArrayTexts) -> tuple[SkinnedMesh, Armatur
         if _children(s, "float_array") and "weights" in (s.get("id") or ""):
             weights_src, weights_arr = s, _source_rows(s, 1, arrays.numbers)[:, 0]
 
-    joint_inputs = [i for i in _inputs(_child(skin, "joints")) if i[0] == "JOINT"]
-    if joint_inputs != [("JOINT", _ref(joints_src), "")]:
+    joints = _inputs(_child(skin, "joints"))
+    if [i for i in joints if i[0] == "JOINT"] != [("JOINT", _ref(joints_src), "")]:
         raise ParseError("<joints> must hold one JOINT input naming the joints", module="export")
+    # The bind shape and the inverse bind poses are checked but not used: the
+    # mesh is read as bound, and the rest pose comes from the joint nodes.
+    if not (_values(_child(skin, "bind_shape_matrix"), 16) == np.eye(4).ravel()).all():
+        raise ParseError("the <bind_shape_matrix> must be the identity", module="export")
+    bind_inputs = [i for i in joints if i[0] == "INV_BIND_MATRIX"]
+    bind_srcs = [
+        s for s in _children(skin, "source") if bind_inputs == [("INV_BIND_MATRIX", _ref(s), "")]
+    ]
+    if len(bind_srcs) != 1:
+        raise ParseError(
+            "<joints> must hold one INV_BIND_MATRIX input naming a skin <source>", module="export"
+        )
+    bind_poses = _source_rows(bind_srcs[0], 16, arrays.numbers)
+    if len(bind_poses) != len(joint_names):
+        raise ParseError("the bind poses must hold one matrix per joint", module="export")
+    _affine(bind_poses.reshape(-1, 4, 4), "a bind pose")
     vw = _child(skin, "vertex_weights")
     if _inputs(vw) != [("JOINT", _ref(joints_src), "0"), ("WEIGHT", _ref(weights_src), "1")]:
         raise ParseError(

@@ -108,6 +108,29 @@ def target_cost(unit: AnimationUnit, requested: float) -> float:
     return abs(math.log(unit.duration / requested))
 
 
+def _boundaries(units: list[AnimationUnit]) -> tuple:
+    """The units' boundary features stacked once: first positions, last
+    positions, first velocities and last velocities as one flattened
+    (B * 3) row per unit each, and their source indices."""
+    def rows(feature):
+        return np.stack([getattr(u, feature) for u in units]).reshape(len(units), -1)
+
+    features = ("first_positions", "last_positions", "first_velocities", "last_velocities")
+    return (*(rows(f) for f in features), np.array([u.source_index for u in units]))
+
+
+def _join_matrix(left: tuple, right: tuple, velocity_weight: float) -> np.ndarray:
+    """`join_costs` from the `_boundaries` of its `left` and `right` units."""
+    _, last_positions, _, last_velocities, left_sources = left
+    first_positions, _, first_velocities, _, right_sources = right
+    dp = first_positions - last_positions[:, None]
+    dv = first_velocities - last_velocities[:, None]
+    cost = np.sqrt(np.sum(dp * dp, axis=2))
+    cost += velocity_weight * np.sqrt(np.sum(dv * dv, axis=2))
+    cost[(left_sources + 1)[:, None] == right_sources] = 0.0
+    return cost
+
+
 def join_costs(
     left: list[AnimationUnit], right: list[AnimationUnit], velocity_weight: float
 ) -> np.ndarray:
@@ -117,16 +140,7 @@ def join_costs(
     same sample); otherwise the Euclidean gap across all tracked points
     plus a velocity mismatch term scaled by `velocity_weight`.
     """
-    def rows(units, feature):  # one flattened (B * 3) feature row per unit
-        return np.stack([getattr(u, feature) for u in units]).reshape(len(units), -1)
-
-    dp = rows(right, "first_positions") - rows(left, "last_positions")[:, None]
-    dv = rows(right, "first_velocities") - rows(left, "last_velocities")[:, None]
-    cost = np.sqrt(np.sum(dp * dp, axis=2))
-    cost += velocity_weight * np.sqrt(np.sum(dv * dv, axis=2))
-    after_left = np.array([u.source_index + 1 for u in left])[:, None]
-    cost[after_left == np.array([u.source_index for u in right])] = 0.0
-    return cost
+    return _join_matrix(_boundaries(left), _boundaries(right), velocity_weight)
 
 
 def join_cost(
@@ -139,15 +153,33 @@ def join_cost(
 def slot_costs(db: list[AnimationUnit], request: SynthesisRequest) -> tuple:
     """Per slot: the candidates (units with its label, by source index), their
     target costs, and the (L, C) join costs from the previous slot's
-    candidates (None first). Raises `NoCandidate` for a label not in `db`."""
+    candidates (None first). Raises `NoCandidate` for a label not in `db`.
+
+    Each label's candidates and boundary features, and the join costs of
+    each pair of labels that meet, are computed once and shared by every
+    slot that uses them; the shared join arrays are read-only."""
+    by_label: dict[str, list[AnimationUnit]] = {}
+    for unit in sorted(db, key=lambda u: u.source_index):
+        by_label.setdefault(unit.label, []).append(unit)
+    boundaries: dict[str, tuple] = {}
+    pair_joins: dict[tuple[str, str], np.ndarray] = {}
     cands, targets, joins = [], [], []
+    previous = None
     for label, dur in request.items:
-        units = sorted((u for u in db if u.label == label), key=lambda u: u.source_index)
-        if not units:
+        if label not in by_label:
             raise NoCandidate(label)
-        joins.append(join_costs(cands[-1], units, request.velocity_weight) if cands else None)
+        units = by_label[label]
+        if label not in boundaries:
+            boundaries[label] = _boundaries(units)
+        pair = (previous, label)
+        if previous is not None and pair not in pair_joins:
+            join = _join_matrix(boundaries[previous], boundaries[label], request.velocity_weight)
+            join.setflags(write=False)
+            pair_joins[pair] = join
+        joins.append(pair_joins.get(pair))  # None at the first slot
         cands.append(units)
         targets.append(np.array([target_cost(u, dur) for u in units]))
+        previous = label
     return cands, targets, joins
 
 

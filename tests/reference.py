@@ -1282,3 +1282,44 @@ def whole_document_read(document):
     """`read_collada`'s result or refusal, with expat parsing the whole
     document and every array text read from the tree."""
     return _read_tree(_parse_xml(document), TreeTexts())
+
+
+# --- emarig.unit_synth at 7ee95cb -----------------------------------------------
+# The cost tables that `slot_costs` rebuilt at every slot, before each label's
+# candidates and each pair of labels' join costs were computed once per
+# request. Verbatim but for the names: `join_costs` is `stacking_join_costs`
+# and `slot_costs` is `per_slot_costs`.
+
+
+def stacking_join_costs(left, right, velocity_weight):
+    """(L, R) boundary discontinuity from each unit in `left` to each in `right`.
+
+    Zero for pairs that were adjacent in the corpus (their boundary is the
+    same sample); otherwise the Euclidean gap across all tracked points
+    plus a velocity mismatch term scaled by `velocity_weight`.
+    """
+    def rows(units, feature):  # one flattened (B * 3) feature row per unit
+        return np.stack([getattr(u, feature) for u in units]).reshape(len(units), -1)
+
+    dp = rows(right, "first_positions") - rows(left, "last_positions")[:, None]
+    dv = rows(right, "first_velocities") - rows(left, "last_velocities")[:, None]
+    cost = np.sqrt(np.sum(dp * dp, axis=2))
+    cost += velocity_weight * np.sqrt(np.sum(dv * dv, axis=2))
+    after_left = np.array([u.source_index + 1 for u in left])[:, None]
+    cost[after_left == np.array([u.source_index for u in right])] = 0.0
+    return cost
+
+
+def per_slot_costs(db, request):
+    """Per slot: the candidates (units with its label, by source index), their
+    target costs, and the (L, C) join costs from the previous slot's
+    candidates (None first). Raises `NoCandidate` for a label not in `db`."""
+    cands, targets, joins = [], [], []
+    for label, dur in request.items:
+        units = sorted((u for u in db if u.label == label), key=lambda u: u.source_index)
+        if not units:
+            raise NoCandidate(label)
+        joins.append(stacking_join_costs(cands[-1], units, request.velocity_weight) if cands else None)
+        cands.append(units)
+        targets.append(np.array([target_cost(u, dur) for u in units]))
+    return cands, targets, joins

@@ -1,10 +1,14 @@
 import hashlib
 import os
+import re
+import sys
+import threading
 import zipfile
 
 import numpy as np
 import pytest
 
+import emarig.bundle
 from emarig.bundle import (
     SLICE_CHARS,
     _write_slices,
@@ -16,7 +20,7 @@ from emarig.bundle import (
 )
 from emarig.collada_io import write_collada
 from emarig.ema_io import PosLayout, read_pos
-from emarig.errors import BundleError
+from emarig.errors import BundleError, EmarigError
 from emarig.fixture import FixtureSpec, write_fixture
 from emarig.pipeline import (
     _layout_and_roles,
@@ -36,18 +40,28 @@ def model_text(compiled_model):
     return write_collada(rig.mesh, rig.armature, clip)
 
 
-def edit_manifest(path, edit):
-    """Replace the manifest text of the bundle at `path` by `edit(text)`."""
+def edit_entry(path, name, edit):
+    """Replace the bytes of file `name` of the bundle at `path` by
+    `edit(bytes)`, or delete the file where that is None."""
     if path.suffix == ".zip":
         with zipfile.ZipFile(path) as zf:
             files = {n: zf.read(n) for n in zf.namelist()}
-        files["manifest.txt"] = edit(files["manifest.txt"].decode()).encode()
+        files[name] = edit(files[name])
         with zipfile.ZipFile(path, "w") as zf:
             for n, data in files.items():
-                zf.writestr(n, data)
+                if data is not None:
+                    zf.writestr(n, data)
     else:
-        manifest = path / "manifest.txt"
-        manifest.write_text(edit(manifest.read_text()))
+        data = edit((path / name).read_bytes())
+        if data is None:
+            (path / name).unlink()
+        else:
+            (path / name).write_bytes(data)
+
+
+def edit_manifest(path, edit):
+    """Replace the manifest text of the bundle at `path` by `edit(text)`."""
+    edit_entry(path, "manifest.txt", lambda data: edit(data.decode()).encode())
 
 
 class TestWriteBundle:
@@ -360,6 +374,133 @@ class TestReadBundle:
         assert loaded.clip.n_keys == clip.n_keys
         assert loaded.tier == small_fixture.tier
         assert loaded.layout == small_fixture.layout
+
+
+@pytest.mark.parametrize("name", ["b", "b.zip"])
+class TestReadModelOnce:
+    """`read_bundle` reads model.dae once, hashes it on a second thread while
+    it parses, and reports a tampered bundle before any parse error."""
+
+    def test_reads_model_once(self, monkeypatch, tmp_path, model_text, name):
+        path = tmp_path / name
+        write_bundle(path, model_text, channels=("A",), rate_hz=200.0, segmentation_text="0.0 0.5 a\n")
+        reads = []
+        read_file = emarig.bundle._read_file
+
+        def spy(bundle_path, entry):
+            reads.append(entry)
+            return read_file(bundle_path, entry)
+
+        monkeypatch.setattr(emarig.bundle, "_read_file", spy)
+        loaded = read_bundle(path)
+        assert reads.count("model.dae") == 1
+        assert reads.count("segmentation.txt") == 2  # hashed, then parsed
+        assert loaded.clip.n_keys > 0
+        assert not any(t.name == "emarig-hash" for t in threading.enumerate())
+
+    @pytest.mark.parametrize("model", ["tampered", "tampered_malformed", "malformed"])
+    def test_verified_before_parse_errors(self, tmp_path, model_text, name, model):
+        path = tmp_path / name
+        write_bundle(path, model_text, channels=("A",), rate_hz=200.0)
+        if model == "malformed":  # listed with its digest: verifies, then fails to parse
+            write_bundle(path, model_text[:1000], channels=("A",), rate_hz=200.0)
+        else:
+            cut = 1000 if model == "tampered_malformed" else len(model_text)
+            edit_entry(path, "model.dae", lambda data: data[:cut].replace(b"emarig", b"emariG", 1))
+        with pytest.raises(EmarigError) as err:
+            read_bundle(path)
+        want = "error:export:parse_error:" if model == "malformed" else "error:export:bundle:"
+        assert err.value.diagnostic().startswith(want)
+        if model != "malformed":
+            assert str(err.value) == "bundle fails verification: model.dae"
+        assert not any(t.name == "emarig-hash" for t in threading.enumerate())
+
+    @pytest.mark.parametrize("listed", [True, False], ids=["listed", "unlisted"])
+    def test_missing_model(self, tmp_path, model_text, name, listed):
+        path = tmp_path / name
+        write_bundle(path, model_text, channels=("A",), rate_hz=200.0)
+        edit_entry(path, "model.dae", lambda data: None)
+        if not listed:
+            edit_manifest(path, lambda text: re.sub(r"model\.dae\t.*\n", "", text))
+        with pytest.raises(BundleError) as err:
+            read_bundle(path)
+        if listed:
+            assert str(err.value) == "bundle fails verification: model.dae"
+        else:
+            assert str(err.value) == "bundle is missing 'model.dae'"
+
+    def test_missing_model_and_tampered_companion(self, tmp_path, model_text, name):
+        path = tmp_path / name
+        write_bundle(path, model_text, channels=("A",), rate_hz=200.0, segmentation_text="0.0 0.5 a\n")
+        edit_entry(path, "model.dae", lambda data: None)
+        edit_entry(path, "segmentation.txt", lambda data: data + b"0.5 0.6 e\n")
+        edit_manifest(path, lambda text: re.sub(r"model\.dae\t.*\n", "", text))
+        with pytest.raises(BundleError, match=r"^bundle fails verification: segmentation.txt$"):
+            read_bundle(path)
+
+    @pytest.mark.parametrize("digest", ["matching", "tampered"])
+    def test_model_not_utf8(self, tmp_path, model_text, name, digest):
+        path = tmp_path / name
+        bad = model_text.encode("utf-8").replace(b"emarig", b"emar\xffg", 1)
+        write_bundle(path, bad, channels=("A",), rate_hz=200.0)
+        if digest == "tampered":
+            edit_entry(path, "model.dae", lambda data: data.replace(b"\xff", b"\xfe", 1))
+        with pytest.raises(BundleError) as err:
+            read_bundle(path)
+        if digest == "matching":
+            assert str(err.value).startswith("model.dae is not UTF-8 text: ")
+        else:
+            assert str(err.value) == "bundle fails verification: model.dae"
+
+    def test_concurrent_reads(self, tmp_path, model_text, name):
+        # Callers on several threads, with the interpreter switching threads
+        # as often as it can: each read gets its own model's digest, so the
+        # clean bundles load and the tampered ones fail.
+        clean, tampered = tmp_path / "clean", tmp_path / "tampered"
+        for d in (clean, tampered):
+            write_bundle(d / name, model_text, channels=("A",), rate_hz=200.0)
+        edit_entry(tampered / name, "model.dae", lambda data: data.replace(b"emarig", b"emariG", 1))
+        outcomes = {}
+
+        def read(i):
+            try:
+                outcomes[i] = read_bundle((clean if i % 2 else tampered) / name).clip.n_keys
+            except BundleError as exc:
+                outcomes[i] = str(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            readers = [threading.Thread(target=read, args=(i,)) for i in range(6)]
+            for t in readers:
+                t.start()
+            for t in readers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in readers)
+        n_keys = read_bundle(clean / name).clip.n_keys
+        assert outcomes == {
+            i: n_keys if i % 2 else "bundle fails verification: model.dae" for i in range(6)
+        }
+
+    def test_peak_memory(self, tmp_path, default_bundle, name):
+        # read_bundle holds the model's bytes until they are decoded and
+        # hashed, and its text while read_collada adds its arrays (1.6 times
+        # the text on this model). So it peaks at 2.64 times the text when
+        # the hash thread is done first, as it usually is, and at 3.64 when
+        # the thread still holds the bytes at read_collada's peak.
+        text = (default_bundle / "model.dae").read_text(encoding="utf-8")
+        path = tmp_path / name
+        write_bundle(path, text, channels=("A",), rate_hz=200.0)
+        loaded, peak = traced_peak(read_bundle, path)
+        assert loaded.clip.n_keys > 0
+        assert peak < READ_BUNDLE_PEAK_PER_CHAR * len(text)
+
+
+# The traced peak of `read_bundle` above its entry, per character of the
+# model's text (which is ASCII).
+READ_BUNDLE_PEAK_PER_CHAR = 3.75
 
 
 @pytest.fixture(scope="module")

@@ -718,6 +718,19 @@ class TestLocalRows:
         got = np.stack([_local_rows(arm, clip, k) for k in range(n_bones)], axis=1)
         assert np.array_equal(got, batched_local_rows(arm, clip))
 
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(st.integers(1, 7), st.integers(1, 30), st.integers(0, 2**32 - 1))
+    def test_shared_inverses_match_batched_reference(self, n_bones, n_keys, seed):
+        # As write_collada calls it: bones in order, sharing one dict of
+        # inverse poses, each dropped once its bone's last child is written.
+        rng = np.random.default_rng(seed)
+        arm = random_tree_armature(rng, n_bones)
+        clip = random_clip(rng, arm, n_keys)
+        inverses = {}
+        got = np.stack([_local_rows(arm, clip, k, inverses) for k in range(n_bones)], axis=1)
+        assert np.array_equal(got, batched_local_rows(arm, clip))
+        assert inverses == {}
+
 
 class TestRoundTrip:
     def test_randomized(self):
@@ -946,6 +959,23 @@ class TestReaderErrors:
             (r'(<joints>\s*<input semantic="JOINT" source=")#skin-joints', r"\g<1>#skin-weights"),
             (r'(<input semantic="WEIGHT" source=")#skin-weights', r"\g<1>#skin-bind-poses"),
             (r'(<input semantic="VERTEX" source="#mesh-vertices" offset=")0', r"\g<1>1"),
+            # the bind shape and inverse bind poses: a bind pose that is no
+            # number, a bind-poses count that disagrees with its array, a
+            # bind shape that scales, holds 15 numbers or ends in 0 0 0 2, a
+            # bind pose ending in 0 0 0 2, one bind pose fewer than joints,
+            # and the inverse bind input naming the weights
+            (r'(id="skin-bind-poses-array" count="\d+">)\S+', r"\1x"),
+            (r'(id="skin-bind-poses-array" count=")\d+', r"\g<1>7"),
+            (r"(<bind_shape_matrix>)1 ", r"\g<1>5 "),
+            (r"(<bind_shape_matrix>)\S+ ", r"\1"),
+            (r"(<bind_shape_matrix>(?:\S+ ){15})1<", r"\g<1>2<"),
+            (r'(id="skin-bind-poses-array" count="\d+">(?:\S+ ){15})1 ', r"\g<1>2 "),
+            (
+                r'(?s)(id="skin-bind-poses-array" count=")\d+(">)(?:\S+ ){16}'
+                r'(.*?<accessor source="#skin-bind-poses-array" count=")\d+',
+                r"\g<1>{n_bind_values_minus_16}\g<2>\g<3>{n_joints_minus_1}",
+            ),
+            (r'(<input semantic="INV_BIND_MATRIX" source=")#skin-bind-poses', r"\g<1>#skin-weights"),
         ],
         ids=[
             "weight_index", "odd_v", "joint_index", "negative_joint",
@@ -961,6 +991,9 @@ class TestReaderErrors:
             "interpolation_accessor_stride", "weight_offset",
             "sampler_output_of_other_bone", "channel_of_other_bone", "joints_input_weights",
             "weight_input_bind_poses", "vertex_offset",
+            "bind_pose_token", "bind_poses_array_count", "bind_shape_scaled",
+            "bind_shape_short", "bind_shape_last_row", "bind_pose_last_row",
+            "bind_poses_one_short", "bind_input_weights",
         ],
     )
     def test_tampered_arrays_are_tagged(self, compiled_model, pattern, repl):
@@ -975,6 +1008,8 @@ class TestReaderErrors:
             "n_positions_plus_7": str(n_positions + 7),
             "n_joints_plus_3": str(n_joints + 3),
             "n_keys_plus_5": str(clip.n_keys + 5),
+            "n_joints_minus_1": str(n_joints - 1),
+            "n_bind_values_minus_16": str(16 * (n_joints - 1)),
         }
         doc, n = re.subn(pattern, repl.format(**sizes), doc, count=1)
         assert n == 1
@@ -1172,7 +1207,7 @@ class TestMarkupPath:
         + [("skin-weights", t) for t in ["\x0b", "\x0c", "\x01", "&#32;"]],
     )
     def test_characters_xml_forbids(self, small_model, array, text):
-        # In a text the reader skips (the bind poses) or decodes. Both readers
+        # In the bind poses or the weights, which both readers decode. Both
         # refuse a character XML forbids; the reader refuses the character
         # reference too, which the whole-document parse reads as a space, and
         # both read the CR LF alike.
@@ -1184,6 +1219,16 @@ class TestMarkupPath:
         else:
             assert refused_tagged(got)
             assert isinstance(want, str) if text == "&#32;" else refused_tagged(want)
+
+    @pytest.mark.parametrize("text", ["1", "\x01"], ids=["number", "control"])
+    def test_skipped_array_text(self, small_model, text):
+        # A number array that the reader never decodes, here in a skin source
+        # that no input names, must still be XML text.
+        source = f'<source id="unused"><float_array id="unused-array" count="1">{text}</float_array></source>'
+        document = small_model.replace('<skin source="#mesh">', '<skin source="#mesh">' + source, 1)
+        assert document != small_model
+        got = outcome(read_collada, document)
+        assert got == outcome(read_collada, small_model) if text == "1" else refused_tagged(got)
 
 
 # --- golden read-back ---------------------------------------------------------

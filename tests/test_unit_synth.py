@@ -22,6 +22,7 @@ from emarig.unit_synth import (
     parse_request,
     render_plan,
     select_units,
+    slot_costs,
     target_cost,
 )
 
@@ -31,6 +32,7 @@ from reference import (
     exhaustive_total,
     loop_exhaustive_total,
     per_row_render_plan,
+    per_slot_costs,
     scalar_join_cost,
     tuple_state_select_units,
 )
@@ -225,6 +227,94 @@ class TestJoinCosts:
     def test_random_features(self, velocity_weight):
         db = random_db(np.random.default_rng(23), 30)
         self.assert_bitwise(db[:13], db[7:], velocity_weight)
+
+
+@st.composite
+def drawn_requests(draw):
+    """A unit DB of 1-20 units with random features, in shuffled order, and
+    a request of 1-12 slots over its labels."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    db = random_db(rng, draw(st.integers(1, 20)))
+    db = [db[i] for i in rng.permutation(len(db))]
+    labels = sorted({u.label for u in db})
+    items = tuple(
+        (draw(st.sampled_from(labels)), draw(st.floats(0.01, 1.0)))
+        for _ in range(draw(st.integers(1, 12)))
+    )
+    return db, SynthesisRequest(items=items, velocity_weight=draw(st.sampled_from((0.0, 0.01, 0.7))))
+
+
+def bits(array):
+    return array.view(np.uint64)
+
+
+class TestMatchesPerSlotCosts:
+    @staticmethod
+    def assert_same_costs(db, request):
+        """`slot_costs` gives the frozen per-slot tables' candidates and bits,
+        with each pair of labels' join costs shared and read-only."""
+        cands, targets, joins = slot_costs(db, request)
+        want_cands, want_targets, want_joins = per_slot_costs(db, request)
+        assert [list(map(id, c)) for c in cands] == [list(map(id, c)) for c in want_cands]
+        for got, want in zip(targets, want_targets, strict=True):
+            assert got.dtype == want.dtype and np.array_equal(bits(got), bits(want))
+        assert joins[0] is None and want_joins[0] is None
+        for got, want in zip(joins[1:], want_joins[1:], strict=True):
+            assert got.dtype == want.dtype and np.array_equal(bits(got), bits(want))
+            assert not got.flags.writeable
+        labels = [label for label, _ in request.items]
+        shared = {}
+        for pair, join in zip(zip(labels, labels[1:]), joins[1:]):
+            assert shared.setdefault(pair, join) is join
+        return joins
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(case=drawn_requests())
+    def test_drawn(self, case):
+        self.assert_same_costs(*case)
+
+    @pytest.mark.parametrize("n_slots", [1, 160])
+    def test_fixture_db(self, fixture_db, n_slots):
+        rng = np.random.default_rng(n_slots)
+        labels = sorted({u.label for u in fixture_db})
+        items = tuple(zip(
+            rng.choice(labels, n_slots).tolist(),
+            rng.uniform(0.06, 0.3, n_slots).tolist(),
+        ))
+        self.assert_same_costs(fixture_db, SynthesisRequest(items=items))
+
+    def test_repeated_label_pairs(self):
+        db = random_db(np.random.default_rng(29), 12)
+        request = SynthesisRequest(items=parse_request("a 0.1; t 0.2; a 0.3; t 0.1; t 0.2; a 0.2; a 0.4"))
+        joins = self.assert_same_costs(db, request)
+        assert joins[1] is joins[3] and joins[2] is joins[5] and joins[4] is not joins[6]
+
+    def test_one_slot(self):
+        db = random_db(np.random.default_rng(31), 6)
+        cands, targets, joins = slot_costs(db, SynthesisRequest(items=(("a", 0.2),)))
+        assert joins == [None] and len(cands) == len(targets) == 1
+        self.assert_same_costs(db, SynthesisRequest(items=(("a", 0.2),)))
+
+    def test_no_candidate(self):
+        db = random_db(np.random.default_rng(37), 6)
+        request = SynthesisRequest(items=parse_request("a 0.1; t 0.2; zz 0.1; a 0.2"))
+        for costs in (slot_costs, per_slot_costs):
+            with pytest.raises(NoCandidate) as err:
+                costs(db, request)
+            assert err.value.label == "zz"
+
+    def test_shared_joins_stay_unchanged(self):
+        # Neither the DP nor the brute force can write to a join array that
+        # later slots share.
+        db = random_db(np.random.default_rng(41), 9)
+        request = SynthesisRequest(items=parse_request("a 0.1; t 0.2; a 0.3; t 0.1; a 0.2"))
+        joins = slot_costs(db, request)[2]
+        with pytest.raises(ValueError):
+            joins[1][0, 0] = 1.0
+        plan = select_units(db, request)
+        assert exhaustive_total(db, request)[0] <= plan.total
+        assert_same_plan(plan, tuple_state_select_units(db, request))
+        self.assert_same_costs(db, request)
 
 
 class TestSelectUnits:
