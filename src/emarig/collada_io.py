@@ -172,25 +172,56 @@ def _fmt_chunk(x: np.ndarray, tail_every: int) -> str:
     return record.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _fmt_array(values: np.ndarray, tail_every: int = 0) -> str:
-    """`values` printed as " ".join("%.9g" % x for x in values.ravel()), with
-    " 0 0 0 1" after every `tail_every` values (0: never)."""
+def _fmt_chunks(values: np.ndarray, tail_every: int = 0) -> list[str]:
+    """The text of `_fmt_array` as its chunk texts, in order."""
     flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
     step = _CHUNK - _CHUNK % tail_every if tail_every else _CHUNK
     texts = [_fmt_chunk(flat[lo : lo + step], tail_every) for lo in range(0, len(flat), step)]
     if texts:
         texts[0] = texts[0][1:]  # the separator before the first value
-    return "".join(texts)
+    return texts
+
+
+def _fmt_array(values: np.ndarray, tail_every: int = 0) -> str:
+    """`values` printed as " ".join("%.9g" % x for x in values.ravel()), with
+    " 0 0 0 1" after every `tail_every` values (0: never; 12 prints row-major
+    4x4 matrices from their top three rows)."""
+    return "".join(_fmt_chunks(values, tail_every))
+
+
+# --- integer text ---------------------------------------------------------------
+#
+# `_fmt_ints` prints each value as its 3-digit groups from `_GROUP`'s slots,
+# one 4-byte slot per group, right-aligned to the largest value's groups:
+# inner groups with their leading zeros, the leading group without them, and
+# NUL where a value has no group. Index g + 1000 picks inner group g, index g
+# the leading one (g * 10**(3 - c) as its first c digits); 0 is no group.
+
+_INT_GROUPS = np.concatenate([
+    _GROUP[[16 * g * 10 ** (3 - len(str(g))) + 4 * len(str(g)) for g in range(1000)]],
+    _GROUP[16 * np.arange(1000) + 12],
+]).astype("<u4")
+_INT_GROUPS[0] = 0
 
 
 def _fmt_ints(values: np.ndarray) -> str:
-    flat = np.asarray(values).ravel().tolist()
-    return " ".join(["%d"] * len(flat)) % tuple(flat)
-
-
-def _fmt_matrices(rows: np.ndarray) -> str:
-    """Row-major 4x4 matrices from their top three rows (..., 3, 4)."""
-    return _fmt_array(rows, 12)
+    """The non-negative integers `values` printed as
+    " ".join(map(str, values.ravel()))."""
+    flat = np.asarray(values, dtype=np.int64).ravel()
+    if not len(flat):
+        return ""
+    if flat.min() < 0:
+        raise ValueError("only non-negative integers are printed")
+    width = -(-len(str(flat.max())) // 3)
+    record = np.empty((len(flat), width + 1), "<u4")
+    record[:, 0] = ord(" ")
+    record[0, 0] = 0  # no separator before the first value
+    rest = flat
+    for j in range(width, 0, -1):
+        rest, group = np.divmod(rest, 1000)
+        record[:, j] = _INT_GROUPS[group + 1000 * (rest > 0)]
+    record[flat == 0, width] = ord("0")
+    return record.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _finite(values, what: str):
@@ -276,6 +307,38 @@ def _name_source(parent: Element, sid: str, text: str, count: int, param_name: s
     SubElement(acc, "param", name=param_name, type="name")
 
 
+class _HeldTexts:
+    """The writer's number-array texts, held as their chunk texts until the
+    document is joined, as the reader cuts them out of the markup: each
+    array's element gets a placeholder text, which ElementTree writes as a
+    piece of its own with no escaping to do (a NUL, a count and a NUL), and
+    `serialize` puts the chunks in its place and joins the document once."""
+
+    def __init__(self):
+        self.chunks: dict[str, list[str]] = {}
+
+    def hold(self, chunks: list[str]) -> str:
+        """A placeholder for the text "".join(chunks), or "" for no text,
+        so an empty element is still written as <tag />."""
+        if not any(chunks):
+            return ""
+        key = f"\0{len(self.chunks)}\0"
+        self.chunks[key] = chunks
+        return key
+
+    def floats(self, values: np.ndarray, tail_every: int = 0) -> str:
+        return self.hold(_fmt_chunks(values, tail_every))
+
+    def ints(self, values: np.ndarray) -> str:
+        return self.hold([_fmt_ints(values)])
+
+    def serialize(self, root: Element) -> str:
+        parts = ['<?xml version="1.0" encoding="utf-8"?>\n']
+        ET.ElementTree(root).write(SimpleNamespace(write=parts.append), encoding="unicode")
+        parts.append("\n")
+        return "".join([chunk for part in parts for chunk in self.chunks.get(part, (part,))])
+
+
 def write_collada(mesh: SkinnedMesh, armature: Armature, clip: AnimationClip) -> str:
     """Serialize mesh, armature and a baked clip to document text.
 
@@ -308,6 +371,8 @@ def write_collada(mesh: SkinnedMesh, armature: Armature, clip: AnimationClip) ->
         skull_sid += "_"
     joint_sids = bone_sids + [jaw_sid, skull_sid]
 
+    held = _HeldTexts()
+    times = held.hold([times_text])
     root = Element("COLLADA", xmlns=NS, version="1.4.1")
     asset = SubElement(root, "asset")
     contributor = SubElement(asset, "contributor")
@@ -320,7 +385,7 @@ def write_collada(mesh: SkinnedMesh, armature: Armature, clip: AnimationClip) ->
     geom = SubElement(lg, "geometry", id="mesh", name="mesh")
     m = SubElement(geom, "mesh")
     xyz = [("X", "float"), ("Y", "float"), ("Z", "float")]
-    positions = _fmt_array(_finite(mesh.vertices, "a mesh vertex"))
+    positions = held.floats(_finite(mesh.vertices, "a mesh vertex"))
     _float_source(m, "mesh-positions", positions, mesh.n_vertices, xyz)
     verts = SubElement(m, "vertices", id="mesh-vertices")
     SubElement(verts, "input", semantic="POSITION", source="#mesh-positions")
@@ -329,18 +394,18 @@ def write_collada(mesh: SkinnedMesh, armature: Armature, clip: AnimationClip) ->
         material = {} if name is None else {"material": name}
         t = SubElement(m, "triangles", material, count=str(len(tris)))
         SubElement(t, "input", semantic="VERTEX", source="#mesh-vertices", offset="0")
-        SubElement(t, "p").text = _fmt_ints(tris)
+        SubElement(t, "p").text = held.ints(tris)
 
     # skin controller ------------------------------------------------------
     lc = SubElement(root, "library_controllers")
     controller = SubElement(lc, "controller", id="skin")
     skin = SubElement(controller, "skin", source="#mesh")
-    SubElement(skin, "bind_shape_matrix").text = _fmt_matrices(np.eye(3, 4))
+    SubElement(skin, "bind_shape_matrix").text = held.floats(np.eye(3, 4), 12)
     _name_source(skin, "skin-joints", " ".join(joint_sids), len(joint_sids), "JOINT")
 
     inv_binds = np.tile(np.eye(3, 4), (K + 2, 1, 1))
     inv_binds[:K, :, 3] = -armature.heads
-    inv_binds_text = _fmt_matrices(_finite(inv_binds, "a bone head"))
+    inv_binds_text = held.floats(_finite(inv_binds, "a bone head"), 12)
     _float_source(skin, "skin-bind-poses", inv_binds_text, K + 2, _TRANSFORM)
 
     # Per vertex, (joint, weight index) pairs: its bone influences, whose
@@ -355,7 +420,7 @@ def write_collada(mesh: SkinnedMesh, armature: Armature, clip: AnimationClip) ->
     weight_index[:, :4][active] = np.arange(1, active.sum() + 1)
     pair_joints = np.column_stack([mesh.weight_bones, anchor])[used]
     weights = np.concatenate([[1.0], mesh.weight_values[active]])
-    weights_text = _fmt_array(_finite(weights, "a skin weight"))
+    weights_text = held.floats(_finite(weights, "a skin weight"))
     _float_source(skin, "skin-weights", weights_text, len(weights), [("WEIGHT", "float")])
     joints = SubElement(skin, "joints")
     SubElement(joints, "input", semantic="JOINT", source="#skin-joints")
@@ -363,8 +428,8 @@ def write_collada(mesh: SkinnedMesh, armature: Armature, clip: AnimationClip) ->
     vw = SubElement(skin, "vertex_weights", count=str(mesh.n_vertices))
     SubElement(vw, "input", semantic="JOINT", source="#skin-joints", offset="0")
     SubElement(vw, "input", semantic="WEIGHT", source="#skin-weights", offset="1")
-    SubElement(vw, "vcount").text = _fmt_ints(used.sum(axis=1))
-    SubElement(vw, "v").text = _fmt_ints(np.column_stack([pair_joints, weight_index[used]]))
+    SubElement(vw, "vcount").text = held.ints(used.sum(axis=1))
+    SubElement(vw, "v").text = held.ints(np.column_stack([pair_joints, weight_index[used]]))
 
     # animations -----------------------------------------------------------
     la = SubElement(root, "library_animations")
@@ -375,8 +440,8 @@ def write_collada(mesh: SkinnedMesh, armature: Armature, clip: AnimationClip) ->
     def emit_animation(node_sid: str, rows: np.ndarray):
         aid = f"anim-{node_sid}"
         anim = SubElement(la, "animation", id=aid)
-        _float_source(anim, f"{aid}-input", times_text, clip.n_keys, [("TIME", "float")])
-        rows_text = _fmt_matrices(_finite(rows, f"a {node_sid} key matrix"))
+        _float_source(anim, f"{aid}-input", times, clip.n_keys, [("TIME", "float")])
+        rows_text = held.floats(_finite(rows, f"a {node_sid} key matrix"), 12)
         _float_source(anim, f"{aid}-output", rows_text, clip.n_keys, _TRANSFORM)
         _name_source(anim, f"{aid}-interp", interp_text, clip.n_keys, "INTERPOLATION")
         sampler = SubElement(anim, "sampler", id=f"anim-{node_sid}-sampler")
@@ -407,7 +472,7 @@ def write_collada(mesh: SkinnedMesh, armature: Armature, clip: AnimationClip) ->
         scene, "node", id=f"node-{root_sid}", name=root_sid, sid=root_sid, type="JOINT"
     )
     mat = SubElement(root_node, "matrix", sid="transform")
-    mat.text = _fmt_matrices(_finite(_affine_rows(np.eye(3), armature.root_point), "the root"))
+    mat.text = held.floats(_finite(_affine_rows(np.eye(3), armature.root_point), "the root"), 12)
 
     node_elems = {-1: root_node}
     for k, sid in enumerate(bone_sids):
@@ -419,17 +484,17 @@ def write_collada(mesh: SkinnedMesh, armature: Armature, clip: AnimationClip) ->
         p = int(armature.parents[k])
         parent_head = armature.root_point if p < 0 else armature.heads[p]
         offset = _affine_rows(np.eye(3), armature.heads[k] - parent_head)
-        m_el.text = _fmt_matrices(_finite(offset, f"bone {sid}'s offset"))
+        m_el.text = held.floats(_finite(offset, f"bone {sid}'s offset"), 12)
         extra = SubElement(node, "extra")
         tech = SubElement(extra, "technique", profile=PROFILE)
-        SubElement(tech, "tail").text = _fmt_array(_finite(armature.tails[k], f"bone {sid}'s tail"))
+        SubElement(tech, "tail").text = held.floats(_finite(armature.tails[k], f"bone {sid}'s tail"))
         length = _finite(armature.rest_lengths[k], f"bone {sid}'s rest length")
-        SubElement(tech, "rest_length").text = _fmt_array(length)
+        SubElement(tech, "rest_length").text = held.floats(length)
         node_elems[k] = node
 
     for sid in (jaw_sid, skull_sid):
         n = SubElement(scene, "node", id=f"node-{sid}", name=sid, sid=sid, type="JOINT")
-        SubElement(n, "matrix", sid="transform").text = _fmt_matrices(np.eye(3, 4))
+        SubElement(n, "matrix", sid="transform").text = held.floats(np.eye(3, 4), 12)
 
     model = SubElement(scene, "node", id="model", name="model")
     ic = SubElement(model, "instance_controller", url="#skin")
@@ -437,18 +502,14 @@ def write_collada(mesh: SkinnedMesh, armature: Armature, clip: AnimationClip) ->
 
     s_extra = SubElement(scene, "extra")
     s_tech = SubElement(s_extra, "technique", profile=PROFILE)
-    SubElement(s_tech, "rate_hz").text = _fmt_array(_finite(clip.rate_hz, "the clip rate"))
+    SubElement(s_tech, "rate_hz").text = held.floats(_finite(clip.rate_hz, "the clip rate"))
     SubElement(s_tech, "duration").text = repr(float(_finite(clip.duration, "the clip duration")))
 
     sc = SubElement(root, "scene")
     SubElement(sc, "instance_visual_scene", url="#Scene")
 
     ET.indent(root, space="  ")
-    # The serializer's pieces, the array texts among them, are joined once.
-    parts = ['<?xml version="1.0" encoding="utf-8"?>\n']
-    ET.ElementTree(root).write(SimpleNamespace(write=parts.append), encoding="unicode")
-    parts.append("\n")
-    return "".join(parts)
+    return held.serialize(root)
 
 
 # --- reader ---------------------------------------------------------------------

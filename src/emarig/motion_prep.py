@@ -26,6 +26,10 @@ from .errors import (
 # Relative second-singular-value threshold below which a point set counts
 # as collinear/coincident for rigid fitting.
 _DEGENERACY_RTOL = 1e-9
+# A point set whose closed-form lower bound on s1 / s0 clears this needs no
+# SVD to pass `_check_spread`: LAPACK's singular values are within a few
+# ulps of s0 of the exact ones, so its SVD could not refuse such a set.
+_CERTIFIED_RTOL = 1e3 * _DEGENERACY_RTOL
 
 
 @dataclass(frozen=True)
@@ -64,19 +68,48 @@ class SmoothingSpec:
             raise ValueError(f"rms_ceiling must be > 0 (inf for none), got {self.rms_ceiling!r}")
 
 
+def _spread_certified(centered: np.ndarray) -> np.ndarray:
+    """Per centered (n, 3) set C of `centered` (F, n, 3): whether its
+    singular values s0 >= s1 >= s2 surely have s1 > _CERTIFIED_RTOL * s0.
+
+    With G = C^T C, tr G = s0² + s1² + s2² >= s0², and the sum e2 of G's
+    principal 2x2 minors is s0²s1² + s0²s2² + s1²s2² <= 3 s0²s1², so
+    s1 / s0 >= sqrt(e2 / 3) / tr G. The rounding of G, e2 and tr² is a few
+    n ulps of tr², far below the 3e-12 tr² that e2 must clear; tr G is kept
+    in [2**-400, 2**400] so that nothing in the test over- or underflows.
+    A set with a non-finite coordinate is never certified, and one whose
+    G or e2 overflows is not either, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = np.swapaxes(centered, -1, -2) @ centered
+        a, b, c = G[:, 0, 0], G[:, 1, 1], G[:, 2, 2]
+        trace = a + b + c
+        e2 = a * b - G[:, 0, 1] ** 2 + a * c - G[:, 0, 2] ** 2 + b * c - G[:, 1, 2] ** 2
+        return (
+            (trace >= 2.0**-400) & (trace <= 2.0**400)
+            & (e2 >= 3 * _CERTIFIED_RTOL**2 * trace * trace)
+        )
+
+
 def _check_spread(points: np.ndarray, what: str, first_frame: int = 0) -> None:
     """Raise unless each (n, 3) point set of `points` (..., n, 3) spans a
     plane; for a stack of sets, the message names the first bad frame,
-    counting the stack's first set as frame `first_frame`."""
+    counting the stack's first set as frame `first_frame`.
+
+    A set that `_spread_certified` passes skips the SVD; the rest, and only
+    they, are decided by their singular values as before."""
     centered = points - points.mean(axis=-2, keepdims=True)
-    s = np.linalg.svd(centered, compute_uv=False)
-    bad = (s[..., 0] == 0.0) | (s[..., 1] <= _DEGENERACY_RTOL * s[..., 0])
-    if bad.any():
-        k = int(np.flatnonzero(bad)[0])
-        at = f" at frame {first_frame + k}" if bad.ndim else ""
+    stack = centered.reshape(-1, *centered.shape[-2:])
+    doubtful = np.flatnonzero(~_spread_certified(stack))
+    if not len(doubtful):
+        return
+    s = np.linalg.svd(stack[doubtful], compute_uv=False)
+    bad = np.flatnonzero((s[:, 0] == 0.0) | (s[:, 1] <= _DEGENERACY_RTOL * s[:, 0]))
+    if len(bad):
+        k = int(bad[0])
+        at = f" at frame {first_frame + int(doubtful[k])}" if points.ndim > 2 else ""
         raise DegenerateConfiguration(
             f"{what} points are collinear or coincident{at} "
-            f"(singular values {s.reshape(-1, s.shape[-1])[k]})"
+            f"(singular values {s[k]})"
         )
 
 

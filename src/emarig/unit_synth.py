@@ -103,9 +103,14 @@ def target_cost(unit: AnimationUnit, requested: float) -> float:
 
     Symmetric in stretch and compression; zero for an exact match.
     """
+    return _target_costs([unit.duration], requested)[0]
+
+
+def _target_costs(durations: list[float], requested: float) -> list[float]:
+    """`target_cost` of units of these durations."""
     if requested <= 0:
         raise ValueError("requested duration must be positive")
-    return abs(math.log(unit.duration / requested))
+    return [abs(math.log(d / requested)) for d in durations]
 
 
 def _boundaries(units: list[AnimationUnit]) -> tuple:
@@ -155,12 +160,13 @@ def slot_costs(db: list[AnimationUnit], request: SynthesisRequest) -> tuple:
     target costs, and the (L, C) join costs from the previous slot's
     candidates (None first). Raises `NoCandidate` for a label not in `db`.
 
-    Each label's candidates and boundary features, and the join costs of
-    each pair of labels that meet, are computed once and shared by every
-    slot that uses them; the shared join arrays are read-only."""
+    Each label's candidates, durations and boundary features, and the join
+    costs of each pair of labels that meet, are computed once and shared by
+    every slot that uses them; the shared join arrays are read-only."""
     by_label: dict[str, list[AnimationUnit]] = {}
     for unit in sorted(db, key=lambda u: u.source_index):
         by_label.setdefault(unit.label, []).append(unit)
+    durations: dict[str, list[float]] = {}
     boundaries: dict[str, tuple] = {}
     pair_joins: dict[tuple[str, str], np.ndarray] = {}
     cands, targets, joins = [], [], []
@@ -171,6 +177,7 @@ def slot_costs(db: list[AnimationUnit], request: SynthesisRequest) -> tuple:
         units = by_label[label]
         if label not in boundaries:
             boundaries[label] = _boundaries(units)
+            durations[label] = [u.duration for u in units]
         pair = (previous, label)
         if previous is not None and pair not in pair_joins:
             join = _join_matrix(boundaries[previous], boundaries[label], request.velocity_weight)
@@ -178,7 +185,7 @@ def slot_costs(db: list[AnimationUnit], request: SynthesisRequest) -> tuple:
             pair_joins[pair] = join
         joins.append(pair_joins.get(pair))  # None at the first slot
         cands.append(units)
-        targets.append(np.array([target_cost(u, dur) for u in units]))
+        targets.append(np.array(_target_costs(durations[label], dur)))
         previous = label
     return cands, targets, joins
 

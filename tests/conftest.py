@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from emarig.anim_db import bake
 from emarig.fixture import FixtureSpec, synthetic_motion, RIG_GRAPH_DOT
@@ -14,6 +15,12 @@ from emarig.rig import (
     generate_default_mesh,
     parse_rig_graph,
 )
+
+# A drawn test that fails prints the `@reproduce_failure` blob of its
+# example, so a failure on CI can be replayed; the tests' own `@settings`
+# override the rest.
+settings.register_profile("emarig", print_blob=True)
+settings.load_profile("emarig")
 
 FIG_GRAPH = (
     "digraph{TRoot->TBackC; TBackC->TMidC; TMidC->TTipC; "

@@ -13,8 +13,11 @@ import io
 import itertools
 import re
 import warnings
+import xml.etree.ElementTree as ET
 import zipfile
 from pathlib import Path
+from types import SimpleNamespace
+from xml.etree.ElementTree import Element, SubElement
 
 import numpy as np
 
@@ -31,10 +34,25 @@ from emarig.bundle import (
     write_new_file,
 )
 from emarig.ema_io import CoilRoles, EmaSweep, angles_from_vector, orientation_vector
-from emarig.collada_io import _affine_rows, _numbers, _parse_xml, _read_tree, _take_text
+from emarig.collada_io import (
+    NS,
+    PROFILE,
+    _TRANSFORM,
+    _affine_rows,
+    _finite,
+    _fmt_array,
+    _local_rows,
+    _numbers,
+    _parse_xml,
+    _read_tree,
+    _sanitize,
+    _take_text,
+)
 from emarig.errors import (
     DegenerateConfiguration,
+    InconsistentRig,
     NoCandidate,
+    NonMonotonic,
     NoValidReferenceFrame,
     ParseError,
     UnsupportedFeature,
@@ -51,7 +69,7 @@ from emarig.ik_solver import (
     stretch_matrices,
 )
 from emarig.motion_prep import _DEGENERACY_RTOL
-from emarig.rig import Armature, GROUP_MANDIBLE
+from emarig.rig import Armature, GROUP_MANDIBLE, GROUP_MAXILLA, SkinnedMesh
 from emarig import rotations
 from emarig.rotations import mat_to_quat, norm, quat_to_mat, slerp
 from emarig.unit_synth import SynthesisPlan, SynthesisRequest, slot_costs, target_cost
@@ -1323,3 +1341,219 @@ def per_slot_costs(db, request):
         cands.append(units)
         targets.append(np.array([target_cost(u, dur) for u in units]))
     return cands, targets, joins
+
+
+# --- emarig.collada_io at fc47e83 -----------------------------------------------
+# The writer whose number-array texts were joined once per array and then
+# written, escaped, by ElementTree, before the writer held them as chunk
+# texts behind placeholders and joined the document once; with the integer
+# printer (`%` formatting) and the matrix printer it called. Verbatim but for
+# the names: `_fmt_ints` is `percent_fmt_ints`, `_fmt_matrices` is
+# `fmt_matrices`, `_float_source` and `_name_source` are `et_float_source` and
+# `et_name_source`, and `write_collada` is `element_tree_write_collada`.
+
+
+def percent_fmt_ints(values: np.ndarray) -> str:
+    flat = np.asarray(values).ravel().tolist()
+    return " ".join(["%d"] * len(flat)) % tuple(flat)
+
+
+def fmt_matrices(rows: np.ndarray) -> str:
+    """Row-major 4x4 matrices from their top three rows (..., 3, 4)."""
+    return _fmt_array(rows, 12)
+
+
+def et_float_source(parent: Element, sid: str, text: str, count: int, params) -> None:
+    """A <source> of `count` elements of `params`, printed as `text`."""
+    stride = sum(1 if p[1] != "float4x4" else 16 for p in params)
+    src = SubElement(parent, "source", id=sid)
+    arr = SubElement(src, "float_array", id=f"{sid}-array", count=str(count * stride))
+    arr.text = text
+    tc = SubElement(src, "technique_common")
+    acc = SubElement(tc, "accessor", source=f"#{sid}-array", count=str(count), stride=str(stride))
+    for name, typ in params:
+        SubElement(acc, "param", type=typ, name=name)
+
+
+def et_name_source(parent: Element, sid: str, text: str, count: int, param_name: str) -> None:
+    src = SubElement(parent, "source", id=sid)
+    arr = SubElement(src, "Name_array", id=f"{sid}-array", count=str(count))
+    arr.text = text
+    tc = SubElement(src, "technique_common")
+    acc = SubElement(tc, "accessor", source=f"#{sid}-array", count=str(count), stride="1")
+    SubElement(acc, "param", name=param_name, type="name")
+
+
+def element_tree_write_collada(mesh: SkinnedMesh, armature: Armature, clip: AnimationClip) -> str:
+    """Serialize mesh, armature and a baked clip to document text.
+
+    Refuses a value that is not finite (BadNumber) and key times that print
+    alike at 9 significant digits (NonMonotonic), since read_collada would
+    reject the document."""
+    times_text = _fmt_array(_finite(clip.times, "a key time"))
+    if (np.diff(_numbers(times_text)) <= 0).any():
+        raise NonMonotonic(
+            "key times do not stay strictly increasing at 9 significant digits",
+            module="export",
+        )
+    K = armature.n_bones
+    if (mesh.weight_bones >= K).any():
+        raise InconsistentRig("skin weights reference bones outside the armature")
+    if len(set(armature.bone_names)) != K:
+        raise InconsistentRig("bone names must be unique")
+    if tuple(clip.bone_names) != tuple(armature.bone_names):
+        raise InconsistentRig("clip channels do not match the armature bones")
+
+    bone_sids = [_sanitize(n) for n in armature.bone_names]
+    if len(set(bone_sids)) != K:
+        raise InconsistentRig("bone names collide after id sanitization")
+    root_sid = _sanitize(armature.root_name)
+    jaw_sid = "Jaw"
+    skull_sid = "Skull"
+    while jaw_sid in bone_sids or jaw_sid == root_sid:
+        jaw_sid += "_"
+    while skull_sid in bone_sids or skull_sid == root_sid:
+        skull_sid += "_"
+    joint_sids = bone_sids + [jaw_sid, skull_sid]
+
+    root = Element("COLLADA", xmlns=NS, version="1.4.1")
+    asset = SubElement(root, "asset")
+    contributor = SubElement(asset, "contributor")
+    SubElement(contributor, "authoring_tool").text = "emarig"
+    SubElement(asset, "unit", meter="0.01", name="centimeter")
+    SubElement(asset, "up_axis").text = "Z_UP"
+
+    # geometry -----------------------------------------------------------
+    lg = SubElement(root, "library_geometries")
+    geom = SubElement(lg, "geometry", id="mesh", name="mesh")
+    m = SubElement(geom, "mesh")
+    xyz = [("X", "float"), ("Y", "float"), ("Z", "float")]
+    positions = _fmt_array(_finite(mesh.vertices, "a mesh vertex"))
+    et_float_source(m, "mesh-positions", positions, mesh.n_vertices, xyz)
+    verts = SubElement(m, "vertices", id="mesh-vertices")
+    SubElement(verts, "input", semantic="POSITION", source="#mesh-positions")
+
+    for name, tris in mesh.triangle_batches():
+        material = {} if name is None else {"material": name}
+        t = SubElement(m, "triangles", material, count=str(len(tris)))
+        SubElement(t, "input", semantic="VERTEX", source="#mesh-vertices", offset="0")
+        SubElement(t, "p").text = percent_fmt_ints(tris)
+
+    # skin controller ------------------------------------------------------
+    lc = SubElement(root, "library_controllers")
+    controller = SubElement(lc, "controller", id="skin")
+    skin = SubElement(controller, "skin", source="#mesh")
+    SubElement(skin, "bind_shape_matrix").text = fmt_matrices(np.eye(3, 4))
+    et_name_source(skin, "skin-joints", " ".join(joint_sids), len(joint_sids), "JOINT")
+
+    inv_binds = np.tile(np.eye(3, 4), (K + 2, 1, 1))
+    inv_binds[:K, :, 3] = -armature.heads
+    inv_binds_text = fmt_matrices(_finite(inv_binds, "a bone head"))
+    et_float_source(skin, "skin-bind-poses", inv_binds_text, K + 2, _TRANSFORM)
+
+    # Per vertex, (joint, weight index) pairs: its bone influences, whose
+    # weights get indices 1.. in vertex then slot order, or else its Jaw
+    # (K) or Skull (K + 1) anchor with the constant weight 0.
+    active = mesh.weight_bones >= 0
+    anchor = np.full(mesh.n_vertices, -1)
+    anchor[mesh.group_indices(GROUP_MANDIBLE)] = K
+    anchor[mesh.group_indices(GROUP_MAXILLA)] = K + 1
+    used = np.column_stack([active, ~active.any(axis=1) & (anchor >= 0)])
+    weight_index = np.zeros(used.shape, dtype=np.int64)
+    weight_index[:, :4][active] = np.arange(1, active.sum() + 1)
+    pair_joints = np.column_stack([mesh.weight_bones, anchor])[used]
+    weights = np.concatenate([[1.0], mesh.weight_values[active]])
+    weights_text = _fmt_array(_finite(weights, "a skin weight"))
+    et_float_source(skin, "skin-weights", weights_text, len(weights), [("WEIGHT", "float")])
+    joints = SubElement(skin, "joints")
+    SubElement(joints, "input", semantic="JOINT", source="#skin-joints")
+    SubElement(joints, "input", semantic="INV_BIND_MATRIX", source="#skin-bind-poses")
+    vw = SubElement(skin, "vertex_weights", count=str(mesh.n_vertices))
+    SubElement(vw, "input", semantic="JOINT", source="#skin-joints", offset="0")
+    SubElement(vw, "input", semantic="WEIGHT", source="#skin-weights", offset="1")
+    SubElement(vw, "vcount").text = percent_fmt_ints(used.sum(axis=1))
+    SubElement(vw, "v").text = percent_fmt_ints(np.column_stack([pair_joints, weight_index[used]]))
+
+    # animations -----------------------------------------------------------
+    la = SubElement(root, "library_animations")
+
+    # Every animation shares the clip's time source and interpolation names.
+    interp_text = " ".join(["LINEAR"] * clip.n_keys)
+
+    def emit_animation(node_sid: str, rows: np.ndarray):
+        aid = f"anim-{node_sid}"
+        anim = SubElement(la, "animation", id=aid)
+        et_float_source(anim, f"{aid}-input", times_text, clip.n_keys, [("TIME", "float")])
+        rows_text = fmt_matrices(_finite(rows, f"a {node_sid} key matrix"))
+        et_float_source(anim, f"{aid}-output", rows_text, clip.n_keys, _TRANSFORM)
+        et_name_source(anim, f"{aid}-interp", interp_text, clip.n_keys, "INTERPOLATION")
+        sampler = SubElement(anim, "sampler", id=f"anim-{node_sid}-sampler")
+        SubElement(sampler, "input", semantic="INPUT", source=f"#anim-{node_sid}-input")
+        SubElement(sampler, "input", semantic="OUTPUT", source=f"#anim-{node_sid}-output")
+        SubElement(
+            sampler, "input", semantic="INTERPOLATION", source=f"#anim-{node_sid}-interp"
+        )
+        SubElement(
+            anim,
+            "channel",
+            source=f"#anim-{node_sid}-sampler",
+            target=f"node-{node_sid}/transform",
+        )
+
+    # A matrix that is not finite is refused, with no warning on the way.
+    with np.errstate(all="ignore"):
+        inverses: dict = {}
+        for k, sid in enumerate(bone_sids):
+            emit_animation(sid, _local_rows(armature, clip, k, inverses))
+        emit_animation(jaw_sid, _affine_rows(quat_to_mat(clip.jaw_quats), clip.jaw_translations))
+
+    # visual scene -----------------------------------------------------------
+    lvs = SubElement(root, "library_visual_scenes")
+    scene = SubElement(lvs, "visual_scene", id="Scene", name="Scene")
+
+    root_node = SubElement(
+        scene, "node", id=f"node-{root_sid}", name=root_sid, sid=root_sid, type="JOINT"
+    )
+    mat = SubElement(root_node, "matrix", sid="transform")
+    mat.text = fmt_matrices(_finite(_affine_rows(np.eye(3), armature.root_point), "the root"))
+
+    node_elems = {-1: root_node}
+    for k, sid in enumerate(bone_sids):
+        parent = node_elems[int(armature.parents[k])]
+        node = SubElement(
+            parent, "node", id=f"node-{sid}", name=sid, sid=sid, type="JOINT"
+        )
+        m_el = SubElement(node, "matrix", sid="transform")
+        p = int(armature.parents[k])
+        parent_head = armature.root_point if p < 0 else armature.heads[p]
+        offset = _affine_rows(np.eye(3), armature.heads[k] - parent_head)
+        m_el.text = fmt_matrices(_finite(offset, f"bone {sid}'s offset"))
+        extra = SubElement(node, "extra")
+        tech = SubElement(extra, "technique", profile=PROFILE)
+        SubElement(tech, "tail").text = _fmt_array(_finite(armature.tails[k], f"bone {sid}'s tail"))
+        length = _finite(armature.rest_lengths[k], f"bone {sid}'s rest length")
+        SubElement(tech, "rest_length").text = _fmt_array(length)
+        node_elems[k] = node
+
+    for sid in (jaw_sid, skull_sid):
+        n = SubElement(scene, "node", id=f"node-{sid}", name=sid, sid=sid, type="JOINT")
+        SubElement(n, "matrix", sid="transform").text = fmt_matrices(np.eye(3, 4))
+
+    model = SubElement(scene, "node", id="model", name="model")
+    ic = SubElement(model, "instance_controller", url="#skin")
+    SubElement(ic, "skeleton").text = f"#node-{root_sid}"
+
+    s_extra = SubElement(scene, "extra")
+    s_tech = SubElement(s_extra, "technique", profile=PROFILE)
+    SubElement(s_tech, "rate_hz").text = _fmt_array(_finite(clip.rate_hz, "the clip rate"))
+    SubElement(s_tech, "duration").text = repr(float(_finite(clip.duration, "the clip duration")))
+
+    sc = SubElement(root, "scene")
+    SubElement(sc, "instance_visual_scene", url="#Scene")
+
+    ET.indent(root, space="  ")
+    # The serializer's pieces, the array texts among them, are joined once.
+    parts = ['<?xml version="1.0" encoding="utf-8"?>\n']
+    ET.ElementTree(root).write(SimpleNamespace(write=parts.append), encoding="unicode")
+    parts.append("\n")
+    return "".join(parts)

@@ -26,7 +26,7 @@ from emarig.collada_io import (
     _decimal,
     _decompose_world,
     _fmt_array,
-    _fmt_matrices,
+    _fmt_ints,
     _local_rows,
     _numbers,
     read_collada,
@@ -315,7 +315,7 @@ class TestNumberCodec:
         A = np.array(entries[0]).reshape(-1, 3, 3)
         t = np.array(entries[1]).reshape(-1, 3)
         expected = loop_fmt_array(loop_affine_to_matrix16(A, t))
-        assert _fmt_matrices(_affine_rows(A, t)) == expected
+        assert _fmt_array(_affine_rows(A, t), 12) == expected
 
     @settings(max_examples=500, deadline=None, database=None)
     @given(
@@ -572,7 +572,7 @@ class TestFloatKernel:
         rows = np.random.default_rng(seed).normal(0, 1, (2 * n, 3, 4))
         rows.reshape(-1)[12 * n - 12 : 12 * n - 12 + len(values)] = values
         expected = loop_fmt_array(loop_affine_to_matrix16(rows[..., :3], rows[..., 3]))
-        assert _fmt_matrices(rows) == expected
+        assert _fmt_array(rows, 12) == expected
 
     def test_special_values(self):
         values = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-310]
@@ -610,6 +610,43 @@ class TestFloatKernel:
                 assert slow, v
 
 
+class TestIntText:
+    """`_fmt_ints` prints the writer's non-negative integers from the digit
+    group tables, with the bytes of " ".join(map(str, values))."""
+
+    EDGES = [0, 9, 10, 999, 1000, 10**6 - 1, 10**6, 10**9, np.iinfo(np.int64).max]
+
+    @pytest.mark.parametrize("value", EDGES)
+    def test_edges(self, value):
+        assert _fmt_ints(np.array([value])) == str(value)
+
+    def test_edges_together_and_empty(self):
+        assert _fmt_ints(np.array(self.EDGES)) == " ".join(map(str, self.EDGES))
+        assert _fmt_ints(np.array([], np.int64)) == ""
+        assert _fmt_ints(np.zeros((0, 2), np.int32)) == ""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.lists(
+        st.builds(lambda v, k: v // 10**k, st.integers(0, 2**63 - 1), st.integers(0, 19)),
+        max_size=60,
+    ))
+    def test_drawn_int64(self, values):
+        assert _fmt_ints(np.array(values, np.int64)) == " ".join(map(str, values))
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(st.integers(0, 40), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_matches_percent_format(self, rows, cols, seed):
+        # int32 and int64 arrays of the writer's shapes: triangles, counts,
+        # (joint, weight index) pairs
+        values = np.random.default_rng(seed).integers(0, 2**31 - 1, (rows, cols))
+        for dtype in (np.int32, np.int64):
+            assert _fmt_ints(values.astype(dtype)) == reference.percent_fmt_ints(values.astype(dtype))
+
+    def test_refuses_negative(self):
+        with pytest.raises(ValueError):
+            _fmt_ints(np.array([3, -1]))
+
+
 class TestSkinCodec:
     @settings(max_examples=300, deadline=None, database=None)
     @given(data=st.data())
@@ -618,7 +655,9 @@ class TestSkinCodec:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         arm = random_tree_armature(rng, n_bones)
         mesh = data.draw(skinned_meshes(n_bones))
-        doc = write_collada(mesh, arm, random_clip(rng, arm, 2))
+        clip = random_clip(rng, arm, 2)
+        doc = write_collada(mesh, arm, clip)
+        assert doc == reference.element_tree_write_collada(mesh, arm, clip)
 
         vcounts, pairs, weights = loop_encode_weights(mesh, n_bones)
         joint_names, vcount_text, v_text, weights_text = skin_texts(doc)
@@ -1312,6 +1351,23 @@ def test_write_peak_memory(default_model):
     mesh, armature, clip = read_collada(default_model)
     _, peak = traced_peak(write_collada, mesh, armature, clip)
     assert peak < WRITE_PEAK_PER_CHAR * len(default_model)
+
+
+def test_writer_matches_element_tree_writer(default_bundle, compiled_model, tmp_path):
+    # The held array texts spliced into the serializer's pieces give the
+    # bytes of the writer that joined each array and let ElementTree write
+    # it: on the default model and a synth clip as read back, and on the
+    # small compiled model as compiled.
+    clip = tmp_path / "clip.dae"
+    assert main([
+        "synth", "--bundle", str(default_bundle), "--request", GOLDEN_SYNTH_REQUEST,
+        "--out", str(clip),
+    ]) == 0
+    models = [read_collada(path.read_text(encoding="utf-8")) for path in (default_bundle / "model.dae", clip)]
+    rig, compiled_clip, _ = compiled_model
+    models.append((rig.mesh, rig.armature, compiled_clip))
+    for model in models:
+        assert write_collada(*model) == reference.element_tree_write_collada(*model)
 
 
 def test_read_clip_owns_heads_and_jaw_translations(default_model):

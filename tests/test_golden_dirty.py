@@ -19,11 +19,13 @@ import numpy as np
 import pytest
 
 from emarig.cli import main
+from emarig.collada_io import write_collada
 from emarig.ema_io import parse_layout, read_pos
 from emarig.fixture import FixtureSpec, write_fixture
 from emarig.motion_prep import detect_dropouts
 from emarig.pipeline import compile_model, load_config
 
+import reference
 from test_pipeline_cli import GOLDEN_SYNTH_REQUEST
 
 DIRTY_SEED = 7
@@ -113,3 +115,11 @@ def test_golden_dirty_corpus_covers_the_hard_path(dirty_run):
     clamps = (stretches == config.ik.s_min) | (stretches == config.ik.s_max)
     assert int(clamps.sum()) > 0
     assert np.isfinite(result.report.residuals).all()
+
+
+def test_golden_dirty_writer_matches_element_tree_writer(dirty_run):
+    # The dirty model as compiled, written with the held array texts and by
+    # the frozen writer that joined each array and let ElementTree write it.
+    _, result, _ = dirty_run
+    model = (result.rig.mesh, result.rig.armature, result.clip)
+    assert write_collada(*model) == reference.element_tree_write_collada(*model)

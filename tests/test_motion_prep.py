@@ -14,6 +14,7 @@ from emarig.errors import (
 from emarig.fixture import FixtureSpec, synthetic_motion
 from emarig.motion_prep import (
     SmoothingSpec,
+    _spread_certified,
     fill_dropouts,
     normalize_head,
     rigid_align,
@@ -23,7 +24,7 @@ from emarig.motion_prep import (
 from emarig.rotations import axis_angle_matrix
 
 from conftest import prepare
-from reference import old_batched_rigid_align, old_rigid_align
+from reference import old_batched_rigid_align, old_rigid_align, whole_batch_check_spread
 
 
 def make_sweep(positions, rate=200.0, phi=None, theta=None):
@@ -180,6 +181,15 @@ def rejected_frame(align, moving, fixed):
     return None
 
 
+def refusal(call, *args):
+    """(exception type, message) of what `call(*args)` raises, or None."""
+    try:
+        call(*args)
+    except (DegenerateConfiguration, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
 class TestRigidAlignEquivalence:
     @settings(max_examples=500, deadline=None, database=None)
     @given(data=st.data())
@@ -203,9 +213,13 @@ class TestRigidAlignEquivalence:
                 along[:2] = [0.0, 1.0]
                 moving[f] = a + along[:, None] * (b - a) + residue * (moving[f] - a)
 
-        # bitwise equal to the old batched fit, rejecting the same frame
+        # bitwise equal to the old batched fit, rejecting the same frame with
+        # the whole-batch check's message (its singular values and frame)
         bad = rejected_frame(old_batched_rigid_align, moving, fixed)
         assert rejected_frame(rigid_align, moving, fixed) == bad
+        assert refusal(rigid_align, moving, fixed) == refusal(
+            whole_batch_check_spread, moving, "moving"
+        )
         if bad is None:
             R, t = rigid_align(moving, fixed)
             R_old, t_old = old_batched_rigid_align(moving, fixed)
@@ -228,6 +242,89 @@ class TestRigidAlignEquivalence:
             size = max(1.0, np.abs(moving[f]).max(), np.abs(fixed).max())
             assert np.abs(R[0] - R_old).max() <= tol
             assert np.abs(t[0] - t_old).max() <= tol * size
+
+
+def line_with_residue(n, ratio, seed):
+    """An (n, 3) point set whose centered singular values are s0, ratio * s0
+    and 0, turned and moved by a drawn rigid map: points along a line (s0)
+    plus an orthogonal off-line pattern (s1)."""
+    along = np.array({3: [-1.0, 0, 1], 5: [-2.0, -1, 0, 1, 2]}[n])
+    off = np.array({3: [1.0, -2, 1], 5: [2.0, -1, -2, -1, 2]}[n])  # off . along = 0
+    rng = np.random.default_rng(seed)
+    turn = axis_angle_matrix(rng.normal(0, 1, 3), rng.uniform(-np.pi, np.pi))
+    s0 = 3.0 * np.linalg.norm(along)
+    pattern = 3.0 * np.outer(along, turn[:, 0])
+    pattern += ratio * s0 / np.linalg.norm(off) * np.outer(off, turn[:, 1])
+    return pattern + rng.normal(0, 10, 3)
+
+
+# The certificate passes s1 / s0 >= sqrt(3) * 1e-6 when s2 = 0; the check
+# refuses s1 <= 1e-9 * s0. Residues on both sides of each edge, at the
+# refusal threshold, at exact collinearity, and a well spread set.
+SPREAD_RATIOS = {
+    "certified": np.sqrt(3) * 1e-6 * (1 + 1e-3),
+    "not-certified": np.sqrt(3) * 1e-6 * (1 - 1e-3),
+    "1e-6-above": 1e-6 * (1 + 1e-3),
+    "1e-6-below": 1e-6 * (1 - 1e-3),
+    "threshold-above": 1e-9 * (1 + 1e-3),
+    "threshold": 1e-9,
+    "threshold-below": 1e-9 * (1 - 1e-3),
+    "collinear": 0.0,
+    "spread": 0.5,
+}
+
+
+def spread_cases(n):
+    """The SPREAD_RATIOS sets of n points, then a coincident one and one
+    with a NaN coordinate."""
+    sets = [line_with_residue(n, ratio, seed) for seed, ratio in enumerate(SPREAD_RATIOS.values())]
+    nan = line_with_residue(n, 0.5, 99)
+    nan[1, 2] = np.nan
+    return sets + [np.full((n, 3), 2.5), nan]
+
+
+class TestCertifiedSpread:
+    """`_check_spread` skips the SVD for sets its closed-form bound certifies
+    and decides the rest by the SVD: fixed sets on both sides of either
+    edge run both branches, and each refusal is the whole-batch check's."""
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_both_branches_run(self, n):
+        sets = np.stack(spread_cases(n))
+        certified = _spread_certified(sets - sets.mean(axis=-2, keepdims=True))
+        names = list(SPREAD_RATIOS) + ["coincident", "nan"]
+        assert [name for name, c in zip(names, certified) if c] == ["certified", "spread"]
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_single_sets_match_whole_batch_check(self, n):
+        spread = line_with_residue(n, 0.5, 7)
+        for points in spread_cases(n):
+            want = refusal(whole_batch_check_spread, points, "moving")
+            assert refusal(similarity_align, points, spread) == want
+            assert refusal(rigid_align, points[None], spread) == refusal(
+                whole_batch_check_spread, points[None], "moving"
+            )
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_stacks_match_whole_batch_check(self, n):
+        # Each case between certified frames, with a collinear frame after
+        # it: the refusal names the case's frame when it is bad, else the
+        # later one.
+        spread = line_with_residue(n, 0.5, 7)
+        collinear = line_with_residue(n, 0.0, 8)
+        outcomes = set()
+        for points in spread_cases(n):
+            stack = np.stack([spread, spread + 1.0, points, spread - 1.0, collinear])
+            want = refusal(whole_batch_check_spread, stack, "moving")
+            assert refusal(rigid_align, stack, spread) == want
+            outcomes.add(want[1].split(" (")[0] if want else None)
+        assert outcomes == {
+            "moving points are collinear or coincident at frame 2",
+            "moving points are collinear or coincident at frame 4",
+            "SVD did not converge",
+        }
+
+
 class TestSimilarityAlign:
     def test_recovers_construction(self):
         rng = np.random.default_rng(23)
