@@ -154,6 +154,9 @@ def _cmd_validate(args) -> int:
     report = validate_model(loaded, config)
     for line in report.lines():
         print(line)
+    if not np.isfinite(report.max_rms):  # NaN would pass the comparison below
+        print(f"FAIL: max rms {report.max_rms:.6g} cm is not a finite number")
+        return 3
     if report.max_rms > args.threshold:
         print(f"FAIL: max rms {report.max_rms:.6g} cm exceeds {args.threshold:g} cm")
         return 3

@@ -49,6 +49,7 @@ _TRANSFORM = [("TRANSFORM", "float4x4")]
 # of one half. Such near-ties, exponents outside [_E_MIN, _E_MAX],
 # subnormals, nan and infinities are printed by "%.9g" one at a time.
 
+FLOAT_DIGITS = 9  # significant digits of every float printed: the 9 of "%.9g"
 _E_MIN, _E_MAX = -36, 30
 _NEAR_TIE = 0.5 - 2.0**-20
 _CHUNK = 16384  # values per chunk, which bounds the temporaries
@@ -157,7 +158,7 @@ def _fmt_chunk(x: np.ndarray, tail_every: int) -> str:
         _GROUP[16 * g2 + _LAYOUT[2, key]] | _EXPONENT_HI[key],
     ]
     for j in np.flatnonzero(fallback).tolist():
-        text = (" %.9g" % x[j]).encode("ascii").ljust(24, b"\0")
+        text = (" %.*g" % (FLOAT_DIGITS, x[j])).encode("ascii").ljust(24, b"\0")
         for slot, word in zip(slots, np.frombuffer(text, "<u8")):
             slot[j] = word
 
@@ -701,11 +702,15 @@ def _translation(elem: Element) -> np.ndarray:
 
 def _decompose_world(world: np.ndarray, armature: Armature, k: int) -> tuple:
     """Quaternions (n, 4), stretches (n,) and tails (n, 3) of bone k's world
-    matrices (n, 4, 4)."""
+    matrices (n, 4, 4), whose stretches must be finite and > 0."""
     bone = slice(k, k + 1)  # a bone axis of length 1: the all-bones arithmetic, bit for bit
     dirs = armature.rest_dirs[bone]
     A = np.ascontiguousarray(world[:, None, :3, :3])
-    s = norm(np.einsum("fkij,kj->fki", A, dirs))
+    with np.errstate(all="ignore"):
+        s = norm(np.einsum("fkij,kj->fki", A, dirs))
+    if not ((s > 0) & (s < np.inf)).all():
+        target = f"node-{armature.bone_names[k]}"
+        raise ParseError(f"{target!r} has a key stretch not finite and > 0", module="export")
     R = A @ stretch_matrices(dirs, 1.0 / s, np.sqrt(s))
     offset = armature.tails[bone] - armature.heads[bone]
     tails = world[:, None, :3, 3] + np.einsum("fkij,kj->fki", A, offset)

@@ -14,6 +14,7 @@ target array and solves bit-identically to its row of the batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -25,25 +26,23 @@ from .rotations import minimal_rotation, mat_to_quat, quat_to_mat, norm
 @dataclass(frozen=True)
 class IkParams:
     tolerance: float = 1e-3          # cm, max per-target residual
-    max_iterations: int = 50         # reported for budget frames only
     s_min: float = 0.5               # stretch ratio bounds
     s_max: float = 2.0
+    # Not a setting: bench/spans.py reads it; ROADMAP item 1 frees it and PoseTrack.iterations.
+    max_iterations: ClassVar[int] = 50
 
     def __post_init__(self):
         if not (self.tolerance > 0):
             raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
         if not (0 < self.s_min <= 1.0 <= self.s_max):
             raise ValueError("stretch bounds must satisfy 0 < s_min <= 1 <= s_max")
 
 
-# Why a frame left the solve, indexed by the codes in PoseTrack.stop_reasons:
-# its residual is within tolerance, the pass made it worse and was rolled
-# back, or its target is out of reach (an iterative solve would run out of
-# its budget of passes on it).
-STOP_REASONS = ("converged", "stalled", "budget")
-STOP_CONVERGED, STOP_STALLED, STOP_BUDGET = range(len(STOP_REASONS))
+# Each frame's outcome, by its code in PoseTrack.stop_reasons: the kept pose
+# is within tolerance; or else the pass raised the worst residual and was
+# rolled back to the rest pose, or it was kept but the target is out of reach.
+STOP_REASONS = ("converged", "rolled_back", "unreached")
+STOP_CONVERGED, STOP_ROLLED_BACK, STOP_UNREACHED = range(len(STOP_REASONS))
 
 
 def stop_counts(stop_reasons: np.ndarray) -> dict[str, int]:
@@ -63,7 +62,7 @@ class PoseTrack:
     stretches: np.ndarray     # (F, K)
     cross_scales: np.ndarray  # (F, K) = 1/sqrt(stretch)
     residuals: np.ndarray     # (F, K) per-target distance
-    iterations: np.ndarray    # (F,)
+    iterations: np.ndarray    # (F,) 1, or IkParams.max_iterations if unreached
     stop_reasons: np.ndarray  # (F,) int8 index into STOP_REASONS
 
     @property
@@ -87,12 +86,8 @@ def solve_track(
     reads the pose it starts from: a second pass would repeat the first bit
     for bit. The pass is kept where it does not raise the worst per-target
     residual of the rest pose, and rolled back to the rest pose where it
-    does. `stop_reasons` records why each frame stopped: converged (the
-    kept pose is within the tolerance), stalled (rolled back) or budget
-    (the target is out of reach; more passes would not move the pose).
-    `iterations` is 1, except for budget frames, which report
-    `params.max_iterations`: the passes an iterative solve would run on
-    them.
+    does. `stop_reasons` records each frame's outcome (see STOP_REASONS), and
+    `iterations` is 1, or `IkParams.max_iterations` for an unreached frame.
     """
     targets = np.asarray(targets, dtype=np.float64)
     F, K = targets.shape[0], armature.n_bones
@@ -161,13 +156,13 @@ def solve_track(
     joints[~accept, 1:] = armature.tails
     converged = np.where(accept, res, rest_res) <= params.tolerance
     stop_reasons = np.where(
-        converged, STOP_CONVERGED, np.where(accept, STOP_BUDGET, STOP_STALLED)
+        converged, STOP_CONVERGED, np.where(accept, STOP_UNREACHED, STOP_ROLLED_BACK)
     ).astype(np.int8)
 
     return PoseTrack(
         bone_names=armature.bone_names,
         tails=joints[:, 1:],
-        iterations=np.where(stop_reasons == STOP_BUDGET, params.max_iterations, 1),
+        iterations=np.where(stop_reasons == STOP_UNREACHED, IkParams.max_iterations, 1),
         stop_reasons=stop_reasons,
         **_solved_poses(armature, joints, targets, params),
     )

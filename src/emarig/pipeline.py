@@ -365,7 +365,7 @@ class ValidationReport:
 
     @property
     def max_rms(self) -> float:
-        return max(self.per_coil_rms.values())
+        return float(np.max(list(self.per_coil_rms.values())))  # NaN if any is NaN
 
     def lines(self) -> list[str]:
         out = [f"{name}  {rms:.6g} cm" for name, rms in self.per_coil_rms.items()]

@@ -59,9 +59,9 @@ from emarig.errors import (
 )
 from emarig.fixture import _JAW_AXIS_REST, _JAW_FREQ, _JAW_HINGE, _JAW_MAX_OPEN, _JAW_REST
 from emarig.ik_solver import (
-    STOP_BUDGET,
     STOP_CONVERGED,
-    STOP_STALLED,
+    STOP_ROLLED_BACK,
+    STOP_UNREACHED,
     IkParams,
     PoseTrack,
     _pose_affines,
@@ -980,12 +980,19 @@ def whole_batch_skin_trajectories(
 # full-batch loop that tests/test_ik_solver.py has kept as its reference
 # since 9914d83 (its `minimal_rotation` is the package's, spelled
 # `rotations.minimal_rotation` here because this module freezes an older one).
+# Both ran up to `max_iterations` passes, a setting then. Their stop codes,
+# converged, stalled (an iterate was rolled back) and budget (the passes ran
+# out), are returned under the solver's names for them.
+
+_CONVERGED, _STALLED, _BUDGET = range(3)
+_SOLVER_STOP = np.array([STOP_CONVERGED, STOP_ROLLED_BACK, STOP_UNREACHED], dtype=np.int8)
 
 
 def active_batch_solve_track(
     armature: Armature,
     targets: np.ndarray,
-    params: IkParams = IkParams(),
+    params: IkParams,
+    max_iterations: int,
 ) -> PoseTrack:
     """Solve every frame of a (frames, bones, 3) target array.
 
@@ -994,7 +1001,7 @@ def active_batch_solve_track(
     the iterate is accepted where it does not raise the worst per-target
     residual. A frame leaves the batch when that residual drops to the
     tolerance (converged), when an iterate would raise it (stalled: the
-    iterate is rolled back), or when the iteration budget runs out, and
+    iterate is rolled back), or when `max_iterations` run out, and
     its reason is recorded in `stop_reasons`. Frames are independent and
     the per-frame arithmetic does not depend on which other frames share
     the batch, so the result is the same as iterating the whole batch. A
@@ -1074,14 +1081,14 @@ def active_batch_solve_track(
         return new_j
 
     iterations = np.zeros(F, dtype=np.int64)
-    stop_reasons = np.full(F, STOP_BUDGET, dtype=np.int8)
+    stop_reasons = np.full(F, _BUDGET, dtype=np.int8)
 
     # The active batch: frame indices with their gathered targets, joints
     # and best residuals. Leaving frames are scattered back into `joints`.
     rows = np.arange(F)
     t, j = targets, joints.copy()
     best = residual_of(j, t)
-    for it in range(1, params.max_iterations + 1):
+    for it in range(1, max_iterations + 1):
         if not len(rows):
             break
         new_j = iterate(t, j)
@@ -1096,7 +1103,7 @@ def active_batch_solve_track(
         if leave.any():
             out = rows[leave]
             joints[out] = j[leave]
-            stop_reasons[out] = np.where(converged[leave], STOP_CONVERGED, STOP_STALLED)
+            stop_reasons[out] = np.where(converged[leave], _CONVERGED, _STALLED)
             keep = ~leave
             rows, t, j, best = rows[keep], t[keep], j[keep], best[keep]
     joints[rows] = j
@@ -1105,12 +1112,12 @@ def active_batch_solve_track(
         bone_names=armature.bone_names,
         tails=joints[:, 1:],
         iterations=iterations,
-        stop_reasons=stop_reasons,
+        stop_reasons=_SOLVER_STOP[stop_reasons],
         **_solved_poses(armature, joints, targets, params),
     )
 
 
-def full_batch_solve_track(armature, targets, params):
+def full_batch_solve_track(armature, targets, params, max_iterations):
     """Reference solver: every iteration runs the passes over all frames and
     masks acceptance afterwards. Stop reasons are derived after the loop from
     the final residual and whether the frame ever rolled an iterate back."""
@@ -1145,7 +1152,7 @@ def full_batch_solve_track(armature, targets, params):
     iterations = np.zeros(F, dtype=np.int64)
     active = np.ones(F, dtype=bool)
     rolled_back = np.zeros(F, dtype=bool)
-    for it in range(1, params.max_iterations + 1):
+    for it in range(1, max_iterations + 1):
         if not active.any():
             break
         prop = np.empty((F, K, 3))
@@ -1179,9 +1186,7 @@ def full_batch_solve_track(armature, targets, params):
         active &= best_res > params.tolerance
 
     stop_reasons = np.where(
-        best_res <= params.tolerance,
-        STOP_CONVERGED,
-        np.where(rolled_back, STOP_STALLED, STOP_BUDGET),
+        best_res <= params.tolerance, _CONVERGED, np.where(rolled_back, _STALLED, _BUDGET)
     ).astype(np.int8)
     heads = joints[:, parent_joint]
     tails = joints[:, 1:]
@@ -1199,7 +1204,7 @@ def full_batch_solve_track(armature, targets, params):
         cross_scales=1.0 / np.sqrt(stretches),
         residuals=norm(tails - targets),
         iterations=iterations,
-        stop_reasons=stop_reasons,
+        stop_reasons=_SOLVER_STOP[stop_reasons],
     )
 
 

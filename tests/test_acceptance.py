@@ -102,7 +102,7 @@ def test_criterion_3_ik(compiled_model):
     pose = solve_track(
         chain,
         np.array([[[1.0, 0.0, 0.0], target]]),
-        IkParams(tolerance=1e-9, max_iterations=100),
+        IkParams(tolerance=1e-9),
     )
     elbow = two_link_oracle(1.0, 1.0, target, elbow_hint=[1.0, 0.0, 0.0])
     two_link_ok = (

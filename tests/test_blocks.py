@@ -202,7 +202,7 @@ def test_solve_track_epilogue_matches_whole_batch(compiled_model, n):
     targets = np.resize(clip.targets, (n,) + clip.targets.shape[1:])
     targets = targets + rng.normal(0.0, 0.05, targets.shape)
     targets[::97, -1] += 4.0
-    params = IkParams(max_iterations=8)
+    params = IkParams()
     track = solve_track(rig.armature, targets, params)
     root = np.broadcast_to(rig.armature.root_point, (n, 1, 3))
     joints = np.concatenate([root, track.tails], axis=1)

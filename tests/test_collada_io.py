@@ -963,6 +963,13 @@ class TestReaderErrors:
             # a bone's or the jaw's first animation key ending in 0 0 0 2
             (r'(id="anim-TMidC-output-array" count="\d+">(?:\S+ ){15})1 ', r"\g<1>2 "),
             (r'(id="anim-Jaw-output-array" count="\d+">(?:\S+ ){15})1 ', r"\g<1>2 "),
+            # a bone's first key with its 3x3 block zeroed, its translation
+            # and last row kept: its stretch is 0, which would be divided by
+            (
+                r'(id="anim-TMidC-output-array" count="\d+">)'
+                r"(?:\S+ ){3}(\S+ )(?:\S+ ){3}(\S+ )(?:\S+ ){3}",
+                r"\g<1>0 0 0 \g<2>0 0 0 \g<3>0 0 0 ",
+            ),
             # a bone node <matrix> ending in 0 0 0 2, scaled, or sheared
             (r'(id="node-TMidC"[^>]*>\s*<matrix sid="transform">(?:\S+ ){15})1<', r"\g<1>2<"),
             (r'(id="node-TMidC"[^>]*>\s*<matrix sid="transform">)1 ', r"\g<1>2 "),
@@ -1022,7 +1029,8 @@ class TestReaderErrors:
             "triangle_count", "vcount_count", "positions_count",
             "positions_array_count", "joints_array_count", "one_interpolation",
             "blank_non_ascii_triangles",
-            "bone_key_last_row", "jaw_key_last_row", "node_last_row", "node_scaled",
+            "bone_key_last_row", "jaw_key_last_row", "bone_key_zero_block",
+            "node_last_row", "node_scaled",
             "node_sheared", "root_rotated", "no_animation_library", "no_animations",
             "jaw_animation_twice",
             "second_non_bone_animation", "no_clip_technique",
@@ -1052,7 +1060,8 @@ class TestReaderErrors:
         }
         doc, n = re.subn(pattern, repl.format(**sizes), doc, count=1)
         assert n == 1
-        with pytest.raises(ParseError) as err:
+        with pytest.raises(ParseError) as err, warnings.catch_warnings():
+            warnings.simplefilter("error")  # the tagged refusal is all a user sees
             read_collada(doc)
         assert err.value.diagnostic().startswith("error:export:parse_error:")
 

@@ -13,7 +13,7 @@ from reference import loop_head_pose, loop_jaw_trajectory
 # Measured with Python 3.11.7 and numpy 2.4.6.
 _COMMON = {
     "audio/utt_01.wav": "d8aef01fdfbde3ce71bcefd03e0bffb7367228f953c9bfc48b39fd506acf62a1",
-    "config.cfg": "221ba5f6a11cf9f095389e76ac74cde8f3a0e702d6af1fee4c7572c3fcabd784",
+    "config.cfg": "195fae8c574ed379483475e4b62228e5deb7d949da23ef0d9a8f0204606503a1",
     "layout.cfg": "9ddc398fa519bcfa4172bb038e535d71a88dae64cf2fd51bc4adaeb229b27644",
     "tongue.dot": "c2923529ca12d7aebceb335fd2118f36cfd3020aec64b676f6d8d6baad45a8a6",
 }

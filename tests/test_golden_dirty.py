@@ -1,5 +1,5 @@
 """Golden digests on dirty input: the path where dropout fill, smoothing
-over filled runs, out-of-reach IK targets, stretch clamps and budget stops
+over filled runs, out-of-reach IK targets, stretch clamps and unreached stops
 do real work (the clean goldens converge every frame with residual 0).
 
 The corpus is the default fixture at 2 x 600 frames, damaged in place by
@@ -39,7 +39,7 @@ DIRTY_SEED = 7
 GOLDEN_DIRTY_SHA256 = {
     "clip": "62d7cb307c02e6d4139e0c152c03eaf01dfbe280a7e139c37e5c9dd4ea35b3ed",
     "model.dae": "8532eae33cdceb5df7dfb71084f30238a0758dc5fa4391ca725f2d6797f27a5e",
-    "stdout": "59beed3ff08c6c2610a48d78b172bfdf1f16bb0d7231e66f61dca760c4180b4d",
+    "stdout": "35aff8c95f087b7449e6f5fab1cad0754b73d0d7fe926087b5ecb429652a8d26",
     "report": "f6c3875acdfacf2b34e0364b88b9b31a7b47222d157f9aee38a072b63d1b4caa",
     "synth": "d9fc4cd5c9f491ad103ed7b60287cd6ccb38a0a41d6ba39ac6d9abe6aeeafa53",
 }
@@ -99,9 +99,9 @@ def test_golden_dirty_digests(dirty_run):
 
 def test_golden_dirty_corpus_covers_the_hard_path(dirty_run):
     # Each digest above only guards a path that the corpus takes. The
-    # stalled (rolled-back) IK stop is not among them: no dirty_corpus seed
-    # from 0 to 15 stalls a frame at this size, so that stop is covered by
-    # the solver's unit tests alone.
+    # rolled_back IK stop is not among them: no dirty_corpus seed from 0 to
+    # 15 rolls a frame back at this size, so that stop is covered by the
+    # solver's unit tests alone.
     config, result, _ = dirty_run
     layout = parse_layout(config.layout_path.read_text(encoding="utf-8"))
     filled = sum(
@@ -109,7 +109,7 @@ def test_golden_dirty_corpus_covers_the_hard_path(dirty_run):
     )
     assert filled > 0
 
-    assert result.report.stop_counts["budget"] > 0
+    assert result.report.stop_counts["unreached"] > 0
     # the clip's stretches are the solver's PoseTrack.stretches
     stretches = result.clip.stretches
     clamps = (stretches == config.ik.s_min) | (stretches == config.ik.s_max)

@@ -59,7 +59,7 @@ class TestSolvePose:
         pose = solve_one(
             arm,
             [[1.0, 0.0, 0.0], target],
-            IkParams(tolerance=1e-9, max_iterations=100),
+            IkParams(tolerance=1e-9),
         )
         elbow = two_link_oracle(1.0, 1.0, target, elbow_hint=[1.0, 0.0, 0.0])
         assert np.abs(pose.tails[0, 0] - elbow).max() < 1e-6
@@ -112,11 +112,11 @@ def branched_armature():
 class TestSolveTrack:
     def test_active_rows_match_full_batch_reference(self):
         # Per-frame noise of three sizes, and one branch or the whole tree
-        # out of reach: frames converge or exhaust the budget (some at a
-        # fixed point where the residual stops falling but does not rise).
-        # In a tug of war the trunk's target lies far out on one side and
-        # both branch targets far out on the other; the first iterate then
-        # raises the worst residual, so those frames stall.
+        # out of reach: frames converge or stay unreached (some at a fixed
+        # point where the residual stops falling but does not rise). In a
+        # tug of war the trunk's target lies far out on one side and both
+        # branch targets far out on the other; the first iterate then raises
+        # the worst residual, so those frames are rolled back.
         arm = branched_armature()
         rng = np.random.default_rng(211)
         F = 400
@@ -132,7 +132,7 @@ class TestSolveTrack:
         params = IkParams()
 
         track = solve_track(arm, targets, params)
-        ref = reference.full_batch_solve_track(arm, targets, params)
+        ref = reference.full_batch_solve_track(arm, targets, params, IkParams.max_iterations)
 
         counts = stop_counts(track.stop_reasons)
         assert min(counts.values()) > 0, counts
@@ -153,18 +153,6 @@ class TestSolveTrack:
         assert np.abs(law - arm.rest_lengths).max() < 1e-9
         assert (track.stretches >= 0.5 - 1e-12).all()
         assert (track.stretches <= 2.0 + 1e-12).all()
-
-    def test_monotone_progress(self):
-        arm = branched_armature()
-        rng = np.random.default_rng(101)
-        targets = arm.tails[None] + rng.normal(0, 0.8, (30, 3, 3))
-        prev = None
-        for iters in range(1, 16):
-            track = solve_track(arm, targets, IkParams(max_iterations=iters))
-            res = track.max_residual()
-            if prev is not None:
-                assert (res <= prev + 1e-12).all()
-            prev = res
 
     def test_determinism(self):
         arm = branched_armature()
@@ -240,7 +228,6 @@ def drawn_targets(armature, n, seed):
 IK_PARAMS = st.builds(
     IkParams,
     tolerance=st.sampled_from([1e-9, 1e-3, 0.05]) | st.floats(1e-12, 10.0),
-    max_iterations=st.integers(1, 100),
     s_min=st.floats(0.05, 1.0),
     s_max=st.floats(1.0, 4.0),
 )
@@ -248,7 +235,8 @@ IK_PARAMS = st.builds(
 
 class TestMatchesActiveBatchLoop:
     """`solve_track` gives the bits of the active-batch loop frozen at
-    cdab398, its iteration counts and stop reasons included."""
+    cdab398, run to a budget of `IkParams.max_iterations` passes, its
+    iteration counts and stop reasons included."""
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(
@@ -261,7 +249,7 @@ class TestMatchesActiveBatchLoop:
         arm = branched_armature() if rig == "branched" else compiled_model[0].armature
         targets = drawn_targets(arm, n, seed)
         got = solve_track(arm, targets, params)
-        want = reference.active_batch_solve_track(arm, targets, params)
+        want = reference.active_batch_solve_track(arm, targets, params, IkParams.max_iterations)
         for name in PoseTrack.__dataclass_fields__:
             a, b = getattr(got, name), getattr(want, name)
             if isinstance(a, np.ndarray):
@@ -329,7 +317,7 @@ class TestApplyPose:
         arm = make_chain_armature([[0, 0, 0], [1, 0, 0]])
         mesh = single_influence_mesh([0.5, 0.3, 0.0])
         p0 = solve_one(arm, [[1.0, 0.0, 0.0]])
-        p1 = solve_one(arm, [[0.0, 1.0, 0.0]], IkParams(tolerance=1e-9, max_iterations=100))
+        p1 = solve_one(arm, [[0.0, 1.0, 0.0]], IkParams(tolerance=1e-9))
         v0 = skin_mesh(mesh, arm, p0)[0, 0]
         v1 = skin_mesh(mesh, arm, p1)[0, 0]
         # blending the two affines with weights (a, 1-a) lands on the segment

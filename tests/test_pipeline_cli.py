@@ -17,6 +17,7 @@ from emarig.ik_solver import IkParams, skin_trajectories
 from emarig.motion_prep import SmoothingSpec
 from emarig.pipeline import (
     SynthesisDefaults,
+    ValidationReport,
     _layout_and_roles,
     compile_model,
     load_config,
@@ -194,6 +195,7 @@ class TestConfig:
             ("mesh", "arch_segments", "24"),
             ("mesh", "maxilla_z", "2.1"),
             ("mesh", "mandible_z", "-1.4"),
+            ("ik", "max_iterations", "50"),
             # misspelt keys, which used to be ignored
             ("ik", "max_iteration", "5"),
             ("smoothing", "window_frame", "99999"),
@@ -375,9 +377,9 @@ class TestCompile:
 
         report = compile_model(config).report
         counts = report.stop_counts
-        assert list(counts) == ["converged", "stalled", "budget"]
+        assert list(counts) == ["converged", "rolled_back", "unreached"]
         assert sum(counts.values()) == report.n_frames
-        assert counts["stalled"] + counts["budget"] == report.nonconvergent_frames
+        assert counts["rolled_back"] + counts["unreached"] == report.nonconvergent_frames
         assert report.nonconvergent_frames > 0
 
         assert main(["compile", "--config", str(corpus / "config.cfg"),
@@ -385,7 +387,7 @@ class TestCompile:
         out = capsys.readouterr().out
         assert (
             f"ik stop           converged {counts['converged']}  "
-            f"stalled {counts['stalled']}  budget {counts['budget']}\n"
+            f"rolled_back {counts['rolled_back']}  unreached {counts['unreached']}\n"
         ) in out
 
 
@@ -534,6 +536,13 @@ class TestSynth:
             # a key's last row was dropped, moving the bone's heads and tails,
             # and a node <matrix> kept only its translation
             (rb'(id="anim-TMidC-output-array" count="\d+">(?:\S+ ){15})1 ', rb"\g<1>2 "),
+            # a key whose 3x3 block is zeroed, so its stretch is 0: synth and
+            # validate used to exit 0, validate with `nan cm` for every coil
+            (
+                rb'(id="anim-TMidC-output-array" count="\d+">)'
+                rb"(?:\S+ ){3}(\S+ )(?:\S+ ){3}(\S+ )(?:\S+ ){3}",
+                rb"\g<1>0 0 0 \g<2>0 0 0 \g<3>0 0 0 ",
+            ),
             (rb'(id="node-TMidC"[^>]*>\s*<matrix sid="transform">(?:\S+ ){15})1<', rb"\g<1>2<"),
             (rb'(id="node-TMidC"[^>]*>\s*<matrix sid="transform">)1 ', rb"\g<1>2 "),
             # a character reference, a comment or a CDATA section in a
@@ -551,7 +560,7 @@ class TestSynth:
             "empty_rate", "matrix_17_values", "tail_2_values", "rate_not_a_number",
             "rate_zero", "negative_duration", "no_rate", "no_duration",
             "no_jaw_animation", "p_underscore",
-            "key_last_row", "node_last_row", "node_scaled",
+            "key_last_row", "key_zero_block", "node_last_row", "node_scaled",
             "char_ref_in_weights", "comment_in_p", "cdata_in_v", "deep_joint_chain",
         ],
     )
@@ -722,6 +731,24 @@ class TestValidate:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:cli:usage: --threshold") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_nan_rms_fails(self, fixture_dir, bundle_dir, monkeypatch, capsys, first):
+        # `nan > threshold` is false, and max() skips a NaN after a number:
+        # a NaN RMS, first or not, used to pass.
+        def nan_report(loaded, config):
+            rms = [float("nan"), 0.001] if first else [0.001, float("nan")]
+            return ValidationReport(per_coil_rms=dict(zip(("A", "B"), rms)), n_frames=1)
+
+        monkeypatch.setattr("emarig.cli.validate_model", nan_report)
+        rc = main([
+            "validate", "--bundle", str(bundle_dir),
+            "--config", str(fixture_dir / "config.cfg"), "--threshold", "0.01",
+        ])
+        assert rc == 3
+        assert capsys.readouterr().out.endswith(
+            "max rms  nan cm over 1 frames\nFAIL: max rms nan cm is not a finite number\n"
+        )
 
     def test_unrelated_ema_fails(self, fixture_dir, bundle_dir, tmp_path, capsys):
         # regenerate a corpus with different motion by scaling the fixture:
