@@ -26,7 +26,7 @@ rig = compile_rig(
     parse_rig_graph(RIG_GRAPH_DOT), sweep, data.roles,
     generate_default_mesh(), RigConfig(seeds=data.seeds),
 )
-clip = bake(sweep, rig, data.roles, IkParams())
+clip = bake([sweep], rig, data.roles, IkParams())
 db = build_unit_db(clip, data.tier)
 
 print(f"database: {len(db)} units from a {clip.duration:g} s clip")

@@ -119,7 +119,7 @@ def mix_poses(p: tuple, q: tuple, a: np.ndarray) -> tuple:
 
 
 def bake(
-    sweeps: EmaSweep | Sequence[EmaSweep],
+    sweeps: Sequence[EmaSweep],
     rig: CompiledRig,
     roles: CoilRoles,
     params: IkParams = IkParams(),
@@ -132,8 +132,6 @@ def bake(
     pose. Solver non-convergence lands in the per-frame residual metadata,
     never in an exception.
     """
-    if isinstance(sweeps, EmaSweep):
-        sweeps = [sweeps]
     if not sweeps:
         raise ValueError("no sweeps to bake")
     rate = sweeps[0].rate_hz

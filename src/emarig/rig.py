@@ -530,17 +530,32 @@ class Armature:
 
     Bone k runs from heads[k] to tails[k]; its name is the coil it tracks.
     parents[k] indexes another bone, or -1 for bones emanating from the
-    root point.
+    root point. Rest lengths and directions are derived from the heads and
+    tails with no floating-point warning (the writer and the reader refuse
+    what is not finite); a bone of rest length <= 1e-9 is DegenerateBone.
     """
 
     bone_names: tuple[str, ...]
     parents: np.ndarray
     heads: np.ndarray
     tails: np.ndarray
-    rest_lengths: np.ndarray
-    rest_dirs: np.ndarray
+    rest_lengths: np.ndarray = field(init=False)
+    rest_dirs: np.ndarray = field(init=False)
     root_point: np.ndarray
     root_name: str = "Root"
+
+    def __post_init__(self):
+        with np.errstate(all="ignore"):
+            deltas = self.tails - self.heads
+            rest_lengths = np.sqrt(np.sum(deltas * deltas, axis=-1))
+            rest_dirs = deltas / rest_lengths[:, None]
+        short = rest_lengths <= 1e-9
+        if short.any():
+            raise DegenerateBone(
+                f"bone {self.bone_names[int(np.argmax(short))]!r} has zero rest length"
+            )
+        object.__setattr__(self, "rest_lengths", rest_lengths)
+        object.__setattr__(self, "rest_dirs", rest_dirs)
 
     @property
     def n_bones(self) -> int:
@@ -674,22 +689,11 @@ def compile_rig(
             heads[k] = tails[p]
         tail_arr[k] = tails[n]
 
-    deltas = tail_arr - heads
-    rest_lengths = np.sqrt(np.sum(deltas * deltas, axis=-1))
-    short = rest_lengths <= 1e-9
-    if short.any():
-        raise DegenerateBone(
-            f"bone {bone_names[int(np.argmax(short))]!r} has zero rest length"
-        )
-    rest_dirs = deltas / rest_lengths[:, None]
-
     armature = Armature(
         bone_names=bone_names,
         parents=parents,
         heads=heads,
         tails=tail_arr,
-        rest_lengths=rest_lengths,
-        rest_dirs=rest_dirs,
         root_point=root_point,
         root_name=graph.root,
     )

@@ -21,8 +21,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .anim_db import POSE_FIELDS, AnimationClip, AnimationUnit, mix_poses
-from .collada_io import FLOAT_DIGITS
 from .errors import BadRequest, NoCandidate
+from .number_text import FLOAT_DIGITS
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,13 @@ def _boundaries(units: list[AnimationUnit]) -> tuple:
 
 
 def _join_matrix(left: tuple, right: tuple, velocity_weight: float) -> np.ndarray:
-    """`join_costs` from the `_boundaries` of its `left` and `right` units."""
+    """(L, R) boundary discontinuity from each unit in `left` to each in
+    `right`, given as their `_boundaries`.
+
+    Zero for pairs that were adjacent in the corpus (their boundary is the
+    same sample); otherwise the Euclidean gap across all tracked points
+    plus a velocity mismatch term scaled by `velocity_weight`.
+    """
     _, last_positions, _, last_velocities, left_sources = left
     first_positions, _, first_velocities, _, right_sources = right
     dp = first_positions - last_positions[:, None]
@@ -133,23 +139,11 @@ def _join_matrix(left: tuple, right: tuple, velocity_weight: float) -> np.ndarra
     return cost
 
 
-def join_costs(
-    left: list[AnimationUnit], right: list[AnimationUnit], velocity_weight: float
-) -> np.ndarray:
-    """(L, R) boundary discontinuity from each unit in `left` to each in `right`.
-
-    Zero for pairs that were adjacent in the corpus (their boundary is the
-    same sample); otherwise the Euclidean gap across all tracked points
-    plus a velocity mismatch term scaled by `velocity_weight`.
-    """
-    return _join_matrix(_boundaries(left), _boundaries(right), velocity_weight)
-
-
 def join_cost(
     left: AnimationUnit, right: AnimationUnit, velocity_weight: float = 0.01
 ) -> float:
-    """`join_costs` of one pair."""
-    return float(join_costs([left], [right], velocity_weight)[0, 0])
+    """The join cost from `left` to `right`: `_join_matrix` of one pair."""
+    return float(_join_matrix(_boundaries([left]), _boundaries([right]), velocity_weight)[0, 0])
 
 
 def slot_costs(db: list[AnimationUnit], request: SynthesisRequest) -> tuple:

@@ -16,10 +16,11 @@ from emarig.rig import (
     parse_rig_graph,
 )
 
-# A drawn test that fails prints the `@reproduce_failure` blob of its
-# example, so a failure on CI can be replayed; the tests' own `@settings`
-# override the rest.
-settings.register_profile("emarig", print_blob=True)
+# Built on hypothesis's own `ci` profile: derandomized, with no example
+# database, so every run, local or on CI, replays the same examples of each
+# drawn test. A failure prints the `@reproduce_failure` blob of its example;
+# the tests' own `@settings` override the rest.
+settings.register_profile("emarig", parent=settings.get_profile("ci"), print_blob=True)
 settings.load_profile("emarig")
 
 FIG_GRAPH = (
@@ -34,15 +35,11 @@ def make_chain_armature(points, names=None) -> Armature:
     K = len(points) - 1
     names = tuple(names) if names else tuple(f"B{i}" for i in range(K))
     heads, tails = points[:-1], points[1:]
-    deltas = tails - heads
-    lengths = np.sqrt(np.sum(deltas * deltas, axis=-1))
     return Armature(
         bone_names=names,
         parents=np.arange(-1, K - 1, dtype=np.int32),
         heads=heads,
         tails=tails,
-        rest_lengths=lengths,
-        rest_dirs=deltas / lengths[:, None],
         root_point=points[0],
     )
 

@@ -39,10 +39,7 @@ from emarig.collada_io import (
     PROFILE,
     _TRANSFORM,
     _affine_rows,
-    _finite,
-    _fmt_array,
     _local_rows,
-    _numbers,
     _parse_xml,
     _read_tree,
     _sanitize,
@@ -69,6 +66,7 @@ from emarig.ik_solver import (
     stretch_matrices,
 )
 from emarig.motion_prep import _DEGENERACY_RTOL
+from emarig.number_text import _finite, _fmt_array, _numbers
 from emarig.rig import Armature, GROUP_MANDIBLE, GROUP_MAXILLA, SkinnedMesh
 from emarig import rotations
 from emarig.rotations import mat_to_quat, norm, quat_to_mat, slerp

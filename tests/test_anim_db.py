@@ -39,7 +39,7 @@ class TestBake:
             graph, prepared[0], data.roles, generate_default_mesh(),
             RigConfig(seeds=data.seeds),
         )
-        clip = bake(prepared[0], rig, data.roles)
+        clip = bake([prepared[0]], rig, data.roles)
         assert clip.n_keys == 200
         assert clip.duration == 1.0
         assert clip.times[0] == 0.0
@@ -55,7 +55,7 @@ class TestBake:
             rms=np.repeat(first.rms[:1], 50, axis=0),
             extra=np.repeat(first.extra[:1], 50, axis=0),
         )
-        clip = bake(static, rig, data.roles)
+        clip = bake([static], rig, data.roles)
         assert np.array_equal(clip.heads, np.repeat(clip.heads[:1], 50, axis=0))
         assert np.array_equal(clip.quats, np.repeat(clip.quats[:1], 50, axis=0))
         assert np.array_equal(

@@ -96,15 +96,11 @@ def branched_armature():
 
     heads = np.array([[0.0, 0, 0], [1.0, 0, 0], [1.0, 0, 0]])
     tails = np.array([[1.0, 0, 0], [2.0, 1, 0], [2.0, -1, 0]])
-    deltas = tails - heads
-    lengths = np.sqrt(np.sum(deltas * deltas, axis=-1))
     return Armature(
         bone_names=("trunk", "left", "right"),
         parents=np.array([-1, 0, 0], dtype=np.int32),
         heads=heads,
         tails=tails,
-        rest_lengths=lengths,
-        rest_dirs=deltas / lengths[:, None],
         root_point=np.array([0.0, 0.0, 0.0]),
     )
 

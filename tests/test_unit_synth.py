@@ -16,9 +16,10 @@ from emarig.rig import RigConfig, compile_rig, generate_default_mesh, parse_rig_
 from emarig.unit_synth import (
     SynthesisPlan,
     SynthesisRequest,
+    _boundaries,
+    _join_matrix,
     check_timeline,
     join_cost,
-    join_costs,
     parse_request,
     render_plan,
     select_units,
@@ -211,7 +212,7 @@ class TestJoinCost:
 class TestJoinCosts:
     @staticmethod
     def assert_bitwise(left, right, velocity_weight):
-        matrix = join_costs(left, right, velocity_weight)
+        matrix = _join_matrix(_boundaries(left), _boundaries(right), velocity_weight)
         expect = np.array(
             [[scalar_join_cost(a, b, velocity_weight) for b in right] for a in left]
         )
